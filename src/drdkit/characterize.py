@@ -11,8 +11,8 @@ check's verdict.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 from .digraph import Digraph, DistanceTable, distance_table, regularity, strongly_connected
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
@@ -21,24 +21,28 @@ from .partitions import (
     distance_regular_scan,
 )
 from .ratlin import (
+    PartitionBasis,
     RatMatrix,
     RatPolynomial,
     SpanBasis,
     adjacency_matrix,
     mat_mul,
     minimal_polynomial,
+    span_basis,
 )
 from .scheme import (
+    AxiomReport,
+    DamerellTable,
     DistanceMatrices,
-    IntersectionTensor,
     PairCountScan,
+    ProductTable,
     TransposeMap,
     adjacency_transpose_index,
     damerell_numbers,
     distance_matrices,
     distance_polynomials,
-    intersection_numbers,
     pair_intersection_counts,
+    product_table,
     scheme_axioms,
     transpose_closure,
     two_way_relations,
@@ -95,6 +99,9 @@ class Report:
     verdicts: tuple[CharacterizationVerdict, ...]
     agreement: bool
     total_ms: float
+    # The primitives the checks computed (None when no check ran on a
+    # context), for callers that render more of them than the report holds.
+    context: Optional["GraphContext"] = field(default=None, repr=False, compare=False)
 
     @property
     def overall(self) -> Optional[str]:
@@ -148,15 +155,13 @@ class GraphContext:
         return self._get("pair_scan", lambda: pair_intersection_counts(self.table))
 
     @property
-    def class_basis(self) -> SpanBasis:
-        return self._get("class_basis", lambda: SpanBasis(self.dm.mats))
+    def products(self) -> ProductTable:
+        """Span coordinates of every A_i * A_j, shared by A, B, C, C2 and D."""
+        return self._get("products", lambda: product_table(self.dm.mats))
 
-    def product_expansion(self, i: int, j: int) -> Optional[tuple]:
-        key = ("prod", i, j)
-        if key not in self._cache:
-            prod = mat_mul(self.dm.mats[i], self.dm.mats[j])
-            self._cache[key] = self.class_basis.solve(prod)
-        return self._cache[key]
+    @property
+    def damerell(self) -> DamerellTable:
+        return self._get("damerell", lambda: damerell_numbers(self.g, self.table))
 
     @property
     def transpose_map(self) -> TransposeMap:
@@ -183,10 +188,10 @@ class GraphContext:
 
         return self._get("powers", make)
 
-    def power_basis(self, upto: int) -> SpanBasis:
+    def power_basis(self, upto: int) -> Union[PartitionBasis, SpanBasis]:
         key = ("power_basis", upto)
         if key not in self._cache:
-            self._cache[key] = SpanBasis(self.power_matrices[: upto + 1])
+            self._cache[key] = span_basis(self.power_matrices[: upto + 1])
         return self._cache[key]
 
     def distance_matrix_in_powers(self, i: int, upto: int) -> bool:
@@ -196,12 +201,8 @@ class GraphContext:
         return self._cache[key]
 
     @property
-    def axioms_on_distance_matrices(self):
-        return self._get("axioms", lambda: scheme_axioms(self.dm.mats))
-
-    @property
-    def intersection(self) -> IntersectionTensor:
-        return self._get("intersection", lambda: intersection_numbers(self.dm, self.table))
+    def axioms_on_distance_matrices(self) -> AxiomReport:
+        return self._get("axioms", lambda: scheme_axioms(self.dm.mats, self.products))
 
     @property
     def normal(self) -> bool:
@@ -292,7 +293,7 @@ def _check_c(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("C", "transpose of A is not a distance matrix")
     for i in range(ctx.dm.D + 1):
-        if ctx.product_expansion(i, 1) is None:
+        if ctx.products.coords[i][1] is None:
             return _no("C", f"A_{i} * A leaves the span of the distance matrices")
     return _yes("C")
 
@@ -311,12 +312,7 @@ def _check_c1(ctx: GraphContext) -> CharacterizationVerdict:
 
 
 def _check_c2(ctx: GraphContext) -> CharacterizationVerdict:
-    D = ctx.dm.D
-    products_closed = all(
-        ctx.product_expansion(i, j) is not None
-        for i in range(D + 1)
-        for j in range(D + 1)
-    )
+    products_closed = ctx.products.closed
     v1 = ctx.adjacency_transpose is not None and products_closed
     v2 = ctx.transpose_map.exists and products_closed
     v3 = ctx.adjacency_transpose is not None and ctx.pair_scan.all_constant
@@ -335,7 +331,7 @@ def _check_c2(ctx: GraphContext) -> CharacterizationVerdict:
 def _check_d(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("D", "transpose of A is not a distance matrix")
-    polys = distance_polynomials(ctx.dm, ctx.adjacency)
+    polys = distance_polynomials(ctx.dm, ctx.products)
     if polys is None:
         return _no("D", "no degree-i polynomials with p_i(A) = A_i exist")
     return _yes("D", {"polynomials": [str(p) for p in polys]})
@@ -359,7 +355,7 @@ def _check_e(ctx: GraphContext) -> CharacterizationVerdict:
 
 
 def _check_g(ctx: GraphContext) -> CharacterizationVerdict:
-    table = damerell_numbers(ctx.g, ctx.table)
+    table = ctx.damerell
     if not table.exists:
         h, i, pair0, pair1, v0, v1 = table.witness
         return _no(
@@ -371,7 +367,7 @@ def _check_g(ctx: GraphContext) -> CharacterizationVerdict:
 
 
 def _check_g1(ctx: GraphContext) -> CharacterizationVerdict:
-    table = damerell_numbers(ctx.g, ctx.table)
+    table = ctx.damerell
     if not table.exists:
         i, j, pair0, pair1, v0, v1 = table.witness
         return _no(
@@ -580,4 +576,5 @@ def check_all(g: Digraph, config: Optional[CheckConfig] = None) -> Report:
         verdicts=tuple(verdicts),
         agreement=agreement,
         total_ms=total,
+        context=ctx,
     )

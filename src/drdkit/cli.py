@@ -12,7 +12,7 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .characterize import CHECK_IDS, CheckConfig, GraphContext, check_all
+from .characterize import CHECK_IDS, CheckConfig, check_all
 from .corpus import (
     FAMILIES,
     GeneratorSpec,
@@ -123,10 +123,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     if args.json:
-        spec = None
-        if report.strongly_connected and g.n > 1:
-            ctx = GraphContext(g, config)
-            spec = spectral_block(ctx.spectrum_or_error, ctx.table)
+        ctx = report.context
+        spec = None if ctx is None else spectral_block(ctx.spectrum_or_error, ctx.table)
         sys.stdout.write(canonical_json(report_document(report, spec)))
     else:
         sys.stdout.write(human_summary(report))

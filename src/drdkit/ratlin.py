@@ -3,17 +3,30 @@
 Entries are Python ints or ``fractions.Fraction``; nothing here ever rounds.
 That exactness is what lets the combinatorial characterizations run with zero
 tolerance: every quantity they compare is an integer identity.
+
+A matrix built from integer data (identity, zeros, ones, adjacency and class
+matrices, and every sum, integer multiple and product of such matrices that
+provably fits) also carries its values as a read-only numpy ``int64`` array.
+`mat_mul` multiplies those arrays directly when the bound
+(max row sum of |a|) * max |b| < 2**63 proves that no partial sum can
+overflow; otherwise, and whenever an operand has Fraction entries, it runs
+the Python-int loop, whose integers never overflow.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .digraph import Digraph, regularity, strongly_connected
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidPartition
 
 Rational = Union[int, Fraction]
+
+INT64_LIMIT = 1 << 63  # every int64 has absolute value below this, except -2**63
 
 
 def _norm(x: Rational) -> Rational:
@@ -23,23 +36,76 @@ def _norm(x: Rational) -> Rational:
     return x
 
 
-@dataclass(frozen=True)
 class RatMatrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable dense matrix over the rationals.
 
-    entries: tuple[tuple[Rational, ...], ...]
+    ``entries`` is the row tuple form. ``int64`` is the same matrix as a
+    read-only int64 array when it was built from integer data, else None;
+    the tuple form of such a matrix is only made when something reads it.
+    """
+
+    __slots__ = ("_entries", "_int64", "_bounds")
+
+    def __init__(
+        self,
+        entries: Optional[tuple[tuple[Rational, ...], ...]] = None,
+        int64: Optional[np.ndarray] = None,
+    ):
+        """Give exactly one form; a 2-d int64 array is then owned by the matrix."""
+        if int64 is not None:
+            int64.flags.writeable = False
+        self._entries = entries
+        self._int64 = int64
+        self._bounds: Optional[tuple[int, int]] = None
 
     @property
-    def rows(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple[Rational, ...], ...]:
+        if self._entries is None:
+            self._entries = tuple(map(tuple, self._int64.tolist()))
+        return self._entries
 
     @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    def int64(self) -> Optional[np.ndarray]:
+        return self._int64
+
+    def abs_bounds(self) -> tuple[int, int]:
+        """(max |entry|, an upper bound on the max row sum of |entries|) of
+        the int64 form, as Python ints."""
+        if self._bounds is None:
+            a = self._int64
+            top = max(int(a.max()), -int(a.min()))
+            # Below the limit, no |entry| is -2**63 and no row sum overflows.
+            wide = top * a.shape[1]
+            row = int(np.abs(a).sum(axis=1).max()) if wide < INT64_LIMIT else wide
+            self._bounds = (top, row)
+        return self._bounds
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
+        if self._int64 is not None and other._int64 is not None:
+            return bool(np.array_equal(self._int64, other._int64))
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"RatMatrix({self.entries!r})"
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        if self._int64 is not None:
+            return self._int64.shape
+        return (len(self._entries), len(self._entries[0]) if self._entries else 0)
+
+    @property
+    def rows(self) -> int:
+        return self.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.shape[1]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "RatMatrix":
@@ -47,34 +113,49 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(int64=np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
+        return cls(int64=np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def ones(cls, rows: int, cols: Optional[int] = None) -> "RatMatrix":
         if cols is None:
             cols = rows
-        return cls(tuple((1,) * cols for _ in range(rows)))
+        return cls(int64=np.ones((rows, cols), dtype=np.int64))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return all(x == 0 for x in self.flat())
 
     def is_01(self) -> bool:
-        return all(x in (0, 1) for row in self.entries for x in row)
+        return all(x in (0, 1) for x in self.flat())
 
     def flat(self) -> list[Rational]:
         """Row-major vectorization."""
+        if self._int64 is not None:
+            return self._int64.ravel().tolist()
         return [x for row in self.entries for x in row]
 
     def scale(self, c: Rational) -> "RatMatrix":
+        c = _norm(c)
+        if (
+            self._int64 is not None
+            and isinstance(c, int)
+            and abs(c) * max(self.abs_bounds()[0], 1) < INT64_LIMIT
+        ):
+            return RatMatrix(int64=self._int64 * c)
         return RatMatrix(tuple(tuple(_norm(c * x) for x in row) for row in self.entries))
 
     def add(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
+        if (
+            self._int64 is not None
+            and other._int64 is not None
+            and self.abs_bounds()[0] + other.abs_bounds()[0] < INT64_LIMIT
+        ):
+            return RatMatrix(int64=self._int64 + other._int64)
         return RatMatrix(
             tuple(
                 tuple(_norm(a + b) for a, b in zip(ra, rb))
@@ -87,16 +168,23 @@ class RatMatrix:
 
 
 def adjacency_matrix(g: Digraph) -> RatMatrix:
-    return RatMatrix(g.adj)
+    return RatMatrix(int64=np.array(g.adj, dtype=np.int64))
 
 
 def transpose(a: RatMatrix) -> RatMatrix:
+    if a.int64 is not None:
+        return RatMatrix(int64=np.ascontiguousarray(a.int64.T))
     return RatMatrix(tuple(zip(*a.entries)))
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Exact product: on the int64 forms when both operands carry one and the
+    overflow bound holds, else by the Python-int loop."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"mat_mul {a.shape} vs {b.shape}")
+    ai, bi = a.int64, b.int64
+    if ai is not None and bi is not None and a.abs_bounds()[1] * b.abs_bounds()[0] < INT64_LIMIT:
+        return RatMatrix(int64=ai @ bi)
     bt = tuple(zip(*b.entries))
     out = []
     for row in a.entries:
@@ -125,6 +213,75 @@ def hadamard(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 def hadamard_disjoint(a: RatMatrix, b: RatMatrix) -> bool:
     """True when a and b have no common nonzero position (a o b = O)."""
     return hadamard(a, b).is_zero()
+
+
+class PartitionBasis:
+    """Exact span membership for a partition basis: nonzero 01 matrices
+    M_0..M_{s-1} with disjoint supports that sum to the all-ones matrix.
+
+    The family is given by its class-index matrix, index[x][y] = the i with
+    (M_i)[x][y] = 1. A target lies in the span iff it is constant on every
+    class; its coordinates are then its values at one representative
+    position per class, so no elimination is needed.
+    """
+
+    def __init__(self, index: np.ndarray, size: int):
+        labels, first = np.unique(index.ravel(), return_index=True)
+        if labels.tolist() != list(range(size)):
+            raise InvalidPartition(f"class index does not realize exactly {size} classes")
+        self.index = index
+        self.size = size
+        self.shape = index.shape
+        self._reps = first  # row-major first position of each class
+
+    @classmethod
+    def from_matrices(cls, mats: Sequence[RatMatrix]) -> Optional["PartitionBasis"]:
+        """The partition basis of mats, or None unless they are nonzero 01
+        matrices of one shape, all with int64 forms, that sum to all-ones."""
+        arrs = [m.int64 for m in mats]
+        if not arrs or any(a is None for a in arrs) or len({a.shape for a in arrs}) != 1:
+            return None
+        stack = np.stack(arrs)
+        if (
+            not ((stack == 0) | (stack == 1)).all()
+            or not stack.any(axis=(1, 2)).all()
+            or (stack.sum(axis=0) != 1).any()
+        ):
+            return None
+        return cls(stack.argmax(axis=0), len(mats))
+
+    def _values(self, target: RatMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """The target as an array (int64, or object for Python-int and
+        Fraction entries) and its value at each class representative."""
+        if target.shape != self.shape:
+            raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
+        m = target.int64
+        if m is None:
+            m = np.array(target.entries, dtype=object)
+        return m, m.ravel()[self._reps]
+
+    def solve(self, target: RatMatrix) -> Optional[tuple[Rational, ...]]:
+        """Exact coefficients c with sum(c_i * M_i) = target, or None."""
+        m, values = self._values(target)
+        if (m != values[self.index]).any():
+            return None
+        return tuple(values.tolist())
+
+    def deviation(
+        self, target: RatMatrix
+    ) -> Optional[tuple[int, tuple[int, int], tuple[int, int]]]:
+        """None when the target lies in the span; else the lowest class i on
+        which it is not constant, the representative position of class i and
+        the first position of class i, in row-major order, where the target
+        differs from it."""
+        m, values = self._values(target)
+        bad = m != values[self.index]
+        if not bad.any():
+            return None
+        i = int(self.index[bad].min())
+        pos = int(np.flatnonzero(bad & (self.index == i))[0])
+        cols = self.shape[1]
+        return i, divmod(int(self._reps[i]), cols), divmod(pos, cols)
 
 
 class SpanBasis:
@@ -203,6 +360,12 @@ class SpanBasis:
         if any(vec):
             return None
         return tuple(combo)
+
+
+def span_basis(mats: Sequence[RatMatrix]) -> Union[PartitionBasis, SpanBasis]:
+    """A membership solver for span(mats): class constancy when mats form a
+    partition basis, exact elimination otherwise."""
+    return PartitionBasis.from_matrices(mats) or SpanBasis(mats)
 
 
 def span_solve(
@@ -327,18 +490,22 @@ class RatPolynomial:
 
 
 def eval_poly_at_matrix(p: RatPolynomial, a: RatMatrix) -> RatMatrix:
-    """Horner evaluation of p at a square matrix, exact."""
+    """Exact evaluation of p at a square matrix: Horner on the integer
+    polynomial L * p, where L clears every coefficient's denominator, then
+    one division by L."""
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
     n = a.rows
     if p.is_zero():
         return RatMatrix.zeros(n, n)
-    acc = RatMatrix.identity(n).scale(p.coeffs[-1])
-    for c in reversed(p.coeffs[:-1]):
+    denom = lcm(*(Fraction(c).denominator for c in p.coeffs))
+    ints = [int(c * denom) for c in p.coeffs]
+    acc = RatMatrix.identity(n).scale(ints[-1])
+    for c in reversed(ints[:-1]):
         acc = mat_mul(acc, a)
         if c:
             acc = acc.add(RatMatrix.identity(n).scale(c))
-    return acc
+    return acc if denom == 1 else acc.scale(Fraction(1, denom))
 
 
 def minimal_polynomial(a: RatMatrix) -> RatPolynomial:

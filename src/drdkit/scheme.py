@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .digraph import Digraph, DistanceTable
 from .errors import (
     DimensionMismatch,
@@ -19,11 +21,14 @@ from .errors import (
     PreconditionViolated,
 )
 from .ratlin import (
+    PartitionBasis,
     RatMatrix,
     RatPolynomial,
-    SpanBasis,
+    Rational,
+    adjacency_matrix,
     eval_poly_at_matrix,
     mat_mul,
+    span_basis,
     transpose,
 )
 
@@ -52,28 +57,15 @@ def distance_matrices(g: Digraph, t: DistanceTable) -> DistanceMatrices:
     if not t.strongly_connected:
         raise NotStronglyConnected("distance matrices need a strongly connected digraph")
     D = t.diameter
-    mats = []
-    for i in range(D + 1):
-        mats.append(
-            RatMatrix(
-                tuple(
-                    tuple(1 if t.dist[x][y] == i else 0 for y in range(g.n))
-                    for x in range(g.n)
-                )
-            )
-        )
+    dist = np.array(t.dist, dtype=np.int64)
+    mats = tuple(RatMatrix(int64=(dist == i).astype(np.int64)) for i in range(D + 1))
     if mats[0] != RatMatrix.identity(g.n):
         raise InternalInconsistency("A_0 != I")
-    total = [[0] * g.n for _ in range(g.n)]
-    for m in mats:
-        for x in range(g.n):
-            for y in range(g.n):
-                total[x][y] += m.entries[x][y]
-    if any(total[x][y] != 1 for x in range(g.n) for y in range(g.n)):
+    if (sum(m.int64 for m in mats) != 1).any():
         raise InternalInconsistency("distance classes do not partition X x X")
-    if D >= 1 and mats[1].entries != g.adj:
+    if D >= 1 and mats[1] != adjacency_matrix(g):
         raise InternalInconsistency("A_1 != adjacency matrix")
-    return DistanceMatrices(tuple(mats))
+    return DistanceMatrices(mats)
 
 
 @dataclass(frozen=True)
@@ -193,6 +185,53 @@ def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
 
 
 @dataclass(frozen=True)
+class ProductTable:
+    """Coordinates of every product M_i M_j of a matrix family in the span of
+    the family, and the first pair whose two orders of product differ. The
+    products themselves are not kept."""
+
+    coords: tuple[tuple[Optional[tuple[Rational, ...]], ...], ...]
+    noncommuting: Optional[tuple[int, int]]  # first (i, j), i < j, with M_i M_j != M_j M_i
+
+    @property
+    def first_open(self) -> Optional[tuple[int, int]]:
+        """The first (i, j) in row-major order whose product leaves the span."""
+        for i, row in enumerate(self.coords):
+            for j, c in enumerate(row):
+                if c is None:
+                    return (i, j)
+        return None
+
+    @property
+    def closed(self) -> bool:
+        return self.first_open is None
+
+
+def product_table(mats: Sequence[RatMatrix]) -> ProductTable:
+    """Multiply every ordered pair of the family once and keep only the span
+    coordinates of each product and whether the pair commutes (an exact
+    comparison, whether or not the products lie in the span)."""
+    basis = span_basis(mats)
+    size = len(mats)
+    coords: list[list] = [[None] * size for _ in range(size)]
+    noncommuting = None
+    for i in range(size):
+        for j in range(i, size):
+            prod = mat_mul(mats[i], mats[j])
+            coords[i][j] = basis.solve(prod)
+            if j == i:
+                continue
+            reverse = mat_mul(mats[j], mats[i])
+            if reverse == prod:
+                coords[j][i] = coords[i][j]
+                continue
+            coords[j][i] = basis.solve(reverse)
+            if noncommuting is None:
+                noncommuting = (i, j)
+    return ProductTable(tuple(map(tuple, coords)), noncommuting)
+
+
+@dataclass(frozen=True)
 class IntersectionTensor:
     """Intersection numbers p[h][i][j] = |{z : d(x,z)=i, d(z,y)=j}| for any
     pair with d(x,y) = h, when that count is pair-independent."""
@@ -203,16 +242,16 @@ class IntersectionTensor:
 
 
 def intersection_numbers(dm: DistanceMatrices, t: DistanceTable) -> IntersectionTensor:
-    """Combinatorial counting pass cross-checked against exact span solves of
-    every product A_i * A_j; any disagreement between the two routes raises
+    """Combinatorial counting pass cross-checked against the span coordinates
+    of every product A_i * A_j; any disagreement between the two routes raises
     InternalInconsistency (it would be a bug, not a property of the graph).
     """
     scan = pair_intersection_counts(t)
     D = dm.D
-    basis = SpanBasis(dm.mats)
+    products = product_table(dm.mats)
     for i in range(D + 1):
         for j in range(D + 1):
-            coeffs = basis.solve(mat_mul(dm.mats[i], dm.mats[j]))
+            coeffs = products.coords[i][j]
             if scan.ok[i][j] != (coeffs is not None):
                 raise InternalInconsistency(
                     f"count scan and span solve disagree on slice ({i},{j})"
@@ -229,23 +268,25 @@ def intersection_numbers(dm: DistanceMatrices, t: DistanceTable) -> Intersection
 
 
 def distance_polynomials(
-    dm: DistanceMatrices, a: Optional[RatMatrix] = None
+    dm: DistanceMatrices, products: Optional[ProductTable] = None
 ) -> Optional[tuple[RatPolynomial, ...]]:
     """Polynomials p_i with p_i(A) = A_i and deg p_i = i, or None.
 
     Built by the exact three-term-style recurrence
     c_{i+1} p_{i+1}(t) = t p_i(t) - sum_{h<=i} c_h p_h(t) from the expansion
-    A_i A = sum_h c_h A_h, then re-verified by evaluating each p_i at A.
+    A_i A = sum_h c_h A_h, read from the product table of the distance
+    matrices (computed here when not given), then re-verified by evaluating
+    each p_i at A.
     """
-    if a is None:
-        a = dm.adjacency
+    if products is None:
+        products = product_table(dm.mats)
+    a = dm.adjacency
     D = dm.D
     polys = [RatPolynomial.one()]
     if D >= 1:
         polys.append(RatPolynomial.t())
-    basis = SpanBasis(dm.mats)
     for i in range(1, D):
-        coeffs = basis.solve(mat_mul(dm.mats[i], a))
+        coeffs = products.coords[i][1]
         if coeffs is None:
             return None
         if any(coeffs[h] != 0 for h in range(i + 2, D + 1)):
@@ -266,12 +307,6 @@ def distance_polynomials(
     return tuple(polys)
 
 
-def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 @dataclass(frozen=True)
 class WalkConstancy:
     """Whether the number of length-l walks between two vertices depends only
@@ -290,34 +325,24 @@ def walk_count_constancy(
 ) -> WalkConstancy:
     """Check that A^l is constant on every distance class for l = 0..max_len
     (default: the diameter). max_len below the diameter would weaken the
-    test and is refused."""
+    test and is refused. Powers past the int64 bound take mat_mul's
+    Python-int route, so long walks stay exact."""
     D = dm.D
     if max_len is None:
         max_len = D
     elif max_len < D:
         raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
-    n = g.n
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(D + 1)]
-    for h, m in enumerate(dm.mats):
-        for x in range(n):
-            row = m.entries[x]
-            for y in range(n):
-                if row[y]:
-                    classes[h].append((x, y))
-    power = [[1 if x == y else 0 for y in range(n)] for x in range(n)]
-    adj = [list(row) for row in g.adj]
+    classes = PartitionBasis.from_matrices(dm.mats)
+    a = adjacency_matrix(g)
+    power = RatMatrix.identity(g.n)
     for ell in range(max_len + 1):
         if ell > 0:
-            power = _int_mat_mul(power, adj)
-        for h in range(D + 1):
-            pairs = classes[h]
-            x0, y0 = pairs[0]
-            v0 = power[x0][y0]
-            for x, y in pairs[1:]:
-                if power[x][y] != v0:
-                    return WalkConstancy(
-                        False, max_len, (ell, h, (x0, y0), (x, y), v0, power[x][y])
-                    )
+            power = mat_mul(power, a)
+        off = classes.deviation(power)
+        if off is not None:
+            h, (x0, y0), (x, y) = off
+            v0, v1 = power.entries[x0][y0], power.entries[x][y]
+            return WalkConstancy(False, max_len, (ell, h, (x0, y0), (x, y), v0, v1))
     return WalkConstancy(True, max_len, None)
 
 
@@ -344,11 +369,13 @@ class AxiomReport:
         )
 
 
-def scheme_axioms(mats: Sequence[RatMatrix]) -> AxiomReport:
+def scheme_axioms(
+    mats: Sequence[RatMatrix], products: Optional[ProductTable] = None
+) -> AxiomReport:
     """Verify, exactly, that a family of 01 matrices is the standard basis of
     a commutative association scheme: contains I, sums to J, is closed under
-    transpose and under products (with product coordinates from exact span
-    solves), and commutes."""
+    transpose and under products, and commutes. Closure and commutativity
+    are read from the family's product table, computed here when not given."""
     if not mats:
         raise DimensionMismatch("empty matrix family")
     n = mats[0].rows
@@ -376,40 +403,27 @@ def scheme_axioms(mats: Sequence[RatMatrix]) -> AxiomReport:
                 witness = f"transpose of matrix {i} is not in the family"
             break
 
-    basis = SpanBasis(mats)
-    products: dict[tuple[int, int], RatMatrix] = {}
-    product_closed = True
-    coefficients: dict[tuple[int, int], tuple] = {}
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            prod = mat_mul(mats[i], mats[j])
-            products[(i, j)] = prod
-            coeffs = basis.solve(prod)
-            if coeffs is None:
-                product_closed = False
-                if witness is None:
-                    witness = f"product {i}*{j} leaves the span"
-            else:
-                coefficients[(i, j)] = coeffs
-    commutative = True
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if products[(i, j)] != products[(j, i)]:
-                commutative = False
-                if witness is None:
-                    witness = f"matrices {i} and {j} do not commute"
-                break
-        if not commutative:
-            break
+    if products is None:
+        products = product_table(mats)
+    open_pair = products.first_open
+    if open_pair is not None and witness is None:
+        witness = "product {}*{} leaves the span".format(*open_pair)
+    if products.noncommuting is not None and witness is None:
+        witness = "matrices {} and {} do not commute".format(*products.noncommuting)
+    coefficients = None
+    if open_pair is None:
+        coefficients = {
+            (i, j): c for i, row in enumerate(products.coords) for j, c in enumerate(row)
+        }
 
     return AxiomReport(
         identity=identity,
         sum_to_j=sum_to_j,
         transpose_closed=transpose_closed,
-        product_closed=product_closed,
-        commutative=commutative,
+        product_closed=open_pair is None,
+        commutative=products.noncommuting is None,
         witness=witness,
-        coefficients=coefficients if product_closed else None,
+        coefficients=coefficients,
     )
 
 
@@ -463,17 +477,16 @@ class TwoWayRelations:
 def two_way_relations(t: DistanceTable) -> TwoWayRelations:
     if not t.strongly_connected:
         raise NotStronglyConnected("two-way relations need a strongly connected digraph")
-    n = t.n
-    pairs = sorted(
-        {(int(t.dist[x][y]), int(t.dist[y][x])) for x in range(n) for y in range(n)}
+    base = t.diameter + 1
+    dist = np.array(t.dist, dtype=np.int64)
+    # Codes d(x,y) * base + d(y,x) sort in lexicographic pair order.
+    codes, index = np.unique(dist * base + dist.T, return_inverse=True)
+    index = index.reshape(dist.shape)
+    pairs = tuple(divmod(int(c), base) for c in codes)
+    classes = tuple(
+        RatMatrix(int64=(index == i).astype(np.int64)) for i in range(len(pairs))
     )
-    index = {p: i for i, p in enumerate(pairs)}
-    rows = [[[0] * n for _ in range(n)] for _ in pairs]
-    for x in range(n):
-        for y in range(n):
-            rows[index[(int(t.dist[x][y]), int(t.dist[y][x]))]][x][y] = 1
-    classes = tuple(RatMatrix(tuple(tuple(r) for r in mat)) for mat in rows)
-    return TwoWayRelations(tuple(pairs), classes)
+    return TwoWayRelations(pairs, classes)
 
 
 @dataclass(frozen=True)

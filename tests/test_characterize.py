@@ -52,6 +52,22 @@ class TestCheckAll:
         rep = check_all(Digraph.from_arcs(1, []))
         assert rep.overall == "yes" and rep.agreement
 
+    def test_g_and_g1_share_one_count_table(self, monkeypatch):
+        import drdkit.characterize as characterize
+
+        calls = []
+        real = characterize.damerell_numbers
+
+        def counted(g, t):
+            calls.append(g)
+            return real(g, t)
+
+        monkeypatch.setattr(characterize, "damerell_numbers", counted)
+        for g in (paper6(), cycle_with_chord(4)):
+            rep = check_all(g)
+            assert rep.agreement
+        assert len(calls) == 2
+
     def test_subset_selection(self):
         config = CheckConfig(chars=("DEF", "J"))
         rep = check_all(paper6(), config)

@@ -67,6 +67,21 @@ class TestCheckCommand:
             emitted = capsys.readouterr().out
             assert canonical_json(json.loads(emitted)) == emitted
 
+    def test_json_reuses_the_check_context(self, paper6_file, monkeypatch, capsys):
+        import drdkit.characterize as characterize
+
+        calls = []
+        real = characterize.minimal_polynomial
+
+        def counted(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(characterize, "minimal_polynomial", counted)
+        assert main(["check", paper6_file, "--json"]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["spectral"]["gap"] < 1e-6
+
     def test_char_subset(self, paper6_file, capsys):
         assert main(["check", paper6_file, "--char", "DEF,J", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

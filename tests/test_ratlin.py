@@ -1,14 +1,18 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drdkit.corpus import cycle, cycle_with_chord, paper6
 from drdkit.digraph import Digraph, distance_table
-from drdkit.errors import DimensionMismatch
+from drdkit.errors import DimensionMismatch, InvalidPartition
 from drdkit.ratlin import (
+    INT64_LIMIT,
+    PartitionBasis,
     RatMatrix,
+    SpanBasis,
     RatPolynomial,
     adjacency_matrix,
     eval_poly_at_matrix,
@@ -189,3 +193,145 @@ class TestRatPolynomial:
         assert p.sub(q)(x) == p(x) - q(x)
         assert p.mul(q)(x) == p(x) * q(x)
         assert p.times_t()(x) == x * p(x)
+
+
+def _loop_product(a, b):
+    """Reference product of nested integer lists in Python ints."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _int_matrix_pairs(draw):
+    """Two n x n integer matrices, n <= 8, with entries up to 2**bits in size:
+    small, near the int64 bound at n = 8 (2**29), and past it (2**40)."""
+    n = draw(st.integers(1, 8))
+    bits = draw(st.sampled_from([3, 29, 30, 40, 62]))
+    entry = st.integers(-(2**bits), 2**bits)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(square), draw(square)
+
+
+class TestInt64Kernel:
+    @settings(max_examples=150, deadline=None)
+    @given(_int_matrix_pairs())
+    def test_kernel_equals_python_product(self, pair):
+        a, b = pair
+        ma = RatMatrix(int64=np.array(a, dtype=np.int64))
+        mb = RatMatrix(int64=np.array(b, dtype=np.int64))
+        got = mat_mul(ma, mb)
+        expected = _loop_product(a, b)
+        assert [list(r) for r in got.entries] == expected
+        assert got == mat_mul(RatMatrix.from_rows(a), RatMatrix.from_rows(b))
+        row_bound = max(sum(abs(x) for x in r) for r in a)
+        top = max(abs(x) for r in b for x in r)
+        # The int64 route is taken exactly when the proved bound holds.
+        assert (got.int64 is not None) == (row_bound * top < INT64_LIMIT)
+
+    def test_bound_edges(self):
+        # 2**63 - 1 = 7 * 1317624576693539401: the largest product that fits.
+        big = (INT64_LIMIT - 1) // 7
+        under = mat_mul(
+            RatMatrix(int64=np.array([[7]], dtype=np.int64)),
+            RatMatrix(int64=np.array([[big]], dtype=np.int64)),
+        )
+        assert under.int64 is not None and under.entries == ((INT64_LIMIT - 1,),)
+        over = mat_mul(
+            RatMatrix(int64=np.array([[8]], dtype=np.int64)),
+            RatMatrix(int64=np.array([[big]], dtype=np.int64)),
+        )
+        assert over.int64 is None and over.entries == ((8 * big,),)
+        # Entries that fit but whose sum would wrap around in int64.
+        half = RatMatrix(int64=np.full((2, 2), 2**62, dtype=np.int64))
+        ones = RatMatrix.ones(2)
+        assert mat_mul(half, ones).entries == ((2**63, 2**63), (2**63, 2**63))
+        assert half.add(half).entries == ((2**63, 2**63), (2**63, 2**63))
+        assert RatMatrix.zeros(2, 2).scale(2**70).is_zero()
+
+    def test_powers_keep_the_int64_form(self):
+        a = adjacency_matrix(paper6())
+        power = RatMatrix.identity(6)
+        for _ in range(10):
+            power = mat_mul(power, a)
+        assert power.int64 is not None
+        assert sum(power.entries[0]) == 2**10
+
+
+@st.composite
+def _partitions_with_targets(draw):
+    """A random partition of the n x n positions into s nonempty classes, an
+    in-span target with integer or Fraction coordinates, and the same target
+    with one entry changed."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(1, min(4, n * n)))
+    labels = draw(st.lists(st.integers(0, s - 1), min_size=n * n, max_size=n * n))
+    labels[:s] = draw(st.permutations(range(s)))  # every class is realized
+    index = np.array(labels, dtype=np.int64).reshape(n, n)
+    if draw(st.booleans()):
+        coeff = st.integers(-50, 50)
+    else:
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    coords = draw(st.lists(coeff, min_size=s, max_size=s))
+    bump = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(1, 3)))
+    return index, coords, bump
+
+
+class TestPartitionBasis:
+    @settings(max_examples=150, deadline=None)
+    @given(_partitions_with_targets())
+    def test_constancy_matches_elimination(self, case):
+        index, coords, (bx, by, delta) = case
+        n, s = index.shape[0], len(coords)
+        mats = [RatMatrix(int64=(index == i).astype(np.int64)) for i in range(s)]
+        fast = PartitionBasis.from_matrices(mats)
+        slow = SpanBasis(mats)
+        rows = [[coords[index[x, y]] for y in range(n)] for x in range(n)]
+        if all(isinstance(c, int) for c in coords):
+            target = RatMatrix(int64=np.array(rows, dtype=np.int64))
+        else:
+            target = RatMatrix.from_rows(rows)
+        rows[bx][by] += delta
+        bumped = RatMatrix.from_rows(rows)
+        for t in (target, bumped):
+            expected = slow.solve(t)
+            assert fast.solve(t) == expected
+            assert (fast.deviation(t) is None) == (expected is not None)
+        assert fast.solve(target) == tuple(coords)
+
+    def test_rejects_non_partitions(self):
+        i, j = RatMatrix.identity(3), RatMatrix.ones(3)
+        assert PartitionBasis.from_matrices([i, j]) is None  # overlapping supports
+        assert PartitionBasis.from_matrices([i]) is None  # does not cover
+        assert PartitionBasis.from_matrices([i, j.sub(i).scale(2)]) is None  # not 01
+        assert PartitionBasis.from_matrices([i, j.sub(i)]) is not None
+        with pytest.raises(InvalidPartition):
+            PartitionBasis(np.array([[0, 2]], dtype=np.int64), 3)  # class 1 is empty
+
+    def test_deviation_witness(self):
+        index = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        basis = PartitionBasis(index, 2)
+        target = RatMatrix.from_rows([[4, 5], [6, 4]])
+        assert basis.deviation(target) == (1, (0, 1), (1, 0))
+
+
+class TestExactHorner:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=6),
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ),
+    )
+    def test_integer_horner_equals_fraction_evaluation(self, coeffs, rows):
+        n = len(rows)
+        expected = [[Fraction(0)] * n for _ in range(n)]
+        power = [[Fraction(int(x == y)) for y in range(n)] for x in range(n)]
+        for c in coeffs:
+            for x in range(n):
+                for y in range(n):
+                    expected[x][y] += c * power[x][y]
+            power = _loop_product(power, rows)
+        a = RatMatrix(int64=np.array(rows, dtype=np.int64))
+        got = eval_poly_at_matrix(RatPolynomial.from_coeffs(coeffs), a)
+        assert got == RatMatrix.from_rows(expected)

@@ -215,6 +215,20 @@ class TestWalkCounts:
         with pytest.raises(PreconditionViolated):
             walk_count_constancy(g, dm, max_len=2)
 
+    def test_walks_past_the_int64_bound_stay_exact(self):
+        # Row sums of A^l are 2^l on paper6, so l = 70 needs the Python-int
+        # route; the verdicts must match the default walk length.
+        for g in (paper6(), cycle_with_chord(4)):
+            _, dm = build(g)
+            long = walk_count_constancy(g, dm, max_len=70)
+            assert bool(long) == bool(walk_count_constancy(g, dm))
+        a = adjacency_matrix(paper6())
+        power = RatMatrix.identity(6)
+        for _ in range(70):
+            power = mat_mul(power, a)
+        assert power.int64 is None
+        assert sum(power.entries[0]) == 2**70
+
     def test_matches_walk_enumeration(self):
         for g in (cycle(5), cycle_with_chord(5), paper6()):
             a = g.adj
