@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Hashable, Optional, Union
 
 from .digraph import Digraph, DistanceTable, distance_table, regularity, strongly_connected
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
@@ -129,7 +129,7 @@ class GraphContext:
         self.config = config
         self._cache: dict = {}
 
-    def _get(self, key: str, make: Callable):
+    def _get(self, key: Hashable, make: Callable):
         if key not in self._cache:
             self._cache[key] = make()
         return self._cache[key]
@@ -176,29 +176,21 @@ class GraphContext:
         return self._get("minpoly", lambda: minimal_polynomial(self.adjacency))
 
     @property
-    def power_matrices(self) -> tuple[RatMatrix, ...]:
-        """A^0 .. A^max(D, deg minpoly - 1)."""
+    def power_basis(self) -> Union[PartitionBasis, SpanBasis]:
+        """Membership in the adjacency algebra, span(A^0 .. A^(deg minpoly - 1))."""
 
         def make():
-            top = max(self.dm.D, self.minpoly.degree - 1)
             mats = [RatMatrix.identity(self.g.n)]
-            for _ in range(top):
+            for _ in range(self.minpoly.degree - 1):
                 mats.append(mat_mul(mats[-1], self.adjacency))
-            return tuple(mats)
+            return span_basis(mats)
 
-        return self._get("powers", make)
+        return self._get("power_basis", make)
 
-    def power_basis(self, upto: int) -> Union[PartitionBasis, SpanBasis]:
-        key = ("power_basis", upto)
-        if key not in self._cache:
-            self._cache[key] = span_basis(self.power_matrices[: upto + 1])
-        return self._cache[key]
-
-    def distance_matrix_in_powers(self, i: int, upto: int) -> bool:
-        key = ("dm_in_powers", i, upto)
-        if key not in self._cache:
-            self._cache[key] = self.power_basis(upto).solve(self.dm.mats[i]) is not None
-        return self._cache[key]
+    def distance_matrix_in_powers(self, i: int) -> bool:
+        return self._get(
+            ("dm_in_powers", i), lambda: self.power_basis.solve(self.dm.mats[i]) is not None
+        )
 
     @property
     def axioms_on_distance_matrices(self) -> AxiomReport:
@@ -281,7 +273,7 @@ def _check_b(ctx: GraphContext) -> CharacterizationVerdict:
     if deg != D + 1:
         return _no("B", f"adjacency algebra has dimension {deg}, expected {D + 1}", params)
     for i in range(D + 1):
-        if not ctx.distance_matrix_in_powers(i, D):
+        if not ctx.distance_matrix_in_powers(i):
             return _no("B", f"distance matrix {i} is not a polynomial in A", params)
     rep = ctx.axioms_on_distance_matrices
     if not rep.all:
@@ -306,7 +298,7 @@ def _check_c1(ctx: GraphContext) -> CharacterizationVerdict:
     if deg != D + 1:
         return _no("C1", f"adjacency algebra has dimension {deg}, expected {D + 1}")
     for i in range(D + 1):
-        if not ctx.distance_matrix_in_powers(i, D):
+        if not ctx.distance_matrix_in_powers(i):
             return _no("C1", f"distance matrix {i} is outside the adjacency algebra")
     return _yes("C1")
 
@@ -409,7 +401,7 @@ def _check_i(ctx: GraphContext) -> CharacterizationVerdict:
             f"diameter {ctx.dm.D} is not spectrally maximum ({deg - 1})",
             params,
         )
-    if not ctx.distance_matrix_in_powers(ctx.dm.D, deg - 1):
+    if not ctx.distance_matrix_in_powers(ctx.dm.D):
         return _no("I", "distance-D matrix is not a polynomial in A", params)
     return _yes("I", params)
 
@@ -458,8 +450,7 @@ def _check_nx(ctx: GraphContext) -> CharacterizationVerdict:
         return _no("NX", f"diameter {ctx.dm.D} is not spectrally maximum ({s.d})", params)
     if ctx.adjacency_transpose is None:
         return _no("NX", "transpose of A is not a distance matrix", params)
-    deg = ctx.minpoly.degree
-    if not ctx.distance_matrix_in_powers(ctx.dm.D, deg - 1):
+    if not ctx.distance_matrix_in_powers(ctx.dm.D):
         return _no("NX", "distance-D matrix is not a polynomial in A", params)
     return _yes("NX", params)
 

@@ -103,16 +103,14 @@ class DistanceTable:
 
     Entries are nonnegative ints, or ``math.inf`` for unreachable pairs.
     ``girth`` is None when the digraph has no directed cycle.
+    ``strongly_connected`` says whether every entry is finite.
     """
 
     dist: tuple[tuple[float, ...], ...]
     diameter: int
     eccentricities: tuple[float, ...]
     girth: Optional[int]
-
-    @property
-    def strongly_connected(self) -> bool:
-        return all(d != INF for row in self.dist for d in row)
+    strongly_connected: bool
 
     @property
     def n(self) -> int:
@@ -171,6 +169,7 @@ def distance_table(g: Digraph) -> DistanceTable:
         diameter=diameter,
         eccentricities=ecc,
         girth=girth,
+        strongly_connected=len(finite) == n * n,
     )
 
 

@@ -29,10 +29,6 @@ class NotStronglyConnected(DrdError):
     """Operation requires a strongly connected digraph."""
 
 
-class NotRegular(DrdError):
-    """Operation requires equal in- and out-degrees at every vertex."""
-
-
 class InvalidPartition(DrdError):
     """Cells do not form a partition of the vertex set."""
 
@@ -63,10 +59,6 @@ class NonPositiveNorm(SpectralError):
 
 class PiUnderflow(SpectralError):
     """An eigenvalue product is too small to divide by safely."""
-
-
-class ComplexResidue(SpectralError):
-    """A quantity that must be real carries a large imaginary part."""
 
 
 class InternalInconsistency(DrdError):

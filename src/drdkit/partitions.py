@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .digraph import Digraph, DistanceTable, distance_table
-from .errors import InvalidPartition, NotStronglyConnected, PreconditionViolated
+from .errors import InvalidPartition, NotStronglyConnected
 
 
 @dataclass(frozen=True)
@@ -159,50 +159,3 @@ def check_definition_drd(g: Digraph, t: Optional[DistanceTable] = None) -> Optio
         t = distance_table(g)
     params, _ = distance_regular_scan(g, t, "out")
     return params
-
-
-def check_char_f(g: Digraph, t: Optional[DistanceTable] = None) -> Optional[EquitableParams]:
-    """Mirror of check_definition_drd over in-distance partitions."""
-    if t is None:
-        t = distance_table(g)
-    params, _ = distance_regular_scan(g, t, "in")
-    return params
-
-
-@dataclass(frozen=True)
-class CoincidenceResult:
-    """Whether out- and in-distance cell families coincide, and the index
-    permutation realizing out-cell sigma[i] = in-cell i around every vertex."""
-
-    families_match: bool
-    sigma: tuple[int, ...]
-
-
-def check_partition_coincidence(g: Digraph, t: Optional[DistanceTable] = None) -> CoincidenceResult:
-    """For a distance-regular digraph, the out- and in-distance families
-    around each vertex are equal as unordered set families.
-
-    Raises PreconditionViolated when g is not distance-regular.
-    """
-    if t is None:
-        t = distance_table(g)
-    if check_definition_drd(g, t) is None:
-        raise PreconditionViolated("partition coincidence requires a distance-regular digraph")
-    sigma: Optional[list[int]] = None
-    for x in range(g.n):
-        out_cells = out_distance_partition(g, x, t).cells
-        in_cells = in_distance_partition(g, x, t).cells
-        if len(out_cells) != len(in_cells):
-            return CoincidenceResult(False, ())
-        local = []
-        for cell in in_cells:
-            try:
-                local.append(out_cells.index(cell))
-            except ValueError:
-                return CoincidenceResult(False, ())
-        if sigma is None:
-            sigma = local
-        elif local != sigma:
-            return CoincidenceResult(False, ())
-    assert sigma is not None
-    return CoincidenceResult(True, tuple(sigma))

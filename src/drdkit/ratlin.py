@@ -11,6 +11,10 @@ provably fits) also carries its values as a read-only numpy ``int64`` array.
 (max row sum of |a|) * max |b| < 2**63 proves that no partial sum can
 overflow; otherwise, and whenever an operand has Fraction entries, it runs
 the Python-int loop, whose integers never overflow.
+
+One exact elimination routine, `SpanBasis._reduce`, serves every span solve
+and the minimal polynomial: the latter grows a `SpanBasis` one power of the
+matrix at a time until the new power depends on the earlier ones.
 """
 from __future__ import annotations
 
@@ -128,9 +132,6 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.flat())
 
-    def is_01(self) -> bool:
-        return all(x in (0, 1) for x in self.flat())
-
     def flat(self) -> list[Rational]:
         """Row-major vectorization."""
         if self._int64 is not None:
@@ -197,22 +198,6 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
             out_row.append(_norm(s))
         out.append(tuple(out_row))
     return RatMatrix(tuple(out))
-
-
-def hadamard(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"hadamard {a.shape} vs {b.shape}")
-    return RatMatrix(
-        tuple(
-            tuple(_norm(x * y) for x, y in zip(ra, rb))
-            for ra, rb in zip(a.entries, b.entries)
-        )
-    )
-
-
-def hadamard_disjoint(a: RatMatrix, b: RatMatrix) -> bool:
-    """True when a and b have no common nonzero position (a o b = O)."""
-    return hadamard(a, b).is_zero()
 
 
 class PartitionBasis:
@@ -285,8 +270,8 @@ class PartitionBasis:
 
 
 class SpanBasis:
-    """Echelon form of a fixed matrix family, prepared for repeated exact
-    membership solves.
+    """Echelon form of a matrix family, grown one member at a time by
+    `extend` and prepared for repeated exact membership solves.
 
     Pivots are chosen by largest absolute value to limit coefficient growth
     during elimination.
@@ -295,22 +280,28 @@ class SpanBasis:
     def __init__(self, basis: Sequence[RatMatrix]):
         if not basis:
             raise DimensionMismatch("empty basis")
-        shape = basis[0].shape
-        for b in basis:
-            if b.shape != shape:
-                raise DimensionMismatch(f"basis shapes differ: {b.shape} vs {shape}")
-        self.shape = shape
-        self.size = len(basis)
+        self.shape = basis[0].shape
+        self.size = 0
         # Echelon rows: (pivot index, reduced vector, combination over basis).
         self._rows: list[tuple[int, list[Rational], list[Rational]]] = []
-        for idx, b in enumerate(basis):
-            vec = b.flat()
-            combo: list[Rational] = [0] * self.size
-            combo[idx] = 1
-            self._reduce(vec, combo)
-            pivot = self._pick_pivot(vec)
-            if pivot is not None:
-                self._rows.append((pivot, vec, combo))
+        for b in basis:
+            self.extend(b)
+
+    def extend(self, member: RatMatrix) -> Optional[list[Rational]]:
+        """Append member to the family. None when it is independent of the
+        earlier members; else the combination c, with c[-1] = 1 for member,
+        such that sum(c_i * basis_i) = 0."""
+        if member.shape != self.shape:
+            raise DimensionMismatch(f"basis shapes differ: {member.shape} vs {self.shape}")
+        vec = member.flat()
+        combo: list[Rational] = [0] * self.size + [1]
+        self.size += 1
+        self._reduce(vec, combo)
+        pivot = self._pick_pivot(vec)
+        if pivot is None:
+            return combo
+        self._rows.append((pivot, vec, combo))
+        return None
 
     @staticmethod
     def _pick_pivot(vec: list[Rational]) -> Optional[int]:
@@ -324,6 +315,8 @@ class SpanBasis:
         return best
 
     def _reduce(self, vec: list[Rational], combo: list[Rational]) -> None:
+        """Eliminate vec against the echelon rows, subtracting the same
+        multiples of their combinations from combo."""
         for pivot, row, row_combo in self._rows:
             f = vec[pivot]
             if not f:
@@ -336,30 +329,16 @@ class SpanBasis:
                 if c:
                     combo[i] = _norm(combo[i] - f * c)
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def solve(self, target: RatMatrix) -> Optional[tuple[Rational, ...]]:
         """Exact coefficients c with sum(c_i * basis_i) = target, or None."""
         if target.shape != self.shape:
             raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
         vec = target.flat()
         combo: list[Rational] = [0] * self.size
-        for pivot, row, row_combo in self._rows:
-            f = vec[pivot]
-            if not f:
-                continue
-            f = Fraction(f) / row[pivot]
-            for i, r in enumerate(row):
-                if r:
-                    vec[i] = _norm(vec[i] - f * r)
-            for i, c in enumerate(row_combo):
-                if c:
-                    combo[i] = _norm(combo[i] + f * c)
+        self._reduce(vec, combo)
         if any(vec):
             return None
-        return tuple(combo)
+        return tuple(-c for c in combo)
 
 
 def span_basis(mats: Sequence[RatMatrix]) -> Union[PartitionBasis, SpanBasis]:
@@ -412,9 +391,6 @@ class RatPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __call__(self, x: Rational) -> Rational:
         acc: Rational = 0
         for c in reversed(self.coeffs):
@@ -437,18 +413,6 @@ class RatPolynomial:
         if self.is_zero():
             return self
         return RatPolynomial((0,) + self.coeffs)
-
-    def mul(self, other: "RatPolynomial") -> "RatPolynomial":
-        if self.is_zero() or other.is_zero():
-            return RatPolynomial.zero()
-        out: list[Rational] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return RatPolynomial.from_coeffs(out)
 
     def divide_linear(self, root: Rational) -> "RatPolynomial":
         """Exact synthetic division by (t - root); raises if root is not a root."""
@@ -509,39 +473,19 @@ def eval_poly_at_matrix(p: RatPolynomial, a: RatMatrix) -> RatMatrix:
 
 
 def minimal_polynomial(a: RatMatrix) -> RatPolynomial:
-    """Monic least-degree polynomial annihilating a.
-
-    Found at the first linear dependence among the vectorized powers
-    I, a, a^2, ... via exact elimination.
-    """
+    """Monic least-degree polynomial annihilating a: the first linear
+    dependence among the vectorized powers I, a, a^2, ..., found by growing
+    one SpanBasis a power at a time."""
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
-    n = a.rows
-    rows: list[tuple[int, list[Rational], list[Rational]]] = []
-    power = RatMatrix.identity(n)
-    k = 0
-    while True:
-        vec = power.flat()
-        combo: list[Rational] = [0] * k + [1]
-        for pivot, row, row_combo in rows:
-            f = vec[pivot]
-            if not f:
-                continue
-            f = Fraction(f) / row[pivot]
-            for i, r in enumerate(row):
-                if r:
-                    vec[i] = _norm(vec[i] - f * r)
-            for i, c in enumerate(row_combo):
-                if c:
-                    combo[i] = _norm(combo[i] - f * c)
-        pivot = SpanBasis._pick_pivot(vec)
-        if pivot is None:
-            return RatPolynomial.from_coeffs(combo)
-        rows.append((pivot, vec, combo))
+    power = RatMatrix.identity(a.rows)
+    powers = SpanBasis([power])
+    for _ in range(a.rows):  # Cayley-Hamilton guarantees a dependence by degree n
         power = mat_mul(power, a)
-        k += 1
-        if k > n:  # Cayley-Hamilton guarantees a dependence by degree n
-            raise AssertionError("no dependence found by degree n")
+        dependence = powers.extend(power)
+        if dependence is not None:
+            return RatPolynomial.from_coeffs(dependence)
+    raise AssertionError("no dependence found by degree n")
 
 
 @dataclass(frozen=True)

@@ -124,18 +124,6 @@ class PairCountScan:
     def all_constant(self) -> bool:
         return all(all(row) for row in self.ok)
 
-    def right_slices_constant(self) -> bool:
-        """Constancy of every (i, 1) slice: the A_i * A expansions."""
-        if self.D == 0:
-            return True
-        return all(self.ok[i][1] for i in range(self.D + 1))
-
-    def left_slices_constant(self) -> bool:
-        """Constancy of every (1, i) slice: the A * A_i expansions."""
-        if self.D == 0:
-            return True
-        return all(self.ok[1][j] for j in range(self.D + 1))
-
 
 def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
     if not t.strongly_connected:
@@ -509,50 +497,6 @@ def wang_suzuki_drd_check(r: TwoWayRelations, D: int) -> WangSuzukiResult:
     return WangSuzukiResult(rep.all, len(r.delta), rep)
 
 
-@dataclass(frozen=True)
-class DouglasNomuraTensor:
-    """Counts s[h][i][j] = |{z : d(u,z) = i, d(v,z) = j}| over pairs with
-    d(u,v) = h, when pair-independent. Diagnostic only."""
-
-    exists: bool
-    s: Optional[tuple[tuple[tuple[int, ...], ...], ...]]
-    witness: Optional[tuple]
-
-
-def douglas_nomura_numbers(t: DistanceTable) -> DouglasNomuraTensor:
-    if not t.strongly_connected:
-        raise NotStronglyConnected("count tensor needs a strongly connected digraph")
-    n = t.n
-    D = t.diameter
-    dist = t.dist
-    ref: list[Optional[dict]] = [None] * (D + 1)
-    for u in range(n):
-        du = dist[u]
-        for v in range(n):
-            h = int(du[v])
-            dv = dist[v]
-            counts: dict[tuple[int, int], int] = {}
-            for z in range(n):
-                key = (int(du[z]), int(dv[z]))
-                counts[key] = counts.get(key, 0) + 1
-            if ref[h] is None:
-                ref[h] = counts
-            elif counts != ref[h]:
-                base = ref[h]
-                key = next(k for k in set(base) | set(counts) if base.get(k, 0) != counts.get(k, 0))
-                return DouglasNomuraTensor(
-                    False, None, (key[0], key[1], h, (u, v), base.get(key, 0), counts.get(key, 0))
-                )
-    s = tuple(
-        tuple(
-            tuple((ref[h] or {}).get((i, j), 0) for j in range(D + 1))
-            for i in range(D + 1)
-        )
-        for h in range(D + 1)
-    )
-    return DouglasNomuraTensor(True, s, None)
-
-
 def weak_dr_comellas(g: Digraph, dm: DistanceMatrices) -> bool:
     """Weak distance-regularity: every distance matrix is a polynomial of its
     own degree in the adjacency matrix (equivalently, walk counts up to the
@@ -569,5 +513,5 @@ def comellas_damerell_link(g: Digraph, dm: DistanceMatrices, t: DistanceTable) -
 
     if not weak_dr_comellas(g, dm):
         return True
-    normal = is_normal(RatMatrix(g.adj))
+    normal = is_normal(adjacency_matrix(g))
     return normal == damerell_numbers(g, t).exists

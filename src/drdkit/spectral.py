@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .digraph import Digraph, DistanceTable, regularity
+from .digraph import DistanceTable
 from .errors import (
     ClusteringAmbiguous,
     DegenerateGram,
@@ -150,18 +150,6 @@ def spectrum(
                 prod *= eigs[j][0] - eigs[l][0]
         pi.append(prod)
     return Spectrum(eigs=eigs, pi=tuple(pi), n=n)
-
-
-def perron_component_count(g: Digraph, s: Spectrum) -> int:
-    """Multiplicity of the valency eigenvalue of a regular digraph with a
-    normal adjacency matrix: equals the number of connected components."""
-    k = regularity(g)
-    if k is None:
-        raise PreconditionViolated("component count via spectrum needs a regular digraph")
-    if not is_normal(RatMatrix(g.adj)):
-        raise PreconditionViolated("component count via spectrum needs a normal adjacency matrix")
-    best = min(range(len(s.eigs)), key=lambda j: abs(s.eigs[j][0] - k))
-    return s.eigs[best][1]
 
 
 def poly_eval(coeffs: np.ndarray, x: complex) -> complex:

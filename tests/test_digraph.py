@@ -101,6 +101,16 @@ class TestConnectivity:
     def test_paper6_is_strongly_connected(self):
         assert strongly_connected(paper6())
 
+    def test_distance_table_field_matches_two_sweeps(self, corpus):
+        bridged = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
+        graphs = list(corpus) + [
+            ("bridged_triangles", Digraph.from_arcs(6, bridged)),
+            ("path3", Digraph.from_arcs(3, [(0, 1), (1, 2)])),
+        ]
+        for name, g in graphs:
+            assert distance_table(g).strongly_connected == strongly_connected(g), name
+        assert not distance_table(Digraph.from_arcs(6, bridged)).strongly_connected
+
 
 class TestDistances:
     def test_cycle_distances(self):

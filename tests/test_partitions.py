@@ -1,14 +1,16 @@
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 
 from drdkit.corpus import cycle, cycle_with_chord, paley, paper6
-from drdkit.digraph import Digraph, distance_table
+from drdkit.digraph import Digraph, DistanceTable, distance_table
 from drdkit.errors import InvalidPartition, NotStronglyConnected, PreconditionViolated
 from drdkit.partitions import (
     VertexPartition,
-    check_char_f,
     check_definition_drd,
     check_equitable,
-    check_partition_coincidence,
+    distance_regular_scan,
     in_distance_partition,
     out_distance_partition,
 )
@@ -18,6 +20,45 @@ from oracles import equitable_params_direct
 
 def cells_as_labels(g, partition):
     return [frozenset(g.labels[v] for v in cell) for cell in partition.cells]
+
+
+@dataclass(frozen=True)
+class CoincidenceResult:
+    """Whether out- and in-distance cell families coincide, and the index
+    permutation realizing out-cell sigma[i] = in-cell i around every vertex."""
+
+    families_match: bool
+    sigma: tuple[int, ...]
+
+
+def check_partition_coincidence(g: Digraph, t: Optional[DistanceTable] = None) -> CoincidenceResult:
+    """For a distance-regular digraph, the out- and in-distance families
+    around each vertex are equal as unordered set families.
+
+    Raises PreconditionViolated when g is not distance-regular.
+    """
+    if t is None:
+        t = distance_table(g)
+    if check_definition_drd(g, t) is None:
+        raise PreconditionViolated("partition coincidence requires a distance-regular digraph")
+    sigma: Optional[list[int]] = None
+    for x in range(g.n):
+        out_cells = out_distance_partition(g, x, t).cells
+        in_cells = in_distance_partition(g, x, t).cells
+        if len(out_cells) != len(in_cells):
+            return CoincidenceResult(False, ())
+        local = []
+        for cell in in_cells:
+            try:
+                local.append(out_cells.index(cell))
+            except ValueError:
+                return CoincidenceResult(False, ())
+        if sigma is None:
+            sigma = local
+        elif local != sigma:
+            return CoincidenceResult(False, ())
+    assert sigma is not None
+    return CoincidenceResult(True, tuple(sigma))
 
 
 class TestDistancePartitions:
@@ -114,9 +155,12 @@ class TestDefinitionDrd:
         assert check_definition_drd(cycle_with_chord(4)) is None
 
     def test_in_version_agrees(self, fig6):
-        assert check_char_f(fig6) is not None
-        assert check_char_f(cycle(6)) is not None
-        assert check_char_f(cycle_with_chord(4)) is None
+        for g in (fig6, cycle(6)):
+            params, failure = distance_regular_scan(g, distance_table(g), "in")
+            assert params is not None and failure is None
+        g = cycle_with_chord(4)
+        params, failure = distance_regular_scan(g, distance_table(g), "in")
+        assert params is None and failure.startswith("in-distance")
 
 
 class TestPartitionCoincidence:
@@ -205,5 +249,5 @@ class TestInvariants:
             if not t.strongly_connected:
                 continue
             assert (check_definition_drd(g, t) is None) == (
-                check_char_f(g, t) is None
+                distance_regular_scan(g, t, "in")[0] is None
             ), name

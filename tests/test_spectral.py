@@ -6,22 +6,16 @@ import pytest
 
 from drdkit.corpus import cycle, cycle_with_chord, paley
 from drdkit.digraph import Digraph, distance_table
-from drdkit.errors import PreconditionViolated
 from drdkit.ratlin import adjacency_matrix, minimal_polynomial
 from drdkit.spectral import (
     average_last_shell,
     is_normal,
-    perron_component_count,
     poly_inner_product,
     poly_inner_product_trace,
     predistance_polynomials,
     spectral_excess_rhs,
     spectrum,
 )
-
-
-def two_disjoint_triangles() -> Digraph:
-    return Digraph.from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 
 
 class TestIsNormal:
@@ -77,24 +71,6 @@ class TestSpectrum:
                 continue
             s = spectrum(a)
             assert len(s.eigs) == minimal_polynomial(a).degree, name
-
-
-class TestPerronComponentCount:
-    def test_cycle(self):
-        g = cycle(5)
-        assert perron_component_count(g, spectrum(adjacency_matrix(g))) == 1
-
-    def test_two_triangles(self):
-        g = two_disjoint_triangles()
-        assert perron_component_count(g, spectrum(adjacency_matrix(g))) == 2
-
-    def test_paper6(self, fig6):
-        assert perron_component_count(fig6, spectrum(adjacency_matrix(fig6))) == 1
-
-    def test_precondition(self):
-        g = cycle_with_chord(4)
-        with pytest.raises(PreconditionViolated):
-            perron_component_count(g, spectrum(adjacency_matrix(g)))
 
 
 class TestInnerProduct:
