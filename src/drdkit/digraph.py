@@ -16,6 +16,16 @@ from .errors import DuplicateArc, EmptyGraph, LoopRejected, ParseError
 
 INF = math.inf
 
+# Largest vertex count accepted. A header is checked against it before the
+# dense n x n adjacency is allocated, so a hostile "1000000 0" fails at once
+# instead of exhausting memory.
+MAX_VERTICES = 2048
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+
 
 @dataclass(frozen=True)
 class Digraph:
@@ -51,6 +61,7 @@ class Digraph:
         """Build from an arc list, rejecting loops and duplicate arcs."""
         if n <= 0:
             raise EmptyGraph("digraph needs at least one vertex")
+        _check_size(n)
         rows = [[0] * n for _ in range(n)]
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -243,6 +254,7 @@ def _parse_matrix(lines: list[str]) -> Digraph:
     if not lines:
         raise EmptyGraph("empty adjacency matrix")
     n = len(lines)
+    _check_size(n)
     rows = []
     for line in lines:
         toks = line.split()

@@ -13,15 +13,24 @@ overflow; otherwise, and whenever an operand has Fraction entries, it runs
 the Python-int loop, whose integers never overflow.
 
 One exact elimination routine, `SpanBasis._reduce`, serves every span solve
-and the minimal polynomial: the latter grows a `SpanBasis` one power of the
-matrix at a time until the new power depends on the earlier ones.
+over a family that is not a partition basis.
+
+The minimal polynomial is computed modulo word-size primes and lifted by the
+Chinese remainder theorem (Wiedemann, IEEE Trans. Inf. Theory 32, 1986; the
+lift-then-verify pattern of Dixon, Numer. Math. 40, 1982). Every prime p is
+at most a cap that depends on n alone and proves n * (p - 1)**2 < 2**63, so
+the products and elimination steps mod p never overflow int64. The lifted
+candidate is accepted only after μ(A) = 0 is proved over the integers by
+evaluating it modulo fresh primes whose product exceeds a bound on every
+entry of μ(A); the result never depends on chance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from math import comb, isqrt, lcm
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -270,8 +279,8 @@ class PartitionBasis:
 
 
 class SpanBasis:
-    """Echelon form of a matrix family, grown one member at a time by
-    `extend` and prepared for repeated exact membership solves.
+    """Echelon form of a matrix family, prepared for repeated exact
+    membership solves.
 
     Pivots are chosen by largest absolute value to limit coefficient growth
     during elimination.
@@ -281,27 +290,19 @@ class SpanBasis:
         if not basis:
             raise DimensionMismatch("empty basis")
         self.shape = basis[0].shape
-        self.size = 0
+        self.size = len(basis)
         # Echelon rows: (pivot index, reduced vector, combination over basis).
         self._rows: list[tuple[int, list[Rational], list[Rational]]] = []
-        for b in basis:
-            self.extend(b)
-
-    def extend(self, member: RatMatrix) -> Optional[list[Rational]]:
-        """Append member to the family. None when it is independent of the
-        earlier members; else the combination c, with c[-1] = 1 for member,
-        such that sum(c_i * basis_i) = 0."""
-        if member.shape != self.shape:
-            raise DimensionMismatch(f"basis shapes differ: {member.shape} vs {self.shape}")
-        vec = member.flat()
-        combo: list[Rational] = [0] * self.size + [1]
-        self.size += 1
-        self._reduce(vec, combo)
-        pivot = self._pick_pivot(vec)
-        if pivot is None:
-            return combo
-        self._rows.append((pivot, vec, combo))
-        return None
+        for k, member in enumerate(basis):
+            if member.shape != self.shape:
+                raise DimensionMismatch(f"basis shapes differ: {member.shape} vs {self.shape}")
+            vec = member.flat()
+            combo: list[Rational] = [0] * self.size
+            combo[k] = 1
+            self._reduce(vec, combo)
+            pivot = self._pick_pivot(vec)
+            if pivot is not None:
+                self._rows.append((pivot, vec, combo))
 
     @staticmethod
     def _pick_pivot(vec: list[Rational]) -> Optional[int]:
@@ -472,20 +473,161 @@ def eval_poly_at_matrix(p: RatPolynomial, a: RatMatrix) -> RatMatrix:
     return acc if denom == 1 else acc.scale(Fraction(1, denom))
 
 
+def _prime_cap(n: int) -> int:
+    """The largest p with n * (p - 1)**2 < 2**63: mod such a p, a product
+    entry of two reduced n x n matrices, a combination of at most n reduced
+    vectors and every elimination step fit in int64."""
+    return isqrt((INT64_LIMIT - 1) // n) + 1
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5 and 7, which is exact for every m
+    below 3,215,031,751 and so for every prime cap."""
+    if m < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=4096)
+def _prime_at_most(m: int) -> int:
+    """The largest prime p <= m, for m >= 2; cached because every call of
+    `minimal_polynomial` on matrices of one size draws the same primes."""
+    while not _is_prime(m):
+        m -= 1
+    return m
+
+
+def _primes(n: int) -> Iterator[int]:
+    """The primes allowed for n x n matrices, largest first."""
+    p = _prime_cap(n) + 1
+    while p > 2:
+        p = _prime_at_most(p - 1)
+        yield p
+
+
+def _minimal_polynomial_mod(a: np.ndarray, p: int) -> list[int]:
+    """Monic minimal polynomial of a over GF(p), lowest power first, with
+    coefficients in [0, p): the first dependence among the vectorized powers
+    I, a, a^2, ..., found by growing their reduced echelon form mod p.
+
+    a is an int64 array with entries in [0, p) and p is at most
+    `_prime_cap` of its size."""
+    n = a.shape[0]
+    width = n * n
+    # Reduced echelon rows, pivot entry 1, each followed by the coefficients
+    # c of the powers it combines: row = (sum c_i a^i vectorized, c).
+    rows = np.zeros((0, width + n + 1), dtype=np.int64)
+    pivots: list[int] = []
+    power = np.eye(n, dtype=np.int64)
+    for k in range(n + 1):  # Cayley-Hamilton guarantees a dependence by degree n
+        vec = np.zeros(width + n + 1, dtype=np.int64)
+        vec[:width] = power.ravel()
+        vec[width + k] = 1
+        # The rows are zero at each other's pivots, so one combination reduces.
+        vec = (vec - vec[pivots] @ rows) % p
+        nonzero = np.flatnonzero(vec[:width])
+        if not nonzero.size:
+            return vec[width : width + k + 1].tolist()
+        q = int(nonzero[0])
+        vec = vec * pow(int(vec[q]), -1, p) % p
+        rows -= np.outer(rows[:, q], vec)
+        rows %= p
+        rows = np.vstack((rows, vec))
+        pivots.append(q)
+        power = power @ a % p
+    raise AssertionError("no dependence found by degree n")
+
+
+def _vanishes(ints: np.ndarray, coeffs: Sequence[int], rho: int, primes: Iterator[int]) -> bool:
+    """Whether sum(c_i * A^i) = 0 over the integers, where A is ints and rho
+    bounds its max row sum of |entries|: no entry of the sum exceeds
+    B = sum(|c_i| * rho**i) in size, so it is zero once it vanishes modulo
+    primes whose product exceeds B. Each prime is drawn from primes."""
+    bound = sum(abs(c) * rho**i for i, c in enumerate(coeffs))
+    n = ints.shape[0]
+    diagonal = np.diag_indices(n)
+    modulus = 1
+    while modulus <= bound:
+        p = next(primes)
+        a = (ints % p).astype(np.int64)
+        acc = np.zeros((n, n), dtype=np.int64)
+        for c in reversed(coeffs):
+            acc = acc @ a % p
+            acc[diagonal] = (acc[diagonal] + c % p) % p
+        if acc.any():
+            return False
+        modulus *= p
+    return True
+
+
+def _integer_minimal_polynomial(ints: np.ndarray, rho: int) -> list[int]:
+    """Integer coefficients, lowest power first, of the monic minimal
+    polynomial μ of the integer matrix ints (int64 or Python-int object
+    array), where rho bounds its max row sum of |entries|.
+
+    μ is monic over the integers (Gauss's lemma) and reduces mod p to a
+    multiple of μ mod p, so no prime gives a larger degree than μ and every
+    prime of μ's degree gives exactly μ mod p. Residues are kept for the
+    primes of the largest degree seen and lifted into the symmetric range
+    once their product exceeds twice the bound C(d, i) * rho**(d - i) on
+    |c_i|, which holds because every root of μ is an eigenvalue of size at
+    most rho. The lift is then certified; if it fails, every kept prime was
+    unlucky, so μ has a larger degree and the search continues above it."""
+    n = ints.shape[0]
+    primes = _primes(n)
+    degree, residues, modulus = 0, [0], 1
+    for p in primes:
+        mu = _minimal_polynomial_mod((ints % p).astype(np.int64), p)
+        d = len(mu) - 1
+        if d < degree:
+            continue
+        if d > degree:
+            degree, residues, modulus = d, [0] * (d + 1), 1
+        step = pow(modulus, -1, p)
+        residues = [r + modulus * ((m - r) * step % p) for r, m in zip(residues, mu)]
+        modulus *= p
+        if modulus <= 2 * max(comb(d, i) * rho ** (d - i) for i in range(d + 1)):
+            continue
+        candidate = [r - modulus if 2 * r > modulus else r for r in residues]
+        if _vanishes(ints, candidate, rho, primes):
+            return candidate
+        if degree == n:  # Cayley-Hamilton: primes of degree n are lucky
+            raise AssertionError("certificate failed at degree n")
+        degree, residues, modulus = degree + 1, [0] * (degree + 2), 1
+    raise AssertionError("ran out of primes")
+
+
 def minimal_polynomial(a: RatMatrix) -> RatPolynomial:
-    """Monic least-degree polynomial annihilating a: the first linear
-    dependence among the vectorized powers I, a, a^2, ..., found by growing
-    one SpanBasis a power at a time."""
+    """Monic least-degree polynomial annihilating a, computed modulo primes
+    and certified exactly. A matrix with Fraction entries is scaled by the
+    lcm L of its denominators: μ_a(t) = L**-d * μ_{L a}(L t)."""
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
-    power = RatMatrix.identity(a.rows)
-    powers = SpanBasis([power])
-    for _ in range(a.rows):  # Cayley-Hamilton guarantees a dependence by degree n
-        power = mat_mul(power, a)
-        dependence = powers.extend(power)
-        if dependence is not None:
-            return RatPolynomial.from_coeffs(dependence)
-    raise AssertionError("no dependence found by degree n")
+    if a.int64 is not None:
+        ints, rho, scale = a.int64, a.abs_bounds()[1], 1
+    else:
+        scale = lcm(*(Fraction(x).denominator for x in a.flat()))
+        rows = [[int(x * scale) for x in row] for row in a.entries]
+        ints, rho = np.array(rows, dtype=object), max(sum(map(abs, row)) for row in rows)
+    coeffs = _integer_minimal_polynomial(ints, rho)
+    d = len(coeffs) - 1
+    return RatPolynomial.from_coeffs([Fraction(c, scale ** (d - i)) for i, c in enumerate(coeffs)])
 
 
 @dataclass(frozen=True)

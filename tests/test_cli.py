@@ -49,6 +49,12 @@ class TestCheckCommand:
         bad.write_text("2 2\n0 1\n0 1\n")
         assert main(["check", str(bad)]) == 4
 
+    def test_oversized_header_exit_four(self, tmp_path, capsys):
+        huge = tmp_path / "huge.el"
+        huge.write_text("1000000 0\n")
+        assert main(["check", str(huge)]) == 4
+        assert "exceed the limit" in capsys.readouterr().err
+
     def test_json_report(self, paper6_file, capsys):
         assert main(["check", paper6_file, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

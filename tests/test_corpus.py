@@ -120,6 +120,20 @@ class TestFamilyVerdicts:
             assert rep.overall == "no" and rep.agreement
 
 
+class TestDamerellGirth:
+    def test_every_yes_has_girth_d_or_d_plus_one(self, corpus):
+        # Damerell (JCTB 31, 1981): a distance-regular digraph of diameter
+        # D >= 1 has girth D or D + 1. K_1 has no arc, so no girth.
+        decided_yes = 0
+        for name, g in corpus:
+            if g.m == 0 or check_all(g).overall != "yes":
+                continue
+            t = distance_table(g)
+            assert t.girth in (t.diameter, t.diameter + 1), name
+            decided_yes += 1
+        assert decided_yes >= 15  # cycles, paper6, Paley and Kautz members
+
+
 class TestEnumeration:
     def test_counts_small(self):
         assert sum(1 for _ in all_strongly_connected_digraphs(1)) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from drdkit.corpus import cycle, paper6, random_sc
 from drdkit.digraph import (
+    MAX_VERTICES,
     Digraph,
     converse,
     distance_table,
@@ -84,6 +86,20 @@ class TestParsing:
         assert g == cycle(3)
         with pytest.raises(LoopRejected):
             parse_digraph("1 0\n0 0", fmt="adjacency-matrix")
+
+    def test_oversized_header_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="exceed the limit"):
+                parse_digraph("1000000 0")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the dense rows alone would need terabytes
+        with pytest.raises(ParseError):
+            Digraph.from_arcs(MAX_VERTICES + 1, [])
+        with pytest.raises(ParseError):
+            parse_digraph("0\n" * (MAX_VERTICES + 1), fmt="adjacency-matrix")
 
     def test_comments_ignored(self):
         g = parse_digraph("# a triangle\n3 3\n0 1\n# middle\n1 2\n2 0")

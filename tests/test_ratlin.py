@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drdkit.corpus import cycle, cycle_with_chord, paper6
-from drdkit.digraph import Digraph, distance_table
+import drdkit.ratlin as ratlin
+from drdkit.digraph import MAX_VERTICES, Digraph, distance_table
 from drdkit.errors import DimensionMismatch, InvalidPartition
 from drdkit.ratlin import (
     INT64_LIMIT,
@@ -169,6 +171,107 @@ class TestMinimalPolynomial:
         g = cycle_with_chord(5)
         a = adjacency_matrix(g)
         assert eval_poly_at_matrix(minimal_polynomial(a), a).is_zero()
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Integer matrices with n <= 6: entries small or within 8 of +-2**40,
+    and for half of them a block diagonal of one block repeated, so that the
+    minimal polynomial is shorter than the characteristic polynomial."""
+    n = draw(st.integers(1, 6))
+    near = st.integers(2**40 - 8, 2**40 + 8)
+    entry = st.one_of(st.integers(-3, 3), near, near.map(lambda x: -x))
+    if n % 2 == 0 and draw(st.booleans()):
+        k = n // 2
+        block = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+        return [row + [0] * k for row in block] + [[0] * k + row for row in block]
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestModularMinimalPolynomial:
+    @pytest.mark.parametrize("n", [1, MAX_VERTICES])
+    def test_prime_cap_is_the_largest_without_overflow(self, n):
+        cap = ratlin._prime_cap(n)
+        assert n * (cap - 1) ** 2 < INT64_LIMIT <= n * cap**2
+        first = next(ratlin._primes(n))
+        assert sympy.isprime(first)
+        assert not any(sympy.isprime(m) for m in range(first + 1, cap + 1))
+
+    def test_primality_test_matches_sympy(self):
+        cap = ratlin._prime_cap(1)
+        for m in list(range(5000)) + list(range(cap - 3000, cap + 1)):
+            assert ratlin._is_prime(m) == sympy.isprime(m), m
+
+    @pytest.mark.parametrize("unlucky", [1, 2])
+    def test_unlucky_primes_are_discarded(self, unlucky, monkeypatch):
+        # mod each of the first `unlucky` primes diag(0, m) is 0, of degree 1
+        m = 1
+        for p in islice(ratlin._primes(2), unlucky):
+            m *= p
+        degrees = []
+        real = ratlin._minimal_polynomial_mod
+
+        def recorded(a, p):
+            mu = real(a, p)
+            degrees.append(len(mu) - 1)
+            return mu
+
+        monkeypatch.setattr(ratlin, "_minimal_polynomial_mod", recorded)
+        for a in (
+            RatMatrix(int64=np.array([[0, 0], [0, m]], dtype=np.int64)),
+            RatMatrix.from_rows([[0, 0], [0, m]]),
+        ):
+            degrees.clear()
+            assert minimal_polynomial(a) == RatPolynomial.from_coeffs([0, -m, 1])
+            assert degrees[: unlucky + 1] == [1] * unlucky + [2]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_at_its_lift_bound(self, sign):
+        # [[m]] has mu = t - m and rho = |m|, so |c_0| equals its bound: a
+        # lift modulo one prime between |m| and 2|m| would be wrong.
+        m = sign * (next(ratlin._primes(1)) - 1)
+        a = RatMatrix(int64=np.array([[m]], dtype=np.int64))
+        assert minimal_polynomial(a) == RatPolynomial.from_coeffs([-m, 1])
+
+    def test_failed_certificate_raises_the_degree(self, monkeypatch):
+        # The first prime is made to report t for diag(0, 1), as an unlucky
+        # prime would; its lift t fails the certificate, since A != 0.
+        real_mod, real_vanishes = ratlin._minimal_polynomial_mod, ratlin._vanishes
+        calls, verdicts = [], []
+
+        def unlucky_first(a, p):
+            calls.append(p)
+            return [0, 1] if len(calls) == 1 else real_mod(a, p)
+
+        def recorded(*args):
+            verdicts.append(real_vanishes(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(ratlin, "_minimal_polynomial_mod", unlucky_first)
+        monkeypatch.setattr(ratlin, "_vanishes", recorded)
+        a = RatMatrix(int64=np.array([[0, 0], [0, 1]], dtype=np.int64))
+        assert minimal_polynomial(a) == RatPolynomial.from_coeffs([0, -1, 1])
+        assert verdicts == [False, True]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_integer_matrices())
+    def test_integer_matrices_against_divisor_oracle(self, rows):
+        expected = minimal_polynomial_coeffs(rows)
+        for a in (RatMatrix(int64=np.array(rows, dtype=np.int64)), RatMatrix.from_rows(rows)):
+            assert minimal_polynomial(a).coeffs == expected
+
+    def test_fraction_matrix_against_oracle_on_scaled_matrix(self):
+        rows = [
+            [Fraction(1, 2), Fraction(1, 3), 0],
+            [0, Fraction(1, 2), 0],
+            [Fraction(-7, 5), 0, Fraction(-2, 5)],
+        ]
+        scale = 30  # lcm of the denominators
+        scaled = minimal_polynomial_coeffs([[int(x * scale) for x in row] for row in rows])
+        d = len(scaled) - 1
+        expected = tuple(c / scale ** (d - i) for i, c in enumerate(scaled))
+        assert d == 3
+        assert minimal_polynomial(RatMatrix.from_rows(rows)).coeffs == expected
 
 
 class TestEvalPolyAtMatrix:
