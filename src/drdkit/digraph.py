@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DuplicateArc, EmptyGraph, LoopRejected, ParseError
 
@@ -115,6 +117,8 @@ class DistanceTable:
     Entries are nonnegative ints, or ``math.inf`` for unreachable pairs.
     ``girth`` is None when the digraph has no directed cycle.
     ``strongly_connected`` says whether every entry is finite.
+    ``array`` is the same table as a read-only int64 array, with -1 for an
+    unreachable pair.
     """
 
     dist: tuple[tuple[float, ...], ...]
@@ -122,6 +126,7 @@ class DistanceTable:
     eccentricities: tuple[float, ...]
     girth: Optional[int]
     strongly_connected: bool
+    array: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -175,12 +180,17 @@ def distance_table(g: Digraph) -> DistanceTable:
                 cycle_len = int(back) + 1
                 if girth is None or cycle_len < girth:
                     girth = cycle_len
+    array = np.array(rows)
+    array[array == INF] = -1
+    array = array.astype(np.int64)
+    array.flags.writeable = False
     return DistanceTable(
         dist=tuple(tuple(int(d) if d != INF else INF for d in row) for row in rows),
         diameter=diameter,
         eccentricities=ecc,
         girth=girth,
         strongly_connected=len(finite) == n * n,
+        array=array,
     )
 
 

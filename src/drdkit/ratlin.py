@@ -13,7 +13,9 @@ overflow; otherwise, and whenever an operand has Fraction entries, it runs
 the Python-int loop, whose integers never overflow.
 
 One exact elimination routine, `SpanBasis._reduce`, serves every span solve
-over a family that is not a partition basis.
+over a family that is not a partition basis. It is fraction-free: members
+are scaled to integers once, each step cross-multiplies and divides by the
+content gcd, and Fractions appear only in the coordinates a solve returns.
 
 The minimal polynomial is computed modulo word-size primes and lifted by the
 Chinese remainder theorem (Wiedemann, IEEE Trans. Inf. Theory 32, 1986; the
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -278,12 +280,30 @@ class PartitionBasis:
         return i, divmod(int(self._reps[i]), cols), divmod(pos, cols)
 
 
+def _clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """(s * values, s) for the least s > 0 that makes every value an
+    integer: the lcm of the denominators."""
+    s = lcm(*(x.denominator for x in values))
+    return [x.numerator * (s // x.denominator) for x in values], s
+
+
+def _integer_vector(m: RatMatrix) -> tuple[list[int], int]:
+    """`_clear_denominators` of m vectorized row-major; s = 1 for an int64 form."""
+    if m.int64 is not None:
+        return m.int64.ravel().tolist(), 1
+    return _clear_denominators(m.flat())
+
+
 class SpanBasis:
     """Echelon form of a matrix family, prepared for repeated exact
     membership solves.
 
-    Pivots are chosen by largest absolute value to limit coefficient growth
-    during elimination.
+    Elimination is fraction-free. Each member is scaled to integers once; an
+    echelon row is an integer vector together with the integer combination
+    of the members that it equals. A step cross-multiplies and divides by
+    the content gcd, so rows and combinations stay Python ints and Fractions
+    appear only in the coordinates `solve` returns. A row's pivot is its
+    first nonzero entry.
     """
 
     def __init__(self, basis: Sequence[RatMatrix]):
@@ -291,55 +311,49 @@ class SpanBasis:
             raise DimensionMismatch("empty basis")
         self.shape = basis[0].shape
         self.size = len(basis)
-        # Echelon rows: (pivot index, reduced vector, combination over basis).
-        self._rows: list[tuple[int, list[Rational], list[Rational]]] = []
+        # Echelon rows: (pivot index, vector, combination). A combination
+        # has one slot per member and a last slot for a solve's target.
+        self._rows: list[tuple[int, list[int], list[int]]] = []
         for k, member in enumerate(basis):
             if member.shape != self.shape:
                 raise DimensionMismatch(f"basis shapes differ: {member.shape} vs {self.shape}")
-            vec = member.flat()
-            combo: list[Rational] = [0] * self.size
-            combo[k] = 1
+            vec, scale = _integer_vector(member)
+            combo = [0] * (self.size + 1)
+            combo[k] = scale
             self._reduce(vec, combo)
-            pivot = self._pick_pivot(vec)
+            pivot = next((i for i, x in enumerate(vec) if x), None)
             if pivot is not None:
                 self._rows.append((pivot, vec, combo))
 
-    @staticmethod
-    def _pick_pivot(vec: list[Rational]) -> Optional[int]:
-        best = None
-        best_mag: Rational = 0
-        for i, x in enumerate(vec):
-            if x:
-                mag = abs(x)
-                if best is None or mag > best_mag:
-                    best, best_mag = i, mag
-        return best
-
-    def _reduce(self, vec: list[Rational], combo: list[Rational]) -> None:
-        """Eliminate vec against the echelon rows, subtracting the same
-        multiples of their combinations from combo."""
+    def _reduce(self, vec: list[int], combo: list[int]) -> None:
+        """Eliminate vec against the echelon rows in place, keeping
+        vec = sum(combo[i] * member_i) (the target in the last slot)."""
         for pivot, row, row_combo in self._rows:
             f = vec[pivot]
             if not f:
                 continue
-            f = Fraction(f) / row[pivot]
-            for i, r in enumerate(row):
-                if r:
-                    vec[i] = _norm(vec[i] - f * r)
-            for i, c in enumerate(row_combo):
-                if c:
-                    combo[i] = _norm(combo[i] - f * c)
+            a = row[pivot]
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            vec[:] = [a * x - f * r for x, r in zip(vec, row)]
+            combo[:] = [a * c - f * r for c, r in zip(combo, row_combo)]
+            g = gcd(*vec, *combo)
+            if g > 1:
+                vec[:] = [x // g for x in vec]
+                combo[:] = [c // g for c in combo]
 
     def solve(self, target: RatMatrix) -> Optional[tuple[Rational, ...]]:
         """Exact coefficients c with sum(c_i * basis_i) = target, or None."""
         if target.shape != self.shape:
             raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
-        vec = target.flat()
-        combo: list[Rational] = [0] * self.size
+        vec, scale = _integer_vector(target)
+        combo = [0] * (self.size + 1)
+        combo[-1] = scale
         self._reduce(vec, combo)
         if any(vec):
             return None
-        return tuple(-c for c in combo)
+        # 0 = sum(combo[i] * basis_i) + combo[-1] * target
+        return tuple(_norm(Fraction(-c, combo[-1])) for c in combo[:-1])
 
 
 def span_basis(mats: Sequence[RatMatrix]) -> Union[PartitionBasis, SpanBasis]:
@@ -457,20 +471,24 @@ class RatPolynomial:
 def eval_poly_at_matrix(p: RatPolynomial, a: RatMatrix) -> RatMatrix:
     """Exact evaluation of p at a square matrix: Horner on the integer
     polynomial L * p, where L clears every coefficient's denominator, then
-    one division by L."""
+    one division by L, in int64 when L divides every entry of an int64
+    result."""
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
     n = a.rows
     if p.is_zero():
         return RatMatrix.zeros(n, n)
-    denom = lcm(*(Fraction(c).denominator for c in p.coeffs))
-    ints = [int(c * denom) for c in p.coeffs]
+    ints, denom = _clear_denominators(p.coeffs)
     acc = RatMatrix.identity(n).scale(ints[-1])
     for c in reversed(ints[:-1]):
         acc = mat_mul(acc, a)
         if c:
             acc = acc.add(RatMatrix.identity(n).scale(c))
-    return acc if denom == 1 else acc.scale(Fraction(1, denom))
+    if denom == 1:
+        return acc
+    if acc.int64 is not None and not (acc.int64 % denom).any():
+        return RatMatrix(int64=acc.int64 // denom)
+    return acc.scale(Fraction(1, denom))
 
 
 def _prime_cap(n: int) -> int:
@@ -622,9 +640,9 @@ def minimal_polynomial(a: RatMatrix) -> RatPolynomial:
     if a.int64 is not None:
         ints, rho, scale = a.int64, a.abs_bounds()[1], 1
     else:
-        scale = lcm(*(Fraction(x).denominator for x in a.flat()))
-        rows = [[int(x * scale) for x in row] for row in a.entries]
-        ints, rho = np.array(rows, dtype=object), max(sum(map(abs, row)) for row in rows)
+        flat, scale = _clear_denominators(a.flat())
+        ints = np.array(flat, dtype=object).reshape(a.shape)
+        rho = max(sum(map(abs, row)) for row in ints.tolist())
     coeffs = _integer_minimal_polynomial(ints, rho)
     d = len(coeffs) - 1
     return RatPolynomial.from_coeffs([Fraction(c, scale ** (d - i)) for i, c in enumerate(coeffs)])

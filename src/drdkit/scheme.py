@@ -57,7 +57,7 @@ def distance_matrices(g: Digraph, t: DistanceTable) -> DistanceMatrices:
     if not t.strongly_connected:
         raise NotStronglyConnected("distance matrices need a strongly connected digraph")
     D = t.diameter
-    dist = np.array(t.dist, dtype=np.int64)
+    dist = t.array
     mats = tuple(RatMatrix(int64=(dist == i).astype(np.int64)) for i in range(D + 1))
     if mats[0] != RatMatrix.identity(g.n):
         raise InternalInconsistency("A_0 != I")
@@ -125,49 +125,66 @@ class PairCountScan:
         return all(all(row) for row in self.ok)
 
 
+# Cap on the elements of each array one block of the pair count scan
+# allocates; a block holds at least one pair, whatever the cap.
+SCAN_BLOCK = 1 << 13
+
+
+def _pair_counts(dist: np.ndarray, pairs: np.ndarray, width: int) -> np.ndarray:
+    """counts[k][i * width + j] = |{z : d(x,z) = i and d(z,y) = j}| for the
+    k-th pair (x, y) = divmod(pairs[k], n): one bincount over z."""
+    n = dist.shape[0]
+    x, y = np.divmod(pairs, n)
+    keys = dist[x] * width + dist.T[y]
+    keys += (np.arange(len(pairs)) * width * width)[:, None]
+    return np.bincount(keys.ravel(), minlength=len(pairs) * width * width).reshape(
+        len(pairs), width * width
+    )
+
+
 def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
+    """Count, for every ordered pair (x, y), the z at each distance pair
+    (d(x,z), d(z,y)) and compare with the first pair of class h = d(x,y) in
+    row-major order. Pairs are taken in row-major blocks of at most
+    SCAN_BLOCK elements per array. The witness is the first pair in
+    row-major order whose counts differ from its class's first pair, at the
+    lowest (i, j) where they differ."""
     if not t.strongly_connected:
         raise NotStronglyConnected("pair counts need a strongly connected digraph")
+    dist = t.array
     n = t.n
     D = t.diameter
-    dist = t.dist
-    ref: list[Optional[dict]] = [None] * (D + 1)
-    ref_pair: list[tuple[int, int]] = [(-1, -1)] * (D + 1)
-    ok = [[True] * (D + 1) for _ in range(D + 1)]
+    width = D + 1
+    flat = dist.ravel()
+    first = np.unique(flat, return_index=True)[1]  # first pair of each class
+    ref = _pair_counts(dist, first, width)
+    bad_slots = np.zeros(width * width, dtype=bool)
     witness: Optional[tuple] = None
-    for x in range(n):
-        drow = dist[x]
-        for y in range(n):
-            h = int(drow[y])
-            counts: dict[tuple[int, int], int] = {}
-            for z in range(n):
-                key = (int(drow[z]), int(dist[z][y]))
-                counts[key] = counts.get(key, 0) + 1
-            if ref[h] is None:
-                ref[h] = counts
-                ref_pair[h] = (x, y)
-            elif counts != ref[h]:
-                base = ref[h]
-                for key in set(base) | set(counts):
-                    v0 = base.get(key, 0)
-                    v1 = counts.get(key, 0)
-                    if v0 != v1:
-                        i, j = key
-                        if ok[i][j]:
-                            ok[i][j] = False
-                            if witness is None:
-                                witness = (i, j, h, ref_pair[h], (x, y), v0, v1)
-    values = tuple(
-        tuple(
-            tuple((ref[h] or {}).get((i, j), 0) for j in range(D + 1))
-            for i in range(D + 1)
-        )
-        for h in range(D + 1)
-    )
+    step = max(1, SCAN_BLOCK // max(n, width * width))
+    for lo in range(0, n * n, step):
+        pairs = np.arange(lo, min(lo + step, n * n))
+        counts = _pair_counts(dist, pairs, width)
+        expected = ref[flat[pairs]]
+        bad = counts != expected
+        bad_slots |= bad.any(axis=0)
+        if witness is None and bad.any():
+            k = int(bad.any(axis=1).argmax())
+            slot = int(bad[k].argmax())
+            h = int(flat[pairs[k]])
+            witness = (
+                *divmod(slot, width),
+                h,
+                divmod(int(first[h]), n),
+                divmod(int(pairs[k]), n),
+                int(expected[k, slot]),
+                int(counts[k, slot]),
+            )
+    values = ref.reshape(width, width, width).tolist()
+    ok = (~bad_slots).reshape(width, width).tolist()
     return PairCountScan(
         D=D,
-        values=values,
-        ok=tuple(tuple(row) for row in ok),
+        values=tuple(tuple(map(tuple, v)) for v in values),
+        ok=tuple(map(tuple, ok)),
         witness=witness,
     )
 
@@ -466,7 +483,7 @@ def two_way_relations(t: DistanceTable) -> TwoWayRelations:
     if not t.strongly_connected:
         raise NotStronglyConnected("two-way relations need a strongly connected digraph")
     base = t.diameter + 1
-    dist = np.array(t.dist, dtype=np.int64)
+    dist = t.array
     # Codes d(x,y) * base + d(y,x) sort in lexicographic pair order.
     codes, index = np.unique(dist * base + dist.T, return_inverse=True)
     index = index.reshape(dist.shape)

@@ -2,8 +2,9 @@
 
 Nothing here reuses the library's algorithms: distances come from
 Floyd-Warshall instead of BFS, girth from explicit cycle enumeration, walk
-counts from recursive enumeration, and minimal polynomials from a
-divisor search over the factored characteristic polynomial.
+counts from recursive enumeration, minimal polynomials from a divisor
+search over the factored characteristic polynomial, and the pair
+intersection counts from one dictionary per ordered pair.
 """
 from __future__ import annotations
 
@@ -132,3 +133,40 @@ def equitable_params_direct(adj, cells):
         d_out.append(tuple(out_ref))
         d_in.append(tuple(in_ref))
     return tuple(d_out), tuple(d_in)
+
+
+def pair_counts_by_dict(dist, D: int):
+    """(values, ok, witness) of the pair count scan, with one dictionary of
+    counts |{z : d(x,z) = i and d(z,y) = j}| per ordered pair (x, y) of a
+    strongly connected distance table of diameter D, compared with the
+    first pair of its class h = d(x,y) in row-major order. The witness
+    (i, j, h, first pair, pair, count there, count here) is the first
+    mismatching pair in row-major order, at its lowest (i, j)."""
+    n = len(dist)
+    ref = [None] * (D + 1)
+    ref_pair = [(-1, -1)] * (D + 1)
+    ok = [[True] * (D + 1) for _ in range(D + 1)]
+    witness = None
+    for x in range(n):
+        for y in range(n):
+            h = int(dist[x][y])
+            counts: dict = {}
+            for z in range(n):
+                key = (int(dist[x][z]), int(dist[z][y]))
+                counts[key] = counts.get(key, 0) + 1
+            if ref[h] is None:
+                ref[h] = counts
+                ref_pair[h] = (x, y)
+                continue
+            for key in sorted(set(ref[h]) | set(counts)):
+                v0, v1 = ref[h].get(key, 0), counts.get(key, 0)
+                if v0 != v1:
+                    i, j = key
+                    ok[i][j] = False
+                    if witness is None:
+                        witness = (i, j, h, ref_pair[h], (x, y), v0, v1)
+    values = tuple(
+        tuple(tuple(ref[h].get((i, j), 0) for j in range(D + 1)) for i in range(D + 1))
+        for h in range(D + 1)
+    )
+    return values, tuple(map(tuple, ok)), witness

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drdkit.corpus import cycle, cycle_with_chord, paper6
+from drdkit.corpus import cycle, cycle_with_chord, paley, paper6
 import drdkit.ratlin as ratlin
 from drdkit.digraph import MAX_VERTICES, Digraph, distance_table
 from drdkit.errors import DimensionMismatch, InvalidPartition
@@ -25,7 +25,7 @@ from drdkit.ratlin import (
     span_solve,
     transpose,
 )
-from drdkit.scheme import distance_matrices
+from drdkit.scheme import distance_matrices, distance_polynomials
 
 from oracles import minimal_polynomial_coeffs
 
@@ -128,6 +128,111 @@ class TestSpanSolve:
         basis = [RatMatrix.from_rows([[2, 0], [0, 0]]), RatMatrix.from_rows([[0, 3], [0, 0]])]
         target = RatMatrix.from_rows([[1, 1], [0, 0]])
         assert span_solve(target, basis) == (Fraction(1, 2), Fraction(1, 3))
+
+
+@st.composite
+def _wide_families_with_targets(draw):
+    """A family of up to 4 integer matrices with entries within 8 of
+    +-2**40 or small, possibly with dependent members, and a target that is
+    a Fraction combination of the family or arbitrary."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    near = st.integers(2**40 - 8, 2**40 + 8)
+    entry = st.one_of(st.integers(-3, 3), near, near.map(lambda x: -x))
+    matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    family = draw(st.lists(matrix, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        family.append([[x - y for x, y in zip(r0, r1)] for r0, r1 in zip(family[0], family[-1])])
+    if draw(st.booleans()):
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+        coeffs = draw(st.lists(coeff, min_size=len(family), max_size=len(family)))
+        target = [
+            [sum(c * m[r][k] for c, m in zip(coeffs, family)) for k in range(cols)]
+            for r in range(rows)
+        ]
+    else:
+        target = draw(matrix)
+    return family, target
+
+
+def _all_ints(basis: SpanBasis) -> bool:
+    return all(
+        type(x) is int for _, vec, combo in basis._rows for x in (*vec, *combo)
+    )
+
+
+class TestFractionFreeElimination:
+    @settings(max_examples=80, deadline=None)
+    @given(_families_with_targets())
+    def test_rows_hold_only_ints(self, case):
+        family, _ = case
+        assert _all_ints(SpanBasis([RatMatrix.from_rows(m) for m in family]))
+
+    def test_fraction_family_rows_hold_only_ints(self):
+        family = [
+            RatMatrix.from_rows([[Fraction(1, 2), Fraction(2, 3)], [0, 5]]),
+            RatMatrix.from_rows([[Fraction(-7, 4), 1], [Fraction(1, 6), 0]]),
+            RatMatrix.from_rows([[Fraction(3, 10), 0], [0, Fraction(9, 7)]]),
+        ]
+        basis = SpanBasis(family)
+        assert len(basis._rows) == 3 and _all_ints(basis)
+        target = family[0].scale(Fraction(2, 9)).add(family[2].scale(-3))
+        assert basis.solve(target) == (Fraction(2, 9), 0, -3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_wide_families_with_targets())
+    def test_wide_entries_match_sympy_rank_and_coordinates(self, case):
+        family, target = case
+        basis = SpanBasis([RatMatrix.from_rows(m) for m in family])
+        assert len(basis._rows) == _rank(family) and _all_ints(basis)
+        coords = basis.solve(RatMatrix.from_rows(target))
+        assert (coords is None) == (_rank(family + [target]) > _rank(family))
+        if coords is not None and _rank(family) == len(family):
+            # Independent family: the coordinates are unique.
+            a = sympy.Matrix([[_rational(x) for row in m for x in row] for m in family]).T
+            b = sympy.Matrix([_rational(x) for row in target for x in row])
+            expected = (a.T * a).inv() * a.T * b
+            assert [_rational(c) for c in coords] == list(expected)
+
+    def test_reduce_creates_no_fraction(self, monkeypatch):
+        family = [
+            RatMatrix.from_rows([[1, 2], [3, 4]]),
+            RatMatrix.from_rows([[Fraction(1, 3), 0], [2, Fraction(-5, 2)]]),
+            RatMatrix.from_rows([[0, 7], [1, 1]]),
+        ]
+
+        def refuse(*args):
+            raise AssertionError("Fraction created during elimination")
+
+        monkeypatch.setattr(ratlin, "Fraction", refuse)
+        basis = SpanBasis(family)
+        vec, combo = [3, 9, 16, -10], [0, 0, 0, 1]  # M_0 + 6 M_1 + M_2
+        basis._reduce(vec, combo)
+        assert not any(vec) and all(type(x) is int for x in combo)
+        assert [Fraction(-c, combo[-1]) for c in combo[:-1]] == [1, 6, 1]
+
+
+class TestIntegralEvaluation:
+    def test_hoffman_polynomial_value_keeps_the_int64_form(self):
+        g = paper6()
+        h = hoffman_polynomial(g).poly
+        assert any(isinstance(c, Fraction) for c in h.coeffs)
+        value = eval_poly_at_matrix(h, adjacency_matrix(g))
+        assert value.int64 is not None and value == RatMatrix.ones(6)
+
+    def test_distance_polynomial_value_keeps_the_int64_form(self):
+        g = paley(19)
+        dm = distance_matrices(g, distance_table(g))
+        p2 = distance_polynomials(dm)[2]
+        assert any(isinstance(c, Fraction) for c in p2.coeffs)
+        value = eval_poly_at_matrix(p2, dm.adjacency)
+        assert value.int64 is not None and value == dm.mats[2]
+
+    def test_non_integral_value_stays_exact(self):
+        a = adjacency_matrix(cycle(3))
+        value = eval_poly_at_matrix(RatPolynomial.from_coeffs([Fraction(1, 3), Fraction(1, 2)]), a)
+        assert value.int64 is None
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        assert value.entries == ((third, half, 0), (0, third, half), (half, 0, third))
 
 
 class TestMinimalPolynomial:

@@ -1,7 +1,12 @@
-import pytest
+from unittest import mock
 
-from drdkit.corpus import cycle, cycle_with_chord, kautz, paper6
-from drdkit.digraph import distance_table
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import drdkit.scheme as scheme
+from drdkit.corpus import cycle, cycle_with_chord, kautz, paley, paper6
+from drdkit.digraph import Digraph, distance_table, strongly_connected
 from drdkit.partitions import check_definition_drd
 from drdkit.ratlin import (
     RatMatrix,
@@ -26,7 +31,7 @@ from drdkit.scheme import (
 )
 from drdkit.spectral import is_normal
 
-from oracles import count_walks
+from oracles import count_walks, pair_counts_by_dict
 
 
 def build(g):
@@ -378,6 +383,69 @@ class TestWeakDistanceRegularity:
                 continue
             dm = distance_matrices(g, t)
             assert comellas_damerell_link(g, dm, t), name
+
+
+def _strongly_connected_digraphs(max_n: int):
+    """Hypothesis strategy: strongly connected simple digraphs on 1..max_n
+    vertices. An arc set that is not strongly connected gets the arcs of the
+    cycle 0 -> 1 -> ... -> n-1 -> 0 added, so every strongly connected
+    digraph can be drawn as it is."""
+
+    def make(n: int, bits: int) -> Digraph:
+        positions = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = {p for i, p in enumerate(positions) if bits >> i & 1}
+        if not strongly_connected(Digraph.from_arcs(n, arcs)):
+            arcs |= {(v, (v + 1) % n) for v in range(n) if n > 1}
+        return Digraph.from_arcs(n, sorted(arcs))
+
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(make, st.just(n), st.integers(0, (1 << (n * (n - 1))) - 1))
+    )
+
+
+def _assert_scan_matches_oracle(t):
+    scan = pair_intersection_counts(t)
+    values, ok, witness = pair_counts_by_dict(t.dist, t.diameter)
+    assert scan.values == values
+    assert scan.ok == ok
+    assert scan.witness == witness
+    assert (scan.witness is None) == scan.all_constant
+
+
+class TestPairCountScan:
+    @settings(max_examples=150, deadline=None)
+    @given(_strongly_connected_digraphs(9), st.sampled_from([1, 50, scheme.SCAN_BLOCK]))
+    def test_matches_the_dictionary_oracle(self, g, cap):
+        t = distance_table(g)
+        with mock.patch.object(scheme, "SCAN_BLOCK", cap):
+            _assert_scan_matches_oracle(t)
+
+    @pytest.mark.parametrize(
+        "g, step",
+        [(paley(7), 3), (cycle_with_chord(6), 5), (cycle_with_chord(5), 7), (kautz(2, 3), 5)],
+    )
+    def test_blocks_that_split_rows_unevenly(self, g, step):
+        """Blocks of `step` pairs cross row ends, and the last is short."""
+        t = distance_table(g)
+        assert g.n % step and (g.n * g.n) % step
+        cap = step * max(g.n, (t.diameter + 1) ** 2)
+        with mock.patch.object(scheme, "SCAN_BLOCK", cap):
+            _assert_scan_matches_oracle(t)
+
+    def test_a_row_larger_than_the_block_cap(self):
+        g = cycle(40)
+        t = distance_table(g)
+        assert g.n * (t.diameter + 1) ** 2 > scheme.SCAN_BLOCK
+        _assert_scan_matches_oracle(t)
+        assert pair_intersection_counts(t).all_constant
+
+    def test_witness_is_first_pair_at_lowest_slot(self):
+        # Pair (0, 1) is the first of class 1; (0, 2) is the next pair of
+        # class 1 and differs from it first at (i, j) = (1, 1): no z has
+        # d(0,z) = 1 = d(z,1), while z = 1 has d(0,1) = 1 = d(1,2).
+        t = distance_table(cycle_with_chord(4))
+        scan = pair_intersection_counts(t)
+        assert scan.witness == (1, 1, 1, (0, 1), (0, 2), 0, 1)
 
 
 class TestOneStepExpansions:
