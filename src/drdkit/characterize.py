@@ -10,6 +10,7 @@ check's verdict.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Union
@@ -75,6 +76,12 @@ class CheckConfig:
     max_walk_len: Optional[int] = None
     chars: Optional[tuple[str, ...]] = None
     experimental_nx: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("tol", "cluster_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidParameter(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

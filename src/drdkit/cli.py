@@ -3,7 +3,7 @@
 Exit codes for `check`: 0 all characterizations agree on yes; 1 they agree on
 no; 2 nothing applicable (not strongly connected); 3 internal disagreement
 between characterizations (a bug signal, never a property of the input);
-4 I/O or parse errors.
+4 I/O, parse or parameter errors.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .corpus import (
     generate,
     random_sc,
 )
-from .digraph import parse_digraph
+from .digraph import Digraph, _check_size, parse_digraph
 from .errors import DrdError, InternalInconsistency, ParseError
 from .report import canonical_json, human_summary, report_document, spectral_block
 
@@ -106,14 +106,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     chars = tuple(args.char.split(",")) if args.char else None
-    config = CheckConfig(
-        tol=args.tol,
-        cluster_tol=args.cluster_tol,
-        max_walk_len=args.max_walk_len,
-        chars=chars,
-        experimental_nx=args.experimental_nx,
-    )
     try:
+        config = CheckConfig(
+            tol=args.tol,
+            cluster_tol=args.cluster_tol,
+            max_walk_len=args.max_walk_len,
+            chars=chars,
+            experimental_nx=args.experimental_nx,
+        )
         report = check_all(g, config)
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
@@ -151,10 +151,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.n_min < 1 or args.n_max < args.n_min:
-        print("error: need 1 <= n_min <= n_max", file=sys.stderr)
+    if args.n_min < 1 or args.n_max < args.n_min or args.count < 0:
+        print("error: need 1 <= n_min <= n_max and count >= 0", file=sys.stderr)
         return EXIT_ERROR
-    config = CheckConfig(tol=args.tol, cluster_tol=args.cluster_tol)
     tally = {"yes": 0, "no": 0, "not-applicable": 0}
     disagreements = 0
 
@@ -173,21 +172,25 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         overall = report.overall
         tally[overall if overall is not None else "not-applicable"] += 1
 
-    if args.exhaustive:
-        for n in range(args.n_min, args.n_max + 1):
-            for g in all_strongly_connected_digraphs(n):
-                run_one(g)
-    else:
-        rng = random.Random(args.seed)
-        for _ in range(args.count):
-            n = rng.randint(args.n_min, args.n_max)
-            if n == 1:
-                from .digraph import Digraph
-
-                run_one(Digraph.from_arcs(1, []))
-                continue
-            p = rng.uniform(0.2, 0.7)
-            run_one(random_sc(n, p, seed=rng.randrange(1 << 30)))
+    try:
+        _check_size(args.n_max)
+        config = CheckConfig(tol=args.tol, cluster_tol=args.cluster_tol)
+        if args.exhaustive:
+            for n in range(args.n_min, args.n_max + 1):
+                for g in all_strongly_connected_digraphs(n):
+                    run_one(g)
+        else:
+            rng = random.Random(args.seed)
+            for _ in range(args.count):
+                n = rng.randint(args.n_min, args.n_max)
+                if n == 1:
+                    run_one(Digraph.from_arcs(1, []))
+                    continue
+                p = rng.uniform(0.2, 0.7)
+                run_one(random_sc(n, p, seed=rng.randrange(1 << 30)))
+    except DrdError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     total = sum(tally.values())
     print(

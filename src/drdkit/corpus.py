@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .digraph import Digraph, strongly_connected
+from .digraph import Digraph, _check_size, strongly_connected
 from .errors import InvalidParameter
 
 FAMILIES = (
@@ -137,6 +137,7 @@ def random_sc(
         raise InvalidParameter("random-sc needs n >= 1")
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter(f"arc probability {p} outside [0, 1]")
+    _check_size(n)
     rng = random.Random(seed)
     for _ in range(max_attempts):
         arcs = [

@@ -1,16 +1,13 @@
-"""Exact rational dense linear algebra.
-
-Entries are Python ints or ``fractions.Fraction``; nothing here ever rounds.
+"""Exact rational dense linear algebra; nothing here ever rounds.
 That exactness is what lets the combinatorial characterizations run with zero
 tolerance: every quantity they compare is an integer identity.
 
-A matrix built from integer data (identity, zeros, ones, adjacency and class
-matrices, and every sum, integer multiple and product of such matrices that
-provably fits) also carries its values as a read-only numpy ``int64`` array.
-`mat_mul` multiplies those arrays directly when the bound
-(max row sum of |a|) * max |b| < 2**63 proves that no partial sum can
-overflow; otherwise, and whenever an operand has Fraction entries, it runs
-the Python-int loop, whose integers never overflow.
+A matrix is an integer numerator array and one positive integer denominator,
+kept in lowest terms by the constructor. The array is int64 when every entry
+has absolute value below 2**63 and a ``dtype=object`` array of Python ints
+otherwise. `mat_mul` is one dispatch: ``@`` on the int64 arrays when the
+bound (max row sum of |a|) * max |b| < 2**63 proves that no partial sum can
+overflow, else ``@`` on object arrays, whose Python ints never overflow.
 
 One exact elimination routine, `SpanBasis._reduce`, serves every span solve
 over a family that is not a partition basis. It is fraction-free: members
@@ -51,68 +48,72 @@ def _norm(x: Rational) -> Rational:
     return x
 
 
+def _clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """(s * values, s) for the least s > 0 that makes every value an
+    integer: the lcm of the denominators."""
+    s = lcm(*(x.denominator for x in values))
+    return [x.numerator * (s // x.denominator) for x in values], s
+
+
 class RatMatrix:
-    """Immutable dense matrix over the rationals.
+    """Immutable dense matrix over the rationals: the integer array ``num``
+    divided by the positive int ``den``, in lowest terms, with ``num`` int64
+    exactly when every entry fits."""
 
-    ``entries`` is the row tuple form. ``int64`` is the same matrix as a
-    read-only int64 array when it was built from integer data, else None;
-    the tuple form of such a matrix is only made when something reads it.
-    """
+    __slots__ = ("num", "den", "_bounds")
 
-    __slots__ = ("_entries", "_int64", "_bounds")
-
-    def __init__(
-        self,
-        entries: Optional[tuple[tuple[Rational, ...], ...]] = None,
-        int64: Optional[np.ndarray] = None,
-    ):
-        """Give exactly one form; a 2-d int64 array is then owned by the matrix."""
-        if int64 is not None:
-            int64.flags.writeable = False
-        self._entries = entries
-        self._int64 = int64
+    def __init__(self, num: np.ndarray, den: int = 1):
+        """The matrix num / den for a 2-d int64 or object array of integers,
+        which the matrix then owns, and an int den > 0."""
+        if den != 1:
+            content = int(np.gcd.reduce(num, axis=None))
+            g = gcd(content, den)
+            if g > 1:
+                # A zero num has content 0 and g = den, which may not fit int64.
+                num, den = (num // g if content else num), den // g
+        if num.dtype == object and (not num.size or np.abs(num).max() < INT64_LIMIT):
+            num = num.astype(np.int64)
+        num.flags.writeable = False
+        self.num = num
+        self.den = den
         self._bounds: Optional[tuple[int, int]] = None
 
     @property
     def entries(self) -> tuple[tuple[Rational, ...], ...]:
-        if self._entries is None:
-            self._entries = tuple(map(tuple, self._int64.tolist()))
-        return self._entries
+        """Row tuples of ints and Fractions, a read-only view."""
+        rows = self.num.tolist()
+        if self.den == 1:
+            return tuple(map(tuple, rows))
+        return tuple(tuple(_norm(Fraction(x, self.den)) for x in row) for row in rows)
 
     @property
     def int64(self) -> Optional[np.ndarray]:
-        return self._int64
+        """The int64 numerator of an integer matrix, else None."""
+        return self.num if self.den == 1 and self.num.dtype == np.int64 else None
 
     def abs_bounds(self) -> tuple[int, int]:
         """(max |entry|, an upper bound on the max row sum of |entries|) of
-        the int64 form, as Python ints."""
+        the numerator, as Python ints."""
         if self._bounds is None:
-            a = self._int64
+            a = self.num
             top = max(int(a.max()), -int(a.min()))
             # Below the limit, no |entry| is -2**63 and no row sum overflows.
             wide = top * a.shape[1]
-            row = int(np.abs(a).sum(axis=1).max()) if wide < INT64_LIMIT else wide
-            self._bounds = (top, row)
+            exact = a.dtype == object or wide < INT64_LIMIT
+            self._bounds = (top, int(np.abs(a).sum(axis=1).max()) if exact else wide)
         return self._bounds
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        if self._int64 is not None and other._int64 is not None:
-            return bool(np.array_equal(self._int64, other._int64))
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+        return self.den == other.den and bool(np.array_equal(self.num, other.num))
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.entries!r})"
 
     @property
     def shape(self) -> tuple[int, int]:
-        if self._int64 is not None:
-            return self._int64.shape
-        return (len(self._entries), len(self._entries[0]) if self._entries else 0)
+        return self.num.shape
 
     @property
     def rows(self) -> int:
@@ -124,91 +125,61 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "RatMatrix":
-        return cls(tuple(tuple(_norm(x) for x in row) for row in rows))
+        flat, den = _clear_denominators([x for row in rows for x in row])
+        return cls(np.array(flat, dtype=object).reshape(len(rows), -1), den)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(int64=np.eye(n, dtype=np.int64))
+        return cls(np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(int64=np.zeros((rows, cols), dtype=np.int64))
+        return cls(np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def ones(cls, rows: int, cols: Optional[int] = None) -> "RatMatrix":
-        if cols is None:
-            cols = rows
-        return cls(int64=np.ones((rows, cols), dtype=np.int64))
+        return cls(np.ones((rows, rows if cols is None else cols), dtype=np.int64))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.flat())
-
-    def flat(self) -> list[Rational]:
-        """Row-major vectorization."""
-        if self._int64 is not None:
-            return self._int64.ravel().tolist()
-        return [x for row in self.entries for x in row]
+        return not self.num.any()
 
     def scale(self, c: Rational) -> "RatMatrix":
-        c = _norm(c)
-        if (
-            self._int64 is not None
-            and isinstance(c, int)
-            and abs(c) * max(self.abs_bounds()[0], 1) < INT64_LIMIT
-        ):
-            return RatMatrix(int64=self._int64 * c)
-        return RatMatrix(tuple(tuple(_norm(c * x) for x in row) for row in self.entries))
+        num = self.num
+        if abs(c.numerator) * max(self.abs_bounds()[0], 1) >= INT64_LIMIT:
+            num = num.astype(object)
+        return RatMatrix(num * c.numerator, self.den * c.denominator)
 
     def add(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-        if (
-            self._int64 is not None
-            and other._int64 is not None
-            and self.abs_bounds()[0] + other.abs_bounds()[0] < INT64_LIMIT
-        ):
-            return RatMatrix(int64=self._int64 + other._int64)
-        return RatMatrix(
-            tuple(
-                tuple(_norm(a + b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        den = lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
+        a, b = self.num, other.num
+        if u * max(self.abs_bounds()[0], 1) + v * max(other.abs_bounds()[0], 1) >= INT64_LIMIT:
+            a, b = a.astype(object), b.astype(object)
+        return RatMatrix(a + b if den == 1 else a * u + b * v, den)
 
     def sub(self, other: "RatMatrix") -> "RatMatrix":
         return self.add(other.scale(-1))
 
 
 def adjacency_matrix(g: Digraph) -> RatMatrix:
-    return RatMatrix(int64=np.array(g.adj, dtype=np.int64))
+    return RatMatrix(np.array(g.adj, dtype=np.int64))
 
 
 def transpose(a: RatMatrix) -> RatMatrix:
-    if a.int64 is not None:
-        return RatMatrix(int64=np.ascontiguousarray(a.int64.T))
-    return RatMatrix(tuple(zip(*a.entries)))
+    return RatMatrix(np.ascontiguousarray(a.num.T), a.den)
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact product: on the int64 forms when both operands carry one and the
-    overflow bound holds, else by the Python-int loop."""
+    """Exact product: ``@`` on the int64 numerators when the overflow bound
+    holds, else on object arrays."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"mat_mul {a.shape} vs {b.shape}")
-    ai, bi = a.int64, b.int64
-    if ai is not None and bi is not None and a.abs_bounds()[1] * b.abs_bounds()[0] < INT64_LIMIT:
-        return RatMatrix(int64=ai @ bi)
-    bt = tuple(zip(*b.entries))
-    out = []
-    for row in a.entries:
-        out_row = []
-        for col in bt:
-            s: Rational = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    s += x * y
-            out_row.append(_norm(s))
-        out.append(tuple(out_row))
-    return RatMatrix(tuple(out))
+    x, y = a.num, b.num
+    if a.abs_bounds()[1] * b.abs_bounds()[0] >= INT64_LIMIT:
+        x, y = x.astype(object), y.astype(object)
+    return RatMatrix(x @ y, a.den * b.den)
 
 
 class PartitionBasis:
@@ -233,7 +204,7 @@ class PartitionBasis:
     @classmethod
     def from_matrices(cls, mats: Sequence[RatMatrix]) -> Optional["PartitionBasis"]:
         """The partition basis of mats, or None unless they are nonzero 01
-        matrices of one shape, all with int64 forms, that sum to all-ones."""
+        matrices of one shape that sum to all-ones."""
         arrs = [m.int64 for m in mats]
         if not arrs or any(a is None for a in arrs) or len({a.shape for a in arrs}) != 1:
             return None
@@ -246,22 +217,22 @@ class PartitionBasis:
             return None
         return cls(stack.argmax(axis=0), len(mats))
 
-    def _values(self, target: RatMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """The target as an array (int64, or object for Python-int and
-        Fraction entries) and its value at each class representative."""
+    def _off_class(self, target: RatMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """The target numerator's value at each class representative, and
+        where the numerator differs from its class's value."""
         if target.shape != self.shape:
             raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
-        m = target.int64
-        if m is None:
-            m = np.array(target.entries, dtype=object)
-        return m, m.ravel()[self._reps]
+        values = target.num.ravel()[self._reps]
+        return values, target.num != values[self.index]
 
     def solve(self, target: RatMatrix) -> Optional[tuple[Rational, ...]]:
         """Exact coefficients c with sum(c_i * M_i) = target, or None."""
-        m, values = self._values(target)
-        if (m != values[self.index]).any():
+        values, bad = self._off_class(target)
+        if bad.any():
             return None
-        return tuple(values.tolist())
+        if target.den == 1:
+            return tuple(values.tolist())
+        return tuple(_norm(Fraction(v, target.den)) for v in values.tolist())
 
     def deviation(
         self, target: RatMatrix
@@ -270,28 +241,13 @@ class PartitionBasis:
         which it is not constant, the representative position of class i and
         the first position of class i, in row-major order, where the target
         differs from it."""
-        m, values = self._values(target)
-        bad = m != values[self.index]
+        _, bad = self._off_class(target)
         if not bad.any():
             return None
         i = int(self.index[bad].min())
         pos = int(np.flatnonzero(bad & (self.index == i))[0])
         cols = self.shape[1]
         return i, divmod(int(self._reps[i]), cols), divmod(pos, cols)
-
-
-def _clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
-    """(s * values, s) for the least s > 0 that makes every value an
-    integer: the lcm of the denominators."""
-    s = lcm(*(x.denominator for x in values))
-    return [x.numerator * (s // x.denominator) for x in values], s
-
-
-def _integer_vector(m: RatMatrix) -> tuple[list[int], int]:
-    """`_clear_denominators` of m vectorized row-major; s = 1 for an int64 form."""
-    if m.int64 is not None:
-        return m.int64.ravel().tolist(), 1
-    return _clear_denominators(m.flat())
 
 
 class SpanBasis:
@@ -317,9 +273,9 @@ class SpanBasis:
         for k, member in enumerate(basis):
             if member.shape != self.shape:
                 raise DimensionMismatch(f"basis shapes differ: {member.shape} vs {self.shape}")
-            vec, scale = _integer_vector(member)
+            vec = member.num.ravel().tolist()
             combo = [0] * (self.size + 1)
-            combo[k] = scale
+            combo[k] = member.den
             self._reduce(vec, combo)
             pivot = next((i for i, x in enumerate(vec) if x), None)
             if pivot is not None:
@@ -346,9 +302,9 @@ class SpanBasis:
         """Exact coefficients c with sum(c_i * basis_i) = target, or None."""
         if target.shape != self.shape:
             raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
-        vec, scale = _integer_vector(target)
+        vec = target.num.ravel().tolist()
         combo = [0] * (self.size + 1)
-        combo[-1] = scale
+        combo[-1] = target.den
         self._reduce(vec, combo)
         if any(vec):
             return None
@@ -471,8 +427,7 @@ class RatPolynomial:
 def eval_poly_at_matrix(p: RatPolynomial, a: RatMatrix) -> RatMatrix:
     """Exact evaluation of p at a square matrix: Horner on the integer
     polynomial L * p, where L clears every coefficient's denominator, then
-    one division by L, in int64 when L divides every entry of an int64
-    result."""
+    one division by L."""
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
     n = a.rows
@@ -484,11 +439,7 @@ def eval_poly_at_matrix(p: RatPolynomial, a: RatMatrix) -> RatMatrix:
         acc = mat_mul(acc, a)
         if c:
             acc = acc.add(RatMatrix.identity(n).scale(c))
-    if denom == 1:
-        return acc
-    if acc.int64 is not None and not (acc.int64 % denom).any():
-        return RatMatrix(int64=acc.int64 // denom)
-    return acc.scale(Fraction(1, denom))
+    return RatMatrix(acc.num, acc.den * denom)
 
 
 def _prime_cap(n: int) -> int:
@@ -633,19 +584,13 @@ def _integer_minimal_polynomial(ints: np.ndarray, rho: int) -> list[int]:
 
 def minimal_polynomial(a: RatMatrix) -> RatPolynomial:
     """Monic least-degree polynomial annihilating a, computed modulo primes
-    and certified exactly. A matrix with Fraction entries is scaled by the
-    lcm L of its denominators: μ_a(t) = L**-d * μ_{L a}(L t)."""
+    and certified exactly on its numerator: with a = N / L,
+    μ_a(t) = L**-d * μ_N(L t)."""
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
-    if a.int64 is not None:
-        ints, rho, scale = a.int64, a.abs_bounds()[1], 1
-    else:
-        flat, scale = _clear_denominators(a.flat())
-        ints = np.array(flat, dtype=object).reshape(a.shape)
-        rho = max(sum(map(abs, row)) for row in ints.tolist())
-    coeffs = _integer_minimal_polynomial(ints, rho)
+    coeffs = _integer_minimal_polynomial(a.num, a.abs_bounds()[1])
     d = len(coeffs) - 1
-    return RatPolynomial.from_coeffs([Fraction(c, scale ** (d - i)) for i, c in enumerate(coeffs)])
+    return RatPolynomial.from_coeffs([Fraction(c, a.den ** (d - i)) for i, c in enumerate(coeffs)])
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,10 @@ def distance_matrices(g: Digraph, t: DistanceTable) -> DistanceMatrices:
         raise NotStronglyConnected("distance matrices need a strongly connected digraph")
     D = t.diameter
     dist = t.array
-    mats = tuple(RatMatrix(int64=(dist == i).astype(np.int64)) for i in range(D + 1))
+    mats = tuple(RatMatrix((dist == i).astype(np.int64)) for i in range(D + 1))
     if mats[0] != RatMatrix.identity(g.n):
         raise InternalInconsistency("A_0 != I")
-    if (sum(m.int64 for m in mats) != 1).any():
+    if (sum(m.num for m in mats) != 1).any():
         raise InternalInconsistency("distance classes do not partition X x X")
     if D >= 1 and mats[1] != adjacency_matrix(g):
         raise InternalInconsistency("A_1 != adjacency matrix")
@@ -331,7 +331,7 @@ def walk_count_constancy(
     """Check that A^l is constant on every distance class for l = 0..max_len
     (default: the diameter). max_len below the diameter would weaken the
     test and is refused. Powers past the int64 bound take mat_mul's
-    Python-int route, so long walks stay exact."""
+    object-array route, so long walks stay exact."""
     D = dm.D
     if max_len is None:
         max_len = D
@@ -346,7 +346,7 @@ def walk_count_constancy(
         off = classes.deviation(power)
         if off is not None:
             h, (x0, y0), (x, y) = off
-            v0, v1 = power.entries[x0][y0], power.entries[x][y]
+            v0, v1 = int(power.num[x0, y0]), int(power.num[x, y])
             return WalkConstancy(False, max_len, (ell, h, (x0, y0), (x, y), v0, v1))
     return WalkConstancy(True, max_len, None)
 
@@ -489,7 +489,7 @@ def two_way_relations(t: DistanceTable) -> TwoWayRelations:
     index = index.reshape(dist.shape)
     pairs = tuple(divmod(int(c), base) for c in codes)
     classes = tuple(
-        RatMatrix(int64=(index == i).astype(np.int64)) for i in range(len(pairs))
+        RatMatrix((index == i).astype(np.int64)) for i in range(len(pairs))
     )
     return TwoWayRelations(pairs, classes)
 

@@ -57,9 +57,7 @@ class Spectrum:
 
 def _as_float_array(a: Union[RatMatrix, Sequence[Sequence[int]]]) -> np.ndarray:
     if isinstance(a, RatMatrix):
-        if a.int64 is not None:
-            return a.int64.astype(float)
-        return np.array([[float(x) for x in row] for row in a.entries], dtype=float)
+        return np.asarray(a.num / a.den, dtype=float)
     return np.array(a, dtype=float)
 
 

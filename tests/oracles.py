@@ -3,8 +3,9 @@
 Nothing here reuses the library's algorithms: distances come from
 Floyd-Warshall instead of BFS, girth from explicit cycle enumeration, walk
 counts from recursive enumeration, minimal polynomials from a divisor
-search over the factored characteristic polynomial, and the pair
-intersection counts from one dictionary per ordered pair.
+search over the factored characteristic polynomial, the pair
+intersection counts from one dictionary per ordered pair, and matrix
+products from the textbook triple loop.
 """
 from __future__ import annotations
 
@@ -69,6 +70,13 @@ def count_walks(adj, x: int, y: int, length: int) -> int:
         return sum(rec(u, remaining - 1) for u in range(n) if adj[v][u])
 
     return rec(x, length)
+
+
+def mat_mul_reference(a, b) -> tuple[tuple, ...]:
+    """Product of two nested lists of ints or Fractions by the triple loop,
+    as row tuples, in Python arithmetic."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), 0) for col in cols) for row in a)
 
 
 def minimal_polynomial_coeffs(adj) -> tuple[Fraction, ...]:

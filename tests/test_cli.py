@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+import drdkit.digraph
 from drdkit.cli import main
 from drdkit.corpus import cycle_with_chord, edge_list_text, paper6
 from drdkit.report import canonical_json
@@ -98,6 +100,12 @@ class TestCheckCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["checks"][-1]["id"] == "NX"
 
+    @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_invalid_tolerance_exit_four(self, paper6_file, flag, value, capsys):
+        assert main(["check", paper6_file, flag, value]) == 4
+        assert "must be finite and >= 0" in capsys.readouterr().err
+
     def test_matrix_format(self, tmp_path):
         path = tmp_path / "c3.mat"
         path.write_text("0 1 0\n0 0 1\n1 0 0\n")
@@ -147,3 +155,27 @@ class TestFuzzCommand:
 
     def test_bad_range(self, capsys):
         assert main(["fuzz", "0", "3"]) == 4
+
+    def test_negative_count(self, capsys):
+        assert main(["fuzz", "3", "4", "-5"]) == 4
+        assert "count >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_invalid_tolerance_exit_four(self, flag, value, capsys):
+        assert main(["fuzz", "1", "1", "1", flag, value]) == 4
+        assert "must be finite and >= 0" in capsys.readouterr().err
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize(
+        "argv", [["fuzz", "9", "9", "1"], ["gen", "random-sc", "9", "--seed", "1"]]
+    )
+    def test_over_the_limit_exits_four_before_sampling(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("sampled a digraph over the size limit")
+
+        monkeypatch.setattr(drdkit.digraph, "MAX_VERTICES", 8)
+        monkeypatch.setattr(random, "Random", refuse)
+        assert main(argv) == 4
+        assert "exceed the limit" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
+from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from drdkit.ratlin import (
 )
 from drdkit.scheme import distance_matrices, distance_polynomials
 
-from oracles import minimal_polynomial_coeffs
+from oracles import mat_mul_reference, minimal_polynomial_coeffs
 
 
 class TestMatrixArithmetic:
@@ -41,7 +43,9 @@ class TestMatrixArithmetic:
             mat_mul(RatMatrix.identity(2), RatMatrix.identity(3))
 
     def test_fraction_entries_survive(self):
-        m = RatMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
+        rows = [[Fraction(1, 2), 0], [0, 1]]
+        m = RatMatrix.from_rows(rows)
+        assert mat_mul(m, m).entries == mat_mul_reference(rows, rows)
         assert mat_mul(m, m).entries[0][0] == Fraction(1, 4)
 
 
@@ -323,7 +327,7 @@ class TestModularMinimalPolynomial:
 
         monkeypatch.setattr(ratlin, "_minimal_polynomial_mod", recorded)
         for a in (
-            RatMatrix(int64=np.array([[0, 0], [0, m]], dtype=np.int64)),
+            RatMatrix(np.array([[0, 0], [0, m]], dtype=np.int64)),
             RatMatrix.from_rows([[0, 0], [0, m]]),
         ):
             degrees.clear()
@@ -335,7 +339,7 @@ class TestModularMinimalPolynomial:
         # [[m]] has mu = t - m and rho = |m|, so |c_0| equals its bound: a
         # lift modulo one prime between |m| and 2|m| would be wrong.
         m = sign * (next(ratlin._primes(1)) - 1)
-        a = RatMatrix(int64=np.array([[m]], dtype=np.int64))
+        a = RatMatrix(np.array([[m]], dtype=np.int64))
         assert minimal_polynomial(a) == RatPolynomial.from_coeffs([-m, 1])
 
     def test_failed_certificate_raises_the_degree(self, monkeypatch):
@@ -354,7 +358,7 @@ class TestModularMinimalPolynomial:
 
         monkeypatch.setattr(ratlin, "_minimal_polynomial_mod", unlucky_first)
         monkeypatch.setattr(ratlin, "_vanishes", recorded)
-        a = RatMatrix(int64=np.array([[0, 0], [0, 1]], dtype=np.int64))
+        a = RatMatrix(np.array([[0, 0], [0, 1]], dtype=np.int64))
         assert minimal_polynomial(a) == RatPolynomial.from_coeffs([0, -1, 1])
         assert verdicts == [False, True]
 
@@ -362,7 +366,7 @@ class TestModularMinimalPolynomial:
     @given(_integer_matrices())
     def test_integer_matrices_against_divisor_oracle(self, rows):
         expected = minimal_polynomial_coeffs(rows)
-        for a in (RatMatrix(int64=np.array(rows, dtype=np.int64)), RatMatrix.from_rows(rows)):
+        for a in (RatMatrix(np.array(rows, dtype=np.int64)), RatMatrix.from_rows(rows)):
             assert minimal_polynomial(a).coeffs == expected
 
     def test_fraction_matrix_against_oracle_on_scaled_matrix(self):
@@ -450,11 +454,6 @@ class TestRatPolynomial:
         assert p.times_t()(x) == x * p(x)
 
 
-def _loop_product(a, b):
-    """Reference product of nested integer lists in Python ints."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 @st.composite
 def _int_matrix_pairs(draw):
     """Two n x n integer matrices, n <= 8, with entries up to 2**bits in size:
@@ -471,32 +470,42 @@ class TestInt64Kernel:
     @given(_int_matrix_pairs())
     def test_kernel_equals_python_product(self, pair):
         a, b = pair
-        ma = RatMatrix(int64=np.array(a, dtype=np.int64))
-        mb = RatMatrix(int64=np.array(b, dtype=np.int64))
-        got = mat_mul(ma, mb)
-        expected = _loop_product(a, b)
-        assert [list(r) for r in got.entries] == expected
-        assert got == mat_mul(RatMatrix.from_rows(a), RatMatrix.from_rows(b))
+        ma = RatMatrix(np.array(a, dtype=np.int64))
+        mb = RatMatrix(np.array(b, dtype=np.int64))
+        raw = []
+        init = RatMatrix.__init__
+
+        def recorded(matrix, num, den=1):
+            raw.append(num.dtype)
+            init(matrix, num, den)
+
+        with mock.patch.object(RatMatrix, "__init__", recorded):
+            got = mat_mul(ma, mb)
+        expected = mat_mul_reference(a, b)
+        assert got.entries == expected
         row_bound = max(sum(abs(x) for x in r) for r in a)
         top = max(abs(x) for r in b for x in r)
-        # The int64 route is taken exactly when the proved bound holds.
-        assert (got.int64 is not None) == (row_bound * top < INT64_LIMIT)
+        # The int64 route is taken exactly when the proved bound holds; the
+        # product is then stored as int64 exactly when every entry fits.
+        assert (raw == [np.int64]) == (row_bound * top < INT64_LIMIT)
+        fits = all(abs(x) < INT64_LIMIT for r in expected for x in r)
+        assert (got.int64 is not None) == fits
 
     def test_bound_edges(self):
         # 2**63 - 1 = 7 * 1317624576693539401: the largest product that fits.
         big = (INT64_LIMIT - 1) // 7
         under = mat_mul(
-            RatMatrix(int64=np.array([[7]], dtype=np.int64)),
-            RatMatrix(int64=np.array([[big]], dtype=np.int64)),
+            RatMatrix(np.array([[7]], dtype=np.int64)),
+            RatMatrix(np.array([[big]], dtype=np.int64)),
         )
         assert under.int64 is not None and under.entries == ((INT64_LIMIT - 1,),)
         over = mat_mul(
-            RatMatrix(int64=np.array([[8]], dtype=np.int64)),
-            RatMatrix(int64=np.array([[big]], dtype=np.int64)),
+            RatMatrix(np.array([[8]], dtype=np.int64)),
+            RatMatrix(np.array([[big]], dtype=np.int64)),
         )
         assert over.int64 is None and over.entries == ((8 * big,),)
         # Entries that fit but whose sum would wrap around in int64.
-        half = RatMatrix(int64=np.full((2, 2), 2**62, dtype=np.int64))
+        half = RatMatrix(np.full((2, 2), 2**62, dtype=np.int64))
         ones = RatMatrix.ones(2)
         assert mat_mul(half, ones).entries == ((2**63, 2**63), (2**63, 2**63))
         assert half.add(half).entries == ((2**63, 2**63), (2**63, 2**63))
@@ -509,6 +518,57 @@ class TestInt64Kernel:
             power = mat_mul(power, a)
         assert power.int64 is not None
         assert sum(power.entries[0]) == 2**10
+
+
+@st.composite
+def _rational_programs(draw):
+    """The matrices of a random program of from_rows, scale, add, mat_mul
+    and transpose on n x n matrices, each with its Fraction reference rows.
+    Entries are small, Fractions or near +-2**62, and factors include
+    +-2**70 and 2**-70, so products and sums cross the int64 range both
+    ways."""
+    n = draw(st.integers(1, 3))
+    near = st.integers(2**62 - 4, 2**62 + 4)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    entry = st.one_of(st.integers(-3, 3), small, near, near.map(lambda x: -x))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    factor = st.one_of(small, st.sampled_from([2**70, -(2**70), Fraction(1, 2**70)]))
+    pool = [
+        (RatMatrix.from_rows(r), [[Fraction(x) for x in row] for row in r])
+        for r in draw(st.lists(rows, min_size=1, max_size=3))
+    ]
+    for _ in range(draw(st.integers(0, 8))):
+        op = draw(st.sampled_from(["scale", "add", "mul", "transpose"]))
+        (m, ref), (m2, ref2) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if op == "scale":
+            c = draw(factor)
+            pool.append((m.scale(c), [[c * x for x in row] for row in ref]))
+        elif op == "add":
+            pool.append((m.add(m2), [[x + y for x, y in zip(*r)] for r in zip(ref, ref2)]))
+        elif op == "mul":
+            pool.append((mat_mul(m, m2), [list(r) for r in mat_mul_reference(ref, ref2)]))
+        else:
+            pool.append((transpose(m), [list(col) for col in zip(*ref)]))
+    return pool
+
+
+class TestCanonicalForm:
+    @settings(max_examples=150, deadline=None)
+    @given(_rational_programs())
+    def test_lowest_terms_and_dtype_rule(self, pool):
+        for m, ref in pool:
+            assert m.entries == tuple(map(tuple, ref))
+            flat = m.num.ravel().tolist()
+            assert m.den > 0 and gcd(*flat, m.den) == 1
+            fits = all(abs(x) < INT64_LIMIT for x in flat)
+            assert m.num.dtype == (np.int64 if fits else object)
+        for (m, ref), (m2, ref2) in product(pool, repeat=2):
+            assert (m == m2) == (ref == ref2)
+
+    def test_zero_with_a_denominator_past_int64(self):
+        tiny = RatMatrix.identity(2).scale(Fraction(1, 2**70))
+        zero = mat_mul(RatMatrix.zeros(2, 2), tiny)
+        assert zero.int64 is not None and zero == RatMatrix.zeros(2, 2)
 
 
 @st.composite
@@ -536,12 +596,12 @@ class TestPartitionBasis:
     def test_constancy_matches_elimination(self, case):
         index, coords, (bx, by, delta) = case
         n, s = index.shape[0], len(coords)
-        mats = [RatMatrix(int64=(index == i).astype(np.int64)) for i in range(s)]
+        mats = [RatMatrix((index == i).astype(np.int64)) for i in range(s)]
         fast = PartitionBasis.from_matrices(mats)
         slow = SpanBasis(mats)
         rows = [[coords[index[x, y]] for y in range(n)] for x in range(n)]
         if all(isinstance(c, int) for c in coords):
-            target = RatMatrix(int64=np.array(rows, dtype=np.int64))
+            target = RatMatrix(np.array(rows, dtype=np.int64))
         else:
             target = RatMatrix.from_rows(rows)
         rows[bx][by] += delta
@@ -586,7 +646,7 @@ class TestExactHorner:
             for x in range(n):
                 for y in range(n):
                     expected[x][y] += c * power[x][y]
-            power = _loop_product(power, rows)
-        a = RatMatrix(int64=np.array(rows, dtype=np.int64))
+            power = mat_mul_reference(power, rows)
+        a = RatMatrix(np.array(rows, dtype=np.int64))
         got = eval_poly_at_matrix(RatPolynomial.from_coeffs(coeffs), a)
         assert got == RatMatrix.from_rows(expected)

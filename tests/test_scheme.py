@@ -220,7 +220,7 @@ class TestWalkCounts:
             walk_count_constancy(g, dm, max_len=2)
 
     def test_walks_past_the_int64_bound_stay_exact(self):
-        # Row sums of A^l are 2^l on paper6, so l = 70 needs the Python-int
+        # Row sums of A^l are 2^l on paper6, so l = 70 needs the object-array
         # route; the verdicts must match the default walk length.
         for g in (paper6(), cycle_with_chord(4)):
             _, dm = build(g)
