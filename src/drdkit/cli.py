@@ -2,8 +2,8 @@
 
 Exit codes for `check`: 0 all characterizations agree on yes; 1 they agree on
 no; 2 nothing applicable (not strongly connected); 3 internal disagreement
-between characterizations (a bug signal, never a property of the input);
-4 I/O, parse or parameter errors.
+between characterizations or a failed exact certificate (a bug signal, never
+a property of the input); 4 I/O, parse or parameter errors.
 """
 from __future__ import annotations
 

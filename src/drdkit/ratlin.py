@@ -15,16 +15,27 @@ are scaled to integers once, each step cross-multiplies and divides by the
 content gcd, and Fractions appear only in the coordinates a solve returns.
 
 The minimal polynomial is computed modulo word-size primes and lifted by the
-Chinese remainder theorem (Wiedemann, IEEE Trans. Inf. Theory 32, 1986; the
-lift-then-verify pattern of Dixon, Numer. Math. 40, 1982). Every prime p is
-at most a cap that depends on n alone and proves n * (p - 1)**2 < 2**63, so
-the products and elimination steps mod p never overflow int64. The lifted
-candidate is accepted only after μ(A) = 0 is proved over the integers by
-evaluating it modulo fresh primes whose product exceeds a bound on every
-entry of μ(A); the result never depends on chance.
+Chinese remainder theorem (the lift-then-verify pattern of Dixon, Numer.
+Math. 40, 1982). Over GF(p), the Krylov sequence v, Av, A^2 v, ... of one
+fixed integer vector v is eliminated up to its first dependence, which costs
+O(n**3) per prime (Wiedemann, IEEE Trans. Inf. Theory 32, 1986). That
+polynomial divides μ, so the lifted candidate is accepted only after
+μ(A) = 0 is proved over the integers, modulo fresh primes whose product
+exceeds a bound on every entry of μ(A). If the proof fails, the search goes
+on at a larger degree, and every later prime takes the lcm of the Krylov
+polynomials of v and of each unit vector, which is μ mod p itself. The
+result never depends on chance.
+
+Every prime p is at most a cap that depends on n alone and proves
+n * (p - 1)**2 < 2**53. The Krylov and elimination steps then fit in int64,
+and the proof's products run on float64 BLAS: with both factors reduced mod
+p, every partial sum of an entry is an integer below 2**53, which float64
+holds, so the product is exact in any summation order (the argument of
+FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,11 +45,12 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .digraph import Digraph, regularity, strongly_connected
-from .errors import DimensionMismatch, InvalidPartition
+from .errors import DimensionMismatch, InternalInconsistency, InvalidPartition
 
 Rational = Union[int, Fraction]
 
 INT64_LIMIT = 1 << 63  # every int64 has absolute value below this, except -2**63
+FLOAT64_EXACT = 1 << 53  # float64 holds every integer of absolute value up to this
 
 
 def _norm(x: Rational) -> Rational:
@@ -443,10 +455,11 @@ def eval_poly_at_matrix(p: RatPolynomial, a: RatMatrix) -> RatMatrix:
 
 
 def _prime_cap(n: int) -> int:
-    """The largest p with n * (p - 1)**2 < 2**63: mod such a p, a product
-    entry of two reduced n x n matrices, a combination of at most n reduced
-    vectors and every elimination step fit in int64."""
-    return isqrt((INT64_LIMIT - 1) // n) + 1
+    """The largest p with n * (p - 1)**2 < 2**53: mod such a p, an entry of
+    the product of two reduced n x n matrices is an integer below 2**53, so
+    float64 holds it and every partial sum exactly, and every Krylov and
+    elimination step fits in int64."""
+    return isqrt((FLOAT64_EXACT - 1) // n) + 1
 
 
 def _is_prime(m: int) -> bool:
@@ -490,55 +503,113 @@ def _primes(n: int) -> Iterator[int]:
         yield p
 
 
-def _minimal_polynomial_mod(a: np.ndarray, p: int) -> list[int]:
-    """Monic minimal polynomial of a over GF(p), lowest power first, with
-    coefficients in [0, p): the first dependence among the vectorized powers
-    I, a, a^2, ..., found by growing their reduced echelon form mod p.
+@lru_cache(maxsize=256)
+def _krylov_vector(n: int) -> np.ndarray:
+    """The fixed start vector for n x n matrices: entries below 2**20 from a
+    generator seeded with n, so every run at a given n uses the same vector.
+    Cached per n, because building the generator costs more than the
+    minimal polynomial of a small matrix. The standard library's generator
+    is used because importing numpy.random adds about 6 MB of memory."""
+    rng = random.Random(n)
+    v = np.array([rng.getrandbits(20) for _ in range(n)], dtype=np.int64)
+    v.flags.writeable = False
+    return v
 
-    a is an int64 array with entries in [0, p) and p is at most
-    `_prime_cap` of its size."""
+
+def _krylov_polynomial(a: np.ndarray, v: np.ndarray, p: int) -> list[int]:
+    """Monic minimal polynomial of the vector v under a over GF(p), lowest
+    power first, with coefficients in [0, p): the first dependence among
+    v, av, a^2 v, ....
+
+    The rows k_0, ..., k_n of K = [v; av; ...; a^n v] are eliminated in
+    place, as in an LU factorization. After j steps, a later row t holds the
+    reduced vector k_t - sum_{l<j} c_l k_l from column j on; it is zero in
+    the first j columns, which hold the c_l instead. A pivot search swaps
+    two columns in every row alike. The first row j whose reduced vector is
+    zero gives a^j v = sum_{l<j} c_l a^l v. a and v are int64 with entries
+    in [0, p), and p is at most `_prime_cap(n)`."""
     n = a.shape[0]
-    width = n * n
-    # Reduced echelon rows, pivot entry 1, each followed by the coefficients
-    # c of the powers it combines: row = (sum c_i a^i vectorized, c).
-    rows = np.zeros((0, width + n + 1), dtype=np.int64)
-    pivots: list[int] = []
-    power = np.eye(n, dtype=np.int64)
-    for k in range(n + 1):  # Cayley-Hamilton guarantees a dependence by degree n
-        vec = np.zeros(width + n + 1, dtype=np.int64)
-        vec[:width] = power.ravel()
-        vec[width + k] = 1
-        # The rows are zero at each other's pivots, so one combination reduces.
-        vec = (vec - vec[pivots] @ rows) % p
-        nonzero = np.flatnonzero(vec[:width])
+    k = np.empty((n + 1, n), dtype=np.int64)
+    k[0] = v
+    for j in range(n):
+        k[j + 1] = a @ k[j] % p
+    # Row n has no entries from column n on, so the loop breaks by j = n.
+    for j in range(n + 1):
+        nonzero = np.flatnonzero(k[j, j:])
         if not nonzero.size:
-            return vec[width : width + k + 1].tolist()
-        q = int(nonzero[0])
-        vec = vec * pow(int(vec[q]), -1, p) % p
-        rows -= np.outer(rows[:, q], vec)
-        rows %= p
-        rows = np.vstack((rows, vec))
-        pivots.append(q)
-        power = power @ a % p
-    raise AssertionError("no dependence found by degree n")
+            break
+        q = j + int(nonzero[0])
+        if q != j:
+            k[:, [j, q]] = k[:, [q, j]]
+        factors = k[j + 1 :, j] * pow(int(k[j, j]), -1, p) % p
+        rest = k[j + 1 :]
+        rest -= factors[:, None] * k[j]
+        rest %= p
+        rest[:, j] = factors
+    return [-c % p for c in k[j, :j].tolist()] + [1]
+
+
+def _poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a nonzero g over GF(p), lowest power
+    first, with the remainder's leading zeros stripped."""
+    r = list(f)
+    inverse = pow(g[-1], -1, p)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = r[i + len(g) - 1] * inverse % p
+        for j, x in enumerate(g):
+            r[i + j] = (r[i + j] - c * x) % p
+    r = r[: len(g) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _poly_lcm(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic lcm of two monic polynomials over GF(p): f * (g / gcd(f, g))."""
+    x, y = f, g
+    while y:
+        x, y = y, _poly_divmod(x, y, p)[1]
+    cofactor = _poly_divmod(g, x, p)[0]
+    scale = x[-1]  # g / x has leading coefficient 1 / scale
+    out = [0] * (len(f) + len(cofactor) - 1)
+    for i, c in enumerate(f):
+        for j, d in enumerate(cofactor):
+            out[i + j] += c * d * scale
+    return [c % p for c in out]
+
+
+def _annihilator_mod(a: np.ndarray, v: np.ndarray, p: int) -> list[int]:
+    """Monic minimal polynomial of a over GF(p), lowest power first: the
+    lcm of the Krylov polynomials of v and of every unit vector, since a
+    polynomial that annihilates each e_i annihilates a."""
+    mu = _krylov_polynomial(a, v, p)
+    for unit in np.eye(a.shape[0], dtype=np.int64):
+        mu = _poly_lcm(mu, _krylov_polynomial(a, unit, p), p)
+    return mu
 
 
 def _vanishes(ints: np.ndarray, coeffs: Sequence[int], rho: int, primes: Iterator[int]) -> bool:
     """Whether sum(c_i * A^i) = 0 over the integers, where A is ints and rho
     bounds its max row sum of |entries|: no entry of the sum exceeds
     B = sum(|c_i| * rho**i) in size, so it is zero once it vanishes modulo
-    primes whose product exceeds B. Each prime is drawn from primes."""
+    primes whose product exceeds B. Each prime is drawn from primes.
+
+    Horner's products run on float64 BLAS. Both factors have entries in
+    [0, p), so every partial sum of a product entry is an integer of at most
+    n * (p - 1)**2 < 2**53, which float64 holds: the product is exact in any
+    summation order. A cast to int64 and % then reduce it exactly."""
     bound = sum(abs(c) * rho**i for i, c in enumerate(coeffs))
     n = ints.shape[0]
-    diagonal = np.diag_indices(n)
     modulus = 1
     while modulus <= bound:
         p = next(primes)
-        a = (ints % p).astype(np.int64)
+        a = (ints % p).astype(np.float64)
         acc = np.zeros((n, n), dtype=np.int64)
         for c in reversed(coeffs):
-            acc = acc @ a % p
-            acc[diagonal] = (acc[diagonal] + c % p) % p
+            acc = (acc.astype(np.float64) @ a).astype(np.int64)
+            acc.reshape(-1)[:: n + 1] += c % p  # the diagonal, in place
+            acc %= p
         if acc.any():
             return False
         modulus *= p
@@ -550,19 +621,28 @@ def _integer_minimal_polynomial(ints: np.ndarray, rho: int) -> list[int]:
     polynomial μ of the integer matrix ints (int64 or Python-int object
     array), where rho bounds its max row sum of |entries|.
 
-    μ is monic over the integers (Gauss's lemma) and reduces mod p to a
-    multiple of μ mod p, so no prime gives a larger degree than μ and every
-    prime of μ's degree gives exactly μ mod p. Residues are kept for the
-    primes of the largest degree seen and lifted into the symmetric range
-    once their product exceeds twice the bound C(d, i) * rho**(d - i) on
-    |c_i|, which holds because every root of μ is an eigenvalue of size at
-    most rho. The lift is then certified; if it fails, every kept prime was
-    unlucky, so μ has a larger degree and the search continues above it."""
+    Each prime p gives the Krylov polynomial μ_{v,p} of the fixed vector v.
+    It divides μ_{v,Q} mod p, where μ_{v,Q}, the polynomial of v over the
+    rationals, is a monic integer divisor of μ (Gauss's lemma). So no prime
+    gives a larger degree than μ_{v,Q}, and every prime of its degree gives
+    exactly μ_{v,Q} mod p. Residues are kept for the primes of the largest
+    degree seen and lifted into the symmetric range once their product
+    exceeds twice the bound C(d, i) * rho**(d - i) on |c_i|, which holds
+    because every root of μ_{v,Q} is an eigenvalue of size at most rho.
+
+    The lift is then certified: a monic candidate of degree at most deg μ
+    with candidate(A) = 0 is μ. If it fails, either every kept prime was
+    unlucky or μ_{v,Q} is a proper divisor of μ; either way μ has a larger
+    degree. The search continues above it, and from then on every prime
+    gives the lcm of the Krylov polynomials of v, e_1, ..., e_n, which is μ
+    mod p itself and so reaches deg μ for all but finitely many primes."""
     n = ints.shape[0]
     primes = _primes(n)
+    v = _krylov_vector(n)
+    polynomial_mod = _krylov_polynomial
     degree, residues, modulus = 0, [0], 1
     for p in primes:
-        mu = _minimal_polynomial_mod((ints % p).astype(np.int64), p)
+        mu = polynomial_mod((ints % p).astype(np.int64), v % p, p)
         d = len(mu) - 1
         if d < degree:
             continue
@@ -577,9 +657,10 @@ def _integer_minimal_polynomial(ints: np.ndarray, rho: int) -> list[int]:
         if _vanishes(ints, candidate, rho, primes):
             return candidate
         if degree == n:  # Cayley-Hamilton: primes of degree n are lucky
-            raise AssertionError("certificate failed at degree n")
+            raise InternalInconsistency("certificate failed at degree n")
+        polynomial_mod = _annihilator_mod
         degree, residues, modulus = degree + 1, [0] * (degree + 2), 1
-    raise AssertionError("ran out of primes")
+    raise InternalInconsistency("ran out of primes")
 
 
 def minimal_polynomial(a: RatMatrix) -> RatPolynomial:
@@ -621,5 +702,5 @@ def hoffman_polynomial(g: Digraph) -> HoffmanResult:
     s_at_k = s(k)
     h = s.scale(Fraction(g.n) / s_at_k)
     if eval_poly_at_matrix(h, a) != RatMatrix.ones(g.n):
-        raise AssertionError("h(A) != J for a regular strongly connected digraph")
+        raise InternalInconsistency("h(A) != J for a regular strongly connected digraph")
     return HoffmanResult(h, None)

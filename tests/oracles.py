@@ -3,8 +3,9 @@
 Nothing here reuses the library's algorithms: distances come from
 Floyd-Warshall instead of BFS, girth from explicit cycle enumeration, walk
 counts from recursive enumeration, minimal polynomials from a divisor
-search over the factored characteristic polynomial, the pair
-intersection counts from one dictionary per ordered pair, and matrix
+search over the factored characteristic polynomial and, modulo a prime,
+from the first dependence among the vectorized powers of the matrix, the
+pair intersection counts from one dictionary per ordered pair, and matrix
 products from the textbook triple loop.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import sympy
 
 INF = math.inf
@@ -110,6 +112,39 @@ def minimal_polynomial_coeffs(adj) -> tuple[Fraction, ...]:
     coeffs = [Fraction(str(c)) for c in best.all_coeffs()]
     coeffs.reverse()
     return tuple(coeffs)
+
+
+def minimal_polynomial_mod(a, p: int) -> list[int]:
+    """Monic minimal polynomial of a over GF(p), lowest power first, with
+    coefficients in [0, p): the first dependence among the vectorized powers
+    I, a, a^2, ..., found by growing their reduced echelon form mod p.
+
+    a is an int64 array with entries in [0, p), and n * (p - 1)**2 < 2**63
+    for its size n, so no step overflows."""
+    n = a.shape[0]
+    width = n * n
+    # Reduced echelon rows, pivot entry 1, each followed by the coefficients
+    # c of the powers it combines: row = (sum c_i a^i vectorized, c).
+    rows = np.zeros((0, width + n + 1), dtype=np.int64)
+    pivots: list[int] = []
+    power = np.eye(n, dtype=np.int64)
+    for k in range(n + 1):  # Cayley-Hamilton guarantees a dependence by degree n
+        vec = np.zeros(width + n + 1, dtype=np.int64)
+        vec[:width] = power.ravel()
+        vec[width + k] = 1
+        # The rows are zero at each other's pivots, so one combination reduces.
+        vec = (vec - vec[pivots] @ rows) % p
+        nonzero = np.flatnonzero(vec[:width])
+        if not nonzero.size:
+            return vec[width : width + k + 1].tolist()
+        q = int(nonzero[0])
+        vec = vec * pow(int(vec[q]), -1, p) % p
+        rows -= np.outer(rows[:, q], vec)
+        rows %= p
+        rows = np.vstack((rows, vec))
+        pivots.append(q)
+        power = power @ a % p
+    raise AssertionError("no dependence found by degree n")
 
 
 def equitable_params_direct(adj, cells):

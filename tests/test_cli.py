@@ -106,6 +106,17 @@ class TestCheckCommand:
         assert main(["check", paper6_file, flag, value]) == 4
         assert "must be finite and >= 0" in capsys.readouterr().err
 
+    def test_failed_minimal_polynomial_exit_three(self, chord4_file, monkeypatch, capsys):
+        # A certificate that never passes must end in exit 3, an internal
+        # inconsistency, not in a traceback with exit status 1 ("no"). The
+        # minimal polynomial of cycle_with_chord(4) has degree n = 4, where a
+        # failed certificate is final.
+        import drdkit.ratlin as ratlin
+
+        monkeypatch.setattr(ratlin, "_vanishes", lambda *args: False)
+        assert main(["check", chord4_file]) == 3
+        assert "certificate failed at degree n" in capsys.readouterr().err
+
     def test_matrix_format(self, tmp_path):
         path = tmp_path / "c3.mat"
         path.write_text("0 1 0\n0 0 1\n1 0 0\n")

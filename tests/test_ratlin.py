@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from drdkit.corpus import cycle, cycle_with_chord, paley, paper6
 import drdkit.ratlin as ratlin
 from drdkit.digraph import MAX_VERTICES, Digraph, distance_table
-from drdkit.errors import DimensionMismatch, InvalidPartition
+from drdkit.errors import DimensionMismatch, InternalInconsistency, InvalidPartition
 from drdkit.ratlin import (
     INT64_LIMIT,
     PartitionBasis,
@@ -29,7 +29,7 @@ from drdkit.ratlin import (
 )
 from drdkit.scheme import distance_matrices, distance_polynomials
 
-from oracles import mat_mul_reference, minimal_polynomial_coeffs
+from oracles import mat_mul_reference, minimal_polynomial_coeffs, minimal_polynomial_mod
 
 
 class TestMatrixArithmetic:
@@ -301,7 +301,7 @@ class TestModularMinimalPolynomial:
     @pytest.mark.parametrize("n", [1, MAX_VERTICES])
     def test_prime_cap_is_the_largest_without_overflow(self, n):
         cap = ratlin._prime_cap(n)
-        assert n * (cap - 1) ** 2 < INT64_LIMIT <= n * cap**2
+        assert n * (cap - 1) ** 2 < 2**53 <= n * cap**2
         first = next(ratlin._primes(n))
         assert sympy.isprime(first)
         assert not any(sympy.isprime(m) for m in range(first + 1, cap + 1))
@@ -318,14 +318,14 @@ class TestModularMinimalPolynomial:
         for p in islice(ratlin._primes(2), unlucky):
             m *= p
         degrees = []
-        real = ratlin._minimal_polynomial_mod
+        real = ratlin._krylov_polynomial
 
-        def recorded(a, p):
-            mu = real(a, p)
+        def recorded(a, v, p):
+            mu = real(a, v, p)
             degrees.append(len(mu) - 1)
             return mu
 
-        monkeypatch.setattr(ratlin, "_minimal_polynomial_mod", recorded)
+        monkeypatch.setattr(ratlin, "_krylov_polynomial", recorded)
         for a in (
             RatMatrix(np.array([[0, 0], [0, m]], dtype=np.int64)),
             RatMatrix.from_rows([[0, 0], [0, m]]),
@@ -345,22 +345,65 @@ class TestModularMinimalPolynomial:
     def test_failed_certificate_raises_the_degree(self, monkeypatch):
         # The first prime is made to report t for diag(0, 1), as an unlucky
         # prime would; its lift t fails the certificate, since A != 0.
-        real_mod, real_vanishes = ratlin._minimal_polynomial_mod, ratlin._vanishes
+        real_mod, real_vanishes = ratlin._krylov_polynomial, ratlin._vanishes
         calls, verdicts = [], []
 
-        def unlucky_first(a, p):
+        def unlucky_first(a, v, p):
             calls.append(p)
-            return [0, 1] if len(calls) == 1 else real_mod(a, p)
+            return [0, 1] if len(calls) == 1 else real_mod(a, v, p)
 
         def recorded(*args):
             verdicts.append(real_vanishes(*args))
             return verdicts[-1]
 
-        monkeypatch.setattr(ratlin, "_minimal_polynomial_mod", unlucky_first)
+        monkeypatch.setattr(ratlin, "_krylov_polynomial", unlucky_first)
         monkeypatch.setattr(ratlin, "_vanishes", recorded)
         a = RatMatrix(np.array([[0, 0], [0, 1]], dtype=np.int64))
         assert minimal_polynomial(a) == RatPolynomial.from_coeffs([0, -1, 1])
         assert verdicts == [False, True]
+
+    def test_unlucky_vector_takes_the_lcm(self, monkeypatch):
+        # A fixes the all-ones vector of cycle(5), whose polynomial t - 1
+        # fails the certificate; the lcm over the unit vectors gives t^5 - 1.
+        real_vanishes = ratlin._vanishes
+        verdicts = []
+
+        def recorded(*args):
+            verdicts.append(real_vanishes(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(ratlin, "_krylov_vector", lambda n: np.ones(n, dtype=np.int64))
+        monkeypatch.setattr(ratlin, "_vanishes", recorded)
+        mu = minimal_polynomial(adjacency_matrix(cycle(5)))
+        assert mu == RatPolynomial.from_coeffs([-1, 0, 0, 0, 0, 1])
+        assert verdicts == [False, True]
+
+    def test_the_start_vector_is_fixed_per_n(self):
+        v = ratlin._krylov_vector(40)
+        assert v.shape == (40,) and v.min() >= 0 and v.max() < 2**20
+        assert not v.flags.writeable
+        ratlin._krylov_vector.cache_clear()
+        assert np.array_equal(ratlin._krylov_vector(40), v)
+        assert ratlin._krylov_vector(2).tolist() == [1002474, 905035]  # the same in every run
+
+    @settings(max_examples=60, deadline=None)
+    @given(_integer_matrices(), st.sampled_from([2, 3, 5, 7, None]))
+    def test_lcm_is_the_minimal_polynomial_mod_p(self, rows, p):
+        # Small primes make unlucky reductions and proper divisors common.
+        a = np.array(rows, dtype=object)
+        n = len(rows)
+        p = p or next(ratlin._primes(n))
+        a_p = (a % p).astype(np.int64)
+        v_p = ratlin._krylov_vector(n) % p
+        expected = minimal_polynomial_mod(a_p, p)
+        assert ratlin._annihilator_mod(a_p, v_p, p) == expected
+        # The vector's own polynomial divides it.
+        t = sympy.Symbol("t")
+        mu, mu_v = (
+            sympy.Poly(list(reversed(c)), t, modulus=p)
+            for c in (expected, ratlin._krylov_polynomial(a_p, v_p, p))
+        )
+        assert mu.rem(mu_v).is_zero
 
     @settings(max_examples=40, deadline=None)
     @given(_integer_matrices())
@@ -399,6 +442,11 @@ class TestEvalPolyAtMatrix:
 
 
 class TestHoffman:
+    def test_failed_identity_is_an_internal_inconsistency(self, monkeypatch):
+        monkeypatch.setattr(ratlin, "eval_poly_at_matrix", lambda p, a: RatMatrix.zeros(3, 3))
+        with pytest.raises(InternalInconsistency, match=r"h\(A\) != J"):
+            hoffman_polynomial(cycle(3))
+
     def test_c3(self):
         res = hoffman_polynomial(cycle(3))
         assert res.exists
