@@ -163,7 +163,7 @@ class GraphContext:
 
     @property
     def products(self) -> ProductTable:
-        """Span coordinates of every A_i * A_j, shared by A, B, C, C2 and D."""
+        """Span coordinates of every A_i * A_j, shared by A, B, C, C2, D and H."""
         return self._get("products", lambda: product_table(self.dm.mats))
 
     @property
@@ -378,7 +378,7 @@ def _check_g1(ctx: GraphContext) -> CharacterizationVerdict:
 
 def _check_h(ctx: GraphContext) -> CharacterizationVerdict:
     rel = two_way_relations(ctx.table)
-    result = wang_suzuki_drd_check(rel, ctx.dm.D)
+    result = wang_suzuki_drd_check(rel, ctx.dm, lambda: ctx.axioms_on_distance_matrices)
     params = {"delta": [list(p) for p in rel.delta]}
     if not result:
         if result.delta_size != ctx.dm.D + 1:

@@ -5,9 +5,18 @@ tolerance: every quantity they compare is an integer identity.
 A matrix is an integer numerator array and one positive integer denominator,
 kept in lowest terms by the constructor. The array is int64 when every entry
 has absolute value below 2**63 and a ``dtype=object`` array of Python ints
-otherwise. `mat_mul` is one dispatch: ``@`` on the int64 arrays when the
-bound (max row sum of |a|) * max |b| < 2**63 proves that no partial sum can
-overflow, else ``@`` on object arrays, whose Python ints never overflow.
+otherwise. `mat_mul` multiplies the numerators in the narrowest of three
+tiers that the bound B = (max row sum of |a|) * max |b| proves exact. B caps
+every partial sum of every entry, in any summation order. Below 2**53 every
+partial sum is an integer that float64 holds, so ``@`` runs on float64 BLAS
+and the cast back to int64 is exact (the argument of FFLAS-FFPACK, Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008); only an inner dimension below 16,
+where the casts cost more than they save, skips this tier. Below 2**63 ``@``
+runs on int64, which numpy does not hand to BLAS but which cannot overflow.
+Otherwise it runs on object arrays, whose Python ints never overflow. The 01
+matrices that the checks build (identity, all-ones, zero, adjacency,
+distance and class matrices) carry their bounds from construction, so only
+derived matrices are scanned for them.
 
 One exact elimination routine, `SpanBasis._reduce`, serves every span solve
 over a family that is not a partition basis. It is fraction-free: members
@@ -24,14 +33,13 @@ polynomial divides μ, so the lifted candidate is accepted only after
 exceeds a bound on every entry of μ(A). If the proof fails, the search goes
 on at a larger degree, and every later prime takes the lcm of the Krylov
 polynomials of v and of each unit vector, which is μ mod p itself. The
-result never depends on chance.
+result never depends on chance, and a search that skips more primes than
+a Hadamard bound allows stops with InternalInconsistency.
 
 Every prime p is at most a cap that depends on n alone and proves
 n * (p - 1)**2 < 2**53. The Krylov and elimination steps then fit in int64,
-and the proof's products run on float64 BLAS: with both factors reduced mod
-p, every partial sum of an entry is an integer below 2**53, which float64
-holds, so the product is exact in any summation order (the argument of
-FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+and the proof's products run on float64 BLAS by the same argument as
+`mat_mul`'s first tier, with both factors reduced mod p.
 """
 from __future__ import annotations
 
@@ -51,6 +59,10 @@ Rational = Union[int, Fraction]
 
 INT64_LIMIT = 1 << 63  # every int64 has absolute value below this, except -2**63
 FLOAT64_EXACT = 1 << 53  # float64 holds every integer of absolute value up to this
+# Below this inner dimension int64 ``@`` costs less than the casts to float64
+# and back (measured crossover between 13 and 16, numpy with OpenBLAS on
+# x86-64, one thread).
+FLOAT64_MIN_INNER = 16
 
 
 def _norm(x: Rational) -> Rational:
@@ -104,8 +116,10 @@ class RatMatrix:
         return self.num if self.den == 1 and self.num.dtype == np.int64 else None
 
     def abs_bounds(self) -> tuple[int, int]:
-        """(max |entry|, an upper bound on the max row sum of |entries|) of
-        the numerator, as Python ints."""
+        """Upper bounds (max |entry|, max row sum of |entries|) on the
+        numerator, as Python ints: the bounds given to `bounded`, else
+        scanned exactly, except a row sum that could pass int64, which is
+        bounded by max |entry| * cols."""
         if self._bounds is None:
             a = self.num
             top = max(int(a.max()), -int(a.min()))
@@ -141,16 +155,27 @@ class RatMatrix:
         return cls(np.array(flat, dtype=object).reshape(len(rows), -1), den)
 
     @classmethod
+    def bounded(cls, num: np.ndarray, top: int, row_sum: int) -> "RatMatrix":
+        """The integer matrix num (int64, den 1), whose max |entry| is at
+        most top and whose row sums of |entries| are at most row_sum:
+        bounds known when the matrix is built, so `abs_bounds` need not
+        scan it."""
+        m = cls(num)
+        m._bounds = (top, row_sum)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(np.eye(n, dtype=np.int64))
+        return cls.bounded(np.eye(n, dtype=np.int64), 1, 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64))
+        return cls.bounded(np.zeros((rows, cols), dtype=np.int64), 0, 0)
 
     @classmethod
     def ones(cls, rows: int, cols: Optional[int] = None) -> "RatMatrix":
-        return cls(np.ones((rows, rows if cols is None else cols), dtype=np.int64))
+        cols = rows if cols is None else cols
+        return cls.bounded(np.ones((rows, cols), dtype=np.int64), 1, cols)
 
     def is_zero(self) -> bool:
         return not self.num.any()
@@ -176,22 +201,52 @@ class RatMatrix:
 
 
 def adjacency_matrix(g: Digraph) -> RatMatrix:
-    return RatMatrix(np.array(g.adj, dtype=np.int64))
+    k = max(g.out_deg)
+    return RatMatrix.bounded(np.array(g.adj, dtype=np.int64), min(k, 1), k)
+
+
+def class_matrices(index: np.ndarray, size: int) -> tuple[RatMatrix, ...]:
+    """The 01 matrices M_0..M_{size-1} with (M_i)[x][y] = 1 iff
+    index[x][y] = i, for an array index with entries in [0, size). Their
+    entries are 0 and 1, so (1, number of columns) bounds each unscanned."""
+    cols = index.shape[1]
+    return tuple(RatMatrix.bounded((index == i).astype(np.int64), 1, cols) for i in range(size))
 
 
 def transpose(a: RatMatrix) -> RatMatrix:
     return RatMatrix(np.ascontiguousarray(a.num.T), a.den)
 
 
+def _product_tier(a: RatMatrix, b: RatMatrix) -> type:
+    """The dtype `mat_mul` multiplies a's and b's numerators in: float64
+    when both are int64, the inner dimension is at least FLOAT64_MIN_INNER
+    and the bound (max row sum of |a|) * max |b| on every partial sum is
+    below 2**53; int64 when the bound is below 2**63; else object."""
+    bound = a.abs_bounds()[1] * b.abs_bounds()[0]
+    if (
+        bound < FLOAT64_EXACT
+        and a.cols >= FLOAT64_MIN_INNER
+        and a.num.dtype == b.num.dtype == np.int64
+    ):
+        return np.float64
+    return np.int64 if bound < INT64_LIMIT else object
+
+
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact product: ``@`` on the int64 numerators when the overflow bound
-    holds, else on object arrays."""
+    """Exact product of the numerators, in the tier `_product_tier` picks:
+    float64 BLAS cast back to int64, ``@`` as they are (int64, or an object
+    operand beside a zero matrix), or object arrays."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"mat_mul {a.shape} vs {b.shape}")
     x, y = a.num, b.num
-    if a.abs_bounds()[1] * b.abs_bounds()[0] >= INT64_LIMIT:
-        x, y = x.astype(object), y.astype(object)
-    return RatMatrix(x @ y, a.den * b.den)
+    tier = _product_tier(a, b)
+    if tier is np.float64:
+        prod = (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+    elif tier is object:
+        prod = x.astype(object) @ y.astype(object)
+    else:
+        prod = x @ y
+    return RatMatrix(prod, a.den * b.den)
 
 
 class PartitionBasis:
@@ -635,19 +690,33 @@ def _integer_minimal_polynomial(ints: np.ndarray, rho: int) -> list[int]:
     unlucky or μ_{v,Q} is a proper divisor of μ; either way μ has a larger
     degree. The search continues above it, and from then on every prime
     gives the lcm of the Krylov polynomials of v, e_1, ..., e_n, which is μ
-    mod p itself and so reaches deg μ for all but finitely many primes."""
+    mod p itself and so reaches deg μ for all but finitely many primes.
+
+    How many: a prime that gives a degree below the target divides a
+    nonzero m x m minor, m <= n, of the Krylov vectors v, Av, ... or of the
+    vectorized powers vec(A^0), vec(A^1), .... Column j of either has
+    Euclidean length at most n * 2**20 * rho**j, so by Hadamard the minor
+    is below 2**bits with bits as below, and at most bits / log2(p) primes
+    p can divide it. Skipping more than that at one target proves the
+    target wrong, which only a fault in this computation can cause."""
     n = ints.shape[0]
     primes = _primes(n)
     v = _krylov_vector(n)
+    bits = n * (n.bit_length() + 20) + n * (n - 1) // 2 * rho.bit_length()
     polynomial_mod = _krylov_polynomial
-    degree, residues, modulus = 0, [0], 1
+    degree, residues, modulus, skipped = 0, [0], 1, 0
     for p in primes:
         mu = polynomial_mod((ints % p).astype(np.int64), v % p, p)
         d = len(mu) - 1
         if d < degree:
+            skipped += 1
+            if skipped * (p.bit_length() - 1) > bits:
+                raise InternalInconsistency(
+                    f"{skipped} primes fall below degree {degree}, more than a minor allows"
+                )
             continue
         if d > degree:
-            degree, residues, modulus = d, [0] * (d + 1), 1
+            degree, residues, modulus, skipped = d, [0] * (d + 1), 1, 0
         step = pow(modulus, -1, p)
         residues = [r + modulus * ((m - r) * step % p) for r, m in zip(residues, mu)]
         modulus *= p
@@ -659,7 +728,7 @@ def _integer_minimal_polynomial(ints: np.ndarray, rho: int) -> list[int]:
         if degree == n:  # Cayley-Hamilton: primes of degree n are lucky
             raise InternalInconsistency("certificate failed at degree n")
         polynomial_mod = _annihilator_mod
-        degree, residues, modulus = degree + 1, [0] * (degree + 2), 1
+        degree, residues, modulus, skipped = degree + 1, [0] * (degree + 2), 1, 0
     raise InternalInconsistency("ran out of primes")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .ratlin import (
     RatPolynomial,
     Rational,
     adjacency_matrix,
-    eval_poly_at_matrix,
+    class_matrices,
     mat_mul,
     span_basis,
     transpose,
@@ -57,8 +57,7 @@ def distance_matrices(g: Digraph, t: DistanceTable) -> DistanceMatrices:
     if not t.strongly_connected:
         raise NotStronglyConnected("distance matrices need a strongly connected digraph")
     D = t.diameter
-    dist = t.array
-    mats = tuple(RatMatrix((dist == i).astype(np.int64)) for i in range(D + 1))
+    mats = class_matrices(t.array, D + 1)
     if mats[0] != RatMatrix.identity(g.n):
         raise InternalInconsistency("A_0 != I")
     if (sum(m.num for m in mats) != 1).any():
@@ -280,8 +279,10 @@ def distance_polynomials(
     Built by the exact three-term-style recurrence
     c_{i+1} p_{i+1}(t) = t p_i(t) - sum_{h<=i} c_h p_h(t) from the expansion
     A_i A = sum_h c_h A_h, read from the product table of the distance
-    matrices (computed here when not given), then re-verified by evaluating
-    each p_i at A.
+    matrices (computed here when not given), then re-verified by induction
+    with one product per step: p_0(A) = I = A_0 and p_1(A) = A = A_1, and
+    once p_h(A) = A_h for every h <= i, p_{i+1}(A) = A_{i+1} holds exactly
+    when c_{i+1} A_{i+1} = A_i A - sum_{h<=i} c_h A_h.
     """
     if products is None:
         products = product_table(dm.mats)
@@ -304,10 +305,17 @@ def distance_polynomials(
             if coeffs[h]:
                 nxt = nxt.sub(polys[h].scale(coeffs[h]))
         polys.append(nxt.scale(Fraction(1) / lead))
-    for i, p in enumerate(polys):
-        if p.degree != i:
-            return None
-        if eval_poly_at_matrix(p, a) != dm.mats[i]:
+    if any(p.degree != i for i, p in enumerate(polys)):
+        return None
+    if dm.mats[0] != RatMatrix.identity(a.rows):
+        return None
+    for i in range(1, D):
+        coeffs = products.coords[i][1]
+        rest = mat_mul(dm.mats[i], a)
+        for h in range(i + 1):
+            if coeffs[h]:
+                rest = rest.add(dm.mats[h].scale(-coeffs[h]))
+        if rest != dm.mats[i + 1].scale(coeffs[i + 1]):
             return None
     return tuple(polys)
 
@@ -486,12 +494,8 @@ def two_way_relations(t: DistanceTable) -> TwoWayRelations:
     dist = t.array
     # Codes d(x,y) * base + d(y,x) sort in lexicographic pair order.
     codes, index = np.unique(dist * base + dist.T, return_inverse=True)
-    index = index.reshape(dist.shape)
     pairs = tuple(divmod(int(c), base) for c in codes)
-    classes = tuple(
-        RatMatrix((index == i).astype(np.int64)) for i in range(len(pairs))
-    )
-    return TwoWayRelations(pairs, classes)
+    return TwoWayRelations(pairs, class_matrices(index.reshape(dist.shape), len(pairs)))
 
 
 @dataclass(frozen=True)
@@ -507,10 +511,23 @@ class WangSuzukiResult:
         return self.ok
 
 
-def wang_suzuki_drd_check(r: TwoWayRelations, D: int) -> WangSuzukiResult:
-    if len(r.delta) != D + 1:
+def wang_suzuki_drd_check(
+    r: TwoWayRelations,
+    dm: DistanceMatrices,
+    axioms: Optional[Callable[[], AxiomReport]] = None,
+) -> WangSuzukiResult:
+    """Whether the two-way classes form a commutative association scheme
+    with D + 1 classes. With exactly D + 1 classes every distance i has one
+    reverse distance, so the lexicographic order puts class i at
+    d(x,y) = i: the classes are the distance matrices, which is checked
+    here (a mismatch is a fault, not a verdict). The scheme axioms are then
+    those of the distance matrices, from `axioms` (a caller's shared
+    report) or computed here."""
+    if len(r.delta) != dm.D + 1:
         return WangSuzukiResult(False, len(r.delta), None)
-    rep = scheme_axioms(r.classes)
+    if r.classes != dm.mats:
+        raise InternalInconsistency("D + 1 two-way classes differ from the distance matrices")
+    rep = axioms() if axioms is not None else scheme_axioms(dm.mats)
     return WangSuzukiResult(rep.all, len(r.delta), rep)
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from drdkit.corpus import (
     cycle,
@@ -12,6 +13,10 @@ from drdkit.corpus import (
     random_sc,
 )
 from drdkit.digraph import Digraph
+
+# Selected with --hypothesis-profile=ci: a failing property prints the blob
+# that replays it (@reproduce_failure), and no example has a deadline.
+settings.register_profile("ci", print_blob=True, deadline=None)
 
 
 def circulant(n: int, jumps: tuple[int, ...]) -> Digraph:

@@ -5,8 +5,9 @@ Floyd-Warshall instead of BFS, girth from explicit cycle enumeration, walk
 counts from recursive enumeration, minimal polynomials from a divisor
 search over the factored characteristic polynomial and, modulo a prime,
 from the first dependence among the vectorized powers of the matrix, the
-pair intersection counts from one dictionary per ordered pair, and matrix
-products from the textbook triple loop.
+pair intersection counts from one dictionary per ordered pair, matrix
+products from the textbook triple loop, and distance polynomials by
+evaluating each of them at A from scratch.
 """
 from __future__ import annotations
 
@@ -79,6 +80,46 @@ def mat_mul_reference(a, b) -> tuple[tuple, ...]:
     as row tuples, in Python arithmetic."""
     cols = list(zip(*b))
     return tuple(tuple(sum((x * y for x, y in zip(row, col)), 0) for col in cols) for row in a)
+
+
+def _poly_at(coeffs, a):
+    """coeffs (lowest power first) evaluated at the square nested list a by
+    Horner with the triple-loop product, in Python arithmetic."""
+    n = len(a)
+    eye = [[int(x == y) for y in range(n)] for x in range(n)]
+    acc = [[0] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        acc = mat_mul_reference(acc, a)
+        acc = [[v + c * e for v, e in zip(row, erow)] for row, erow in zip(acc, eye)]
+    return acc
+
+
+def distance_polynomials_by_evaluation(mats, coords):
+    """Coefficients (lowest power first) of p_0..p_D with p_i(A) = A_i and
+    deg p_i = i, or None. mats are the distance matrices A_0..A_D as nested
+    lists of ints, and coords[i][1] the coordinates c of A_i A = sum c_h A_h
+    (or None). The p_i follow c_{i+1} p_{i+1} = t p_i - sum_{h<=i} c_h p_h,
+    and every p_i is then checked by evaluating it at A = A_1 from scratch,
+    O(D**2) products in all."""
+    D = len(mats) - 1
+    polys = [[Fraction(1)]] + ([[Fraction(0), Fraction(1)]] if D >= 1 else [])
+    for i in range(1, D):
+        c = coords[i][1]
+        if c is None or c[i + 1] == 0:
+            return None
+        assert not any(c[i + 2 :]), "one-step expansion reaches past distance i+1"
+        nxt = [Fraction(0)] + polys[i]
+        for h in range(i + 1):
+            for e, x in enumerate(polys[h]):
+                nxt[e] -= c[h] * x
+        polys.append([x / c[i + 1] for x in nxt])
+    a = mats[min(D, 1)]  # A; for D = 0 only the constant p_0 is evaluated
+    for i, p in enumerate(polys):
+        while p and p[-1] == 0:
+            p.pop()
+        if len(p) != i + 1 or _poly_at(p, a) != mats[i]:
+            return None
+    return tuple(map(tuple, polys))
 
 
 def minimal_polynomial_coeffs(adj) -> tuple[Fraction, ...]:

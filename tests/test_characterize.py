@@ -115,6 +115,14 @@ class TestMasterEquivalence:
             rep = check_all(g)
             assert rep.agreement, name
 
+    @pytest.mark.parametrize("make, n", [(cycle, 60), (paley, 131)])
+    def test_large_distance_regular_digraphs_agree(self, make, n):
+        # Sizes where the float64 product tier, D's one-product induction
+        # and H's shared product table carry every exact check.
+        rep = check_all(make(n))
+        assert rep.agreement and rep.overall == "yes"
+        assert {v.verdict for v in rep.verdicts} == {"yes"}
+
     def test_def_implies_spectral_count_and_girth_pairing(self, corpus):
         for name, g in corpus:
             if g.n == 1:

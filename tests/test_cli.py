@@ -117,6 +117,27 @@ class TestCheckCommand:
         assert main(["check", chord4_file]) == 3
         assert "certificate failed at degree n" in capsys.readouterr().err
 
+    def test_failed_certificate_below_degree_n_exit_three(self, paper6_file, monkeypatch, capsys):
+        # paper6's minimal polynomial has degree 4 < n = 6. Once the refused
+        # certificate raises the target to degree 5, every later prime gives
+        # degree 4; the search must stop after the few primes a Hadamard
+        # bound allows instead of walking the whole prime list.
+        import drdkit.ratlin as ratlin
+
+        primes = []
+        real = ratlin._annihilator_mod
+
+        def counted(a, v, p):
+            primes.append(p)
+            assert len(primes) < 100, "the unlucky-prime bound did not stop the search"
+            return real(a, v, p)
+
+        monkeypatch.setattr(ratlin, "_vanishes", lambda *args: False)
+        monkeypatch.setattr(ratlin, "_annihilator_mod", counted)
+        assert main(["check", paper6_file]) == 3
+        assert "primes fall below degree 5" in capsys.readouterr().err
+        assert 0 < len(primes) < 100
+
     def test_matrix_format(self, tmp_path):
         path = tmp_path / "c3.mat"
         path.write_text("0 1 0\n0 0 1\n1 0 0\n")

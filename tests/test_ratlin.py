@@ -14,6 +14,8 @@ import drdkit.ratlin as ratlin
 from drdkit.digraph import MAX_VERTICES, Digraph, distance_table
 from drdkit.errors import DimensionMismatch, InternalInconsistency, InvalidPartition
 from drdkit.ratlin import (
+    FLOAT64_EXACT,
+    FLOAT64_MIN_INNER,
     INT64_LIMIT,
     PartitionBasis,
     RatMatrix,
@@ -513,7 +515,50 @@ def _int_matrix_pairs(draw):
     return draw(square), draw(square)
 
 
+@st.composite
+def _pairs_near_float64_bound(draw):
+    """Two n x n int64 matrices, n <= 4 or n next to FLOAT64_MIN_INNER, whose
+    bound (max row sum of |a|) * max |b| lies within about 100 of 2**53, on
+    either side: small-entry matrices with one of them scaled up."""
+    n = draw(st.integers(1, 4) | st.integers(FLOAT64_MIN_INNER - 1, FLOAT64_MIN_INNER + 1))
+    entry = st.integers(-3, 3)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    a, b = draw(square), draw(square)
+    row_bound = max(sum(abs(x) for x in r) for r in a)
+    top = max(abs(x) for r in b for x in r)
+    if not row_bound * top:
+        return a, b
+    s = (FLOAT64_EXACT + draw(st.integers(-100, 100))) // (row_bound * top)
+    if draw(st.booleans()):
+        return [[x * s for x in r] for r in a], b
+    return a, [[x * s for x in r] for r in b]
+
+
 class TestInt64Kernel:
+    @settings(max_examples=100, deadline=None)
+    @given(_pairs_near_float64_bound())
+    def test_float64_tier_equals_python_product(self, pair):
+        a, b = pair
+        ma = RatMatrix(np.array(a, dtype=np.int64))
+        mb = RatMatrix(np.array(b, dtype=np.int64))
+        tiers = []
+        real = ratlin._product_tier
+
+        def recorded(x, y):
+            tiers.append(real(x, y))
+            return tiers[-1]
+
+        with mock.patch.object(ratlin, "_product_tier", recorded):
+            got = mat_mul(ma, mb)
+        assert got.entries == mat_mul_reference(a, b)
+        row_bound = max(sum(abs(x) for x in r) for r in a)
+        top = max(abs(x) for r in b for x in r)
+        # float64 exactly below 2**53 at inner dimensions from
+        # FLOAT64_MIN_INNER on; int64 otherwise, up to 2**63.
+        wide = len(a) >= FLOAT64_MIN_INNER
+        expected = np.float64 if wide and row_bound * top < FLOAT64_EXACT else np.int64
+        assert tiers == [expected]
+
     @settings(max_examples=150, deadline=None)
     @given(_int_matrix_pairs())
     def test_kernel_equals_python_product(self, pair):
@@ -558,6 +603,19 @@ class TestInt64Kernel:
         assert mat_mul(half, ones).entries == ((2**63, 2**63), (2**63, 2**63))
         assert half.add(half).entries == ((2**63, 2**63), (2**63, 2**63))
         assert RatMatrix.zeros(2, 2).scale(2**70).is_zero()
+        # I * M with one nonzero entry of M: 2**53 - 1 is below the float64
+        # bound; 2**53 + 1 has no float64 form, so its product must not take
+        # the float64 tier. Below FLOAT64_MIN_INNER neither does.
+        for n in (1, FLOAT64_MIN_INNER - 1, FLOAT64_MIN_INNER):
+            for value, tier in ((FLOAT64_EXACT - 1, np.float64), (FLOAT64_EXACT + 1, np.int64)):
+                num = np.zeros((n, n), dtype=np.int64)
+                num[-1, 0] = value
+                m = RatMatrix(num)
+                assert ratlin._product_tier(RatMatrix.identity(n), m) is (
+                    tier if n >= FLOAT64_MIN_INNER else np.int64
+                )
+                product = mat_mul(RatMatrix.identity(n), m)
+                assert product.int64 is not None and product == m
 
     def test_powers_keep_the_int64_form(self):
         a = adjacency_matrix(paper6())

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drdkit.scheme as scheme
+from drdkit.characterize import check_all
 from drdkit.corpus import cycle, cycle_with_chord, kautz, paley, paper6
 from drdkit.digraph import Digraph, distance_table, strongly_connected
+from drdkit.errors import InternalInconsistency
 from drdkit.partitions import check_definition_drd
 from drdkit.ratlin import (
     RatMatrix,
@@ -16,12 +19,14 @@ from drdkit.ratlin import (
     span_solve,
 )
 from drdkit.scheme import (
+    TwoWayRelations,
     comellas_damerell_link,
     damerell_numbers,
     distance_matrices,
     distance_polynomials,
     intersection_numbers,
     pair_intersection_counts,
+    product_table,
     scheme_axioms,
     transpose_closure,
     two_way_relations,
@@ -31,7 +36,7 @@ from drdkit.scheme import (
 )
 from drdkit.spectral import is_normal
 
-from oracles import count_walks, pair_counts_by_dict
+from oracles import count_walks, distance_polynomials_by_evaluation, pair_counts_by_dict
 
 
 def build(g):
@@ -188,6 +193,60 @@ class TestDistancePolynomials:
             if polys is not None:
                 assert all(p.degree == i for i, p in enumerate(polys)), name
 
+    @staticmethod
+    def _both(dm, products):
+        """The induction's polynomials and the evaluation oracle's, as
+        coefficient tuples (None where there are none)."""
+        polys = distance_polynomials(dm, products)
+        mats = [[list(row) for row in m.entries] for m in dm.mats]
+        ref = distance_polynomials_by_evaluation(mats, products.coords)
+        return (None if polys is None else tuple(p.coeffs for p in polys)), ref
+
+    @staticmethod
+    def _perturbed(products, i, h, delta):
+        """products with the coordinate h of A_i A moved by delta."""
+        coords = [list(row) for row in products.coords]
+        c = list(coords[i][1])
+        c[h] += delta
+        coords[i][1] = tuple(c)
+        return replace(products, coords=tuple(map(tuple, coords)))
+
+    def test_induction_equals_evaluating_every_polynomial(self, corpus):
+        for name, g in corpus + [("paley19", paley(19)), ("kautz_3_2", kautz(3, 2))]:
+            if g.n == 1 or not strongly_connected(g):
+                continue
+            _, dm = build(g)
+            got, ref = self._both(dm, product_table(dm.mats))
+            assert got == ref, name
+
+    def test_induction_equals_evaluation_on_every_perturbed_coordinate(self, fig6):
+        # A wrong coordinate at or below distance i + 1 makes both the
+        # induction and the evaluation refuse.
+        for g in (fig6, cycle(6), paley(7), kautz(2, 2)):
+            _, dm = build(g)
+            products = product_table(dm.mats)
+            assert self._both(dm, products)[0] is not None
+            for i in range(1, dm.D):
+                for h in range(i + 2):
+                    for delta in (-1, 1):
+                        got, ref = self._both(dm, self._perturbed(products, i, h, delta))
+                        assert got is None and ref is None, (g.n, i, h, delta)
+
+    def test_perturbed_product_table_gives_none(self):
+        _, dm = build(cycle(6))
+        products = product_table(dm.mats)
+        assert distance_polynomials(dm, products) is not None
+        assert distance_polynomials(dm, self._perturbed(products, 2, 1, 1)) is None
+
+    def test_one_product_per_step(self, monkeypatch):
+        _, dm = build(cycle(12))
+        products = product_table(dm.mats)
+        calls = []
+        real = scheme.mat_mul
+        monkeypatch.setattr(scheme, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+        assert distance_polynomials(dm, products) is not None
+        assert len(calls) == dm.D - 1
+
 
 class TestWalkCounts:
     def test_c4_power_four_is_identity(self):
@@ -321,22 +380,48 @@ class TestTwoWayRelations:
     def test_cycle(self):
         n = 5
         g = cycle(n)
-        t, _ = build(g)
+        t, dm = build(g)
         rel = two_way_relations(t)
         assert set(rel.delta) == {(0, 0)} | {(i, n - i) for i in range(1, n)}
-        assert wang_suzuki_drd_check(rel, t.diameter)
+        assert wang_suzuki_drd_check(rel, dm)
 
     def test_paper6(self, fig6):
-        t, _ = build(fig6)
+        t, dm = build(fig6)
         rel = two_way_relations(t)
-        assert len(rel.delta) == 4
-        assert wang_suzuki_drd_check(rel, 3)
+        assert len(rel.delta) == 4 == dm.D + 1
+        assert wang_suzuki_drd_check(rel, dm)
 
     def test_chorded_cycle(self):
         g = cycle_with_chord(4)
-        t, _ = build(g)
+        t, dm = build(g)
         rel = two_way_relations(t)
-        assert not wang_suzuki_drd_check(rel, t.diameter)
+        assert not wang_suzuki_drd_check(rel, dm)
+
+    def test_h_reads_the_distance_matrices_axioms(self, corpus):
+        # H's verdict and witness equal the scheme axioms of the two-way
+        # classes computed on their own.
+        for name, g in corpus:
+            if g.n == 1 or not strongly_connected(g):
+                continue
+            t, dm = build(g)
+            rel = two_way_relations(t)
+            h = next(v for v in check_all(g).verdicts if v.id == "H")
+            if len(rel.delta) != dm.D + 1:
+                assert h.verdict == "no" and "two-way distance classes" in h.witness, name
+                continue
+            alone = scheme_axioms(rel.classes)
+            shared = scheme_axioms(dm.mats, product_table(dm.mats))
+            assert wang_suzuki_drd_check(rel, dm, lambda: shared).axioms == alone, name
+            assert h.verdict == ("yes" if alone.all else "no"), name
+            if not alone.all:
+                assert h.witness == alone.witness, name
+
+    def test_classes_that_are_not_the_distance_matrices_raise(self, fig6):
+        t, dm = build(fig6)
+        rel = two_way_relations(t)
+        swapped = rel.classes[:1] + rel.classes[2:] + rel.classes[1:2]
+        with pytest.raises(InternalInconsistency):
+            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), dm)
 
     def test_classes_partition(self, fig6):
         t, _ = build(fig6)
