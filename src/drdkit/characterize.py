@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Optional, Union
 
 from .digraph import Digraph, DistanceTable, distance_table, regularity, strongly_connected
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
-from .partitions import (
-    EquitableParams,
-    distance_regular_scan,
-)
+from .partitions import EquitableParams, distance_regular_scan
 from .ratlin import (
     PartitionBasis,
     RatMatrix,
@@ -378,7 +375,9 @@ def _check_g1(ctx: GraphContext) -> CharacterizationVerdict:
 
 def _check_h(ctx: GraphContext) -> CharacterizationVerdict:
     rel = two_way_relations(ctx.table)
-    result = wang_suzuki_drd_check(rel, ctx.dm, lambda: ctx.axioms_on_distance_matrices)
+    result = wang_suzuki_drd_check(
+        rel, ctx.table, ctx.dm, lambda: ctx.axioms_on_distance_matrices
+    )
     params = {"delta": [list(p) for p in rel.delta]}
     if not result:
         if result.delta_size != ctx.dm.D + 1:
@@ -484,14 +483,7 @@ def _timed(check_id: str, fn: Callable[[], CharacterizationVerdict]) -> Characte
     start = time.perf_counter()
     verdict = fn()
     elapsed = (time.perf_counter() - start) * 1000.0
-    return CharacterizationVerdict(
-        id=verdict.id,
-        verdict=verdict.verdict,
-        reason=verdict.reason,
-        witness=verdict.witness,
-        params=verdict.params,
-        elapsed_ms=elapsed,
-    )
+    return replace(verdict, elapsed_ms=elapsed)
 
 
 def _selected_ids(config: CheckConfig) -> tuple[str, ...]:

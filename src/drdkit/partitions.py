@@ -1,49 +1,24 @@
-"""Distance partitions and equitability.
+"""Distance-regularity by equitable distance partitions (checks DEF and F).
 
-A partition is equitable when every cell-to-cell neighbor count, in both arc
-directions, is constant over the source cell. A strongly connected digraph is
-distance-regular when the out-distance partition around every vertex is
-equitable with parameters that do not depend on the vertex; the in-distance
-mirror is an equivalent formulation and is checked independently.
+The distance partition around a vertex x groups the vertices by their
+distance from x (out) or to x (in). It is equitable when every vertex y of a
+cell has the same number of out-neighbors and of in-neighbors in each cell.
+A strongly connected digraph is distance-regular when the out-distance
+partition around every vertex is equitable with parameters that do not
+depend on the vertex; the in-distance mirror is an equivalent formulation
+and is checked independently.
+
+Both scans, and Damerell's one-step table in `scheme`, count through one
+kernel, `shell_counts`: for one source vertex's row of distances, the
+neighbors of every vertex y grouped by their distance class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .digraph import Digraph, DistanceTable, distance_table
-from .errors import InvalidPartition, NotStronglyConnected
-
-
-@dataclass(frozen=True)
-class VertexPartition:
-    """Ordered list of disjoint nonempty cells covering the vertex set."""
-
-    cells: tuple[frozenset[int], ...]
-    cell_of: tuple[int, ...]
-
-    @classmethod
-    def from_cells(cls, n: int, cells) -> "VertexPartition":
-        cells = tuple(frozenset(c) for c in cells)
-        cell_of: list[int] = [-1] * n
-        seen = 0
-        for i, cell in enumerate(cells):
-            if not cell:
-                raise InvalidPartition(f"cell {i} is empty")
-            for v in cell:
-                if not (0 <= v < n):
-                    raise InvalidPartition(f"vertex {v} out of range")
-                if cell_of[v] != -1:
-                    raise InvalidPartition(f"vertex {v} in two cells")
-                cell_of[v] = i
-            seen += len(cell)
-        if seen != n:
-            raise InvalidPartition(f"cells cover {seen} of {n} vertices")
-        return cls(cells, tuple(cell_of))
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
+from .errors import NotStronglyConnected
 
 
 @dataclass(frozen=True)
@@ -59,63 +34,56 @@ class EquitableParams:
     cell_sizes: tuple[int, ...]
 
 
-def out_distance_partition(g: Digraph, x: int, t: Optional[DistanceTable] = None) -> VertexPartition:
+@dataclass(frozen=True)
+class DistancePartition:
+    """The cells {z : d(x,z) = i} around one vertex x, for i = 0..ecc(x)."""
+
+    cells: tuple[frozenset[int], ...]
+
+
+def shell_counts(
+    row: Sequence[int], neighbors: Sequence[Sequence[int]], width: int
+) -> list[list[int]]:
+    """counts[y][j] = |{z in neighbors[y] : row[z] = j}| for every vertex y,
+    where row holds one vertex's distance classes, each in [0, width)."""
+    counts = []
+    for nbrs in neighbors:
+        c = [0] * width
+        for z in nbrs:
+            c[row[z]] += 1
+        counts.append(c)
+    return counts
+
+
+def out_distance_partition(g: Digraph, x: int, t: Optional[DistanceTable] = None) -> DistancePartition:
     """Cells ordered by distance from x: {z : d(x,z) = i} for i = 0..ecc(x)."""
     if t is None:
         t = distance_table(g)
     if not t.strongly_connected:
         raise NotStronglyConnected("distance partition needs a strongly connected digraph")
-    ecc = int(t.eccentricities[x])
-    cells = [set() for _ in range(ecc + 1)]
-    for z in range(g.n):
-        cells[int(t.dist[x][z])].add(z)
-    return VertexPartition.from_cells(g.n, cells)
+    row = t.array[x].tolist()
+    cells: list[set[int]] = [set() for _ in range(max(row) + 1)]
+    for z, i in enumerate(row):
+        cells[i].add(z)
+    return DistancePartition(tuple(map(frozenset, cells)))
 
 
-def in_distance_partition(g: Digraph, x: int, t: Optional[DistanceTable] = None) -> VertexPartition:
-    """Cells ordered by distance to x: {z : d(z,x) = i}."""
-    if t is None:
-        t = distance_table(g)
-    if not t.strongly_connected:
-        raise NotStronglyConnected("distance partition needs a strongly connected digraph")
-    in_ecc = max(int(t.dist[z][x]) for z in range(g.n))
-    cells = [set() for _ in range(in_ecc + 1)]
-    for z in range(g.n):
-        cells[int(t.dist[z][x])].add(z)
-    return VertexPartition.from_cells(g.n, cells)
-
-
-def _cell_profile(g: Digraph, p: VertexPartition, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-cell out- and in-neighbor counts of a single vertex."""
-    out_row = [0] * p.size
-    in_row = [0] * p.size
-    for z in g.out_neighbors[y]:
-        out_row[p.cell_of[z]] += 1
-    for z in g.in_neighbors[y]:
-        in_row[p.cell_of[z]] += 1
-    return tuple(out_row), tuple(in_row)
-
-
-def check_equitable(g: Digraph, p: VertexPartition) -> Optional[EquitableParams]:
-    """Both parameter matrices when p is equitable for g, else None."""
-    if len(p.cell_of) != g.n:
-        raise InvalidPartition("partition is over a different vertex set")
-    d_out = []
-    d_in = []
-    for cell in p.cells:
-        it = iter(sorted(cell))
-        first = next(it)
-        out_row, in_row = _cell_profile(g, p, first)
-        for y in it:
-            if _cell_profile(g, p, y) != (out_row, in_row):
-                return None
-        d_out.append(out_row)
-        d_in.append(in_row)
-    return EquitableParams(
-        d_out=tuple(d_out),
-        d_in=tuple(d_in),
-        cell_sizes=tuple(len(c) for c in p.cells),
-    )
+def _equitable_params(g: Digraph, row: list[int], width: int) -> Optional[EquitableParams]:
+    """Parameters of the partition of the vertices by their class in row,
+    when it is equitable, else None. Every class in [0, width) must occur."""
+    first = [-1] * width  # lowest vertex of each cell
+    sizes = [0] * width
+    for y, i in enumerate(row):
+        sizes[i] += 1
+        if first[i] < 0:
+            first[i] = y
+    params = []
+    for neighbors in (g.out_neighbors, g.in_neighbors):
+        counts = shell_counts(row, neighbors, width)
+        if any(counts[y] != counts[first[i]] for y, i in enumerate(row)):
+            return None
+        params.append(tuple(tuple(counts[f]) for f in first))
+    return EquitableParams(d_out=params[0], d_in=params[1], cell_sizes=tuple(sizes))
 
 
 def distance_regular_scan(
@@ -123,23 +91,29 @@ def distance_regular_scan(
 ) -> tuple[Optional[EquitableParams], Optional[str]]:
     """Shared body of the out- and in-partition distance-regularity checks.
 
+    Walks the source vertices x in order: the rows of the distance table for
+    "out", its columns for "in". Each vertex's class count, then
+    equitability, then equality with vertex 0's parameters is checked, and
+    only one vertex's counts are held at a time.
+
     Returns (params, None) on success or (None, failure description).
     """
     if not t.strongly_connected:
         raise NotStronglyConnected("distance-regularity is defined for strongly connected digraphs")
-    build = out_distance_partition if direction == "out" else in_distance_partition
+    dist = t.array if direction == "out" else t.array.T
     reference: Optional[EquitableParams] = None
-    ref_cells: Optional[int] = None
+    ref_cells = 0
     for x in range(g.n):
-        p = build(g, x, t)
-        if ref_cells is None:
-            ref_cells = p.size
-        elif p.size != ref_cells:
+        row = dist[x].tolist()
+        cells = max(row) + 1
+        if x == 0:
+            ref_cells = cells
+        elif cells != ref_cells:
             return None, (
-                f"vertex {g.labels[x]} has {p.size - 1} {direction}-distance classes, "
+                f"vertex {g.labels[x]} has {cells - 1} {direction}-distance classes, "
                 f"vertex {g.labels[0]} has {ref_cells - 1}"
             )
-        params = check_equitable(g, p)
+        params = _equitable_params(g, row, cells)
         if params is None:
             return None, f"{direction}-distance partition around {g.labels[x]} is not equitable"
         if reference is None:

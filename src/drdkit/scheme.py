@@ -20,6 +20,7 @@ from .errors import (
     NotStronglyConnected,
     PreconditionViolated,
 )
+from .partitions import shell_counts
 from .ratlin import (
     PartitionBasis,
     RatMatrix,
@@ -452,39 +453,41 @@ class DamerellTable:
 
 
 def damerell_numbers(g: Digraph, t: DistanceTable) -> DamerellTable:
+    """Damerell's one-step table (Damerell, JCTB 31, 1981): for every pair
+    (x, y), the out-neighbors z of y counted by d(x, z), through the
+    `partitions.shell_counts` kernel on row x of the distance table, one
+    source vertex at a time. Each pair is compared with the first pair of its
+    class i = d(x,y) in row-major order; the witness is the first pair that
+    differs, at the lowest j where it does."""
     if not t.strongly_connected:
         raise NotStronglyConnected("count table needs a strongly connected digraph")
-    n = g.n
-    D = t.diameter
-    ref: list[Optional[tuple[int, ...]]] = [None] * (D + 1)
-    ref_pair: list[tuple[int, int]] = [(-1, -1)] * (D + 1)
-    for x in range(n):
-        drow = t.dist[x]
-        for y in range(n):
-            i = int(drow[y])
-            counts = [0] * (D + 1)
-            for z in g.out_neighbors[y]:
-                counts[int(drow[z])] += 1
-            counts = tuple(counts)
-            if ref[i] is None:
+    width = t.diameter + 1
+    ref: list[Optional[list[int]]] = [None] * width
+    ref_pair: list[tuple[int, int]] = [(-1, -1)] * width
+    for x in range(g.n):
+        row = t.array[x].tolist()
+        for y, counts in enumerate(shell_counts(row, g.out_neighbors, width)):
+            i = row[y]
+            base = ref[i]
+            if base is None:
                 ref[i] = counts
                 ref_pair[i] = (x, y)
-            elif counts != ref[i]:
-                base = ref[i]
-                j = next(jj for jj in range(D + 1) if base[jj] != counts[jj])
+            elif counts != base:
+                j = next(jj for jj in range(width) if base[jj] != counts[jj])
                 return DamerellTable(
                     False, None, (i, j, ref_pair[i], (x, y), base[j], counts[j])
                 )
-    return DamerellTable(True, tuple(r for r in ref if r is not None), None)
+    return DamerellTable(True, tuple(tuple(r) for r in ref if r is not None), None)
 
 
 @dataclass(frozen=True)
 class TwoWayRelations:
-    """Partition of X x X by the ordered pair (d(x,y), d(y,x)), with one 01
-    class matrix per realized pair, in lexicographic pair order."""
+    """Partition of X x X by the ordered pair (d(x,y), d(y,x)): the realized
+    pairs in lexicographic order, and for every (x, y) the position of its
+    pair in that order."""
 
     delta: tuple[tuple[int, int], ...]
-    classes: tuple[RatMatrix, ...]
+    index: np.ndarray
 
 
 def two_way_relations(t: DistanceTable) -> TwoWayRelations:
@@ -495,7 +498,7 @@ def two_way_relations(t: DistanceTable) -> TwoWayRelations:
     # Codes d(x,y) * base + d(y,x) sort in lexicographic pair order.
     codes, index = np.unique(dist * base + dist.T, return_inverse=True)
     pairs = tuple(divmod(int(c), base) for c in codes)
-    return TwoWayRelations(pairs, class_matrices(index.reshape(dist.shape), len(pairs)))
+    return TwoWayRelations(pairs, index.reshape(dist.shape))
 
 
 @dataclass(frozen=True)
@@ -513,19 +516,20 @@ class WangSuzukiResult:
 
 def wang_suzuki_drd_check(
     r: TwoWayRelations,
+    t: DistanceTable,
     dm: DistanceMatrices,
     axioms: Optional[Callable[[], AxiomReport]] = None,
 ) -> WangSuzukiResult:
     """Whether the two-way classes form a commutative association scheme
     with D + 1 classes. With exactly D + 1 classes every distance i has one
     reverse distance, so the lexicographic order puts class i at
-    d(x,y) = i: the classes are the distance matrices, which is checked
-    here (a mismatch is a fault, not a verdict). The scheme axioms are then
-    those of the distance matrices, from `axioms` (a caller's shared
-    report) or computed here."""
+    d(x,y) = i: the class index is the distance table and the classes are
+    the distance matrices, which is checked here (a mismatch is a fault, not
+    a verdict). The scheme axioms are then those of the distance matrices,
+    from `axioms` (a caller's shared report) or computed here."""
     if len(r.delta) != dm.D + 1:
         return WangSuzukiResult(False, len(r.delta), None)
-    if r.classes != dm.mats:
+    if not np.array_equal(r.index, t.array):
         raise InternalInconsistency("D + 1 two-way classes differ from the distance matrices")
     rep = axioms() if axioms is not None else scheme_axioms(dm.mats)
     return WangSuzukiResult(rep.all, len(r.delta), rep)

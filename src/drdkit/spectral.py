@@ -261,8 +261,4 @@ def average_last_shell(t: DistanceTable) -> Fraction:
     exactly the diameter."""
     if not t.strongly_connected:
         raise PreconditionViolated("last-shell average needs a strongly connected digraph")
-    D = t.diameter
-    total = sum(
-        1 for row in t.dist for dxy in row if dxy == D
-    )
-    return Fraction(total, t.n)
+    return Fraction(int(np.count_nonzero(t.array == t.diameter)), t.n)

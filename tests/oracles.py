@@ -6,8 +6,10 @@ counts from recursive enumeration, minimal polynomials from a divisor
 search over the factored characteristic polynomial and, modulo a prime,
 from the first dependence among the vectorized powers of the matrix, the
 pair intersection counts from one dictionary per ordered pair, matrix
-products from the textbook triple loop, and distance polynomials by
-evaluating each of them at A from scratch.
+products from the textbook triple loop, distance polynomials by
+evaluating each of them at A from scratch, the distance-partition scans from
+the textbook equitability count on every vertex's cells, and Damerell's
+one-step table from a plain loop over pairs and arcs.
 """
 from __future__ import annotations
 
@@ -217,6 +219,68 @@ def equitable_params_direct(adj, cells):
         d_out.append(tuple(out_ref))
         d_in.append(tuple(in_ref))
     return tuple(d_out), tuple(d_in)
+
+
+def distance_regular_scan_direct(adj, labels, direction: str):
+    """(params, failure) of the out- ("out") or in-distance ("in") scan of a
+    strongly connected digraph: around every vertex x in order, the cells
+    {z : d(x,z) = i} (or d(z,x) = i) of its Floyd-Warshall distances must
+    be as many as around vertex 0, equitable by `equitable_params_direct`,
+    and give vertex 0's (d_out, d_in, cell sizes). The failure names the
+    first vertex where one of the three fails, in that order."""
+    n = len(adj)
+    dist = floyd_warshall(adj)
+    reference = None
+    ref_cells = None
+    for x in range(n):
+        d = [dist[x][z] if direction == "out" else dist[z][x] for z in range(n)]
+        cells = [[z for z in range(n) if d[z] == i] for i in range(int(max(d)) + 1)]
+        if ref_cells is None:
+            ref_cells = len(cells)
+        elif len(cells) != ref_cells:
+            return None, (
+                f"vertex {labels[x]} has {len(cells) - 1} {direction}-distance classes, "
+                f"vertex {labels[0]} has {ref_cells - 1}"
+            )
+        found = equitable_params_direct(adj, cells)
+        if found is None:
+            return None, f"{direction}-distance partition around {labels[x]} is not equitable"
+        params = (*found, tuple(len(c) for c in cells))
+        if reference is None:
+            reference = params
+        elif params != reference:
+            return None, (
+                f"{direction}-distance parameters around {labels[x]} differ "
+                f"from those around {labels[0]}"
+            )
+    return reference, None
+
+
+def damerell_table_direct(adj):
+    """(exists, b, witness) of Damerell's one-step table of a strongly
+    connected digraph: for every pair (x, y) in row-major order, the counts
+    |{z : y -> z, d(x,z) = j}| compared with the first pair of its class
+    i = d(x,y). The witness (i, j, first pair, pair, count there, count
+    here) is the first pair that differs, at its lowest j."""
+    n = len(adj)
+    dist = floyd_warshall(adj)
+    D = int(max(max(row) for row in dist))
+    ref = {}
+    for x in range(n):
+        for y in range(n):
+            i = int(dist[x][y])
+            counts = [0] * (D + 1)
+            for z in range(n):
+                if adj[y][z]:
+                    counts[int(dist[x][z])] += 1
+            if i not in ref:
+                ref[i] = (counts, (x, y))
+                continue
+            base, pair0 = ref[i]
+            if counts != base:
+                j = min(jj for jj in range(D + 1) if base[jj] != counts[jj])
+                return False, None, (i, j, pair0, (x, y), base[j], counts[j])
+    return True, tuple(tuple(ref[i][0]) for i in sorted(ref)), None
 
 
 def pair_counts_by_dict(dist, D: int):

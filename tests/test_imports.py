@@ -2,9 +2,12 @@
 
 Deleting a function often leaves its imports behind; this guard catches
 them. Annotations count as uses, including names inside string annotations.
-The package ``__init__`` is exempt: it imports names to re-export them.
+The package ``__init__`` is exempt: it imports names to re-export them. The
+last test checks the other side of a deletion: every function the
+benchmark's tracer wraps still resolves.
 """
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,20 @@ def test_guard_sees_annotations_and_unused_names():
     )
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"D"}
+
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_tracer_targets_resolve():
+    """Every function the benchmark's span tracer wraps still exists, so a
+    deleted or renamed one fails here rather than in a traced run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for _, module, path in tracer.TARGETS:
+        obj = importlib.import_module(module)
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), (module, path)

@@ -2,24 +2,31 @@ from dataclasses import dataclass
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drdkit.corpus import cycle, cycle_with_chord, paley, paper6
+from drdkit.corpus import cycle, cycle_with_chord, paley
 from drdkit.digraph import Digraph, DistanceTable, distance_table
-from drdkit.errors import InvalidPartition, NotStronglyConnected, PreconditionViolated
+from drdkit.errors import NotStronglyConnected, PreconditionViolated
 from drdkit.partitions import (
-    VertexPartition,
     check_definition_drd,
-    check_equitable,
     distance_regular_scan,
-    in_distance_partition,
     out_distance_partition,
+    shell_counts,
 )
+from drdkit.scheme import damerell_numbers
 
-from oracles import equitable_params_direct
+from oracles import damerell_table_direct, distance_regular_scan_direct, equitable_params_direct
 
 
-def cells_as_labels(g, partition):
-    return [frozenset(g.labels[v] for v in cell) for cell in partition.cells]
+def cells_as_labels(g, cells):
+    return [frozenset(g.labels[v] for v in cell) for cell in cells]
+
+
+def in_distance_cells(t: DistanceTable, x: int) -> tuple[frozenset[int], ...]:
+    """Cells {z : d(z,x) = i} for i = 0.., from column x of the distance table."""
+    col = t.array[:, x].tolist()
+    return tuple(frozenset(z for z, d in enumerate(col) if d == i) for i in range(max(col) + 1))
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,7 @@ def check_partition_coincidence(g: Digraph, t: Optional[DistanceTable] = None) -
     sigma: Optional[list[int]] = None
     for x in range(g.n):
         out_cells = out_distance_partition(g, x, t).cells
-        in_cells = in_distance_partition(g, x, t).cells
+        in_cells = in_distance_cells(t, x)
         if len(out_cells) != len(in_cells):
             return CoincidenceResult(False, ())
         local = []
@@ -70,7 +77,7 @@ class TestDistancePartitions:
     def test_paper6_out_partition(self, fig6):
         a = fig6.labels.index("a")
         p = out_distance_partition(fig6, a)
-        assert cells_as_labels(fig6, p) == [
+        assert cells_as_labels(fig6, p.cells) == [
             frozenset({"a"}),
             frozenset({"b", "c"}),
             frozenset({"d", "e"}),
@@ -79,8 +86,7 @@ class TestDistancePartitions:
 
     def test_paper6_in_partition(self, fig6):
         a = fig6.labels.index("a")
-        p = in_distance_partition(fig6, a)
-        assert cells_as_labels(fig6, p) == [
+        assert cells_as_labels(fig6, in_distance_cells(distance_table(fig6), a)) == [
             frozenset({"a"}),
             frozenset({"d", "e"}),
             frozenset({"b", "c"}),
@@ -94,46 +100,23 @@ class TestDistancePartitions:
 
 
 class TestCheckEquitable:
-    def test_singleton_partition_always_equitable(self):
-        g = cycle_with_chord(5)
-        p = VertexPartition.from_cells(g.n, [{v} for v in range(g.n)])
-        params = check_equitable(g, p)
-        assert params is not None
-        assert params.d_out == g.adj
-
-    def test_whole_set_equitable_iff_regular(self):
-        regular = paper6()
-        p = VertexPartition.from_cells(6, [set(range(6))])
-        params = check_equitable(regular, p)
-        assert params is not None and params.d_out == ((2,),)
-
-        lopsided = cycle_with_chord(4)
-        p = VertexPartition.from_cells(4, [set(range(4))])
-        assert check_equitable(lopsided, p) is None
-
     def test_paper6_distance_partition(self, fig6):
         a = fig6.labels.index("a")
-        p = out_distance_partition(fig6, a)
-        params = check_equitable(fig6, p)
+        params = check_definition_drd(fig6)
         assert params is not None
         assert params.cell_sizes == (1, 2, 2, 1)
-        # Cross-check against the independent direct count.
-        oracle = equitable_params_direct(fig6.adj, [sorted(c) for c in p.cells])
+        # Cross-check against the independent direct count around a.
+        cells = out_distance_partition(fig6, a).cells
+        oracle = equitable_params_direct(fig6.adj, [sorted(c) for c in cells])
         assert oracle == (params.d_out, params.d_in)
 
     def test_matches_direct_oracle_on_failure(self):
         g = cycle_with_chord(4)
-        p = out_distance_partition(g, 1)
-        expected = equitable_params_direct(g.adj, [sorted(c) for c in p.cells])
-        got = check_equitable(g, p)
-        assert (got is None) == (expected is None)
-
-    def test_invalid_partition_rejected(self):
-        g = cycle(3)
-        with pytest.raises(InvalidPartition):
-            VertexPartition.from_cells(3, [{0, 1}])
-        with pytest.raises(InvalidPartition):
-            VertexPartition.from_cells(3, [{0, 1}, {1, 2}])
+        t = distance_table(g)
+        cells = [[sorted(c) for c in out_distance_partition(g, x, t).cells] for x in range(g.n)]
+        first = next(x for x in range(g.n) if equitable_params_direct(g.adj, cells[x]) is None)
+        _, failure = distance_regular_scan(g, t, "out")
+        assert failure == f"out-distance partition around {g.labels[first]} is not equitable"
 
 
 class TestDefinitionDrd:
@@ -187,8 +170,8 @@ class TestPartitionCoincidence:
 
 class TestInvariants:
     def test_arc_double_counting(self, corpus):
-        """|P_i| * d_out[i][j] equals |P_j| * d_in[j][i] on every equitable
-        distance partition in the corpus."""
+        """|P_i| * d_out[i][j] equals |P_j| * d_in[j][i] on the common
+        parameters DEF and F return on the corpus."""
         checked = 0
         for name, g in corpus:
             if g.n == 1:
@@ -196,18 +179,18 @@ class TestInvariants:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            p = out_distance_partition(g, 0, t)
-            params = check_equitable(g, p)
-            if params is None:
-                continue
-            checked += 1
-            s = len(params.cell_sizes)
-            for i in range(s):
-                for j in range(s):
-                    assert (
-                        params.cell_sizes[i] * params.d_out[i][j]
-                        == params.cell_sizes[j] * params.d_in[j][i]
-                    ), name
+            for direction in ("out", "in"):
+                params, _ = distance_regular_scan(g, t, direction)
+                if params is None:
+                    continue
+                checked += 1
+                s = len(params.cell_sizes)
+                for i in range(s):
+                    for j in range(s):
+                        assert (
+                            params.cell_sizes[i] * params.d_out[i][j]
+                            == params.cell_sizes[j] * params.d_in[j][i]
+                        ), (name, direction)
         assert checked > 5
 
     def test_return_distance_constant_on_cells(self, corpus):
@@ -251,3 +234,71 @@ class TestInvariants:
             assert (check_definition_drd(g, t) is None) == (
                 distance_regular_scan(g, t, "in")[0] is None
             ), name
+
+
+@st.composite
+def strongly_connected_digraphs(draw, max_n: int = 9):
+    """Digraphs on 1..max_n vertices, strongly connected by construction:
+    every vertex v > 0 gets an arc from some u < v (so 0 reaches all) and
+    an arc to some w < v (so all reach 0), then extra arcs are added and
+    the vertices relabelled."""
+    n = draw(st.integers(1, max_n))
+    arcs = set()
+    for v in range(1, n):
+        arcs.add((draw(st.integers(0, v - 1)), v))
+        arcs.add((v, draw(st.integers(0, v - 1))))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else set()
+    perm = draw(st.permutations(range(n)))
+    return Digraph.from_arcs(n, sorted((perm[u], perm[v]) for u, v in arcs))
+
+
+def assert_matches_direct(g: Digraph) -> None:
+    t = distance_table(g)
+    for direction in ("out", "in"):
+        params, failure = distance_regular_scan(g, t, direction)
+        expected = distance_regular_scan_direct(g.adj, g.labels, direction)
+        got = None if params is None else (params.d_out, params.d_in, params.cell_sizes)
+        assert (got, failure) == expected, direction
+    table = damerell_numbers(g, t)
+    assert (table.exists, table.b, table.witness) == damerell_table_direct(g.adj)
+
+
+# One graph per failure message of the out-scan (DEF), in its check order:
+# id -> (part of the message, graph).
+FAILING = {
+    "class-count": ("distance classes", Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 0), (2, 0)])),
+    "not-equitable": ("is not equitable", Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2), (2, 0)])),
+    "parameters-differ": ("differ from", Digraph.from_arcs(3, [(0, 2), (1, 0), (2, 0), (2, 1)])),
+}
+
+
+class TestShellCountKernel:
+    def test_counts_neighbors_by_class(self):
+        # Around vertex 0 of the 4-cycle, y's out-neighbor y + 1 sits in
+        # class y + 1 and its in-neighbor y - 1 in class y - 1 (mod 4).
+        g = cycle(4)
+        row = distance_table(g).array[0].tolist()
+        assert shell_counts(row, g.out_neighbors, 4) == [
+            [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]
+        ]
+        assert shell_counts(row, g.in_neighbors, 4) == [
+            [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(strongly_connected_digraphs())
+    def test_scans_match_direct_oracles(self, g):
+        assert_matches_direct(g)
+
+    def test_scans_match_direct_oracles_on_corpus(self, corpus):
+        for _, g in corpus:
+            if distance_table(g).strongly_connected:
+                assert_matches_direct(g)
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_each_failure_message(self, case):
+        message, g = FAILING[case]
+        _, failure = distance_regular_scan(g, distance_table(g), "out")
+        assert failure is not None and message in failure
+        assert_matches_direct(g)

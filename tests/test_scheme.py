@@ -14,6 +14,7 @@ from drdkit.partitions import check_definition_drd
 from drdkit.ratlin import (
     RatMatrix,
     adjacency_matrix,
+    class_matrices,
     mat_mul,
     minimal_polynomial,
     span_solve,
@@ -383,19 +384,19 @@ class TestTwoWayRelations:
         t, dm = build(g)
         rel = two_way_relations(t)
         assert set(rel.delta) == {(0, 0)} | {(i, n - i) for i in range(1, n)}
-        assert wang_suzuki_drd_check(rel, dm)
+        assert wang_suzuki_drd_check(rel, t, dm)
 
     def test_paper6(self, fig6):
         t, dm = build(fig6)
         rel = two_way_relations(t)
         assert len(rel.delta) == 4 == dm.D + 1
-        assert wang_suzuki_drd_check(rel, dm)
+        assert wang_suzuki_drd_check(rel, t, dm)
 
     def test_chorded_cycle(self):
         g = cycle_with_chord(4)
         t, dm = build(g)
         rel = two_way_relations(t)
-        assert not wang_suzuki_drd_check(rel, dm)
+        assert not wang_suzuki_drd_check(rel, t, dm)
 
     def test_h_reads_the_distance_matrices_axioms(self, corpus):
         # H's verdict and witness equal the scheme axioms of the two-way
@@ -409,9 +410,9 @@ class TestTwoWayRelations:
             if len(rel.delta) != dm.D + 1:
                 assert h.verdict == "no" and "two-way distance classes" in h.witness, name
                 continue
-            alone = scheme_axioms(rel.classes)
+            alone = scheme_axioms(class_matrices(rel.index, len(rel.delta)))
             shared = scheme_axioms(dm.mats, product_table(dm.mats))
-            assert wang_suzuki_drd_check(rel, dm, lambda: shared).axioms == alone, name
+            assert wang_suzuki_drd_check(rel, t, dm, lambda: shared).axioms == alone, name
             assert h.verdict == ("yes" if alone.all else "no"), name
             if not alone.all:
                 assert h.witness == alone.witness, name
@@ -419,19 +420,22 @@ class TestTwoWayRelations:
     def test_classes_that_are_not_the_distance_matrices_raise(self, fig6):
         t, dm = build(fig6)
         rel = two_way_relations(t)
-        swapped = rel.classes[:1] + rel.classes[2:] + rel.classes[1:2]
+        swapped = rel.index.copy()
+        swapped[rel.index == 1] = 2
+        swapped[rel.index == 2] = 1
         with pytest.raises(InternalInconsistency):
-            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), dm)
+            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, dm)
 
     def test_classes_partition(self, fig6):
         t, _ = build(fig6)
         rel = two_way_relations(t)
+        classes = class_matrices(rel.index, len(rel.delta))
         total = RatMatrix.zeros(6, 6)
-        for m in rel.classes:
+        for m in classes:
             total = total.add(m)
         assert total == RatMatrix.ones(6)
         assert rel.delta[0] == (0, 0)
-        assert rel.classes[0] == RatMatrix.identity(6)
+        assert classes[0] == RatMatrix.identity(6)
 
 
 class TestWeakDistanceRegularity:
