@@ -48,6 +48,7 @@ from .scheme import (
     wang_suzuki_drd_check,
 )
 from .spectral import (
+    DEFAULT_CLUSTER_TOL,
     Spectrum,
     average_last_shell,
     is_normal,
@@ -69,7 +70,7 @@ class CheckConfig:
     """Tunables shared by all checks. Only the spectral ones use tolerances."""
 
     tol: float = 1e-6
-    cluster_tol: float = 1e-7
+    cluster_tol: float = DEFAULT_CLUSTER_TOL
     max_walk_len: Optional[int] = None
     chars: Optional[tuple[str, ...]] = None
     experimental_nx: bool = False
@@ -161,7 +162,7 @@ class GraphContext:
     @property
     def products(self) -> ProductTable:
         """Span coordinates of every A_i * A_j, shared by A, B, C, C2, D and H."""
-        return self._get("products", lambda: product_table(self.dm.mats))
+        return self._get("products", lambda: product_table(self.dm.mats, self.dm.basis))
 
     @property
     def damerell(self) -> DamerellTable:

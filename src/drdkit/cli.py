@@ -50,10 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--json", action="store_true", help="emit the JSON report")
     p_check.add_argument(
-        "--tol", type=float, default=1e-6, help="relative tolerance for spectral checks"
+        "--tol", type=float, default=CheckConfig.tol,
+        help="relative tolerance for spectral checks",
     )
     p_check.add_argument(
-        "--cluster-tol", type=float, default=1e-7, help="eigenvalue clustering tolerance"
+        "--cluster-tol", type=float, default=CheckConfig.cluster_tol,
+        help="eigenvalue clustering tolerance",
     )
     p_check.add_argument(
         "--char",
@@ -88,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate every strongly connected digraph in the size range",
     )
-    p_fuzz.add_argument("--tol", type=float, default=1e-6)
-    p_fuzz.add_argument("--cluster-tol", type=float, default=1e-7)
+    p_fuzz.add_argument("--tol", type=float, default=CheckConfig.tol)
+    p_fuzz.add_argument("--cluster-tol", type=float, default=CheckConfig.cluster_tol)
     return parser
 
 

@@ -6,8 +6,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from . import digraph
 from .digraph import Digraph, _check_size, strongly_connected
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ParseError
+from .ratlin import _is_prime
 
 FAMILIES = (
     "cycle",
@@ -35,6 +37,7 @@ def cycle(n: int) -> Digraph:
     """Directed cycle C_n."""
     if n < 2:
         raise InvalidParameter("cycle needs n >= 2")
+    _check_size(n)
     return Digraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -45,15 +48,14 @@ def paper6() -> Digraph:
     return Digraph.from_arcs(6, [(index[u], index[v]) for u, v in _PAPER6_ARCS], labels)
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    i = 2
-    while i * i <= q:
-        if q % i == 0:
-            return False
-        i += 1
-    return True
+def _check_word_count(first: int, d: int, n: int) -> None:
+    """Check first * d**(n - 1) vertices, for 2 <= d <= 10, against the
+    vertex limit before any word is built. d**(n - 1) >= 2**(n - 1), so an
+    n - 1 past the limit's bit length fails without the power being formed."""
+    limit = digraph.MAX_VERTICES
+    if n - 1 > limit.bit_length():
+        raise ParseError(f"{first} * {d}^{n - 1} vertices exceed the limit of {limit}")
+    _check_size(first * d ** (n - 1))
 
 
 def paley(q: int) -> Digraph:
@@ -62,6 +64,7 @@ def paley(q: int) -> Digraph:
     Needs q prime with q = 3 (mod 4) so that -1 is not a square and the
     tournament is well defined.
     """
+    _check_size(q)
     if not _is_prime(q):
         raise InvalidParameter(f"paley needs a prime, got {q}")
     if q % 4 != 3:
@@ -82,10 +85,11 @@ def debruijn(d: int, n: int) -> Digraph:
 
     The classical construction keeps those loops; dropping them changes the
     degree sequence, so this family is corpus filler, not a canonical example
-    of anything.
+    of anything. Words are spelled in the digits 0-9, so d is at most 10.
     """
-    if d < 2 or n < 1:
-        raise InvalidParameter("debruijn needs d >= 2 and n >= 1")
+    if not 2 <= d <= 10 or n < 1:
+        raise InvalidParameter("debruijn needs 2 <= d <= 10 and n >= 1")
+    _check_word_count(d, d, n)
     words = ["".join(w) for w in itertools.product(*["0123456789"[:d]] * n)]
     index = {w: i for i, w in enumerate(words)}
     arcs = []
@@ -101,9 +105,11 @@ def kautz(d: int, n: int) -> Digraph:
     """Kautz digraph K(d, n): words of length n over d + 1 symbols with no
     two consecutive symbols equal; arcs shift left by one symbol.
 
-    (d+1) * d^(n-1) vertices, d-regular, loop-free, diameter n."""
-    if d < 2 or n < 1:
-        raise InvalidParameter("kautz needs d >= 2 and n >= 1")
+    (d+1) * d^(n-1) vertices, d-regular, loop-free, diameter n. Words are
+    spelled in the digits 0-9, so d is at most 9."""
+    if not 2 <= d <= 9 or n < 1:
+        raise InvalidParameter("kautz needs 2 <= d <= 9 and n >= 1")
+    _check_word_count(d + 1, d, n)
     alphabet = "0123456789"[: d + 1]
     words = [
         "".join(w)
@@ -124,6 +130,7 @@ def cycle_with_chord(n: int) -> Digraph:
     distance-regular for n >= 4."""
     if n < 4:
         raise InvalidParameter("cycle-with-chord needs n >= 4")
+    _check_size(n)
     arcs = [(i, (i + 1) % n) for i in range(n)] + [(0, 2)]
     return Digraph.from_arcs(n, arcs)
 

@@ -6,7 +6,6 @@ a pure function.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -15,8 +14,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DuplicateArc, EmptyGraph, LoopRejected, ParseError
-
-INF = math.inf
 
 # Largest vertex count accepted. A header is checked against it before the
 # dense n x n adjacency is allocated, so a hostile "1000000 0" fails at once
@@ -110,39 +107,37 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceTable:
-    """All-pairs directed distances with diameter, eccentricities, girth.
+    """All-pairs directed distances as one read-only int64 array.
 
-    Entries are nonnegative ints, or ``math.inf`` for unreachable pairs.
-    ``girth`` is None when the digraph has no directed cycle.
-    ``strongly_connected`` says whether every entry is finite.
-    ``array`` is the same table as a read-only int64 array, with -1 for an
-    unreachable pair.
+    ``array[x][y]`` is d(x, y), or -1 when y is unreachable from x. Its
+    level sets 0..diameter are the distance classes, so the array is also
+    their class index. ``girth`` is None when the digraph has no directed
+    cycle; ``strongly_connected`` says whether no entry is -1.
     """
 
-    dist: tuple[tuple[float, ...], ...]
+    array: np.ndarray = field(repr=False)
     diameter: int
-    eccentricities: tuple[float, ...]
     girth: Optional[int]
     strongly_connected: bool
-    array: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
-        return len(self.dist)
+        return self.array.shape[0]
 
 
-def _bfs(neighbors: Sequence[Sequence[int]], source: int, n: int) -> list[float]:
-    dist: list[float] = [INF] * n
+def _bfs(neighbors: Sequence[Sequence[int]], source: int, n: int) -> list[int]:
+    """Distances from source along neighbors, -1 for an unreachable vertex."""
+    dist = [-1] * n
     dist[source] = 0
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        dv = dist[v]
+        dv = dist[v] + 1
         for u in neighbors[v]:
-            if dist[u] == INF:
-                dist[u] = dv + 1
+            if dist[u] < 0:
+                dist[u] = dv
                 queue.append(u)
     return dist
 
@@ -152,45 +147,28 @@ def strongly_connected(g: Digraph) -> bool:
 
     Two BFS sweeps from vertex 0, one along arcs and one against them.
     """
-    if g.n == 1:
-        return True
-    fwd = _bfs(g.out_neighbors, 0, g.n)
-    if any(d == INF for d in fwd):
+    if -1 in _bfs(g.out_neighbors, 0, g.n):
         return False
-    bwd = _bfs(g.in_neighbors, 0, g.n)
-    return all(d != INF for d in bwd)
+    return -1 not in _bfs(g.in_neighbors, 0, g.n)  # in-neighbours only when needed
 
 
 def distance_table(g: Digraph) -> DistanceTable:
-    """BFS from every vertex; also derives diameter, eccentricities, girth.
+    """BFS from every vertex; also derives the diameter and the girth.
 
-    The girth is the length of a shortest directed cycle, computed as the
-    minimum over arcs (u, v) of dist(v, u) + 1.
+    The diameter is the largest finite distance. The girth is the length of
+    a shortest directed cycle: the minimum over arcs (u, v), i.e. entries
+    d(u, v) = 1, of d(v, u) + 1 where u is reachable from v.
     """
     n = g.n
-    rows = [_bfs(g.out_neighbors, v, n) for v in range(n)]
-    finite = [d for row in rows for d in row if d != INF]
-    diameter = int(max(finite))
-    ecc = tuple(max(row) for row in rows)
-    girth: Optional[int] = None
-    for u in range(n):
-        for v in g.out_neighbors[u]:
-            back = rows[v][u]
-            if back != INF:
-                cycle_len = int(back) + 1
-                if girth is None or cycle_len < girth:
-                    girth = cycle_len
-    array = np.array(rows)
-    array[array == INF] = -1
-    array = array.astype(np.int64)
+    array = np.array([_bfs(g.out_neighbors, v, n) for v in range(n)], dtype=np.int64)
     array.flags.writeable = False
+    back = array.T[array == 1]
+    back = back[back >= 0]
     return DistanceTable(
-        dist=tuple(tuple(int(d) if d != INF else INF for d in row) for row in rows),
-        diameter=diameter,
-        eccentricities=ecc,
-        girth=girth,
-        strongly_connected=len(finite) == n * n,
         array=array,
+        diameter=int(array.max()),
+        girth=int(back.min()) + 1 if back.size else None,
+        strongly_connected=bool(array.min() >= 0),
     )
 
 

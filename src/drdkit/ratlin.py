@@ -266,7 +266,7 @@ class PartitionBasis:
         self.index = index
         self.size = size
         self.shape = index.shape
-        self._reps = first  # row-major first position of each class
+        self.reps = first  # row-major first position of each class
 
     @classmethod
     def from_matrices(cls, mats: Sequence[RatMatrix]) -> Optional["PartitionBasis"]:
@@ -289,7 +289,7 @@ class PartitionBasis:
         where the numerator differs from its class's value."""
         if target.shape != self.shape:
             raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
-        values = target.num.ravel()[self._reps]
+        values = target.num.ravel()[self.reps]
         return values, target.num != values[self.index]
 
     def solve(self, target: RatMatrix) -> Optional[tuple[Rational, ...]]:
@@ -314,7 +314,7 @@ class PartitionBasis:
         i = int(self.index[bad].min())
         pos = int(np.flatnonzero(bad & (self.index == i))[0])
         cols = self.shape[1]
-        return i, divmod(int(self._reps[i]), cols), divmod(pos, cols)
+        return i, divmod(int(self.reps[i]), cols), divmod(pos, cols)
 
 
 class SpanBasis:

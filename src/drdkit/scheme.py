@@ -36,9 +36,11 @@ from .ratlin import (
 
 @dataclass(frozen=True)
 class DistanceMatrices:
-    """The 01 matrices A_0..A_D with (A_i)[x][y] = 1 iff d(x,y) = i."""
+    """The 01 matrices A_0..A_D with (A_i)[x][y] = 1 iff d(x,y) = i, and
+    their partition basis, whose class index is the distance table."""
 
     mats: tuple[RatMatrix, ...]
+    basis: PartitionBasis
 
     @property
     def D(self) -> int:
@@ -65,7 +67,7 @@ def distance_matrices(g: Digraph, t: DistanceTable) -> DistanceMatrices:
         raise InternalInconsistency("distance classes do not partition X x X")
     if D >= 1 and mats[1] != adjacency_matrix(g):
         raise InternalInconsistency("A_1 != adjacency matrix")
-    return DistanceMatrices(mats)
+    return DistanceMatrices(mats, PartitionBasis(t.array, D + 1))
 
 
 @dataclass(frozen=True)
@@ -81,29 +83,34 @@ class TransposeMap:
         return self.sigma is not None
 
 
+def _transpose_class(basis: PartitionBasis, i: int) -> Optional[int]:
+    """The j with M_i^T = M_j in a partition basis, or None: the class at the
+    transposed position of class i's representative, if index == j exactly
+    where index^T == i. No matrix is built."""
+    index = basis.index
+    y, x = divmod(int(basis.reps[i]), basis.shape[1])
+    j = int(index[x, y])
+    return j if np.array_equal(index == j, index.T == i) else None
+
+
 def transpose_closure(dm: DistanceMatrices) -> TransposeMap:
-    """Search, for each i, the j with A_i^T = A_j exactly."""
+    """For i = 0..D in order, the j with A_i^T = A_j, read off the distance
+    table: A_i^T = A_j iff d(x,y) = j exactly where d(y,x) = i. The failing
+    index is the lowest i with no such j."""
     sigma = []
-    for i, m in enumerate(dm.mats):
-        mt = transpose(m)
-        for j, cand in enumerate(dm.mats):
-            if mt == cand:
-                sigma.append(j)
-                break
-        else:
+    for i in range(dm.D + 1):
+        j = _transpose_class(dm.basis, i)
+        if j is None:
             return TransposeMap(None, i)
+        sigma.append(j)
     return TransposeMap(tuple(sigma), None)
 
 
 def adjacency_transpose_index(dm: DistanceMatrices) -> Optional[int]:
-    """The j with A^T = A_j, if any: the single-matrix transpose test."""
+    """The j with A^T = A_j, if any, read off the distance table."""
     if dm.D == 0:
         return 0  # one-vertex digraph: conventionally closed
-    at = transpose(dm.mats[1])
-    for j, cand in enumerate(dm.mats):
-        if at == cand:
-            return j
-    return None
+    return _transpose_class(dm.basis, 1)
 
 
 @dataclass(frozen=True)
@@ -212,11 +219,15 @@ class ProductTable:
         return self.first_open is None
 
 
-def product_table(mats: Sequence[RatMatrix]) -> ProductTable:
+def product_table(
+    mats: Sequence[RatMatrix], basis: Optional[PartitionBasis] = None
+) -> ProductTable:
     """Multiply every ordered pair of the family once and keep only the span
     coordinates of each product and whether the pair commutes (an exact
-    comparison, whether or not the products lie in the span)."""
-    basis = span_basis(mats)
+    comparison, whether or not the products lie in the span), in `basis` (a
+    caller's partition basis of mats) or in the span basis computed here."""
+    if basis is None:
+        basis = span_basis(mats)
     size = len(mats)
     coords: list[list] = [[None] * size for _ in range(size)]
     noncommuting = None
@@ -253,7 +264,7 @@ def intersection_numbers(dm: DistanceMatrices, t: DistanceTable) -> Intersection
     """
     scan = pair_intersection_counts(t)
     D = dm.D
-    products = product_table(dm.mats)
+    products = product_table(dm.mats, dm.basis)
     for i in range(D + 1):
         for j in range(D + 1):
             coeffs = products.coords[i][j]
@@ -286,7 +297,7 @@ def distance_polynomials(
     when c_{i+1} A_{i+1} = A_i A - sum_{h<=i} c_h A_h.
     """
     if products is None:
-        products = product_table(dm.mats)
+        products = product_table(dm.mats, dm.basis)
     a = dm.adjacency
     D = dm.D
     polys = [RatPolynomial.one()]
@@ -346,13 +357,12 @@ def walk_count_constancy(
         max_len = D
     elif max_len < D:
         raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
-    classes = PartitionBasis.from_matrices(dm.mats)
     a = adjacency_matrix(g)
     power = RatMatrix.identity(g.n)
     for ell in range(max_len + 1):
         if ell > 0:
             power = mat_mul(power, a)
-        off = classes.deviation(power)
+        off = dm.basis.deviation(power)
         if off is not None:
             h, (x0, y0), (x, y) = off
             v0, v1 = int(power.num[x0, y0]), int(power.num[x, y])

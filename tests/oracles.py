@@ -1,7 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Nothing here reuses the library's algorithms: distances come from
-Floyd-Warshall instead of BFS, girth from explicit cycle enumeration, walk
+Floyd-Warshall instead of BFS, girth from explicit cycle enumeration or
+from Floyd-Warshall's shortest closed walks, transposes of distance
+matrices from comparing whole transposed arrays, walk
 counts from recursive enumeration, minimal polynomials from a divisor
 search over the factored characteristic polynomial and, modulo a prime,
 from the first dependence among the vectorized powers of the matrix, the
@@ -23,10 +25,15 @@ import sympy
 INF = math.inf
 
 
-def floyd_warshall(adj) -> list[list[float]]:
-    """All-pairs shortest directed path lengths by Floyd-Warshall."""
+def floyd_warshall(adj, zero_diagonal: bool = True) -> list[list[float]]:
+    """All-pairs shortest directed path lengths by Floyd-Warshall. Without
+    zero_diagonal the diagonal starts unreachable and ends as the length of
+    a shortest closed walk through each vertex."""
     n = len(adj)
-    dist = [[0 if i == j else (1 if adj[i][j] else INF) for j in range(n)] for i in range(n)]
+    dist = [
+        [0 if i == j and zero_diagonal else (1 if adj[i][j] else INF) for j in range(n)]
+        for i in range(n)
+    ]
     for k in range(n):
         for i in range(n):
             dik = dist[i][k]
@@ -37,6 +44,44 @@ def floyd_warshall(adj) -> list[list[float]]:
                 if alt < dist[i][j]:
                     dist[i][j] = alt
     return dist
+
+
+def table_by_floyd_warshall(adj):
+    """(distances with -1 for unreachable, diameter, girth, strongly
+    connected) by Floyd-Warshall: the diameter is the largest finite
+    distance, and the girth the shortest closed walk (None without one)."""
+    dist = floyd_warshall(adj)
+    closed = floyd_warshall(adj, zero_diagonal=False)
+    finite = [d for row in dist for d in row if d != INF]
+    girth = min((closed[v][v] for v in range(len(adj)) if closed[v][v] != INF), default=None)
+    return (
+        [[-1 if d == INF else d for d in row] for row in dist],
+        max(finite),
+        girth,
+        len(finite) == len(adj) ** 2,
+    )
+
+
+def transpose_closure_by_matrices(mats):
+    """(sigma, failing index) of the transpose search over a family of 01
+    RatMatrix objects: for each i in order, the first j whose array equals
+    the transposed array of mats[i]; the failing index is the first i with
+    none."""
+    sigma = []
+    for i, m in enumerate(mats):
+        j = next((j for j, c in enumerate(mats) if np.array_equal(m.num.T, c.num)), None)
+        if j is None:
+            return None, i
+        sigma.append(j)
+    return tuple(sigma), None
+
+
+def adjacency_transpose_by_matrices(mats):
+    """The first j with mats[1] transposed equal to mats[j], or None; 0 for
+    the one-vertex family (mats[0] alone)."""
+    if len(mats) == 1:
+        return 0
+    return next((j for j, c in enumerate(mats) if np.array_equal(mats[1].num.T, c.num)), None)
 
 
 def brute_girth(adj):

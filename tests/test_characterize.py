@@ -16,7 +16,7 @@ from drdkit.corpus import (
 )
 from drdkit.digraph import Digraph, distance_table
 from drdkit.errors import InvalidParameter
-from drdkit.ratlin import adjacency_matrix
+from drdkit.ratlin import PartitionBasis, RatMatrix, adjacency_matrix, mat_mul
 from drdkit.scheme import distance_matrices, transpose_closure, weak_dr_comellas
 from drdkit.spectral import is_normal, spectrum
 
@@ -67,6 +67,31 @@ class TestCheckAll:
             rep = check_all(g)
             assert rep.agreement
         assert len(calls) == 2
+
+    def test_only_the_power_basis_is_stacked_from_matrices(self, monkeypatch):
+        """The distance classes' partition basis is the distance table, so
+        PartitionBasis.from_matrices runs once per graph at most, for the
+        powers I, A, ..., A^(deg - 1) of the minimal polynomial's degree."""
+        families = []
+        stack = PartitionBasis.from_matrices.__func__
+
+        def counted(cls, mats):
+            families.append(list(mats))
+            return stack(cls, mats)
+
+        monkeypatch.setattr(PartitionBasis, "from_matrices", classmethod(counted))
+        powered = 0
+        for g in (paper6(), cycle(6), paley(7), kautz(2, 2), cycle_with_chord(5)):
+            families.clear()
+            ctx = check_all(g).context
+            assert len(families) <= 1
+            for mats in families:
+                powers = [RatMatrix.identity(g.n)]
+                while len(powers) < ctx.minpoly.degree:
+                    powers.append(mat_mul(powers[-1], ctx.adjacency))
+                assert mats == powers
+                powered += 1
+        assert powered >= 3
 
     def test_subset_selection(self):
         config = CheckConfig(chars=("DEF", "J"))

@@ -1,9 +1,12 @@
+import itertools
 import json
 import random
 
 import pytest
 
+import drdkit.cli
 import drdkit.digraph
+from drdkit.characterize import CheckConfig, check_all
 from drdkit.cli import main
 from drdkit.corpus import cycle_with_chord, edge_list_text, paper6
 from drdkit.report import canonical_json
@@ -169,6 +172,21 @@ class TestGenCommand:
         assert main(["check", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["check", "PATH"], ["fuzz", "1", "1", "1"]], ids=["check", "fuzz"]
+)
+def test_no_flags_build_the_default_config(argv, paper6_file, monkeypatch):
+    configs = []
+
+    def recorded(g, config):
+        configs.append(config)
+        return check_all(g, config)
+
+    monkeypatch.setattr(drdkit.cli, "check_all", recorded)
+    assert main([paper6_file if a == "PATH" else a for a in argv]) == 0
+    assert configs == [CheckConfig()]
+
+
 class TestFuzzCommand:
     def test_seeded_run_is_deterministic(self, capsys):
         assert main(["fuzz", "3", "5", "30", "--seed", "42"]) == 0
@@ -199,6 +217,16 @@ class TestFuzzCommand:
         assert "must be finite and >= 0" in capsys.readouterr().err
 
 
+def _refuse_to_build(monkeypatch):
+    """Make building a digraph, or a generator's words, fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a digraph over the size limit")
+
+    monkeypatch.setattr(drdkit.digraph.Digraph, "from_arcs", refuse)
+    monkeypatch.setattr(itertools, "product", refuse)
+
+
 class TestSizeLimit:
     @pytest.mark.parametrize(
         "argv", [["fuzz", "9", "9", "1"], ["gen", "random-sc", "9", "--seed", "1"]]
@@ -211,3 +239,29 @@ class TestSizeLimit:
         monkeypatch.setattr(random, "Random", refuse)
         assert main(argv) == 4
         assert "exceed the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "cycle", "9"],
+            ["gen", "cycle-with-chord", "9"],
+            ["gen", "paley", "11"],
+            ["gen", "debruijn", "2", "4"],
+            ["gen", "kautz", "2", "3"],
+        ],
+    )
+    def test_families_exit_four_before_building(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(drdkit.digraph, "MAX_VERTICES", 8)
+        _refuse_to_build(monkeypatch)
+        assert main(argv) == 4
+        assert "exceed the limit" in capsys.readouterr().err
+
+    def test_huge_word_length_is_refused_without_the_power(self, monkeypatch, capsys):
+        _refuse_to_build(monkeypatch)
+        assert main(["gen", "debruijn", "2", "10000"]) == 4
+        assert "2 * 2^9999 vertices exceed the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["gen", "kautz", "10", "2"], ["gen", "debruijn", "11", "2"]])
+    def test_alphabet_past_ten_digits_exits_four(self, argv, capsys):
+        assert main(argv) == 4
+        assert "<=" in capsys.readouterr().err

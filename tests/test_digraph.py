@@ -1,6 +1,6 @@
-import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +17,7 @@ from drdkit.digraph import (
 )
 from drdkit.errors import DuplicateArc, EmptyGraph, LoopRejected, ParseError
 
-from oracles import brute_girth, floyd_warshall
-
-INF = math.inf
+from oracles import brute_girth, table_by_floyd_warshall
 
 
 def small_digraphs(max_n: int = 6):
@@ -134,7 +132,7 @@ class TestDistances:
         t = distance_table(cycle(n))
         for i in range(n):
             for j in range(n):
-                assert t.dist[i][j] == (j - i) % n
+                assert t.array[i, j] == (j - i) % n
         assert t.diameter == n - 1
         assert t.girth == n
 
@@ -143,7 +141,7 @@ class TestDistances:
         t = distance_table(g)
         assert t.diameter == 3
         a = g.labels.index("a")
-        shells = {i: {g.labels[z] for z in range(6) if t.dist[a][z] == i} for i in range(4)}
+        shells = {i: {g.labels[z] for z in range(6) if t.array[a, z] == i} for i in range(4)}
         assert shells[1] == {"b", "c"}
         assert shells[2] == {"d", "e"}
         assert shells[3] == {"f"}
@@ -193,11 +191,28 @@ class TestRegularity:
         assert regularity(cycle_with_chord(4)) is None
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_digraphs(5))
-def test_distance_table_matches_floyd_warshall(g):
+def _assert_table_matches_floyd_warshall(g):
+    """The int64 table, with -1 for unreachable, and the diameter, girth and
+    strong connectivity read off it, against Floyd-Warshall."""
     t = distance_table(g)
-    assert [list(r) for r in t.dist] == floyd_warshall(g.adj)
+    dist, diameter, girth, sc = table_by_floyd_warshall(g.adj)
+    assert t.array.dtype == np.int64 and not t.array.flags.writeable
+    assert (t.array.tolist(), t.diameter, t.girth, t.strongly_connected, t.n) == (
+        dist, diameter, girth, sc, g.n
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_digraphs(9))
+def test_distance_table_matches_floyd_warshall(g):
+    _assert_table_matches_floyd_warshall(g)
+
+
+def test_distance_table_matches_floyd_warshall_on_the_corpus(corpus):
+    bridged = Digraph.from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+    path = Digraph.from_arcs(3, [(0, 1), (1, 2)])
+    for _, g in corpus + [("bridged", bridged), ("path3", path)]:
+        _assert_table_matches_floyd_warshall(g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,13 +220,14 @@ def test_distance_table_matches_floyd_warshall(g):
 def test_distance_invariants(g):
     t = distance_table(g)
     n = g.n
+    d = t.array.tolist()
     for v in range(n):
         for u in range(n):
-            assert (t.dist[v][u] == 0) == (v == u)
-            assert (t.dist[v][u] == 1) == bool(g.adj[v][u])
+            assert (d[v][u] == 0) == (v == u)
+            assert (d[v][u] == 1) == bool(g.adj[v][u])
             for w in range(n):
-                if t.dist[v][u] != INF and t.dist[u][w] != INF:
-                    assert t.dist[v][w] <= t.dist[v][u] + t.dist[u][w]
+                if d[v][u] >= 0 and d[u][w] >= 0:
+                    assert 0 <= d[v][w] <= d[v][u] + d[u][w]
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,7 +237,7 @@ def test_converse_swaps_distances(g):
     tc = distance_table(converse(g))
     for v in range(g.n):
         for u in range(g.n):
-            assert tc.dist[v][u] == t.dist[u][v]
+            assert tc.array[v, u] == t.array[u, v]
 
 
 @settings(max_examples=50, deadline=None)

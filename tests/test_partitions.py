@@ -205,7 +205,7 @@ class TestInvariants:
             for x in range(g.n):
                 p = out_distance_partition(g, x, t)
                 for cell in p.cells:
-                    back = {t.dist[z][x] for z in cell}
+                    back = {int(t.array[z, x]) for z in cell}
                     assert len(back) == 1, name
 
     def test_coincidence_respects_girth(self, corpus):

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from drdkit.digraph import Digraph, distance_table, strongly_connected
 from drdkit.errors import InternalInconsistency
 from drdkit.partitions import check_definition_drd
 from drdkit.ratlin import (
+    PartitionBasis,
     RatMatrix,
     adjacency_matrix,
     class_matrices,
@@ -21,6 +23,7 @@ from drdkit.ratlin import (
 )
 from drdkit.scheme import (
     TwoWayRelations,
+    adjacency_transpose_index,
     comellas_damerell_link,
     damerell_numbers,
     distance_matrices,
@@ -37,7 +40,13 @@ from drdkit.scheme import (
 )
 from drdkit.spectral import is_normal
 
-from oracles import count_walks, distance_polynomials_by_evaluation, pair_counts_by_dict
+from oracles import (
+    adjacency_transpose_by_matrices,
+    count_walks,
+    distance_polynomials_by_evaluation,
+    pair_counts_by_dict,
+    transpose_closure_by_matrices,
+)
 
 
 def build(g):
@@ -494,7 +503,7 @@ def _strongly_connected_digraphs(max_n: int):
 
 def _assert_scan_matches_oracle(t):
     scan = pair_intersection_counts(t)
-    values, ok, witness = pair_counts_by_dict(t.dist, t.diameter)
+    values, ok, witness = pair_counts_by_dict(t.array.tolist(), t.diameter)
     assert scan.values == values
     assert scan.ok == ok
     assert scan.witness == witness
@@ -535,6 +544,47 @@ class TestPairCountScan:
         t = distance_table(cycle_with_chord(4))
         scan = pair_intersection_counts(t)
         assert scan.witness == (1, 1, 1, (0, 1), (0, 2), 0, 1)
+
+
+def _assert_index_reads_match_matrices(g):
+    _, dm = build(g)
+    tm = transpose_closure(dm)
+    assert (tm.sigma, tm.failing_index) == transpose_closure_by_matrices(dm.mats)
+    assert adjacency_transpose_index(dm) == adjacency_transpose_by_matrices(dm.mats)
+    stacked = PartitionBasis.from_matrices(dm.mats)
+    assert np.array_equal(dm.basis.index, stacked.index)
+    assert dm.basis.reps.tolist() == stacked.reps.tolist()
+    assert dm.basis.size == stacked.size == dm.D + 1
+
+
+class TestIndexReads:
+    """Transposes and the class basis read off the distance table agree with
+    the matrix-level references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_strongly_connected_digraphs(9))
+    def test_matches_the_matrix_references(self, g):
+        _assert_index_reads_match_matrices(g)
+
+    def test_corpus(self, corpus):
+        # Two directed triangles through vertex 0: every arc returns at
+        # distance 2, but A_2 holds more pairs than there are arcs, so A^T
+        # lies properly inside A_2 and is no distance matrix.
+        bowtie = Digraph.from_arcs(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+        for name, g in corpus + [("bowtie", bowtie)]:
+            if strongly_connected(g):
+                _assert_index_reads_match_matrices(g)
+
+    def test_no_matrix_is_transposed_or_compared(self, corpus, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a class matrix was transposed or compared")
+
+        built = [build(g)[1] for _, g in corpus if strongly_connected(g)]
+        monkeypatch.setattr(scheme, "transpose", refuse)
+        monkeypatch.setattr(RatMatrix, "__eq__", refuse)
+        for dm in built:
+            transpose_closure(dm)
+            adjacency_transpose_index(dm)
 
 
 class TestOneStepExpansions:

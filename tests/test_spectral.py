@@ -213,5 +213,5 @@ class TestAverageLastShell:
         t = distance_table(g)
         # Distances to the far side shrink for vertex 0; count by hand:
         # shells at distance D=3: only some vertices have one.
-        total = sum(1 for row in t.dist for d in row if d == t.diameter)
+        total = sum(1 for row in t.array.tolist() for d in row if d == t.diameter)
         assert average_last_shell(t) == Fraction(total, 4)
