@@ -11,16 +11,6 @@ from .digraph import Digraph, _check_size, strongly_connected
 from .errors import InvalidParameter, ParseError
 from .ratlin import _is_prime
 
-FAMILIES = (
-    "cycle",
-    "paper6",
-    "paley",
-    "debruijn",
-    "kautz",
-    "random-sc",
-    "cycle-with-chord",
-)
-
 # The 6-vertex 2-regular distance-regular digraph used throughout the test
 # corpus: a -> b,c; b -> d,e; c -> d,e; d -> a,f; e -> a,f; f -> b,c.
 _PAPER6_ARCS = (
@@ -171,38 +161,33 @@ class GeneratorSpec:
     seed: Optional[int] = None
 
 
+# Family name -> (constructor, names of its integer parameters). random-sc
+# also takes the spec's arc probability and seed.
+_FAMILY_TABLE = {
+    "cycle": (cycle, ("n",)),
+    "paper6": (paper6, ()),
+    "paley": (paley, ("q",)),
+    "debruijn": (debruijn, ("d", "n")),
+    "kautz": (kautz, ("d", "n")),
+    "random-sc": (random_sc, ("n",)),
+    "cycle-with-chord": (cycle_with_chord, ("n",)),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
 def generate(spec: GeneratorSpec) -> Digraph:
     family = spec.family
-    params = spec.params
-    if family == "cycle":
-        if len(params) != 1:
-            raise InvalidParameter("cycle takes one parameter: n")
-        return cycle(params[0])
-    if family == "paper6":
-        if params:
-            raise InvalidParameter("paper6 takes no parameters")
-        return paper6()
-    if family == "paley":
-        if len(params) != 1:
-            raise InvalidParameter("paley takes one parameter: q")
-        return paley(params[0])
-    if family == "debruijn":
-        if len(params) != 2:
-            raise InvalidParameter("debruijn takes two parameters: d n")
-        return debruijn(*params)
-    if family == "kautz":
-        if len(params) != 2:
-            raise InvalidParameter("kautz takes two parameters: d n")
-        return kautz(*params)
+    if family not in _FAMILY_TABLE:
+        raise InvalidParameter(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    make, names = _FAMILY_TABLE[family]
+    if len(spec.params) != len(names):
+        if not names:
+            raise InvalidParameter(f"{family} takes no parameters")
+        count = ("one parameter", "two parameters")[len(names) - 1]
+        raise InvalidParameter(f"{family} takes {count}: {' '.join(names)}")
     if family == "random-sc":
-        if len(params) != 1:
-            raise InvalidParameter("random-sc takes one parameter: n")
-        return random_sc(params[0], spec.p, spec.seed)
-    if family == "cycle-with-chord":
-        if len(params) != 1:
-            raise InvalidParameter("cycle-with-chord takes one parameter: n")
-        return cycle_with_chord(params[0])
-    raise InvalidParameter(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+        return random_sc(*spec.params, spec.p, spec.seed)
+    return make(*spec.params)
 
 
 def all_strongly_connected_digraphs(n: int) -> Iterator[Digraph]:

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .characterize import CharacterizationVerdict, Report
 from .errors import SpectralError
-from .spectral import Spectrum, average_last_shell, spectral_excess_rhs
+from .spectral import Spectrum, spectral_excess
 
 SCHEMA = "drdkit-report/1"
 
@@ -46,11 +46,7 @@ def spectral_block(spec, table) -> Optional[dict]:
         "eigenvalues": [[lam.real, lam.imag, m] for lam, m in spec.eigs],
     }
     try:
-        rhs = spectral_excess_rhs(spec)
-        lhs = float(average_last_shell(table))
-        block["excess_lhs"] = lhs
-        block["excess_rhs"] = rhs
-        block["gap"] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        block["excess_lhs"], block["excess_rhs"], block["gap"] = spectral_excess(spec, table)
     except SpectralError:
         pass
     return block

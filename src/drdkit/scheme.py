@@ -1,6 +1,6 @@
-"""Distance-matrix algebra: association-scheme axioms, intersection numbers,
-distance polynomials, transpose closure, walk counts, and the one-step and
-two-way-distance count tables.
+"""Distance-matrix algebra: the product table and the association-scheme
+axioms read from it, transpose closure, pair intersection counts, distance
+polynomials, walk counts, and the one-step and two-way-distance count tables.
 
 Every check in this module is exact; all quantities are integer counts or
 integer matrix identities, so there are no tolerances anywhere.
@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .digraph import Digraph, DistanceTable
 from .errors import (
-    DimensionMismatch,
     InternalInconsistency,
     NotStronglyConnected,
     PreconditionViolated,
@@ -29,8 +28,6 @@ from .ratlin import (
     adjacency_matrix,
     class_matrices,
     mat_mul,
-    span_basis,
-    transpose,
 )
 
 
@@ -198,12 +195,13 @@ def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
 
 @dataclass(frozen=True)
 class ProductTable:
-    """Coordinates of every product M_i M_j of a matrix family in the span of
-    the family, and the first pair whose two orders of product differ. The
-    products themselves are not kept."""
+    """Coordinates of every product A_i A_j of the distance matrices in their
+    partition basis (None where the product leaves the span), and the first
+    pair whose two orders of product differ. The products themselves are not
+    kept."""
 
     coords: tuple[tuple[Optional[tuple[Rational, ...]], ...], ...]
-    noncommuting: Optional[tuple[int, int]]  # first (i, j), i < j, with M_i M_j != M_j M_i
+    noncommuting: Optional[tuple[int, int]]  # first (i, j), i < j, with A_i A_j != A_j A_i
 
     @property
     def first_open(self) -> Optional[tuple[int, int]]:
@@ -219,15 +217,12 @@ class ProductTable:
         return self.first_open is None
 
 
-def product_table(
-    mats: Sequence[RatMatrix], basis: Optional[PartitionBasis] = None
-) -> ProductTable:
-    """Multiply every ordered pair of the family once and keep only the span
-    coordinates of each product and whether the pair commutes (an exact
-    comparison, whether or not the products lie in the span), in `basis` (a
-    caller's partition basis of mats) or in the span basis computed here."""
-    if basis is None:
-        basis = span_basis(mats)
+def product_table(dm: DistanceMatrices) -> ProductTable:
+    """Multiply every ordered pair of the distance matrices once and keep
+    only the coordinates of each product in their partition basis and
+    whether the pair commutes (an exact comparison, whether or not the
+    products lie in the span)."""
+    mats, basis = dm.mats, dm.basis
     size = len(mats)
     coords: list[list] = [[None] * size for _ in range(size)]
     noncommuting = None
@@ -247,57 +242,20 @@ def product_table(
     return ProductTable(tuple(map(tuple, coords)), noncommuting)
 
 
-@dataclass(frozen=True)
-class IntersectionTensor:
-    """Intersection numbers p[h][i][j] = |{z : d(x,z)=i, d(z,y)=j}| for any
-    pair with d(x,y) = h, when that count is pair-independent."""
-
-    exists: bool
-    p: Optional[tuple[tuple[tuple[int, ...], ...], ...]]
-    witness: Optional[tuple]
-
-
-def intersection_numbers(dm: DistanceMatrices, t: DistanceTable) -> IntersectionTensor:
-    """Combinatorial counting pass cross-checked against the span coordinates
-    of every product A_i * A_j; any disagreement between the two routes raises
-    InternalInconsistency (it would be a bug, not a property of the graph).
-    """
-    scan = pair_intersection_counts(t)
-    D = dm.D
-    products = product_table(dm.mats, dm.basis)
-    for i in range(D + 1):
-        for j in range(D + 1):
-            coeffs = products.coords[i][j]
-            if scan.ok[i][j] != (coeffs is not None):
-                raise InternalInconsistency(
-                    f"count scan and span solve disagree on slice ({i},{j})"
-                )
-            if coeffs is not None:
-                for h in range(D + 1):
-                    if coeffs[h] != scan.values[h][i][j]:
-                        raise InternalInconsistency(
-                            f"p^{h}_{{{i}{j}}}: scan {scan.values[h][i][j]} vs solve {coeffs[h]}"
-                        )
-    if scan.all_constant:
-        return IntersectionTensor(True, scan.values, None)
-    return IntersectionTensor(False, None, scan.witness)
-
-
 def distance_polynomials(
-    dm: DistanceMatrices, products: Optional[ProductTable] = None
+    dm: DistanceMatrices, products: ProductTable
 ) -> Optional[tuple[RatPolynomial, ...]]:
     """Polynomials p_i with p_i(A) = A_i and deg p_i = i, or None.
 
     Built by the exact three-term-style recurrence
     c_{i+1} p_{i+1}(t) = t p_i(t) - sum_{h<=i} c_h p_h(t) from the expansion
     A_i A = sum_h c_h A_h, read from the product table of the distance
-    matrices (computed here when not given), then re-verified by induction
-    with one product per step: p_0(A) = I = A_0 and p_1(A) = A = A_1, and
-    once p_h(A) = A_h for every h <= i, p_{i+1}(A) = A_{i+1} holds exactly
-    when c_{i+1} A_{i+1} = A_i A - sum_{h<=i} c_h A_h.
+    matrices, then re-verified by induction with one product per step:
+    p_0(A) = I = A_0 and p_1(A) = A = A_1 (both proved by
+    `distance_matrices`), and once p_h(A) = A_h for every h <= i,
+    p_{i+1}(A) = A_{i+1} holds exactly when
+    c_{i+1} A_{i+1} = A_i A - sum_{h<=i} c_h A_h.
     """
-    if products is None:
-        products = product_table(dm.mats, dm.basis)
     a = dm.adjacency
     D = dm.D
     polys = [RatPolynomial.one()]
@@ -318,8 +276,6 @@ def distance_polynomials(
                 nxt = nxt.sub(polys[h].scale(coeffs[h]))
         polys.append(nxt.scale(Fraction(1) / lead))
     if any(p.degree != i for i, p in enumerate(polys)):
-        return None
-    if dm.mats[0] != RatMatrix.identity(a.rows):
         return None
     for i in range(1, D):
         coeffs = products.coords[i][1]
@@ -345,21 +301,21 @@ class WalkConstancy:
         return self.ok
 
 
-def walk_count_constancy(
-    g: Digraph, dm: DistanceMatrices, max_len: Optional[int] = None
-) -> WalkConstancy:
+def walk_count_constancy(dm: DistanceMatrices, max_len: Optional[int] = None) -> WalkConstancy:
     """Check that A^l is constant on every distance class for l = 0..max_len
     (default: the diameter). max_len below the diameter would weaken the
-    test and is refused. Powers past the int64 bound take mat_mul's
-    object-array route, so long walks stay exact."""
+    test and is refused. Only l < n is stepped: by Cayley-Hamilton A^n is a
+    combination of I, A, ..., A^(n-1), so constancy for every l < n gives it
+    for all l, and the first failing l is below n. Powers past the int64
+    bound take mat_mul's object-array route, so long walks stay exact."""
     D = dm.D
     if max_len is None:
         max_len = D
     elif max_len < D:
         raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
-    a = adjacency_matrix(g)
-    power = RatMatrix.identity(g.n)
-    for ell in range(max_len + 1):
+    a = dm.adjacency
+    power = RatMatrix.identity(a.rows)
+    for ell in range(min(max_len, a.rows - 1) + 1):
         if ell > 0:
             power = mat_mul(power, a)
         off = dm.basis.deviation(power)
@@ -372,82 +328,40 @@ def walk_count_constancy(
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of the five association-scheme axioms on a matrix family."""
+    """Outcome of the association-scheme axioms on the distance matrices.
+    A_0 = I and sum A_i = J hold by construction (`distance_matrices`
+    raises otherwise), so only transpose closure, product closure and
+    commutativity are reported."""
 
-    identity: bool
-    sum_to_j: bool
     transpose_closed: bool
     product_closed: bool
     commutative: bool
     witness: Optional[str]
-    coefficients: Optional[dict]
 
     @property
     def all(self) -> bool:
-        return (
-            self.identity
-            and self.sum_to_j
-            and self.transpose_closed
-            and self.product_closed
-            and self.commutative
-        )
+        return self.transpose_closed and self.product_closed and self.commutative
 
 
-def scheme_axioms(
-    mats: Sequence[RatMatrix], products: Optional[ProductTable] = None
-) -> AxiomReport:
-    """Verify, exactly, that a family of 01 matrices is the standard basis of
-    a commutative association scheme: contains I, sums to J, is closed under
-    transpose and under products, and commutes. Closure and commutativity
-    are read from the family's product table, computed here when not given."""
-    if not mats:
-        raise DimensionMismatch("empty matrix family")
-    n = mats[0].rows
-    for m in mats:
-        if m.shape != (n, n):
-            raise DimensionMismatch("matrices must be square and same size")
+def scheme_axioms(products: ProductTable, transposes: TransposeMap) -> AxiomReport:
+    """Whether the distance matrices are the standard basis of a commutative
+    association scheme, read from their product table and transpose map.
+    The witness names the first failing axiom: the lowest i whose transpose
+    is no distance matrix, then the first product in row-major order that
+    leaves the span, then the first pair that does not commute."""
     witness = None
-
-    identity = mats[0] == RatMatrix.identity(n)
-    if not identity:
-        witness = witness or "first matrix is not the identity"
-
-    total = RatMatrix.zeros(n, n)
-    for m in mats:
-        total = total.add(m)
-    sum_to_j = total == RatMatrix.ones(n)
-    if not sum_to_j and witness is None:
-        witness = "family does not sum to the all-ones matrix"
-
-    transpose_closed = True
-    for i, m in enumerate(mats):
-        if transpose(m) not in mats:
-            transpose_closed = False
-            if witness is None:
-                witness = f"transpose of matrix {i} is not in the family"
-            break
-
-    if products is None:
-        products = product_table(mats)
+    if not transposes.exists:
+        witness = f"transpose of matrix {transposes.failing_index} is not in the family"
     open_pair = products.first_open
     if open_pair is not None and witness is None:
         witness = "product {}*{} leaves the span".format(*open_pair)
     if products.noncommuting is not None and witness is None:
         witness = "matrices {} and {} do not commute".format(*products.noncommuting)
-    coefficients = None
-    if open_pair is None:
-        coefficients = {
-            (i, j): c for i, row in enumerate(products.coords) for j, c in enumerate(row)
-        }
-
     return AxiomReport(
-        identity=identity,
-        sum_to_j=sum_to_j,
-        transpose_closed=transpose_closed,
+        transpose_closed=transposes.exists,
         product_closed=open_pair is None,
         commutative=products.noncommuting is None,
         witness=witness,
-        coefficients=coefficients,
     )
 
 
@@ -528,38 +442,18 @@ def wang_suzuki_drd_check(
     r: TwoWayRelations,
     t: DistanceTable,
     dm: DistanceMatrices,
-    axioms: Optional[Callable[[], AxiomReport]] = None,
+    axioms: Callable[[], AxiomReport],
 ) -> WangSuzukiResult:
     """Whether the two-way classes form a commutative association scheme
     with D + 1 classes. With exactly D + 1 classes every distance i has one
     reverse distance, so the lexicographic order puts class i at
     d(x,y) = i: the class index is the distance table and the classes are
     the distance matrices, which is checked here (a mismatch is a fault, not
-    a verdict). The scheme axioms are then those of the distance matrices,
-    from `axioms` (a caller's shared report) or computed here."""
+    a verdict). The scheme axioms are then those of the distance matrices:
+    `axioms` returns the caller's shared report and is called only then."""
     if len(r.delta) != dm.D + 1:
         return WangSuzukiResult(False, len(r.delta), None)
     if not np.array_equal(r.index, t.array):
         raise InternalInconsistency("D + 1 two-way classes differ from the distance matrices")
-    rep = axioms() if axioms is not None else scheme_axioms(dm.mats)
+    rep = axioms()
     return WangSuzukiResult(rep.all, len(r.delta), rep)
-
-
-def weak_dr_comellas(g: Digraph, dm: DistanceMatrices) -> bool:
-    """Weak distance-regularity: every distance matrix is a polynomial of its
-    own degree in the adjacency matrix (equivalently, walk counts up to the
-    diameter depend only on distance)."""
-    return distance_polynomials(dm) is not None
-
-
-def comellas_damerell_link(g: Digraph, dm: DistanceMatrices, t: DistanceTable) -> bool:
-    """Consistency predicate: on weakly distance-regular digraphs, adjacency
-    normality and the existence of the one-step forward count table must
-    coincide. Always true for a correct implementation; exercised by the
-    property suite."""
-    from .spectral import is_normal
-
-    if not weak_dr_comellas(g, dm):
-        return True
-    normal = is_normal(adjacency_matrix(g))
-    return normal == damerell_numbers(g, t).exists

@@ -262,3 +262,11 @@ def average_last_shell(t: DistanceTable) -> Fraction:
     if not t.strongly_connected:
         raise PreconditionViolated("last-shell average needs a strongly connected digraph")
     return Fraction(int(np.count_nonzero(t.array == t.diameter)), t.n)
+
+
+def spectral_excess(s: Spectrum, t: DistanceTable) -> tuple[float, float, float]:
+    """Both sides of the spectral excess identity and their relative gap:
+    (mean last-shell size, spectral value, |lhs - rhs| / max(|lhs|, |rhs|))."""
+    rhs = spectral_excess_rhs(s)
+    lhs = float(average_last_shell(t))
+    return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

@@ -10,17 +10,35 @@ from the first dependence among the vectorized powers of the matrix, the
 pair intersection counts from one dictionary per ordered pair, matrix
 products from the textbook triple loop, distance polynomials by
 evaluating each of them at A from scratch, the distance-partition scans from
-the textbook equitability count on every vertex's cells, and Damerell's
-one-step table from a plain loop over pairs and arcs.
+the textbook equitability count on every vertex's cells, Damerell's
+one-step table from a plain loop over pairs and arcs, and the scheme axioms
+of a matrix family from its sum, transposes and `numpy` products.
+
+The last section is different: identities from the paper's sources that no
+verdict reads, composed from library primitives so that the tests can check
+them (intersection numbers counted over pairs against the product table,
+weak distance-regularity, and its link with normality and Damerell's table).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 import sympy
+
+from drdkit.errors import InternalInconsistency
+from drdkit.ratlin import adjacency_matrix
+from drdkit.scheme import (
+    damerell_numbers,
+    distance_polynomials,
+    pair_intersection_counts,
+    product_table,
+)
+from drdkit.spectral import is_normal
 
 INF = math.inf
 
@@ -82,6 +100,68 @@ def adjacency_transpose_by_matrices(mats):
     if len(mats) == 1:
         return 0
     return next((j for j, c in enumerate(mats) if np.array_equal(mats[1].num.T, c.num)), None)
+
+
+def _in_disjoint_span(prod, supports):
+    """Whether an integer array is a combination of 0/1 arrays with disjoint
+    supports: constant on each support and zero off their union."""
+    off = np.ones(prod.shape, dtype=bool)
+    for support in supports:
+        if len(np.unique(prod[support])) > 1:
+            return False
+        off &= ~support
+    return not prod[off].any()
+
+
+def scheme_axioms_by_matrices(mats):
+    """The five association-scheme axioms of a family of 0/1 RatMatrix
+    objects with disjoint supports, on whole integer arrays: mats[0] is the
+    identity, the family sums to the all-ones matrix, is closed under
+    transpose, and every product mats[i] @ mats[j] (numpy int64) is constant
+    on each support and commutes. Returns a dict of the five flags and the
+    witness of the first failing axiom in that order: the first i whose
+    transpose is not in the family, the first product in row-major order
+    outside the span, the first pair i < j in row-major order that does not
+    commute."""
+    arrs = [m.num for m in mats]
+    n = arrs[0].shape[0]
+    supports = [a != 0 for a in arrs]
+    assert all(set(np.unique(a)) <= {0, 1} for a in arrs), "family must be 0/1"
+    assert not (sum(s.astype(int) for s in supports) > 1).any(), "supports must be disjoint"
+    witness = None
+    identity = np.array_equal(arrs[0], np.eye(n, dtype=arrs[0].dtype))
+    if not identity:
+        witness = "first matrix is not the identity"
+    sum_to_j = np.array_equal(sum(arrs), np.ones((n, n), dtype=np.int64))
+    if not sum_to_j and witness is None:
+        witness = "family does not sum to the all-ones matrix"
+    failing = transpose_closure_by_matrices(mats)[1]
+    if failing is not None and witness is None:
+        witness = f"transpose of matrix {failing} is not in the family"
+    size = len(arrs)
+    products = [[arrs[i] @ arrs[j] for j in range(size)] for i in range(size)]
+    open_pair = next(
+        ((i, j) for i in range(size) for j in range(size)
+         if not _in_disjoint_span(products[i][j], supports)),
+        None,
+    )
+    if open_pair is not None and witness is None:
+        witness = "product {}*{} leaves the span".format(*open_pair)
+    noncommuting = next(
+        ((i, j) for i in range(size) for j in range(i + 1, size)
+         if not np.array_equal(products[i][j], products[j][i])),
+        None,
+    )
+    if noncommuting is not None and witness is None:
+        witness = "matrices {} and {} do not commute".format(*noncommuting)
+    return {
+        "identity": identity,
+        "sum_to_j": sum_to_j,
+        "transpose_closed": failing is None,
+        "product_closed": open_pair is None,
+        "commutative": noncommuting is None,
+        "witness": witness,
+    }
 
 
 def brute_girth(adj):
@@ -363,3 +443,59 @@ def pair_counts_by_dict(dist, D: int):
         for h in range(D + 1)
     )
     return values, tuple(map(tuple, ok)), witness
+
+
+# Identities from the paper's sources that no verdict reads, composed from
+# library primitives.
+
+
+@dataclass(frozen=True)
+class IntersectionTensor:
+    """Intersection numbers p[h][i][j] = |{z : d(x,z)=i, d(z,y)=j}| for any
+    pair with d(x,y) = h, when that count is pair-independent."""
+
+    exists: bool
+    p: Optional[tuple[tuple[tuple[int, ...], ...], ...]]
+    witness: Optional[tuple]
+
+
+def intersection_numbers(dm, t) -> IntersectionTensor:
+    """The library's pair count scan cross-checked against the span
+    coordinates of every product A_i * A_j in its product table; any
+    disagreement between the two routes raises InternalInconsistency (it
+    would be a bug, not a property of the graph)."""
+    scan = pair_intersection_counts(t)
+    D = dm.D
+    products = product_table(dm)
+    for i in range(D + 1):
+        for j in range(D + 1):
+            coeffs = products.coords[i][j]
+            if scan.ok[i][j] != (coeffs is not None):
+                raise InternalInconsistency(
+                    f"count scan and span solve disagree on slice ({i},{j})"
+                )
+            if coeffs is not None:
+                for h in range(D + 1):
+                    if coeffs[h] != scan.values[h][i][j]:
+                        raise InternalInconsistency(
+                            f"p^{h}_{{{i}{j}}}: scan {scan.values[h][i][j]} vs solve {coeffs[h]}"
+                        )
+    if scan.all_constant:
+        return IntersectionTensor(True, scan.values, None)
+    return IntersectionTensor(False, None, scan.witness)
+
+
+def weak_dr_comellas(g, dm) -> bool:
+    """Weak distance-regularity: every distance matrix is a polynomial of its
+    own degree in the adjacency matrix (equivalently, walk counts up to the
+    diameter depend only on distance)."""
+    return distance_polynomials(dm, product_table(dm)) is not None
+
+
+def comellas_damerell_link(g, dm, t) -> bool:
+    """Consistency predicate: on weakly distance-regular digraphs, adjacency
+    normality and the existence of the one-step forward count table must
+    coincide. Always true for a correct implementation."""
+    if not weak_dr_comellas(g, dm):
+        return True
+    return is_normal(adjacency_matrix(g)) == damerell_numbers(g, t).exists

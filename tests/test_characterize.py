@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+import drdkit.ratlin as ratlin
 from drdkit.characterize import (
     CHECK_IDS,
     CheckConfig,
@@ -17,8 +20,10 @@ from drdkit.corpus import (
 from drdkit.digraph import Digraph, distance_table
 from drdkit.errors import InvalidParameter
 from drdkit.ratlin import PartitionBasis, RatMatrix, adjacency_matrix, mat_mul
-from drdkit.scheme import distance_matrices, transpose_closure, weak_dr_comellas
+from drdkit.scheme import distance_matrices, transpose_closure
 from drdkit.spectral import is_normal, spectrum
+
+from oracles import weak_dr_comellas
 
 
 class TestCheckAll:
@@ -126,6 +131,26 @@ class TestCheckSingle:
     def test_unknown_id(self):
         with pytest.raises(InvalidParameter):
             check_single(cycle(3), "Q")
+
+    def test_a_neither_transposes_nor_adds_matrices(self, corpus, monkeypatch):
+        """Check A reads its axioms off the product table and the transpose
+        map: with every binding of ratlin.transpose and RatMatrix.add made
+        to raise, it gives the same verdicts, witnesses and params."""
+        expected = [check_single(g, "A") for _, g in corpus]
+
+        def refuse(*args):
+            raise AssertionError("a matrix was transposed or added")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("drdkit") and getattr(module, "transpose", None) is ratlin.transpose:
+                monkeypatch.setattr(module, "transpose", refuse)
+        monkeypatch.setattr(RatMatrix, "add", refuse)
+        for (name, g), want in zip(corpus, expected):
+            got = check_single(g, "A")
+            assert (got.verdict, got.witness, got.params) == (
+                want.verdict, want.witness, want.params
+            ), name
+        assert {v.verdict for v in expected} == {"yes", "no"}
 
 
 class TestMasterEquivalence:

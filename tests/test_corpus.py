@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from drdkit.characterize import check_all
 from drdkit.corpus import (
+    FAMILIES,
     GeneratorSpec,
     all_strongly_connected_digraphs,
     cycle,
@@ -80,6 +83,40 @@ class TestGenerate:
             generate(GeneratorSpec("nosuch", (1,)))
         with pytest.raises(InvalidParameter):
             generate(GeneratorSpec("paley", (13,)))
+
+    # Family -> (its parameter count, the message for any other count).
+    ARITY = {
+        "cycle": (1, "cycle takes one parameter: n"),
+        "paper6": (0, "paper6 takes no parameters"),
+        "paley": (1, "paley takes one parameter: q"),
+        "debruijn": (2, "debruijn takes two parameters: d n"),
+        "kautz": (2, "kautz takes two parameters: d n"),
+        "random-sc": (1, "random-sc takes one parameter: n"),
+        "cycle-with-chord": (1, "cycle-with-chord takes one parameter: n"),
+    }
+
+    def test_families_in_order(self):
+        assert FAMILIES == tuple(self.ARITY)
+
+    @pytest.mark.parametrize("family", list(ARITY))
+    def test_wrong_arity_names_the_parameters(self, family):
+        count, message = self.ARITY[family]
+        for wrong in sorted({0, 1, 2, 3} - {count}):
+            with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+                generate(GeneratorSpec(family, (5,) * wrong))
+
+    @pytest.mark.parametrize("family", ["nosuch", "", "Cycle", "random_sc"])
+    def test_unknown_family_lists_the_known_ones(self, family):
+        message = (
+            f"unknown family {family!r}; known: cycle, paper6, paley, debruijn, "
+            "kautz, random-sc, cycle-with-chord"
+        )
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            generate(GeneratorSpec(family, (5,)))
+
+    def test_random_sc_takes_the_spec_probability_and_seed(self):
+        spec = GeneratorSpec("random-sc", (7,), p=0.3, seed=11)
+        assert generate(spec) == random_sc(7, 0.3, 11)
 
     def test_edge_list_round_trip(self):
         for spec in (

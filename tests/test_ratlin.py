@@ -29,7 +29,7 @@ from drdkit.ratlin import (
     span_solve,
     transpose,
 )
-from drdkit.scheme import distance_matrices, distance_polynomials
+from drdkit.scheme import distance_matrices, distance_polynomials, product_table
 
 from oracles import mat_mul_reference, minimal_polynomial_coeffs, minimal_polynomial_mod
 
@@ -228,7 +228,7 @@ class TestIntegralEvaluation:
     def test_distance_polynomial_value_keeps_the_int64_form(self):
         g = paley(19)
         dm = distance_matrices(g, distance_table(g))
-        p2 = distance_polynomials(dm)[2]
+        p2 = distance_polynomials(dm, product_table(dm))[2]
         assert any(isinstance(c, Fraction) for c in p2.coeffs)
         value = eval_poly_at_matrix(p2, dm.adjacency)
         assert value.int64 is not None and value == dm.mats[2]

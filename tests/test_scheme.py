@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drdkit.ratlin as ratlin
 import drdkit.scheme as scheme
-from drdkit.characterize import check_all
+from drdkit.characterize import CheckConfig, check_all, check_single
 from drdkit.corpus import cycle, cycle_with_chord, kautz, paley, paper6
 from drdkit.digraph import Digraph, distance_table, strongly_connected
 from drdkit.errors import InternalInconsistency
@@ -24,11 +25,9 @@ from drdkit.ratlin import (
 from drdkit.scheme import (
     TwoWayRelations,
     adjacency_transpose_index,
-    comellas_damerell_link,
     damerell_numbers,
     distance_matrices,
     distance_polynomials,
-    intersection_numbers,
     pair_intersection_counts,
     product_table,
     scheme_axioms,
@@ -36,22 +35,50 @@ from drdkit.scheme import (
     two_way_relations,
     walk_count_constancy,
     wang_suzuki_drd_check,
-    weak_dr_comellas,
 )
 from drdkit.spectral import is_normal
 
 from oracles import (
     adjacency_transpose_by_matrices,
+    comellas_damerell_link,
     count_walks,
     distance_polynomials_by_evaluation,
+    intersection_numbers,
     pair_counts_by_dict,
+    scheme_axioms_by_matrices,
     transpose_closure_by_matrices,
+    weak_dr_comellas,
 )
 
 
 def build(g):
     t = distance_table(g)
     return t, distance_matrices(g, t)
+
+
+def axioms(dm):
+    return scheme_axioms(product_table(dm), transpose_closure(dm))
+
+
+def polynomials(dm):
+    return distance_polynomials(dm, product_table(dm))
+
+
+def reference_axioms(mats):
+    """The matrix-level reference's flags and witness, after asserting the two
+    axioms that hold by construction on the distance classes."""
+    ref = scheme_axioms_by_matrices(mats)
+    assert ref.pop("identity") and ref.pop("sum_to_j")
+    return ref
+
+
+def axiom_fields(rep):
+    return {
+        "transpose_closed": rep.transpose_closed,
+        "product_closed": rep.product_closed,
+        "commutative": rep.commutative,
+        "witness": rep.witness,
+    }
 
 
 class TestDistanceMatrices:
@@ -171,7 +198,7 @@ class TestDistancePolynomials:
     def test_cycle_monomials(self):
         g = cycle(6)
         _, dm = build(g)
-        polys = distance_polynomials(dm)
+        polys = polynomials(dm)
         assert polys is not None
         for i, p in enumerate(polys):
             expected = (0,) * i + (1,)
@@ -179,7 +206,7 @@ class TestDistancePolynomials:
 
     def test_paper6_degrees_and_identity(self, fig6):
         t, dm = build(fig6)
-        polys = distance_polynomials(dm)
+        polys = polynomials(dm)
         assert polys is not None
         assert [p.degree for p in polys] == [0, 1, 2, 3]
         from drdkit.ratlin import eval_poly_at_matrix
@@ -190,7 +217,7 @@ class TestDistancePolynomials:
 
     def test_chorded_cycle_has_none(self):
         _, dm = build(cycle_with_chord(4))
-        assert distance_polynomials(dm) is None
+        assert polynomials(dm) is None
 
     def test_degree_bound_everywhere(self, corpus):
         for name, g in corpus:
@@ -199,7 +226,7 @@ class TestDistancePolynomials:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            polys = distance_polynomials(distance_matrices(g, t))
+            polys = polynomials(distance_matrices(g, t))
             if polys is not None:
                 assert all(p.degree == i for i, p in enumerate(polys)), name
 
@@ -226,7 +253,7 @@ class TestDistancePolynomials:
             if g.n == 1 or not strongly_connected(g):
                 continue
             _, dm = build(g)
-            got, ref = self._both(dm, product_table(dm.mats))
+            got, ref = self._both(dm, product_table(dm))
             assert got == ref, name
 
     def test_induction_equals_evaluation_on_every_perturbed_coordinate(self, fig6):
@@ -234,7 +261,7 @@ class TestDistancePolynomials:
         # induction and the evaluation refuse.
         for g in (fig6, cycle(6), paley(7), kautz(2, 2)):
             _, dm = build(g)
-            products = product_table(dm.mats)
+            products = product_table(dm)
             assert self._both(dm, products)[0] is not None
             for i in range(1, dm.D):
                 for h in range(i + 2):
@@ -244,13 +271,13 @@ class TestDistancePolynomials:
 
     def test_perturbed_product_table_gives_none(self):
         _, dm = build(cycle(6))
-        products = product_table(dm.mats)
+        products = product_table(dm)
         assert distance_polynomials(dm, products) is not None
         assert distance_polynomials(dm, self._perturbed(products, 2, 1, 1)) is None
 
     def test_one_product_per_step(self, monkeypatch):
         _, dm = build(cycle(12))
-        products = product_table(dm.mats)
+        products = product_table(dm)
         calls = []
         real = scheme.mat_mul
         monkeypatch.setattr(scheme, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
@@ -262,16 +289,16 @@ class TestWalkCounts:
     def test_c4_power_four_is_identity(self):
         g = cycle(4)
         _, dm = build(g)
-        assert walk_count_constancy(g, dm, max_len=4)
+        assert walk_count_constancy(dm, max_len=4)
 
     def test_paper6_constant(self, fig6):
         _, dm = build(fig6)
-        assert walk_count_constancy(fig6, dm)
+        assert walk_count_constancy(dm)
 
     def test_chorded_cycle_fails(self):
         g = cycle_with_chord(4)
         _, dm = build(g)
-        res = walk_count_constancy(g, dm)
+        res = walk_count_constancy(dm)
         assert not res
         ell, h, pair0, pair1, v0, v1 = res.witness
         # The witness is a genuine walk-count discrepancy: re-count both
@@ -286,21 +313,50 @@ class TestWalkCounts:
         g = cycle(5)
         _, dm = build(g)
         with pytest.raises(PreconditionViolated):
-            walk_count_constancy(g, dm, max_len=2)
+            walk_count_constancy(dm, max_len=2)
 
-    def test_walks_past_the_int64_bound_stay_exact(self):
-        # Row sums of A^l are 2^l on paper6, so l = 70 needs the object-array
-        # route; the verdicts must match the default walk length.
-        for g in (paper6(), cycle_with_chord(4)):
-            _, dm = build(g)
-            long = walk_count_constancy(g, dm, max_len=70)
-            assert bool(long) == bool(walk_count_constancy(g, dm))
+    def test_walks_past_the_int64_bound_stay_exact(self, monkeypatch):
+        # Walks stop at l = n - 1. On paley(23) the entries of A^l are near
+        # 11^l / 23, so A^20 is the first power past 2^63: the last three
+        # take the object-array route, and the verdict must match the
+        # default walk length.
+        _, dm = build(paley(23))
+        powers = []
+        real = scheme.mat_mul
+        monkeypatch.setattr(scheme, "mat_mul", lambda a, b: powers.append(real(a, b)) or powers[-1])
+        long = walk_count_constancy(dm, max_len=70)
+        assert [p.int64 is None for p in powers] == [False] * 19 + [True] * 3
+        assert bool(long) == bool(walk_count_constancy(dm)) is True
         a = adjacency_matrix(paper6())
         power = RatMatrix.identity(6)
         for _ in range(70):
             power = mat_mul(power, a)
         assert power.int64 is None
         assert sum(power.entries[0]) == 2**70
+
+    def test_a_bound_past_n_steps_to_n_minus_1(self, monkeypatch):
+        # By Cayley-Hamilton constancy below n gives it for every l, so a
+        # bound of 10^9 steps at most 18 products on paley(19) and echoes
+        # the bound. A 19th product fails at once instead of walking on.
+        g = paley(19)
+        calls = []
+        real = scheme.mat_mul
+
+        def counted(a, b):
+            calls.append(1)
+            assert len(calls) <= g.n - 1, "walked past l = n - 1"
+            return real(a, b)
+
+        monkeypatch.setattr(scheme, "mat_mul", counted)
+        v = check_single(g, "E", CheckConfig(max_walk_len=10**9))
+        assert v.verdict == "yes" and v.params == {"max_len": 10**9}
+
+    def test_witness_does_not_depend_on_a_bound_past_n(self):
+        _, dm = build(cycle_with_chord(5))
+        at_d = walk_count_constancy(dm, max_len=dm.D)
+        at_50 = walk_count_constancy(dm, max_len=50)
+        assert not at_d and at_d.witness == at_50.witness
+        assert at_50.max_len == 50
 
     def test_matches_walk_enumeration(self):
         for g in (cycle(5), cycle_with_chord(5), paper6()):
@@ -317,23 +373,39 @@ class TestWalkCounts:
 class TestSchemeAxioms:
     def test_cycle_passes(self):
         _, dm = build(cycle(5))
-        rep = scheme_axioms(dm.mats)
+        rep = axioms(dm)
         assert rep.all
 
     def test_paper6_passes(self, fig6):
         _, dm = build(fig6)
-        assert scheme_axioms(dm.mats).all
+        assert axioms(dm).all
 
     def test_ad_hoc_family_fails_product_closure(self):
+        # A family that is not the distance matrices has no library axioms;
+        # the matrix-level reference must refuse it.
         g = cycle_with_chord(4)
         a = adjacency_matrix(g)
         i = RatMatrix.identity(4)
         rest = RatMatrix.ones(4).sub(i).sub(a)
-        rep = scheme_axioms([i, a, rest])
-        assert rep.identity and rep.sum_to_j
-        assert not rep.product_closed
-        assert not rep.all
-        assert rep.witness is not None
+        rep = scheme_axioms_by_matrices([i, a, rest])
+        assert rep["identity"] and rep["sum_to_j"]
+        assert not rep["product_closed"]
+        assert rep["witness"] is not None
+
+    @staticmethod
+    def _assert_matches_matrices(g):
+        _, dm = build(g)
+        assert axiom_fields(axioms(dm)) == reference_axioms(dm.mats)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.deferred(lambda: _strongly_connected_digraphs(8)))
+    def test_table_reads_match_the_matrix_reference(self, g):
+        self._assert_matches_matrices(g)
+
+    def test_table_reads_match_the_matrix_reference_on_the_corpus(self, corpus):
+        for name, g in corpus:
+            if strongly_connected(g):
+                self._assert_matches_matrices(g)
 
     def test_axioms_iff_definition(self, corpus):
         for name, g in corpus:
@@ -342,7 +414,7 @@ class TestSchemeAxioms:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            axioms_pass = scheme_axioms(distance_matrices(g, t).mats).all
+            axioms_pass = axioms(distance_matrices(g, t)).all
             drd = check_definition_drd(g, t) is not None
             assert axioms_pass == drd, name
 
@@ -393,19 +465,19 @@ class TestTwoWayRelations:
         t, dm = build(g)
         rel = two_way_relations(t)
         assert set(rel.delta) == {(0, 0)} | {(i, n - i) for i in range(1, n)}
-        assert wang_suzuki_drd_check(rel, t, dm)
+        assert wang_suzuki_drd_check(rel, t, dm, lambda: axioms(dm))
 
     def test_paper6(self, fig6):
         t, dm = build(fig6)
         rel = two_way_relations(t)
         assert len(rel.delta) == 4 == dm.D + 1
-        assert wang_suzuki_drd_check(rel, t, dm)
+        assert wang_suzuki_drd_check(rel, t, dm, lambda: axioms(dm))
 
     def test_chorded_cycle(self):
         g = cycle_with_chord(4)
         t, dm = build(g)
         rel = two_way_relations(t)
-        assert not wang_suzuki_drd_check(rel, t, dm)
+        assert not wang_suzuki_drd_check(rel, t, dm, lambda: axioms(dm))
 
     def test_h_reads_the_distance_matrices_axioms(self, corpus):
         # H's verdict and witness equal the scheme axioms of the two-way
@@ -419,12 +491,13 @@ class TestTwoWayRelations:
             if len(rel.delta) != dm.D + 1:
                 assert h.verdict == "no" and "two-way distance classes" in h.witness, name
                 continue
-            alone = scheme_axioms(class_matrices(rel.index, len(rel.delta)))
-            shared = scheme_axioms(dm.mats, product_table(dm.mats))
-            assert wang_suzuki_drd_check(rel, t, dm, lambda: shared).axioms == alone, name
-            assert h.verdict == ("yes" if alone.all else "no"), name
-            if not alone.all:
-                assert h.witness == alone.witness, name
+            alone = reference_axioms(class_matrices(rel.index, len(rel.delta)))
+            shared = axioms(dm)
+            assert wang_suzuki_drd_check(rel, t, dm, lambda: shared).axioms is shared, name
+            assert axiom_fields(shared) == alone, name
+            assert h.verdict == ("yes" if alone["witness"] is None else "no"), name
+            if alone["witness"] is not None:
+                assert h.witness == alone["witness"], name
 
     def test_classes_that_are_not_the_distance_matrices_raise(self, fig6):
         t, dm = build(fig6)
@@ -433,7 +506,7 @@ class TestTwoWayRelations:
         swapped[rel.index == 1] = 2
         swapped[rel.index == 2] = 1
         with pytest.raises(InternalInconsistency):
-            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, dm)
+            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, dm, lambda: axioms(dm))
 
     def test_classes_partition(self, fig6):
         t, _ = build(fig6)
@@ -470,7 +543,7 @@ class TestWeakDistanceRegularity:
             if not t.strongly_connected:
                 continue
             dm = distance_matrices(g, t)
-            assert weak_dr_comellas(g, dm) == bool(walk_count_constancy(g, dm)), name
+            assert weak_dr_comellas(g, dm) == bool(walk_count_constancy(dm)), name
 
     def test_link_true_on_corpus(self, corpus):
         for name, g in corpus:
@@ -580,7 +653,7 @@ class TestIndexReads:
             raise AssertionError("a class matrix was transposed or compared")
 
         built = [build(g)[1] for _, g in corpus if strongly_connected(g)]
-        monkeypatch.setattr(scheme, "transpose", refuse)
+        monkeypatch.setattr(ratlin, "transpose", refuse)
         monkeypatch.setattr(RatMatrix, "__eq__", refuse)
         for dm in built:
             transpose_closure(dm)
