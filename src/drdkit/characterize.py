@@ -19,8 +19,8 @@ from .digraph import Digraph, DistanceTable, distance_table, regularity, strongl
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
 from .partitions import EquitableParams, distance_regular_scan
 from .ratlin import (
+    IntMatrix,
     PartitionBasis,
-    RatMatrix,
     RatPolynomial,
     SpanBasis,
     adjacency_matrix,
@@ -147,7 +147,7 @@ class GraphContext:
         return self._get("valency", lambda: regularity(self.g))
 
     @property
-    def adjacency(self) -> RatMatrix:
+    def adjacency(self) -> IntMatrix:
         return self._get("adjacency", lambda: adjacency_matrix(self.g))
 
     @property
@@ -184,7 +184,7 @@ class GraphContext:
         """Membership in the adjacency algebra, span(A^0 .. A^(deg minpoly - 1))."""
 
         def make():
-            mats = [RatMatrix.identity(self.g.n)]
+            mats = [IntMatrix.identity(self.g.n)]
             for _ in range(self.minpoly.degree - 1):
                 mats.append(mat_mul(mats[-1], self.adjacency))
             return span_basis(mats)

@@ -31,6 +31,10 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_ERROR = 4
 
+# `fuzz --exhaustive` stops here: n = 5 has 565,080 strongly connected
+# digraphs (minutes of checks), and n = 6 has 2**30 arc sets to enumerate.
+EXHAUSTIVE_MAX_N = 5
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -88,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--exhaustive",
         action="store_true",
-        help="enumerate every strongly connected digraph in the size range",
+        help="enumerate every strongly connected digraph in the size range "
+        f"(n_max <= {EXHAUSTIVE_MAX_N})",
     )
     p_fuzz.add_argument("--tol", type=float, default=CheckConfig.tol)
     p_fuzz.add_argument("--cluster-tol", type=float, default=CheckConfig.cluster_tol)
@@ -155,6 +160,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max < args.n_min or args.count < 0:
         print("error: need 1 <= n_min <= n_max and count >= 0", file=sys.stderr)
+        return EXIT_ERROR
+    if args.exhaustive and args.n_max > EXHAUSTIVE_MAX_N:
+        print(f"error: --exhaustive needs n_max <= {EXHAUSTIVE_MAX_N}", file=sys.stderr)
         return EXIT_ERROR
     tally = {"yes": 0, "no": 0, "not-applicable": 0}
     disagreements = 0

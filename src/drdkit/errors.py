@@ -49,14 +49,6 @@ class ClusteringAmbiguous(SpectralError):
     """Distinct eigenvalues closer than the clustering resolution."""
 
 
-class DegenerateGram(SpectralError):
-    """Gram-Schmidt step produced a numerically singular norm."""
-
-
-class NonPositiveNorm(SpectralError):
-    """Orthogonal polynomial cannot be normalized to a positive value."""
-
-
 class PiUnderflow(SpectralError):
     """An eigenvalue product is too small to divide by safely."""
 

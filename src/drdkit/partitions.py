@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .digraph import Digraph, DistanceTable, distance_table
+from .digraph import Digraph, DistanceTable
 from .errors import NotStronglyConnected
 
 
@@ -34,13 +34,6 @@ class EquitableParams:
     cell_sizes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DistancePartition:
-    """The cells {z : d(x,z) = i} around one vertex x, for i = 0..ecc(x)."""
-
-    cells: tuple[frozenset[int], ...]
-
-
 def shell_counts(
     row: Sequence[int], neighbors: Sequence[Sequence[int]], width: int
 ) -> list[list[int]]:
@@ -53,19 +46,6 @@ def shell_counts(
             c[row[z]] += 1
         counts.append(c)
     return counts
-
-
-def out_distance_partition(g: Digraph, x: int, t: Optional[DistanceTable] = None) -> DistancePartition:
-    """Cells ordered by distance from x: {z : d(x,z) = i} for i = 0..ecc(x)."""
-    if t is None:
-        t = distance_table(g)
-    if not t.strongly_connected:
-        raise NotStronglyConnected("distance partition needs a strongly connected digraph")
-    row = t.array[x].tolist()
-    cells: list[set[int]] = [set() for _ in range(max(row) + 1)]
-    for z, i in enumerate(row):
-        cells[i].add(z)
-    return DistancePartition(tuple(map(frozenset, cells)))
 
 
 def _equitable_params(g: Digraph, row: list[int], width: int) -> Optional[EquitableParams]:
@@ -125,11 +105,3 @@ def distance_regular_scan(
             )
     return reference, None
 
-
-def check_definition_drd(g: Digraph, t: Optional[DistanceTable] = None) -> Optional[EquitableParams]:
-    """Common parameters when the out-distance partition around every vertex
-    is equitable with vertex-independent parameters, else None."""
-    if t is None:
-        t = distance_table(g)
-    params, _ = distance_regular_scan(g, t, "out")
-    return params

@@ -1,27 +1,27 @@
-"""Exact rational dense linear algebra; nothing here ever rounds.
-That exactness is what lets the combinatorial characterizations run with zero
-tolerance: every quantity they compare is an integer identity.
+"""Exact integer matrices; rational only in solve coordinates and
+polynomials. Nothing here ever rounds. That exactness is what lets the
+combinatorial characterizations run with zero tolerance: every quantity they
+compare is an integer identity.
 
-A matrix is an integer numerator array and one positive integer denominator,
-kept in lowest terms by the constructor. The array is int64 when every entry
-has absolute value below 2**63 and a ``dtype=object`` array of Python ints
-otherwise. `mat_mul` multiplies the numerators in the narrowest of three
-tiers that the bound B = (max row sum of |a|) * max |b| proves exact. B caps
-every partial sum of every entry, in any summation order. Below 2**53 every
-partial sum is an integer that float64 holds, so ``@`` runs on float64 BLAS
-and the cast back to int64 is exact (the argument of FFLAS-FFPACK, Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008); only an inner dimension below 16,
-where the casts cost more than they save, skips this tier. Below 2**63 ``@``
-runs on int64, which numpy does not hand to BLAS but which cannot overflow.
-Otherwise it runs on object arrays, whose Python ints never overflow. The 01
-matrices that the checks build (identity, all-ones, zero, adjacency,
-distance and class matrices) carry their bounds from construction, so only
-derived matrices are scanned for them.
+A matrix is one integer array, int64 when every entry has absolute value
+below 2**63 and a ``dtype=object`` array of Python ints otherwise. `mat_mul`
+multiplies in the narrowest of three tiers that the bound
+B = (max row sum of |a|) * max |b| proves exact. B caps every partial sum of
+every entry, in any summation order. Below 2**53 every partial sum is an
+integer that float64 holds, so ``@`` runs on float64 BLAS and the cast back
+to int64 is exact (the argument of FFLAS-FFPACK, Dumas, Giorgi and Pernet,
+ACM TOMS 35(3), 2008); only an inner dimension below 16, where the casts
+cost more than they save, skips this tier. Below 2**63 ``@`` runs on int64,
+which numpy does not hand to BLAS but which cannot overflow. Otherwise it
+runs on object arrays, whose Python ints never overflow. The 01 matrices
+that the checks build (identity, zero, adjacency, distance and class
+matrices) carry their bounds from construction, so only derived matrices are
+scanned for them.
 
 One exact elimination routine, `SpanBasis._reduce`, serves every span solve
-over a family that is not a partition basis. It is fraction-free: members
-are scaled to integers once, each step cross-multiplies and divides by the
-content gcd, and Fractions appear only in the coordinates a solve returns.
+over a family that is not a partition basis. It is fraction-free: each step
+cross-multiplies and divides by the content gcd, and Fractions appear only
+in the coordinates a solve returns.
 
 The minimal polynomial is computed modulo word-size primes and lifted by the
 Chinese remainder theorem (the lift-then-verify pattern of Dixon, Numer.
@@ -52,8 +52,13 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .digraph import Digraph, regularity, strongly_connected
-from .errors import DimensionMismatch, InternalInconsistency, InvalidPartition
+from .digraph import Digraph
+from .errors import (
+    DimensionMismatch,
+    InternalInconsistency,
+    InvalidPartition,
+    PreconditionViolated,
+)
 
 Rational = Union[int, Fraction]
 
@@ -72,54 +77,35 @@ def _norm(x: Rational) -> Rational:
     return x
 
 
-def _clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
-    """(s * values, s) for the least s > 0 that makes every value an
-    integer: the lcm of the denominators."""
-    s = lcm(*(x.denominator for x in values))
-    return [x.numerator * (s // x.denominator) for x in values], s
+class IntMatrix:
+    """Immutable dense integer matrix: the array ``num``, int64 exactly when
+    every entry fits."""
 
+    __slots__ = ("num", "_bounds")
 
-class RatMatrix:
-    """Immutable dense matrix over the rationals: the integer array ``num``
-    divided by the positive int ``den``, in lowest terms, with ``num`` int64
-    exactly when every entry fits."""
-
-    __slots__ = ("num", "den", "_bounds")
-
-    def __init__(self, num: np.ndarray, den: int = 1):
-        """The matrix num / den for a 2-d int64 or object array of integers,
-        which the matrix then owns, and an int den > 0."""
-        if den != 1:
-            content = int(np.gcd.reduce(num, axis=None))
-            g = gcd(content, den)
-            if g > 1:
-                # A zero num has content 0 and g = den, which may not fit int64.
-                num, den = (num // g if content else num), den // g
+    def __init__(self, num: np.ndarray):
+        """The matrix of a 2-d int64 or object array of integers, which the
+        matrix then owns."""
         if num.dtype == object and (not num.size or np.abs(num).max() < INT64_LIMIT):
             num = num.astype(np.int64)
         num.flags.writeable = False
         self.num = num
-        self.den = den
         self._bounds: Optional[tuple[int, int]] = None
 
     @property
-    def entries(self) -> tuple[tuple[Rational, ...], ...]:
-        """Row tuples of ints and Fractions, a read-only view."""
-        rows = self.num.tolist()
-        if self.den == 1:
-            return tuple(map(tuple, rows))
-        return tuple(tuple(_norm(Fraction(x, self.den)) for x in row) for row in rows)
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Row tuples of Python ints, a read-only view."""
+        return tuple(map(tuple, self.num.tolist()))
 
     @property
     def int64(self) -> Optional[np.ndarray]:
-        """The int64 numerator of an integer matrix, else None."""
-        return self.num if self.den == 1 and self.num.dtype == np.int64 else None
+        """The int64 array, or None when some entry does not fit."""
+        return self.num if self.num.dtype == np.int64 else None
 
     def abs_bounds(self) -> tuple[int, int]:
-        """Upper bounds (max |entry|, max row sum of |entries|) on the
-        numerator, as Python ints: the bounds given to `bounded`, else
-        scanned exactly, except a row sum that could pass int64, which is
-        bounded by max |entry| * cols."""
+        """Upper bounds (max |entry|, max row sum of |entries|), as Python
+        ints: the bounds given to `bounded`, else scanned exactly, except a
+        row sum that could pass int64, which is bounded by max |entry| * cols."""
         if self._bounds is None:
             a = self.num
             top = max(int(a.max()), -int(a.min()))
@@ -130,12 +116,12 @@ class RatMatrix:
         return self._bounds
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatMatrix):
+        if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.den == other.den and bool(np.array_equal(self.num, other.num))
+        return bool(np.array_equal(self.num, other.num))
 
     def __repr__(self) -> str:
-        return f"RatMatrix({self.entries!r})"
+        return f"IntMatrix({self.entries!r})"
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -150,78 +136,59 @@ class RatMatrix:
         return self.shape[1]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "RatMatrix":
-        flat, den = _clear_denominators([x for row in rows for x in row])
-        return cls(np.array(flat, dtype=object).reshape(len(rows), -1), den)
-
-    @classmethod
-    def bounded(cls, num: np.ndarray, top: int, row_sum: int) -> "RatMatrix":
-        """The integer matrix num (int64, den 1), whose max |entry| is at
-        most top and whose row sums of |entries| are at most row_sum:
-        bounds known when the matrix is built, so `abs_bounds` need not
-        scan it."""
+    def bounded(cls, num: np.ndarray, top: int, row_sum: int) -> "IntMatrix":
+        """The int64 matrix num, whose max |entry| is at most top and whose
+        row sums of |entries| are at most row_sum: bounds known when the
+        matrix is built, so `abs_bounds` need not scan it."""
         m = cls(num)
         m._bounds = (top, row_sum)
         return m
 
     @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
+    def identity(cls, n: int) -> "IntMatrix":
         return cls.bounded(np.eye(n, dtype=np.int64), 1, 1)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
+    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls.bounded(np.zeros((rows, cols), dtype=np.int64), 0, 0)
 
-    @classmethod
-    def ones(cls, rows: int, cols: Optional[int] = None) -> "RatMatrix":
-        cols = rows if cols is None else cols
-        return cls.bounded(np.ones((rows, cols), dtype=np.int64), 1, cols)
-
-    def is_zero(self) -> bool:
-        return not self.num.any()
-
-    def scale(self, c: Rational) -> "RatMatrix":
+    def scale(self, c: int) -> "IntMatrix":
         num = self.num
-        if abs(c.numerator) * max(self.abs_bounds()[0], 1) >= INT64_LIMIT:
+        if abs(c) * max(self.abs_bounds()[0], 1) >= INT64_LIMIT:
             num = num.astype(object)
-        return RatMatrix(num * c.numerator, self.den * c.denominator)
+        return IntMatrix(num * c)
 
-    def add(self, other: "RatMatrix") -> "RatMatrix":
+    def add(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-        den = lcm(self.den, other.den)
-        u, v = den // self.den, den // other.den
         a, b = self.num, other.num
-        if u * max(self.abs_bounds()[0], 1) + v * max(other.abs_bounds()[0], 1) >= INT64_LIMIT:
+        if self.abs_bounds()[0] + other.abs_bounds()[0] >= INT64_LIMIT:
             a, b = a.astype(object), b.astype(object)
-        return RatMatrix(a + b if den == 1 else a * u + b * v, den)
-
-    def sub(self, other: "RatMatrix") -> "RatMatrix":
-        return self.add(other.scale(-1))
+        return IntMatrix(a + b)
 
 
-def adjacency_matrix(g: Digraph) -> RatMatrix:
+def adjacency_matrix(g: Digraph) -> IntMatrix:
     k = max(g.out_deg)
-    return RatMatrix.bounded(np.array(g.adj, dtype=np.int64), min(k, 1), k)
+    return IntMatrix.bounded(np.array(g.adj, dtype=np.int64), min(k, 1), k)
 
 
-def class_matrices(index: np.ndarray, size: int) -> tuple[RatMatrix, ...]:
+def class_matrices(index: np.ndarray, size: int) -> tuple[IntMatrix, ...]:
     """The 01 matrices M_0..M_{size-1} with (M_i)[x][y] = 1 iff
     index[x][y] = i, for an array index with entries in [0, size). Their
     entries are 0 and 1, so (1, number of columns) bounds each unscanned."""
     cols = index.shape[1]
-    return tuple(RatMatrix.bounded((index == i).astype(np.int64), 1, cols) for i in range(size))
+    return tuple(IntMatrix.bounded((index == i).astype(np.int64), 1, cols) for i in range(size))
 
 
-def transpose(a: RatMatrix) -> RatMatrix:
-    return RatMatrix(np.ascontiguousarray(a.num.T), a.den)
+def transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix(np.ascontiguousarray(a.num.T))
 
 
-def _product_tier(a: RatMatrix, b: RatMatrix) -> type:
-    """The dtype `mat_mul` multiplies a's and b's numerators in: float64
-    when both are int64, the inner dimension is at least FLOAT64_MIN_INNER
-    and the bound (max row sum of |a|) * max |b| on every partial sum is
-    below 2**53; int64 when the bound is below 2**63; else object."""
+def _product_tier(a: IntMatrix, b: IntMatrix) -> type:
+    """The dtype `mat_mul` multiplies a and b in: float64 when both are
+    int64, the inner dimension is at least FLOAT64_MIN_INNER and the bound
+    (max row sum of |a|) * max |b| on every partial sum is below 2**53;
+    int64 when the bound is below 2**63; else object."""
     bound = a.abs_bounds()[1] * b.abs_bounds()[0]
     if (
         bound < FLOAT64_EXACT
@@ -232,10 +199,10 @@ def _product_tier(a: RatMatrix, b: RatMatrix) -> type:
     return np.int64 if bound < INT64_LIMIT else object
 
 
-def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact product of the numerators, in the tier `_product_tier` picks:
-    float64 BLAS cast back to int64, ``@`` as they are (int64, or an object
-    operand beside a zero matrix), or object arrays."""
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Exact product, in the tier `_product_tier` picks: float64 BLAS cast
+    back to int64, ``@`` as they are (int64, or an object operand beside a
+    zero matrix), or object arrays."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"mat_mul {a.shape} vs {b.shape}")
     x, y = a.num, b.num
@@ -246,7 +213,7 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
         prod = x.astype(object) @ y.astype(object)
     else:
         prod = x @ y
-    return RatMatrix(prod, a.den * b.den)
+    return IntMatrix(prod)
 
 
 class PartitionBasis:
@@ -269,7 +236,7 @@ class PartitionBasis:
         self.reps = first  # row-major first position of each class
 
     @classmethod
-    def from_matrices(cls, mats: Sequence[RatMatrix]) -> Optional["PartitionBasis"]:
+    def from_matrices(cls, mats: Sequence[IntMatrix]) -> Optional["PartitionBasis"]:
         """The partition basis of mats, or None unless they are nonzero 01
         matrices of one shape that sum to all-ones."""
         arrs = [m.int64 for m in mats]
@@ -284,25 +251,21 @@ class PartitionBasis:
             return None
         return cls(stack.argmax(axis=0), len(mats))
 
-    def _off_class(self, target: RatMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """The target numerator's value at each class representative, and
-        where the numerator differs from its class's value."""
+    def _off_class(self, target: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """The target's value at each class representative, and where the
+        target differs from its class's value."""
         if target.shape != self.shape:
             raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
         values = target.num.ravel()[self.reps]
         return values, target.num != values[self.index]
 
-    def solve(self, target: RatMatrix) -> Optional[tuple[Rational, ...]]:
+    def solve(self, target: IntMatrix) -> Optional[tuple[int, ...]]:
         """Exact coefficients c with sum(c_i * M_i) = target, or None."""
         values, bad = self._off_class(target)
-        if bad.any():
-            return None
-        if target.den == 1:
-            return tuple(values.tolist())
-        return tuple(_norm(Fraction(v, target.den)) for v in values.tolist())
+        return None if bad.any() else tuple(values.tolist())
 
     def deviation(
-        self, target: RatMatrix
+        self, target: IntMatrix
     ) -> Optional[tuple[int, tuple[int, int], tuple[int, int]]]:
         """None when the target lies in the span; else the lowest class i on
         which it is not constant, the representative position of class i and
@@ -321,15 +284,14 @@ class SpanBasis:
     """Echelon form of a matrix family, prepared for repeated exact
     membership solves.
 
-    Elimination is fraction-free. Each member is scaled to integers once; an
-    echelon row is an integer vector together with the integer combination
-    of the members that it equals. A step cross-multiplies and divides by
-    the content gcd, so rows and combinations stay Python ints and Fractions
-    appear only in the coordinates `solve` returns. A row's pivot is its
-    first nonzero entry.
+    Elimination is fraction-free. An echelon row is an integer vector
+    together with the integer combination of the members that it equals. A
+    step cross-multiplies and divides by the content gcd, so rows and
+    combinations stay Python ints and Fractions appear only in the
+    coordinates `solve` returns. A row's pivot is its first nonzero entry.
     """
 
-    def __init__(self, basis: Sequence[RatMatrix]):
+    def __init__(self, basis: Sequence[IntMatrix]):
         if not basis:
             raise DimensionMismatch("empty basis")
         self.shape = basis[0].shape
@@ -342,7 +304,7 @@ class SpanBasis:
                 raise DimensionMismatch(f"basis shapes differ: {member.shape} vs {self.shape}")
             vec = member.num.ravel().tolist()
             combo = [0] * (self.size + 1)
-            combo[k] = member.den
+            combo[k] = 1
             self._reduce(vec, combo)
             pivot = next((i for i, x in enumerate(vec) if x), None)
             if pivot is not None:
@@ -365,13 +327,14 @@ class SpanBasis:
                 vec[:] = [x // g for x in vec]
                 combo[:] = [c // g for c in combo]
 
-    def solve(self, target: RatMatrix) -> Optional[tuple[Rational, ...]]:
-        """Exact coefficients c with sum(c_i * basis_i) = target, or None."""
+    def solve(self, target: IntMatrix) -> Optional[tuple[Rational, ...]]:
+        """Exact rational coefficients c with sum(c_i * basis_i) = target,
+        or None. When the basis is dependent, one valid tuple is returned."""
         if target.shape != self.shape:
             raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
         vec = target.num.ravel().tolist()
         combo = [0] * (self.size + 1)
-        combo[-1] = target.den
+        combo[-1] = 1
         self._reduce(vec, combo)
         if any(vec):
             return None
@@ -379,21 +342,10 @@ class SpanBasis:
         return tuple(_norm(Fraction(-c, combo[-1])) for c in combo[:-1])
 
 
-def span_basis(mats: Sequence[RatMatrix]) -> Union[PartitionBasis, SpanBasis]:
+def span_basis(mats: Sequence[IntMatrix]) -> Union[PartitionBasis, SpanBasis]:
     """A membership solver for span(mats): class constancy when mats form a
     partition basis, exact elimination otherwise."""
     return PartitionBasis.from_matrices(mats) or SpanBasis(mats)
-
-
-def span_solve(
-    target: RatMatrix, basis: Sequence[RatMatrix]
-) -> Optional[tuple[Rational, ...]]:
-    """Exact rational coordinates of target in span(basis), or None.
-
-    Gaussian elimination over the row-major vectorized matrices. When the
-    basis is dependent, one valid coordinate tuple is returned.
-    """
-    return SpanBasis(basis).solve(target)
 
 
 @dataclass(frozen=True)
@@ -408,10 +360,6 @@ class RatPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
-
-    @classmethod
-    def zero(cls) -> "RatPolynomial":
-        return cls(())
 
     @classmethod
     def one(cls) -> "RatPolynomial":
@@ -452,21 +400,6 @@ class RatPolynomial:
             return self
         return RatPolynomial((0,) + self.coeffs)
 
-    def divide_linear(self, root: Rational) -> "RatPolynomial":
-        """Exact synthetic division by (t - root); raises if root is not a root."""
-        if self.is_zero():
-            return self
-        quot: list[Rational] = []
-        acc: Rational = 0
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            quot.append(acc)
-        remainder = quot.pop()
-        if remainder != 0:
-            raise ValueError(f"{root} is not a root (remainder {remainder})")
-        quot.reverse()
-        return RatPolynomial.from_coeffs(quot)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -491,22 +424,26 @@ class RatPolynomial:
         return out
 
 
-def eval_poly_at_matrix(p: RatPolynomial, a: RatMatrix) -> RatMatrix:
-    """Exact evaluation of p at a square matrix: Horner on the integer
-    polynomial L * p, where L clears every coefficient's denominator, then
-    one division by L."""
+def eval_poly_at_matrix(p: RatPolynomial, a: IntMatrix) -> IntMatrix:
+    """The integer matrix p(A) for a square A: Horner on the integer
+    polynomial L * p, where L is the lcm of the coefficients' denominators,
+    then one exact division by L. Raises PreconditionViolated when p(A) has
+    an entry that is not an integer."""
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
     n = a.rows
-    if p.is_zero():
-        return RatMatrix.zeros(n, n)
-    ints, denom = _clear_denominators(p.coeffs)
-    acc = RatMatrix.identity(n).scale(ints[-1])
-    for c in reversed(ints[:-1]):
-        acc = mat_mul(acc, a)
+    denom = lcm(*(c.denominator for c in p.coeffs))
+    acc = IntMatrix.zeros(n, n)
+    for i, c in enumerate(reversed(p.coeffs)):
+        if i:
+            acc = mat_mul(acc, a)
         if c:
-            acc = acc.add(RatMatrix.identity(n).scale(c))
-    return RatMatrix(acc.num, acc.den * denom)
+            acc = acc.add(IntMatrix.identity(n).scale(c.numerator * (denom // c.denominator)))
+    if denom == 1:
+        return acc
+    if (acc.num % denom).any():
+        raise PreconditionViolated("p(A) has an entry that is not an integer")
+    return IntMatrix(acc.num // denom)
 
 
 def _prime_cap(n: int) -> int:
@@ -732,44 +669,9 @@ def _integer_minimal_polynomial(ints: np.ndarray, rho: int) -> list[int]:
     raise InternalInconsistency("ran out of primes")
 
 
-def minimal_polynomial(a: RatMatrix) -> RatPolynomial:
+def minimal_polynomial(a: IntMatrix) -> RatPolynomial:
     """Monic least-degree polynomial annihilating a, computed modulo primes
-    and certified exactly on its numerator: with a = N / L,
-    μ_a(t) = L**-d * μ_N(L t)."""
+    and certified exactly; its coefficients are integers."""
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
-    coeffs = _integer_minimal_polynomial(a.num, a.abs_bounds()[1])
-    d = len(coeffs) - 1
-    return RatPolynomial.from_coeffs([Fraction(c, a.den ** (d - i)) for i, c in enumerate(coeffs)])
-
-
-@dataclass(frozen=True)
-class HoffmanResult:
-    """Least-degree polynomial h with h(A) = J, or the reason it is absent."""
-
-    poly: Optional[RatPolynomial]
-    reason: Optional[str]  # "not-strongly-connected" | "not-regular"
-
-    @property
-    def exists(self) -> bool:
-        return self.poly is not None
-
-
-def hoffman_polynomial(g: Digraph) -> HoffmanResult:
-    """The unique least-degree h with h(A) = J, for strongly connected
-    regular digraphs: h = n * s(t) / s(k) where (t - k) * s(t) is the
-    minimal polynomial of A. The identity h(A) = J is re-verified exactly.
-    """
-    if not strongly_connected(g):
-        return HoffmanResult(None, "not-strongly-connected")
-    k = regularity(g)
-    if k is None:
-        return HoffmanResult(None, "not-regular")
-    a = adjacency_matrix(g)
-    mu = minimal_polynomial(a)
-    s = mu.divide_linear(k)
-    s_at_k = s(k)
-    h = s.scale(Fraction(g.n) / s_at_k)
-    if eval_poly_at_matrix(h, a) != RatMatrix.ones(g.n):
-        raise InternalInconsistency("h(A) != J for a regular strongly connected digraph")
-    return HoffmanResult(h, None)
+    return RatPolynomial.from_coeffs(_integer_minimal_polynomial(a.num, a.abs_bounds()[1]))

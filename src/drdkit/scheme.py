@@ -21,10 +21,9 @@ from .errors import (
 )
 from .partitions import shell_counts
 from .ratlin import (
+    IntMatrix,
     PartitionBasis,
-    RatMatrix,
     RatPolynomial,
-    Rational,
     adjacency_matrix,
     class_matrices,
     mat_mul,
@@ -36,7 +35,7 @@ class DistanceMatrices:
     """The 01 matrices A_0..A_D with (A_i)[x][y] = 1 iff d(x,y) = i, and
     their partition basis, whose class index is the distance table."""
 
-    mats: tuple[RatMatrix, ...]
+    mats: tuple[IntMatrix, ...]
     basis: PartitionBasis
 
     @property
@@ -44,12 +43,12 @@ class DistanceMatrices:
         return len(self.mats) - 1
 
     @property
-    def adjacency(self) -> RatMatrix:
+    def adjacency(self) -> IntMatrix:
         """A_1 when the diameter is positive, else the zero matrix."""
         if self.D >= 1:
             return self.mats[1]
         n = self.mats[0].rows
-        return RatMatrix.zeros(n, n)
+        return IntMatrix.zeros(n, n)
 
 
 def distance_matrices(g: Digraph, t: DistanceTable) -> DistanceMatrices:
@@ -58,7 +57,7 @@ def distance_matrices(g: Digraph, t: DistanceTable) -> DistanceMatrices:
         raise NotStronglyConnected("distance matrices need a strongly connected digraph")
     D = t.diameter
     mats = class_matrices(t.array, D + 1)
-    if mats[0] != RatMatrix.identity(g.n):
+    if mats[0] != IntMatrix.identity(g.n):
         raise InternalInconsistency("A_0 != I")
     if (sum(m.num for m in mats) != 1).any():
         raise InternalInconsistency("distance classes do not partition X x X")
@@ -200,7 +199,7 @@ class ProductTable:
     pair whose two orders of product differ. The products themselves are not
     kept."""
 
-    coords: tuple[tuple[Optional[tuple[Rational, ...]], ...], ...]
+    coords: tuple[tuple[Optional[tuple[int, ...]], ...], ...]
     noncommuting: Optional[tuple[int, int]]  # first (i, j), i < j, with A_i A_j != A_j A_i
 
     @property
@@ -314,7 +313,7 @@ def walk_count_constancy(dm: DistanceMatrices, max_len: Optional[int] = None) ->
     elif max_len < D:
         raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
     a = dm.adjacency
-    power = RatMatrix.identity(a.rows)
+    power = IntMatrix.identity(a.rows)
     for ell in range(min(max_len, a.rows - 1) + 1):
         if ell > 0:
             power = mat_mul(power, a)

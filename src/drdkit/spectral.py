@@ -1,33 +1,28 @@
 """Complex spectral computations: eigenvalue clustering with multiplicities,
-normality, predistance polynomials, and the spectral excess expression.
+normality, and the spectral excess expression.
 
 This is the only floating-point corner of the toolkit. Everything here is
 cross-validated elsewhere against exact data (minimal-polynomial degrees,
 exact shell counts), so a bad tolerance surfaces as a test failure rather
-than a silent wrong verdict.
+than a silent wrong verdict. The float predistance polynomials and their
+inner products, which no verdict reads, are kept by the test suite as the
+oracle of the spectral excess bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
 
 import numpy as np
 
 from .digraph import DistanceTable
-from .errors import (
-    ClusteringAmbiguous,
-    DegenerateGram,
-    NonPositiveNorm,
-    PiUnderflow,
-    PreconditionViolated,
-)
-from .ratlin import RatMatrix, mat_mul, transpose
+from .errors import ClusteringAmbiguous, PiUnderflow, PreconditionViolated
+from .ratlin import IntMatrix, mat_mul, transpose
 
 DEFAULT_CLUSTER_TOL = 1e-7
 
 
-def is_normal(a: RatMatrix) -> bool:
+def is_normal(a: IntMatrix) -> bool:
     """Exact integer test A A^T = A^T A (real entries, so adjoint = transpose)."""
     at = transpose(a)
     return mat_mul(a, at) == mat_mul(at, a)
@@ -50,21 +45,8 @@ class Spectrum:
         """One less than the number of distinct eigenvalues."""
         return len(self.eigs) - 1
 
-    @property
-    def perron(self) -> complex:
-        return self.eigs[0][0]
 
-
-def _as_float_array(a: Union[RatMatrix, Sequence[Sequence[int]]]) -> np.ndarray:
-    if isinstance(a, RatMatrix):
-        return np.asarray(a.num / a.den, dtype=float)
-    return np.array(a, dtype=float)
-
-
-def spectrum(
-    a: Union[RatMatrix, Sequence[Sequence[int]]],
-    tol_cluster: float = DEFAULT_CLUSTER_TOL,
-) -> Spectrum:
+def spectrum(a: IntMatrix, tol_cluster: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """Numerically computed eigenvalues, single-linkage clustered at an
     absolute threshold of tol_cluster scaled by the spectral radius.
 
@@ -73,7 +55,7 @@ def spectrum(
     Raises ClusteringAmbiguous when two distinct clusters end up closer than
     the resolution.
     """
-    arr = _as_float_array(a)
+    arr = a.num.astype(float)
     n = arr.shape[0]
     raw = np.linalg.eigvals(arr)
     rho = max(abs(raw))
@@ -148,99 +130,6 @@ def spectrum(
                 prod *= eigs[j][0] - eigs[l][0]
         pi.append(prod)
     return Spectrum(eigs=eigs, pi=tuple(pi), n=n)
-
-
-def poly_eval(coeffs: np.ndarray, x: complex) -> complex:
-    acc = complex(0.0)
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    return acc
-
-
-def poly_inner_product(p: np.ndarray, q: np.ndarray, s: Spectrum) -> complex:
-    """Spectrum-weighted inner product:
-    (1/n) * sum_j m_j p(eig_j) conj(q(eig_j))."""
-    total = complex(0.0)
-    for lam, m in s.eigs:
-        total += m * poly_eval(p, lam) * np.conjugate(poly_eval(q, lam))
-    return total / s.n
-
-
-def poly_inner_product_trace(
-    p: np.ndarray, q: np.ndarray, a: Union[RatMatrix, Sequence[Sequence[int]]]
-) -> complex:
-    """Trace-form inner product (1/n) trace(p(A) conj(q(A))^T): the
-    independent oracle for poly_inner_product on normal matrices."""
-    arr = _as_float_array(a).astype(complex)
-    n = arr.shape[0]
-
-    def horner(coeffs: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(arr)
-        for c in coeffs[::-1]:
-            acc = acc @ arr + c * np.eye(n)
-        return acc
-
-    pa = horner(np.asarray(p, dtype=complex))
-    qa = horner(np.asarray(q, dtype=complex))
-    return complex(np.trace(pa @ np.conjugate(qa).T)) / n
-
-
-@dataclass(frozen=True)
-class PredistanceSet:
-    """Orthogonal polynomials p_0..p_d for the spectrum-weighted inner
-    product, normalized so that ||p_i||^2 = p_i(perron) > 0."""
-
-    polys: tuple[np.ndarray, ...]
-    norms: tuple[float, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.polys) - 1
-
-
-def predistance_polynomials(s: Spectrum, residue_tol: float = 1e-8) -> PredistanceSet:
-    """Gram-Schmidt on the monomial basis 1, t, ..., t^d under the
-    spectrum-weighted inner product, rescaled so each norm-squared equals the
-    value at the Perron eigenvalue.
-
-    A second orthogonalization pass guards against cancellation. Raises
-    DegenerateGram on a numerically vanishing norm and NonPositiveNorm when
-    the value at the Perron eigenvalue is not real positive.
-    """
-    lam0 = s.perron
-    if lam0.imag != 0.0:
-        raise PreconditionViolated("Perron eigenvalue must be real")
-    d = s.d
-    raw_scale = max(abs(lam0), 1.0)
-    basis: list[np.ndarray] = []
-    norms_sq: list[float] = []
-    out: list[np.ndarray] = []
-    out_norms: list[float] = []
-    for i in range(d + 1):
-        q = np.zeros(i + 1, dtype=complex)
-        q[i] = 1.0
-        for _ in range(2):  # re-orthogonalize once for stability
-            for prev, prev_norm in zip(basis, norms_sq):
-                coef = poly_inner_product(q, prev, s) / prev_norm
-                q = q - coef * np.pad(prev, (0, len(q) - len(prev)))
-        norm_sq = poly_inner_product(q, q, s).real
-        scale_floor = 1e-24 * max(raw_scale ** (2 * i), 1.0)
-        if norm_sq <= scale_floor:
-            raise DegenerateGram(f"monomial t^{i} is numerically dependent")
-        basis.append(q)
-        norms_sq.append(norm_sq)
-        value = poly_eval(q, lam0)
-        if abs(value.imag) > residue_tol * max(abs(value), 1.0):
-            raise NonPositiveNorm(
-                f"p_{i}(perron) = {value} has a non-negligible imaginary part"
-            )
-        if value.real <= 0:
-            raise NonPositiveNorm(f"p_{i}(perron) = {value.real} is not positive")
-        factor = value.real / norm_sq
-        p = factor * q
-        out.append(p)
-        out_norms.append(poly_eval(p, lam0).real)
-    return PredistanceSet(polys=tuple(out), norms=tuple(out_norms))
 
 
 def spectral_excess_rhs(s: Spectrum) -> float:

@@ -14,10 +14,13 @@ the textbook equitability count on every vertex's cells, Damerell's
 one-step table from a plain loop over pairs and arcs, and the scheme axioms
 of a matrix family from its sum, transposes and `numpy` products.
 
-The last section is different: identities from the paper's sources that no
-verdict reads, composed from library primitives so that the tests can check
-them (intersection numbers counted over pairs against the product table,
-weak distance-regularity, and its link with normality and Damerell's table).
+The two last sections are different. The first holds identities from the
+paper's sources that no verdict reads, composed from library primitives so
+that the tests can check them: intersection numbers counted over pairs
+against the product table, weak distance-regularity and its link with
+normality and Damerell's table, the Hoffman polynomial, and the float
+predistance polynomials with their two inner products, the spectral side of
+the excess bound. The second builds test matrices.
 """
 from __future__ import annotations
 
@@ -30,15 +33,22 @@ from typing import Optional
 import numpy as np
 import sympy
 
-from drdkit.errors import InternalInconsistency
-from drdkit.ratlin import adjacency_matrix
+from drdkit.digraph import regularity, strongly_connected
+from drdkit.errors import InternalInconsistency, PreconditionViolated, SpectralError
+from drdkit.ratlin import (
+    IntMatrix,
+    RatPolynomial,
+    adjacency_matrix,
+    eval_poly_at_matrix,
+    minimal_polynomial,
+)
 from drdkit.scheme import (
     damerell_numbers,
     distance_polynomials,
     pair_intersection_counts,
     product_table,
 )
-from drdkit.spectral import is_normal
+from drdkit.spectral import Spectrum, is_normal
 
 INF = math.inf
 
@@ -499,3 +509,162 @@ def comellas_damerell_link(g, dm, t) -> bool:
     if not weak_dr_comellas(g, dm):
         return True
     return is_normal(adjacency_matrix(g)) == damerell_numbers(g, t).exists
+
+
+@dataclass(frozen=True)
+class HoffmanResult:
+    """Least-degree polynomial h with h(A) = J, or the reason it is absent."""
+
+    poly: Optional[RatPolynomial]
+    reason: Optional[str]  # "not-strongly-connected" | "not-regular"
+
+    @property
+    def exists(self) -> bool:
+        return self.poly is not None
+
+
+def divide_linear(p: RatPolynomial, root) -> RatPolynomial:
+    """Exact synthetic division of p by (t - root); raises ValueError if
+    root is not a root."""
+    if p.is_zero():
+        return p
+    quot = []
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * root + c
+        quot.append(acc)
+    remainder = quot.pop()
+    if remainder != 0:
+        raise ValueError(f"{root} is not a root (remainder {remainder})")
+    quot.reverse()
+    return RatPolynomial.from_coeffs(quot)
+
+
+def hoffman_polynomial(g) -> HoffmanResult:
+    """The unique least-degree h with h(A) = J, for strongly connected
+    regular digraphs (Hoffman and McAndrew, Proc. AMS 16, 1965):
+    h = n * s(t) / s(k) where (t - k) * s(t) is the minimal polynomial of A.
+    The identity h(A) = J is re-verified exactly."""
+    if not strongly_connected(g):
+        return HoffmanResult(None, "not-strongly-connected")
+    k = regularity(g)
+    if k is None:
+        return HoffmanResult(None, "not-regular")
+    a = adjacency_matrix(g)
+    s = divide_linear(minimal_polynomial(a), k)
+    h = s.scale(Fraction(g.n) / s(k))
+    if eval_poly_at_matrix(h, a) != ones(g.n):
+        raise InternalInconsistency("h(A) != J for a regular strongly connected digraph")
+    return HoffmanResult(h, None)
+
+
+class DegenerateGram(SpectralError):
+    """Gram-Schmidt step produced a numerically singular norm."""
+
+
+class NonPositiveNorm(SpectralError):
+    """Orthogonal polynomial cannot be normalized to a positive value."""
+
+
+def perron(s: Spectrum) -> complex:
+    """The Perron value, which `spectrum` lists first."""
+    return s.eigs[0][0]
+
+
+def poly_eval(coeffs: np.ndarray, x: complex) -> complex:
+    acc = complex(0.0)
+    for c in coeffs[::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def poly_inner_product(p: np.ndarray, q: np.ndarray, s: Spectrum) -> complex:
+    """Spectrum-weighted inner product:
+    (1/n) * sum_j m_j p(eig_j) conj(q(eig_j))."""
+    total = complex(0.0)
+    for lam, m in s.eigs:
+        total += m * poly_eval(p, lam) * np.conjugate(poly_eval(q, lam))
+    return total / s.n
+
+
+def poly_inner_product_trace(p: np.ndarray, q: np.ndarray, a: IntMatrix) -> complex:
+    """Trace-form inner product (1/n) trace(p(A) conj(q(A))^T): the
+    independent oracle for poly_inner_product on normal matrices."""
+    arr = a.num.astype(complex)
+    n = arr.shape[0]
+
+    def horner(coeffs: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(arr)
+        for c in coeffs[::-1]:
+            acc = acc @ arr + c * np.eye(n)
+        return acc
+
+    pa = horner(np.asarray(p, dtype=complex))
+    qa = horner(np.asarray(q, dtype=complex))
+    return complex(np.trace(pa @ np.conjugate(qa).T)) / n
+
+
+@dataclass(frozen=True)
+class PredistanceSet:
+    """Orthogonal polynomials p_0..p_d for the spectrum-weighted inner
+    product, normalized so that ||p_i||^2 = p_i(perron) > 0."""
+
+    polys: tuple[np.ndarray, ...]
+    norms: tuple[float, ...]
+
+
+def predistance_polynomials(s: Spectrum, residue_tol: float = 1e-8) -> PredistanceSet:
+    """Gram-Schmidt on the monomial basis 1, t, ..., t^d under the
+    spectrum-weighted inner product, rescaled so each norm-squared equals the
+    value at the Perron eigenvalue (Fiol and Garriga, JCTB 71, 1997).
+
+    A second orthogonalization pass guards against cancellation. Raises
+    DegenerateGram on a numerically vanishing norm and NonPositiveNorm when
+    the value at the Perron eigenvalue is not real positive.
+    """
+    lam0 = perron(s)
+    if lam0.imag != 0.0:
+        raise PreconditionViolated("Perron eigenvalue must be real")
+    raw_scale = max(abs(lam0), 1.0)
+    basis: list[np.ndarray] = []
+    norms_sq: list[float] = []
+    out: list[np.ndarray] = []
+    out_norms: list[float] = []
+    for i in range(s.d + 1):
+        q = np.zeros(i + 1, dtype=complex)
+        q[i] = 1.0
+        for _ in range(2):  # re-orthogonalize once for stability
+            for prev, prev_norm in zip(basis, norms_sq):
+                coef = poly_inner_product(q, prev, s) / prev_norm
+                q = q - coef * np.pad(prev, (0, len(q) - len(prev)))
+        norm_sq = poly_inner_product(q, q, s).real
+        scale_floor = 1e-24 * max(raw_scale ** (2 * i), 1.0)
+        if norm_sq <= scale_floor:
+            raise DegenerateGram(f"monomial t^{i} is numerically dependent")
+        basis.append(q)
+        norms_sq.append(norm_sq)
+        value = poly_eval(q, lam0)
+        if abs(value.imag) > residue_tol * max(abs(value), 1.0):
+            raise NonPositiveNorm(
+                f"p_{i}(perron) = {value} has a non-negligible imaginary part"
+            )
+        if value.real <= 0:
+            raise NonPositiveNorm(f"p_{i}(perron) = {value.real} is not positive")
+        factor = value.real / norm_sq
+        p = factor * q
+        out.append(p)
+        out_norms.append(poly_eval(p, lam0).real)
+    return PredistanceSet(polys=tuple(out), norms=tuple(out_norms))
+
+
+# Builders of test matrices.
+
+
+def from_rows(rows) -> IntMatrix:
+    """The integer matrix with these rows of Python ints."""
+    return IntMatrix(np.array(rows, dtype=object))
+
+
+def ones(n: int) -> IntMatrix:
+    """The n x n all-ones matrix J."""
+    return IntMatrix(np.ones((n, n), dtype=np.int64))

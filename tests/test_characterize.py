@@ -19,7 +19,7 @@ from drdkit.corpus import (
 )
 from drdkit.digraph import Digraph, distance_table
 from drdkit.errors import InvalidParameter
-from drdkit.ratlin import PartitionBasis, RatMatrix, adjacency_matrix, mat_mul
+from drdkit.ratlin import IntMatrix, PartitionBasis, adjacency_matrix, mat_mul
 from drdkit.scheme import distance_matrices, transpose_closure
 from drdkit.spectral import is_normal, spectrum
 
@@ -91,7 +91,7 @@ class TestCheckAll:
             ctx = check_all(g).context
             assert len(families) <= 1
             for mats in families:
-                powers = [RatMatrix.identity(g.n)]
+                powers = [IntMatrix.identity(g.n)]
                 while len(powers) < ctx.minpoly.degree:
                     powers.append(mat_mul(powers[-1], ctx.adjacency))
                 assert mats == powers
@@ -134,7 +134,7 @@ class TestCheckSingle:
 
     def test_a_neither_transposes_nor_adds_matrices(self, corpus, monkeypatch):
         """Check A reads its axioms off the product table and the transpose
-        map: with every binding of ratlin.transpose and RatMatrix.add made
+        map: with every binding of ratlin.transpose and IntMatrix.add made
         to raise, it gives the same verdicts, witnesses and params."""
         expected = [check_single(g, "A") for _, g in corpus]
 
@@ -144,7 +144,7 @@ class TestCheckSingle:
         for name, module in list(sys.modules.items()):
             if name.startswith("drdkit") and getattr(module, "transpose", None) is ratlin.transpose:
                 monkeypatch.setattr(module, "transpose", refuse)
-        monkeypatch.setattr(RatMatrix, "add", refuse)
+        monkeypatch.setattr(IntMatrix, "add", refuse)
         for (name, g), want in zip(corpus, expected):
             got = check_single(g, "A")
             assert (got.verdict, got.witness, got.params) == (

@@ -203,6 +203,18 @@ class TestFuzzCommand:
         assert main(["fuzz", "3", "3", "--exhaustive"]) == 0
         assert "checked 18 digraphs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n_min", ["1", "6"])
+    def test_exhaustive_past_five_exits_four_before_enumerating(self, n_min, monkeypatch, capsys):
+        # n = 6 alone has 2**30 arc sets, so no such run could finish.
+        def refuse(n):
+            raise AssertionError("enumerated digraphs past n = 5")
+
+        monkeypatch.setattr(drdkit.cli, "all_strongly_connected_digraphs", refuse)
+        assert main(["fuzz", n_min, "6", "--exhaustive"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--exhaustive needs n_max <= 5" in captured.err
+
     def test_bad_range(self, capsys):
         assert main(["fuzz", "0", "3"]) == 4
 

@@ -1,15 +1,17 @@
 """Every module of the package uses each name it imports, and every public
-function and class has a reader.
+function, class and method has a reader.
 
 Deleting a function often leaves its imports behind; this guard catches
 them. Annotations count as uses, including names inside string annotations.
 The package ``__init__`` is exempt: it imports names to re-export them. The
 dead-code guard checks the other direction: a public module-level function
-or class must be named by other code of the package, exported by
+or class, and a public method, classmethod or property of a module-level
+class, must be named by other code of the package, exported by
 ``__init__``, or wrapped by the benchmark's tracer. The last test checks the
 other side of a deletion: every function the tracer wraps still resolves.
 """
 import ast
+import copy
 import importlib.util
 from pathlib import Path
 
@@ -83,33 +85,44 @@ def _tracer():
     return tracer
 
 
-# Public names that only the tests read today. Moving each into the tests,
-# or giving it a reader in the package, takes it off this list.
-TEST_ONLY = {
-    "check_definition_drd",
-    "out_distance_partition",
-    "hoffman_polynomial",
-    "span_solve",
-    "predistance_polynomials",
-    "poly_inner_product_trace",
-}
+def _definitions(stmt: ast.stmt) -> list[tuple[str, ast.stmt]]:
+    """The nodes of one module-level statement that the guard reads apart,
+    each with the name of the class that owns it ("" at module level): the
+    statement itself and, for a class, each method (classmethods and
+    properties too). The class's own node holds everything but its methods,
+    so that no method counts as a reader of itself or of its class."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [("", stmt)]
+    methods = [s for s in stmt.body if isinstance(s, ast.FunctionDef)]
+    shell = copy.copy(stmt)
+    shell.body = [s for s in stmt.body if s not in methods]
+    return [("", shell)] + [(stmt.name, m) for m in methods]
 
 
 def unread_definitions(modules: dict[str, ast.Module], kept: set[str]) -> set[str]:
-    """Public module-level functions and classes of `modules` that no code
-    names, outside the definition itself, as a name, an attribute or inside
-    a string annotation, and that are not in `kept`."""
-    defined: set[str] = set()
+    """Public module-level functions and classes, and public methods of
+    module-level classes, of `modules` that no code names, outside the
+    definition itself, as a name, an attribute or inside a string
+    annotation, and whose names are not in `kept`. A method is reported as
+    Class.method.
+
+    The match is by name only: a method counts as read when any code names
+    an attribute or variable of the same name, whatever its owner. So a
+    method that shares its name with a read one (another class's method or
+    a numpy function, say `sub` or `ones`) passes unread."""
+    defined: dict[str, str] = {}
     named: set[str] = set()
     for tree in modules.values():
         for stmt in tree.body:
-            uses = used_names(ast.Module(body=[stmt], type_ignores=[]))
-            uses |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
-                defined.add(stmt.name)
-                uses.discard(stmt.name)
-            named |= uses
-    return defined - named - kept
+            for owner, node in _definitions(stmt):
+                uses = used_names(ast.Module(body=[node], type_ignores=[]))
+                uses |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                uses.discard(owner)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                    defined[f"{owner}.{node.name}" if owner else node.name] = node.name
+                    uses.discard(node.name)
+                named |= uses
+    return {q for q, name in defined.items() if name not in named | kept}
 
 
 def test_every_public_definition_has_a_reader():
@@ -120,9 +133,9 @@ def test_every_public_definition_has_a_reader():
         if isinstance(node, ast.Assign) and any(t.id == "__all__" for t in node.targets)
         for elt in node.value.elts
     }
-    traced = {path.split(".")[0] for _, _, path in _tracer().TARGETS}
+    traced = {part for _, _, path in _tracer().TARGETS for part in path.split(".")}
     modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
-    assert unread_definitions(modules, exported | traced) == TEST_ONLY
+    assert unread_definitions(modules, exported | traced) == set()
 
 
 def test_dead_code_guard_sees_unread_definitions():
@@ -144,6 +157,49 @@ def test_dead_code_guard_sees_unread_definitions():
         ),
     }
     assert unread_definitions(modules, {"exported"}) == {"recursive", "Unread", "f"}
+
+
+def test_dead_code_guard_sees_unread_methods():
+    modules = {
+        "a.py": ast.parse(
+            "class Holder:\n"
+            "    def read(self): return self.helper()\n"
+            "    def helper(self): pass\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    def unread(self): pass\n"
+            "    def _private(self): pass\n"
+            "    def __eq__(self, other): return True\n"
+            "    @classmethod\n"
+            "    def built(cls): return cls()\n"
+            "    @classmethod\n"
+            "    def unbuilt(cls): return cls()\n"
+            "    @property\n"
+            "    def size(self): return 1\n"
+            "    @property\n"
+            "    def unsized(self): return 1\n"
+            "    def traced(self): pass\n"
+            "    def shadowed(self): pass\n"
+            "class _Inner:\n"
+            "    def unread_inner(self): pass\n"
+            "class SelfMade:\n"
+            "    def __copy__(self): return SelfMade()\n"
+        ),
+        "b.py": ast.parse(
+            "import numpy as np\n"
+            "from a import Holder\n"
+            "def f():\n"
+            "    h = Holder.built()\n"
+            "    return h.read(), h.size, np.shadowed()\n"
+        ),
+    }
+    assert unread_definitions(modules, {"f", "traced"}) == {
+        "Holder.recursive",
+        "Holder.unread",
+        "Holder.unbuilt",
+        "Holder.unsized",
+        "_Inner.unread_inner",
+        "SelfMade",
+    }
 
 
 def test_tracer_targets_resolve():

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from drdkit.corpus import cycle, cycle_with_chord, paley
 from drdkit.digraph import Digraph, DistanceTable, distance_table
 from drdkit.errors import NotStronglyConnected, PreconditionViolated
-from drdkit.partitions import (
-    check_definition_drd,
-    distance_regular_scan,
-    out_distance_partition,
-    shell_counts,
-)
+from drdkit.partitions import distance_regular_scan, shell_counts
 from drdkit.scheme import damerell_numbers
 
 from oracles import damerell_table_direct, distance_regular_scan_direct, equitable_params_direct
@@ -21,6 +16,12 @@ from oracles import damerell_table_direct, distance_regular_scan_direct, equitab
 
 def cells_as_labels(g, cells):
     return [frozenset(g.labels[v] for v in cell) for cell in cells]
+
+
+def out_distance_cells(t: DistanceTable, x: int) -> tuple[frozenset[int], ...]:
+    """Cells {z : d(x,z) = i} for i = 0.., from row x of the distance table."""
+    row = t.array[x].tolist()
+    return tuple(frozenset(z for z, d in enumerate(row) if d == i) for i in range(max(row) + 1))
 
 
 def in_distance_cells(t: DistanceTable, x: int) -> tuple[frozenset[int], ...]:
@@ -46,11 +47,11 @@ def check_partition_coincidence(g: Digraph, t: Optional[DistanceTable] = None) -
     """
     if t is None:
         t = distance_table(g)
-    if check_definition_drd(g, t) is None:
+    if distance_regular_scan(g, t, "out")[0] is None:
         raise PreconditionViolated("partition coincidence requires a distance-regular digraph")
     sigma: Optional[list[int]] = None
     for x in range(g.n):
-        out_cells = out_distance_partition(g, x, t).cells
+        out_cells = out_distance_cells(t, x)
         in_cells = in_distance_cells(t, x)
         if len(out_cells) != len(in_cells):
             return CoincidenceResult(False, ())
@@ -70,14 +71,12 @@ def check_partition_coincidence(g: Digraph, t: Optional[DistanceTable] = None) -
 
 class TestDistancePartitions:
     def test_cycle_singletons(self):
-        g = cycle(4)
-        p = out_distance_partition(g, 0)
-        assert p.cells == (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
+        cells = out_distance_cells(distance_table(cycle(4)), 0)
+        assert cells == (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
 
     def test_paper6_out_partition(self, fig6):
         a = fig6.labels.index("a")
-        p = out_distance_partition(fig6, a)
-        assert cells_as_labels(fig6, p.cells) == [
+        assert cells_as_labels(fig6, out_distance_cells(distance_table(fig6), a)) == [
             frozenset({"a"}),
             frozenset({"b", "c"}),
             frozenset({"d", "e"}),
@@ -96,24 +95,25 @@ class TestDistancePartitions:
     def test_rejects_non_strongly_connected(self):
         g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
         with pytest.raises(NotStronglyConnected):
-            out_distance_partition(g, 0)
+            distance_regular_scan(g, distance_table(g), "out")
 
 
 class TestCheckEquitable:
     def test_paper6_distance_partition(self, fig6):
         a = fig6.labels.index("a")
-        params = check_definition_drd(fig6)
+        t = distance_table(fig6)
+        params = distance_regular_scan(fig6, t, "out")[0]
         assert params is not None
         assert params.cell_sizes == (1, 2, 2, 1)
         # Cross-check against the independent direct count around a.
-        cells = out_distance_partition(fig6, a).cells
+        cells = out_distance_cells(t, a)
         oracle = equitable_params_direct(fig6.adj, [sorted(c) for c in cells])
         assert oracle == (params.d_out, params.d_in)
 
     def test_matches_direct_oracle_on_failure(self):
         g = cycle_with_chord(4)
         t = distance_table(g)
-        cells = [[sorted(c) for c in out_distance_partition(g, x, t).cells] for x in range(g.n)]
+        cells = [[sorted(c) for c in out_distance_cells(t, x)] for x in range(g.n)]
         first = next(x for x in range(g.n) if equitable_params_direct(g.adj, cells[x]) is None)
         _, failure = distance_regular_scan(g, t, "out")
         assert failure == f"out-distance partition around {g.labels[first]} is not equitable"
@@ -122,7 +122,8 @@ class TestCheckEquitable:
 class TestDefinitionDrd:
     def test_cycles(self):
         for n in (3, 5, 8):
-            params = check_definition_drd(cycle(n))
+            g = cycle(n)
+            params = distance_regular_scan(g, distance_table(g), "out")[0]
             assert params is not None
             for i in range(n):
                 for j in range(n):
@@ -130,12 +131,13 @@ class TestDefinitionDrd:
                     assert params.d_out[i][j] == expected
 
     def test_paper6(self, fig6):
-        params = check_definition_drd(fig6)
+        params = distance_regular_scan(fig6, distance_table(fig6), "out")[0]
         assert params is not None
         assert params.cell_sizes == (1, 2, 2, 1)
 
     def test_chorded_cycle_fails(self):
-        assert check_definition_drd(cycle_with_chord(4)) is None
+        g = cycle_with_chord(4)
+        assert distance_regular_scan(g, distance_table(g), "out")[0] is None
 
     def test_in_version_agrees(self, fig6):
         for g in (fig6, cycle(6)):
@@ -200,11 +202,10 @@ class TestInvariants:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected or check_definition_drd(g, t) is None:
+            if not t.strongly_connected or distance_regular_scan(g, t, "out")[0] is None:
                 continue
             for x in range(g.n):
-                p = out_distance_partition(g, x, t)
-                for cell in p.cells:
+                for cell in out_distance_cells(t, x):
                     back = {int(t.array[z, x]) for z in cell}
                     assert len(back) == 1, name
 
@@ -215,7 +216,7 @@ class TestInvariants:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected or check_definition_drd(g, t) is None:
+            if not t.strongly_connected or distance_regular_scan(g, t, "out")[0] is None:
                 continue
             res = check_partition_coincidence(g, t)
             assert res.families_match, name
@@ -231,7 +232,7 @@ class TestInvariants:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            assert (check_definition_drd(g, t) is None) == (
+            assert (distance_regular_scan(g, t, "out")[0] is None) == (
                 distance_regular_scan(g, t, "in")[0] is None
             ), name
 

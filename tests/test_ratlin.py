@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import islice, product
-from math import gcd
 from unittest import mock
 
 import numpy as np
@@ -12,26 +11,40 @@ from hypothesis import strategies as st
 from drdkit.corpus import cycle, cycle_with_chord, paley, paper6
 import drdkit.ratlin as ratlin
 from drdkit.digraph import MAX_VERTICES, Digraph, distance_table
-from drdkit.errors import DimensionMismatch, InternalInconsistency, InvalidPartition
+from drdkit.errors import (
+    DimensionMismatch,
+    InternalInconsistency,
+    InvalidPartition,
+    PreconditionViolated,
+)
 from drdkit.ratlin import (
     FLOAT64_EXACT,
     FLOAT64_MIN_INNER,
     INT64_LIMIT,
+    IntMatrix,
     PartitionBasis,
-    RatMatrix,
-    SpanBasis,
     RatPolynomial,
+    SpanBasis,
     adjacency_matrix,
     eval_poly_at_matrix,
-    hoffman_polynomial,
     mat_mul,
     minimal_polynomial,
-    span_solve,
     transpose,
 )
 from drdkit.scheme import distance_matrices, distance_polynomials, product_table
 
-from oracles import mat_mul_reference, minimal_polynomial_coeffs, minimal_polynomial_mod
+import oracles
+from oracles import (
+    divide_linear,
+    from_rows,
+    hoffman_polynomial,
+    mat_mul_reference,
+    minimal_polynomial_coeffs,
+    minimal_polynomial_mod,
+    ones,
+)
+
+ZERO = RatPolynomial.from_coeffs([])
 
 
 class TestMatrixArithmetic:
@@ -42,13 +55,7 @@ class TestMatrixArithmetic:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mat_mul(RatMatrix.identity(2), RatMatrix.identity(3))
-
-    def test_fraction_entries_survive(self):
-        rows = [[Fraction(1, 2), 0], [0, 1]]
-        m = RatMatrix.from_rows(rows)
-        assert mat_mul(m, m).entries == mat_mul_reference(rows, rows)
-        assert mat_mul(m, m).entries[0][0] == Fraction(1, 4)
+            mat_mul(IntMatrix.identity(2), IntMatrix.identity(3))
 
 
 def _rational(x):
@@ -61,28 +68,31 @@ def _rank(family):
     return sympy.Matrix([[_rational(x) for row in m for x in row] for m in family]).rank()
 
 
+def _combination(coords, family):
+    """sum(c_i * family_i) of nested lists, in Python arithmetic."""
+    rows, cols = len(family[0]), len(family[0][0])
+    return [
+        [sum(c * m[x][y] for c, m in zip(coords, family)) for y in range(cols)]
+        for x in range(rows)
+    ]
+
+
 @st.composite
 def _families_with_targets(draw):
-    """A family of small integer or Fraction matrices that includes dependent
-    members (repeats and scalar multiples, zero among them), and a target
-    that is either a combination of the family or an arbitrary matrix."""
+    """A family of small integer matrices that includes dependent members
+    (repeats and scalar multiples, zero among them), and a target that is
+    either an integer combination of the family or an arbitrary matrix."""
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        entry = st.integers(-4, 4)
-    else:
-        entry = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    entry = st.integers(-4, 4)
     matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
     family = draw(st.lists(matrix, min_size=1, max_size=4))
     for _ in range(draw(st.integers(0, 3))):
         source = draw(st.sampled_from(family))
-        c = draw(st.sampled_from([1, -1, 2, 0, Fraction(-1, 3)]))
+        c = draw(st.sampled_from([1, -1, 2, 0, -3]))
         family.insert(draw(st.integers(0, len(family))), [[c * x for x in r] for r in source])
     if draw(st.booleans()):
         coeffs = draw(st.lists(entry, min_size=len(family), max_size=len(family)))
-        target = [
-            [sum(c * m[x][y] for c, m in zip(coeffs, family)) for y in range(cols)]
-            for x in range(rows)
-        ]
+        target = _combination(coeffs, family)
     else:
         target = draw(matrix)
     return family, target
@@ -93,54 +103,50 @@ class TestSpanSolve:
     @given(_families_with_targets())
     def test_solve_rebuilds_the_target_or_sympy_rank_grows(self, case):
         family, target = case
-        mats = [RatMatrix.from_rows(m) for m in family]
-        coords = SpanBasis(mats).solve(RatMatrix.from_rows(target))
+        coords = SpanBasis([from_rows(m) for m in family]).solve(from_rows(target))
         assert (coords is None) == (_rank(family + [target]) > _rank(family))
         if coords is not None:
-            assert len(coords) == len(mats)
-            acc = RatMatrix.zeros(len(target), len(target[0]))
-            for c, m in zip(coords, mats):
-                acc = acc.add(m.scale(c))
-            assert acc == RatMatrix.from_rows(target)
+            assert len(coords) == len(family)
+            assert _combination(coords, family) == target
 
     def test_unit_vector_on_independent_basis(self):
         g = paper6()
         dm = distance_matrices(g, distance_table(g))
-        coeffs = span_solve(dm.mats[2], dm.mats)
+        coeffs = SpanBasis(dm.mats).solve(dm.mats[2])
         assert coeffs == (0, 0, 1, 0)
 
     def test_all_ones_in_distance_span(self):
         # The distance classes partition X x X, so J has all-ones coordinates.
         for g in (cycle(5), paper6(), cycle_with_chord(6)):
             dm = distance_matrices(g, distance_table(g))
-            coeffs = span_solve(RatMatrix.ones(g.n), dm.mats)
+            coeffs = SpanBasis(dm.mats).solve(ones(g.n))
             assert coeffs == (1,) * (dm.D + 1)
 
     def test_c3_square_outside_span_of_i_a(self):
         a = adjacency_matrix(cycle(3))
-        assert span_solve(mat_mul(a, a), [RatMatrix.identity(3), a]) is None
+        assert SpanBasis([IntMatrix.identity(3), a]).solve(mat_mul(a, a)) is None
 
     def test_round_trip_reconstruction(self):
         g = cycle_with_chord(5)
         dm = distance_matrices(g, distance_table(g))
-        target = RatMatrix.ones(g.n)
-        coeffs = span_solve(target, dm.mats)
-        acc = RatMatrix.zeros(g.n, g.n)
+        target = ones(g.n)
+        coeffs = SpanBasis(dm.mats).solve(target)
+        acc = IntMatrix.zeros(g.n, g.n)
         for c, m in zip(coeffs, dm.mats):
             acc = acc.add(m.scale(c))
         assert acc == target
 
     def test_rational_coefficients(self):
-        basis = [RatMatrix.from_rows([[2, 0], [0, 0]]), RatMatrix.from_rows([[0, 3], [0, 0]])]
-        target = RatMatrix.from_rows([[1, 1], [0, 0]])
-        assert span_solve(target, basis) == (Fraction(1, 2), Fraction(1, 3))
+        basis = [from_rows([[2, 0], [0, 0]]), from_rows([[0, 3], [0, 0]])]
+        target = from_rows([[1, 1], [0, 0]])
+        assert SpanBasis(basis).solve(target) == (Fraction(1, 2), Fraction(1, 3))
 
 
 @st.composite
 def _wide_families_with_targets(draw):
     """A family of up to 4 integer matrices with entries within 8 of
     +-2**40 or small, possibly with dependent members, and a target that is
-    a Fraction combination of the family or arbitrary."""
+    an integer combination of the family or arbitrary."""
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     near = st.integers(2**40 - 8, 2**40 + 8)
     entry = st.one_of(st.integers(-3, 3), near, near.map(lambda x: -x))
@@ -149,12 +155,8 @@ def _wide_families_with_targets(draw):
     if draw(st.booleans()):
         family.append([[x - y for x, y in zip(r0, r1)] for r0, r1 in zip(family[0], family[-1])])
     if draw(st.booleans()):
-        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-        coeffs = draw(st.lists(coeff, min_size=len(family), max_size=len(family)))
-        target = [
-            [sum(c * m[r][k] for c, m in zip(coeffs, family)) for k in range(cols)]
-            for r in range(rows)
-        ]
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(family), max_size=len(family)))
+        target = _combination(coeffs, family)
     else:
         target = draw(matrix)
     return family, target
@@ -171,26 +173,25 @@ class TestFractionFreeElimination:
     @given(_families_with_targets())
     def test_rows_hold_only_ints(self, case):
         family, _ = case
-        assert _all_ints(SpanBasis([RatMatrix.from_rows(m) for m in family]))
+        assert _all_ints(SpanBasis([from_rows(m) for m in family]))
 
     def test_fraction_family_rows_hold_only_ints(self):
-        family = [
-            RatMatrix.from_rows([[Fraction(1, 2), Fraction(2, 3)], [0, 5]]),
-            RatMatrix.from_rows([[Fraction(-7, 4), 1], [Fraction(1, 6), 0]]),
-            RatMatrix.from_rows([[Fraction(3, 10), 0], [0, Fraction(9, 7)]]),
-        ]
-        basis = SpanBasis(family)
+        # An integer family whose solve has a Fraction coordinate: target =
+        # (2/9) M_0 - 3 M_2, integral because 9 divides every entry of M_0.
+        family = [[[9, 18], [0, 45]], [[-7, 4], [2, 0]], [[3, 0], [0, 9]]]
+        basis = SpanBasis([from_rows(m) for m in family])
         assert len(basis._rows) == 3 and _all_ints(basis)
-        target = family[0].scale(Fraction(2, 9)).add(family[2].scale(-3))
-        assert basis.solve(target) == (Fraction(2, 9), 0, -3)
+        target = _combination([Fraction(2, 9), 0, -3], family)
+        assert target == [[-7, 4], [0, -17]]
+        assert basis.solve(from_rows(target)) == (Fraction(2, 9), 0, -3)
 
     @settings(max_examples=100, deadline=None)
     @given(_wide_families_with_targets())
     def test_wide_entries_match_sympy_rank_and_coordinates(self, case):
         family, target = case
-        basis = SpanBasis([RatMatrix.from_rows(m) for m in family])
+        basis = SpanBasis([from_rows(m) for m in family])
         assert len(basis._rows) == _rank(family) and _all_ints(basis)
-        coords = basis.solve(RatMatrix.from_rows(target))
+        coords = basis.solve(from_rows(target))
         assert (coords is None) == (_rank(family + [target]) > _rank(family))
         if coords is not None and _rank(family) == len(family):
             # Independent family: the coordinates are unique.
@@ -201,9 +202,9 @@ class TestFractionFreeElimination:
 
     def test_reduce_creates_no_fraction(self, monkeypatch):
         family = [
-            RatMatrix.from_rows([[1, 2], [3, 4]]),
-            RatMatrix.from_rows([[Fraction(1, 3), 0], [2, Fraction(-5, 2)]]),
-            RatMatrix.from_rows([[0, 7], [1, 1]]),
+            from_rows([[1, 2], [3, 4]]),
+            from_rows([[2, 0], [12, -15]]),
+            from_rows([[0, 7], [1, 1]]),
         ]
 
         def refuse(*args):
@@ -211,10 +212,10 @@ class TestFractionFreeElimination:
 
         monkeypatch.setattr(ratlin, "Fraction", refuse)
         basis = SpanBasis(family)
-        vec, combo = [3, 9, 16, -10], [0, 0, 0, 1]  # M_0 + 6 M_1 + M_2
+        vec, combo = [3, 9, 16, -10], [0, 0, 0, 1]  # M_0 + M_1 + M_2
         basis._reduce(vec, combo)
         assert not any(vec) and all(type(x) is int for x in combo)
-        assert [Fraction(-c, combo[-1]) for c in combo[:-1]] == [1, 6, 1]
+        assert [Fraction(-c, combo[-1]) for c in combo[:-1]] == [1, 1, 1]
 
 
 class TestIntegralEvaluation:
@@ -223,7 +224,7 @@ class TestIntegralEvaluation:
         h = hoffman_polynomial(g).poly
         assert any(isinstance(c, Fraction) for c in h.coeffs)
         value = eval_poly_at_matrix(h, adjacency_matrix(g))
-        assert value.int64 is not None and value == RatMatrix.ones(6)
+        assert value.int64 is not None and value == ones(6)
 
     def test_distance_polynomial_value_keeps_the_int64_form(self):
         g = paley(19)
@@ -234,16 +235,19 @@ class TestIntegralEvaluation:
         assert value.int64 is not None and value == dm.mats[2]
 
     def test_non_integral_value_stays_exact(self):
+        # 1/3 + t/2 at the 3-cycle has entries 1/3 and 1/2: no integer matrix.
         a = adjacency_matrix(cycle(3))
-        value = eval_poly_at_matrix(RatPolynomial.from_coeffs([Fraction(1, 3), Fraction(1, 2)]), a)
-        assert value.int64 is None
-        third, half = Fraction(1, 3), Fraction(1, 2)
-        assert value.entries == ((third, half, 0), (0, third, half), (half, 0, third))
+        with pytest.raises(PreconditionViolated):
+            eval_poly_at_matrix(RatPolynomial.from_coeffs([Fraction(1, 3), Fraction(1, 2)]), a)
+        # (t^3 - 1) / 2 vanishes there, so its value is an integer matrix.
+        half = Fraction(1, 2)
+        value = eval_poly_at_matrix(RatPolynomial.from_coeffs([-half, 0, 0, half]), a)
+        assert value.int64 is not None and value == IntMatrix.zeros(3, 3)
 
 
 class TestMinimalPolynomial:
     def test_identity(self):
-        assert minimal_polynomial(RatMatrix.identity(4)) == RatPolynomial.from_coeffs([-1, 1])
+        assert minimal_polynomial(IntMatrix.identity(4)) == RatPolynomial.from_coeffs([-1, 1])
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_cycles_have_t_n_minus_1(self, n):
@@ -281,7 +285,7 @@ class TestMinimalPolynomial:
     def test_annihilates(self):
         g = cycle_with_chord(5)
         a = adjacency_matrix(g)
-        assert eval_poly_at_matrix(minimal_polynomial(a), a).is_zero()
+        assert eval_poly_at_matrix(minimal_polynomial(a), a) == IntMatrix.zeros(5, 5)
 
 
 @st.composite
@@ -329,8 +333,8 @@ class TestModularMinimalPolynomial:
 
         monkeypatch.setattr(ratlin, "_krylov_polynomial", recorded)
         for a in (
-            RatMatrix(np.array([[0, 0], [0, m]], dtype=np.int64)),
-            RatMatrix.from_rows([[0, 0], [0, m]]),
+            IntMatrix(np.array([[0, 0], [0, m]], dtype=np.int64)),
+            from_rows([[0, 0], [0, m]]),
         ):
             degrees.clear()
             assert minimal_polynomial(a) == RatPolynomial.from_coeffs([0, -m, 1])
@@ -341,7 +345,7 @@ class TestModularMinimalPolynomial:
         # [[m]] has mu = t - m and rho = |m|, so |c_0| equals its bound: a
         # lift modulo one prime between |m| and 2|m| would be wrong.
         m = sign * (next(ratlin._primes(1)) - 1)
-        a = RatMatrix(np.array([[m]], dtype=np.int64))
+        a = IntMatrix(np.array([[m]], dtype=np.int64))
         assert minimal_polynomial(a) == RatPolynomial.from_coeffs([-m, 1])
 
     def test_failed_certificate_raises_the_degree(self, monkeypatch):
@@ -360,7 +364,7 @@ class TestModularMinimalPolynomial:
 
         monkeypatch.setattr(ratlin, "_krylov_polynomial", unlucky_first)
         monkeypatch.setattr(ratlin, "_vanishes", recorded)
-        a = RatMatrix(np.array([[0, 0], [0, 1]], dtype=np.int64))
+        a = IntMatrix(np.array([[0, 0], [0, 1]], dtype=np.int64))
         assert minimal_polynomial(a) == RatPolynomial.from_coeffs([0, -1, 1])
         assert verdicts == [False, True]
 
@@ -411,21 +415,8 @@ class TestModularMinimalPolynomial:
     @given(_integer_matrices())
     def test_integer_matrices_against_divisor_oracle(self, rows):
         expected = minimal_polynomial_coeffs(rows)
-        for a in (RatMatrix(np.array(rows, dtype=np.int64)), RatMatrix.from_rows(rows)):
+        for a in (IntMatrix(np.array(rows, dtype=np.int64)), from_rows(rows)):
             assert minimal_polynomial(a).coeffs == expected
-
-    def test_fraction_matrix_against_oracle_on_scaled_matrix(self):
-        rows = [
-            [Fraction(1, 2), Fraction(1, 3), 0],
-            [0, Fraction(1, 2), 0],
-            [Fraction(-7, 5), 0, Fraction(-2, 5)],
-        ]
-        scale = 30  # lcm of the denominators
-        scaled = minimal_polynomial_coeffs([[int(x * scale) for x in row] for row in rows])
-        d = len(scaled) - 1
-        expected = tuple(c / scale ** (d - i) for i, c in enumerate(scaled))
-        assert d == 3
-        assert minimal_polynomial(RatMatrix.from_rows(rows)).coeffs == expected
 
 
 class TestEvalPolyAtMatrix:
@@ -436,16 +427,16 @@ class TestEvalPolyAtMatrix:
     def test_hoffman_identity_c3(self):
         a = adjacency_matrix(cycle(3))
         p = RatPolynomial.from_coeffs([1, 1, 1])
-        assert eval_poly_at_matrix(p, a) == RatMatrix.ones(3)
+        assert eval_poly_at_matrix(p, a) == ones(3)
 
     def test_zero_poly(self):
         a = adjacency_matrix(cycle(3))
-        assert eval_poly_at_matrix(RatPolynomial.zero(), a).is_zero()
+        assert eval_poly_at_matrix(ZERO, a) == IntMatrix.zeros(3, 3)
 
 
 class TestHoffman:
     def test_failed_identity_is_an_internal_inconsistency(self, monkeypatch):
-        monkeypatch.setattr(ratlin, "eval_poly_at_matrix", lambda p, a: RatMatrix.zeros(3, 3))
+        monkeypatch.setattr(oracles, "eval_poly_at_matrix", lambda p, a: IntMatrix.zeros(3, 3))
         with pytest.raises(InternalInconsistency, match=r"h\(A\) != J"):
             hoffman_polynomial(cycle(3))
 
@@ -458,7 +449,7 @@ class TestHoffman:
         res = hoffman_polynomial(paper6())
         assert res.exists
         a = adjacency_matrix(paper6())
-        assert eval_poly_at_matrix(res.poly, a) == RatMatrix.ones(6)
+        assert eval_poly_at_matrix(res.poly, a) == ones(6)
 
     def test_not_regular(self):
         res = hoffman_polynomial(cycle_with_chord(4))
@@ -476,19 +467,19 @@ class TestRatPolynomial:
     def test_trimming_and_degree(self):
         p = RatPolynomial.from_coeffs([1, 2, 0, 0])
         assert p.degree == 1
-        assert RatPolynomial.zero().degree == -1
+        assert ZERO.degree == -1
 
     def test_divide_linear(self):
         # t^3 - 1 = (t - 1)(t^2 + t + 1)
         p = RatPolynomial.from_coeffs([-1, 0, 0, 1])
-        assert p.divide_linear(1) == RatPolynomial.from_coeffs([1, 1, 1])
+        assert divide_linear(p, 1) == RatPolynomial.from_coeffs([1, 1, 1])
         with pytest.raises(ValueError):
-            p.divide_linear(2)
+            divide_linear(p, 2)
 
     def test_str(self):
         assert str(RatPolynomial.from_coeffs([1, 1, 1])) == "t^2 + t + 1"
         assert str(RatPolynomial.from_coeffs([-1, 0, 0, 1])) == "t^3 - 1"
-        assert str(RatPolynomial.zero()) == "0"
+        assert str(ZERO) == "0"
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -539,8 +530,8 @@ class TestInt64Kernel:
     @given(_pairs_near_float64_bound())
     def test_float64_tier_equals_python_product(self, pair):
         a, b = pair
-        ma = RatMatrix(np.array(a, dtype=np.int64))
-        mb = RatMatrix(np.array(b, dtype=np.int64))
+        ma = IntMatrix(np.array(a, dtype=np.int64))
+        mb = IntMatrix(np.array(b, dtype=np.int64))
         tiers = []
         real = ratlin._product_tier
 
@@ -563,16 +554,16 @@ class TestInt64Kernel:
     @given(_int_matrix_pairs())
     def test_kernel_equals_python_product(self, pair):
         a, b = pair
-        ma = RatMatrix(np.array(a, dtype=np.int64))
-        mb = RatMatrix(np.array(b, dtype=np.int64))
+        ma = IntMatrix(np.array(a, dtype=np.int64))
+        mb = IntMatrix(np.array(b, dtype=np.int64))
         raw = []
-        init = RatMatrix.__init__
+        init = IntMatrix.__init__
 
-        def recorded(matrix, num, den=1):
+        def recorded(matrix, num):
             raw.append(num.dtype)
-            init(matrix, num, den)
+            init(matrix, num)
 
-        with mock.patch.object(RatMatrix, "__init__", recorded):
+        with mock.patch.object(IntMatrix, "__init__", recorded):
             got = mat_mul(ma, mb)
         expected = mat_mul_reference(a, b)
         assert got.entries == expected
@@ -588,21 +579,20 @@ class TestInt64Kernel:
         # 2**63 - 1 = 7 * 1317624576693539401: the largest product that fits.
         big = (INT64_LIMIT - 1) // 7
         under = mat_mul(
-            RatMatrix(np.array([[7]], dtype=np.int64)),
-            RatMatrix(np.array([[big]], dtype=np.int64)),
+            IntMatrix(np.array([[7]], dtype=np.int64)),
+            IntMatrix(np.array([[big]], dtype=np.int64)),
         )
         assert under.int64 is not None and under.entries == ((INT64_LIMIT - 1,),)
         over = mat_mul(
-            RatMatrix(np.array([[8]], dtype=np.int64)),
-            RatMatrix(np.array([[big]], dtype=np.int64)),
+            IntMatrix(np.array([[8]], dtype=np.int64)),
+            IntMatrix(np.array([[big]], dtype=np.int64)),
         )
         assert over.int64 is None and over.entries == ((8 * big,),)
         # Entries that fit but whose sum would wrap around in int64.
-        half = RatMatrix(np.full((2, 2), 2**62, dtype=np.int64))
-        ones = RatMatrix.ones(2)
-        assert mat_mul(half, ones).entries == ((2**63, 2**63), (2**63, 2**63))
+        half = IntMatrix(np.full((2, 2), 2**62, dtype=np.int64))
+        assert mat_mul(half, ones(2)).entries == ((2**63, 2**63), (2**63, 2**63))
         assert half.add(half).entries == ((2**63, 2**63), (2**63, 2**63))
-        assert RatMatrix.zeros(2, 2).scale(2**70).is_zero()
+        assert IntMatrix.zeros(2, 2).scale(2**70) == IntMatrix.zeros(2, 2)
         # I * M with one nonzero entry of M: 2**53 - 1 is below the float64
         # bound; 2**53 + 1 has no float64 form, so its product must not take
         # the float64 tier. Below FLOAT64_MIN_INNER neither does.
@@ -610,16 +600,16 @@ class TestInt64Kernel:
             for value, tier in ((FLOAT64_EXACT - 1, np.float64), (FLOAT64_EXACT + 1, np.int64)):
                 num = np.zeros((n, n), dtype=np.int64)
                 num[-1, 0] = value
-                m = RatMatrix(num)
-                assert ratlin._product_tier(RatMatrix.identity(n), m) is (
+                m = IntMatrix(num)
+                assert ratlin._product_tier(IntMatrix.identity(n), m) is (
                     tier if n >= FLOAT64_MIN_INNER else np.int64
                 )
-                product = mat_mul(RatMatrix.identity(n), m)
+                product = mat_mul(IntMatrix.identity(n), m)
                 assert product.int64 is not None and product == m
 
     def test_powers_keep_the_int64_form(self):
         a = adjacency_matrix(paper6())
-        power = RatMatrix.identity(6)
+        power = IntMatrix.identity(6)
         for _ in range(10):
             power = mat_mul(power, a)
         assert power.int64 is not None
@@ -627,22 +617,18 @@ class TestInt64Kernel:
 
 
 @st.composite
-def _rational_programs(draw):
+def _integer_programs(draw):
     """The matrices of a random program of from_rows, scale, add, mat_mul
-    and transpose on n x n matrices, each with its Fraction reference rows.
-    Entries are small, Fractions or near +-2**62, and factors include
-    +-2**70 and 2**-70, so products and sums cross the int64 range both
-    ways."""
+    and transpose on n x n matrices, each with its reference rows. Entries
+    are small or near +-2**62, and factors include +-2**70, so products and
+    sums cross the int64 range both ways."""
     n = draw(st.integers(1, 3))
     near = st.integers(2**62 - 4, 2**62 + 4)
-    small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    entry = st.one_of(st.integers(-3, 3), small, near, near.map(lambda x: -x))
+    small = st.integers(-3, 3)
+    entry = st.one_of(small, near, near.map(lambda x: -x))
     rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-    factor = st.one_of(small, st.sampled_from([2**70, -(2**70), Fraction(1, 2**70)]))
-    pool = [
-        (RatMatrix.from_rows(r), [[Fraction(x) for x in row] for row in r])
-        for r in draw(st.lists(rows, min_size=1, max_size=3))
-    ]
+    factor = st.one_of(small, st.sampled_from([2**70, -(2**70)]))
+    pool = [(from_rows(r), r) for r in draw(st.lists(rows, min_size=1, max_size=3))]
     for _ in range(draw(st.integers(0, 8))):
         op = draw(st.sampled_from(["scale", "add", "mul", "transpose"]))
         (m, ref), (m2, ref2) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
@@ -660,37 +646,28 @@ def _rational_programs(draw):
 
 class TestCanonicalForm:
     @settings(max_examples=150, deadline=None)
-    @given(_rational_programs())
+    @given(_integer_programs())
     def test_lowest_terms_and_dtype_rule(self, pool):
         for m, ref in pool:
             assert m.entries == tuple(map(tuple, ref))
-            flat = m.num.ravel().tolist()
-            assert m.den > 0 and gcd(*flat, m.den) == 1
-            fits = all(abs(x) < INT64_LIMIT for x in flat)
+            assert all(type(x) is int for row in m.entries for x in row)
+            fits = all(abs(x) < INT64_LIMIT for row in ref for x in row)
             assert m.num.dtype == (np.int64 if fits else object)
         for (m, ref), (m2, ref2) in product(pool, repeat=2):
             assert (m == m2) == (ref == ref2)
-
-    def test_zero_with_a_denominator_past_int64(self):
-        tiny = RatMatrix.identity(2).scale(Fraction(1, 2**70))
-        zero = mat_mul(RatMatrix.zeros(2, 2), tiny)
-        assert zero.int64 is not None and zero == RatMatrix.zeros(2, 2)
 
 
 @st.composite
 def _partitions_with_targets(draw):
     """A random partition of the n x n positions into s nonempty classes, an
-    in-span target with integer or Fraction coordinates, and the same target
-    with one entry changed."""
+    in-span target with small or wide integer coordinates, and the same
+    target with one entry changed."""
     n = draw(st.integers(1, 5))
     s = draw(st.integers(1, min(4, n * n)))
     labels = draw(st.lists(st.integers(0, s - 1), min_size=n * n, max_size=n * n))
     labels[:s] = draw(st.permutations(range(s)))  # every class is realized
     index = np.array(labels, dtype=np.int64).reshape(n, n)
-    if draw(st.booleans()):
-        coeff = st.integers(-50, 50)
-    else:
-        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    coeff = st.integers(-50, 50) | st.integers(2**63 - 3, 2**63 + 3)
     coords = draw(st.lists(coeff, min_size=s, max_size=s))
     bump = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(1, 3)))
     return index, coords, bump
@@ -702,16 +679,13 @@ class TestPartitionBasis:
     def test_constancy_matches_elimination(self, case):
         index, coords, (bx, by, delta) = case
         n, s = index.shape[0], len(coords)
-        mats = [RatMatrix((index == i).astype(np.int64)) for i in range(s)]
+        mats = [IntMatrix((index == i).astype(np.int64)) for i in range(s)]
         fast = PartitionBasis.from_matrices(mats)
         slow = SpanBasis(mats)
         rows = [[coords[index[x, y]] for y in range(n)] for x in range(n)]
-        if all(isinstance(c, int) for c in coords):
-            target = RatMatrix(np.array(rows, dtype=np.int64))
-        else:
-            target = RatMatrix.from_rows(rows)
+        target = from_rows(rows)
         rows[bx][by] += delta
-        bumped = RatMatrix.from_rows(rows)
+        bumped = from_rows(rows)
         for t in (target, bumped):
             expected = slow.solve(t)
             assert fast.solve(t) == expected
@@ -719,25 +693,45 @@ class TestPartitionBasis:
         assert fast.solve(target) == tuple(coords)
 
     def test_rejects_non_partitions(self):
-        i, j = RatMatrix.identity(3), RatMatrix.ones(3)
+        i, j = IntMatrix.identity(3), ones(3)
+        off = IntMatrix(j.num - i.num)
         assert PartitionBasis.from_matrices([i, j]) is None  # overlapping supports
         assert PartitionBasis.from_matrices([i]) is None  # does not cover
-        assert PartitionBasis.from_matrices([i, j.sub(i).scale(2)]) is None  # not 01
-        assert PartitionBasis.from_matrices([i, j.sub(i)]) is not None
+        assert PartitionBasis.from_matrices([i, off.scale(2)]) is None  # not 01
+        assert PartitionBasis.from_matrices([i, off]) is not None
         with pytest.raises(InvalidPartition):
             PartitionBasis(np.array([[0, 2]], dtype=np.int64), 3)  # class 1 is empty
+
+    def test_products_and_partition_solves_build_no_fraction(self, monkeypatch):
+        g = paper6()
+        dm = distance_matrices(g, distance_table(g))
+
+        def refuse(*args):
+            raise AssertionError("Fraction built by an integer matrix routine")
+
+        monkeypatch.setattr(ratlin, "Fraction", refuse)
+        basis = PartitionBasis.from_matrices(dm.mats)
+        for left in dm.mats:
+            for right in dm.mats:
+                coords = basis.solve(mat_mul(left, transpose(right)).add(left.scale(-3)))
+                assert coords is not None and all(type(c) is int for c in coords)
+        wide = mat_mul(from_rows([[2**40, 1], [0, 1]]), from_rows([[2**40, 0], [1, 1]]))
+        assert wide.int64 is None and wide.entries == ((2**80 + 1, 1), (1, 1))
 
     def test_deviation_witness(self):
         index = np.array([[0, 1], [1, 0]], dtype=np.int64)
         basis = PartitionBasis(index, 2)
-        target = RatMatrix.from_rows([[4, 5], [6, 4]])
+        target = from_rows([[4, 5], [6, 4]])
         assert basis.deviation(target) == (1, (0, 1), (1, 0))
 
 
 class TestExactHorner:
     @settings(max_examples=80, deadline=None)
     @given(
-        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=6),
+        st.lists(
+            st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            max_size=6,
+        ),
         st.integers(1, 4).flatmap(
             lambda n: st.lists(
                 st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
@@ -753,6 +747,10 @@ class TestExactHorner:
                 for y in range(n):
                     expected[x][y] += c * power[x][y]
             power = mat_mul_reference(power, rows)
-        a = RatMatrix(np.array(rows, dtype=np.int64))
-        got = eval_poly_at_matrix(RatPolynomial.from_coeffs(coeffs), a)
-        assert got == RatMatrix.from_rows(expected)
+        a = IntMatrix(np.array(rows, dtype=np.int64))
+        p = RatPolynomial.from_coeffs(coeffs)
+        if all(x.denominator == 1 for row in expected for x in row):
+            assert eval_poly_at_matrix(p, a) == from_rows([[int(x) for x in r] for r in expected])
+        else:
+            with pytest.raises(PreconditionViolated):
+                eval_poly_at_matrix(p, a)
