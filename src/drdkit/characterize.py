@@ -26,7 +26,6 @@ from .ratlin import (
     adjacency_matrix,
     mat_mul,
     minimal_polynomial,
-    span_basis,
 )
 from .scheme import (
     AxiomReport,
@@ -181,13 +180,15 @@ class GraphContext:
 
     @property
     def power_basis(self) -> Union[PartitionBasis, SpanBasis]:
-        """Membership in the adjacency algebra, span(A^0 .. A^(deg minpoly - 1))."""
+        """Membership in the adjacency algebra, span(A^0 .. A^(deg minpoly - 1)):
+        the distance basis itself when every A^j = A_j, since A^j is 0 past
+        distance j and positive at it, and elimination otherwise."""
 
         def make():
             mats = [IntMatrix.identity(self.g.n)]
             for _ in range(self.minpoly.degree - 1):
                 mats.append(mat_mul(mats[-1], self.adjacency))
-            return span_basis(mats)
+            return self.dm.basis if mats == list(self.dm.mats) else SpanBasis(mats)
 
         return self._get("power_basis", make)
 

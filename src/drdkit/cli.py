@@ -8,6 +8,7 @@ a property of the input); 4 I/O, parse or parameter errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Optional, Sequence
@@ -36,7 +37,9 @@ EXIT_ERROR = 4
 EXHAUSTIVE_MAX_N = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="drdkit",
         description="Decide distance-regularity of a digraph by running every "

@@ -69,6 +69,15 @@ def paley(q: int) -> Digraph:
     return Digraph.from_arcs(q, arcs)
 
 
+def _shift_digraph(words: list[str], alphabet: str) -> Digraph:
+    """The digraph on words, labeled by them, with an arc w -> w[1:] + c for
+    each symbol c of alphabet, in order, that makes a word other than w."""
+    index = {w: i for i, w in enumerate(words)}
+    shifts = ((i, w, w[1:] + c) for i, w in enumerate(words) for c in alphabet)
+    arcs = [(i, index[v]) for i, w, v in shifts if v != w and v in index]
+    return Digraph.from_arcs(len(words), arcs, tuple(words))
+
+
 def debruijn(d: int, n: int) -> Digraph:
     """Shift digraph on words of length n over d symbols, with the d loop
     arcs at constant words dropped so the result is simple.
@@ -80,15 +89,8 @@ def debruijn(d: int, n: int) -> Digraph:
     if not 2 <= d <= 10 or n < 1:
         raise InvalidParameter("debruijn needs 2 <= d <= 10 and n >= 1")
     _check_word_count(d, d, n)
-    words = ["".join(w) for w in itertools.product(*["0123456789"[:d]] * n)]
-    index = {w: i for i, w in enumerate(words)}
-    arcs = []
-    for w in words:
-        for c in "0123456789"[:d]:
-            v = w[1:] + c
-            if v != w:
-                arcs.append((index[w], index[v]))
-    return Digraph.from_arcs(len(words), arcs, tuple(words))
+    alphabet = "0123456789"[:d]
+    return _shift_digraph(["".join(w) for w in itertools.product(*[alphabet] * n)], alphabet)
 
 
 def kautz(d: int, n: int) -> Digraph:
@@ -106,13 +108,7 @@ def kautz(d: int, n: int) -> Digraph:
         for w in itertools.product(*[alphabet] * n)
         if all(a != b for a, b in zip(w, w[1:]))
     ]
-    index = {w: i for i, w in enumerate(words)}
-    arcs = []
-    for w in words:
-        for c in alphabet:
-            if c != w[-1]:
-                arcs.append((index[w], index[w[1:] + c]))
-    return Digraph.from_arcs(len(words), arcs, tuple(words))
+    return _shift_digraph(words, alphabet)
 
 
 def cycle_with_chord(n: int) -> Digraph:
@@ -135,6 +131,8 @@ def random_sc(
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter(f"arc probability {p} outside [0, 1]")
     _check_size(n)
+    if p == 0 and n > 1:
+        raise InvalidParameter(f"no digraph on {n} vertices without arcs is strongly connected")
     rng = random.Random(seed)
     for _ in range(max_attempts):
         arcs = [

@@ -18,10 +18,11 @@ that the checks build (identity, zero, adjacency, distance and class
 matrices) carry their bounds from construction, so only derived matrices are
 scanned for them.
 
-One exact elimination routine, `SpanBasis._reduce`, serves every span solve
-over a family that is not a partition basis. It is fraction-free: each step
-cross-multiplies and divides by the content gcd, and Fractions appear only
-in the coordinates a solve returns.
+The distance classes' basis, built on the distance table, is the only
+partition basis; the powers I, A, ..., A^D are that basis exactly when
+A^j = A_j for every j. Every other span solve runs `SpanBasis._reduce`,
+fraction-free: each step cross-multiplies and divides by the content gcd,
+and Fractions appear only in the coordinates a solve returns.
 
 The minimal polynomial is computed modulo word-size primes and lifted by the
 Chinese remainder theorem (the lift-then-verify pattern of Dixon, Numer.
@@ -96,11 +97,6 @@ class IntMatrix:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """Row tuples of Python ints, a read-only view."""
         return tuple(map(tuple, self.num.tolist()))
-
-    @property
-    def int64(self) -> Optional[np.ndarray]:
-        """The int64 array, or None when some entry does not fit."""
-        return self.num if self.num.dtype == np.int64 else None
 
     def abs_bounds(self) -> tuple[int, int]:
         """Upper bounds (max |entry|, max row sum of |entries|), as Python
@@ -235,22 +231,6 @@ class PartitionBasis:
         self.shape = index.shape
         self.reps = first  # row-major first position of each class
 
-    @classmethod
-    def from_matrices(cls, mats: Sequence[IntMatrix]) -> Optional["PartitionBasis"]:
-        """The partition basis of mats, or None unless they are nonzero 01
-        matrices of one shape that sum to all-ones."""
-        arrs = [m.int64 for m in mats]
-        if not arrs or any(a is None for a in arrs) or len({a.shape for a in arrs}) != 1:
-            return None
-        stack = np.stack(arrs)
-        if (
-            not ((stack == 0) | (stack == 1)).all()
-            or not stack.any(axis=(1, 2)).all()
-            or (stack.sum(axis=0) != 1).any()
-        ):
-            return None
-        return cls(stack.argmax(axis=0), len(mats))
-
     def _off_class(self, target: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
         """The target's value at each class representative, and where the
         target differs from its class's value."""
@@ -340,12 +320,6 @@ class SpanBasis:
             return None
         # 0 = sum(combo[i] * basis_i) + combo[-1] * target
         return tuple(_norm(Fraction(-c, combo[-1])) for c in combo[:-1])
-
-
-def span_basis(mats: Sequence[IntMatrix]) -> Union[PartitionBasis, SpanBasis]:
-    """A membership solver for span(mats): class constancy when mats form a
-    partition basis, exact elimination otherwise."""
-    return PartitionBasis.from_matrices(mats) or SpanBasis(mats)
 
 
 @dataclass(frozen=True)

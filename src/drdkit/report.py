@@ -53,8 +53,9 @@ def spectral_block(spec, table) -> Optional[dict]:
 
 
 def report_document(report: Report, spectral: Optional[dict] = None) -> dict:
-    """Assemble the serializable document for one graph's report."""
-    doc = {
+    """Assemble the serializable document for one graph's report; its floats
+    are normalized when `canonical_json` renders it."""
+    return {
         "schema": SCHEMA,
         "graph": {
             "n": report.n,
@@ -71,7 +72,6 @@ def report_document(report: Report, spectral: Optional[dict] = None) -> dict:
         "total_ms": report.total_ms,
         "spectral": spectral,
     }
-    return _normalize_floats(doc)
 
 
 def canonical_json(doc: dict) -> str:

@@ -37,6 +37,7 @@ from drdkit.digraph import regularity, strongly_connected
 from drdkit.errors import InternalInconsistency, PreconditionViolated, SpectralError
 from drdkit.ratlin import (
     IntMatrix,
+    PartitionBasis,
     RatPolynomial,
     adjacency_matrix,
     eval_poly_at_matrix,
@@ -110,6 +111,23 @@ def adjacency_transpose_by_matrices(mats):
     if len(mats) == 1:
         return 0
     return next((j for j, c in enumerate(mats) if np.array_equal(mats[1].num.T, c.num)), None)
+
+
+def partition_basis_by_matrices(mats) -> Optional[PartitionBasis]:
+    """The partition basis of a family of IntMatrix objects, found by
+    stacking whole arrays: None unless they are nonzero 01 matrices of one
+    shape that sum to all-ones; else the basis on the stack's argmax."""
+    arrs = [m.num for m in mats]
+    if not arrs or len({a.shape for a in arrs}) != 1:
+        return None
+    stack = np.stack(arrs)
+    if (
+        not ((stack == 0) | (stack == 1)).all()
+        or not stack.any(axis=(1, 2)).all()
+        or (stack.sum(axis=0) != 1).any()
+    ):
+        return None
+    return PartitionBasis(stack.argmax(axis=0), len(mats))
 
 
 def _in_disjoint_span(prod, supports):

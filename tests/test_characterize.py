@@ -6,6 +6,7 @@ import drdkit.ratlin as ratlin
 from drdkit.characterize import (
     CHECK_IDS,
     CheckConfig,
+    GraphContext,
     check_all,
     check_single,
 )
@@ -19,7 +20,7 @@ from drdkit.corpus import (
 )
 from drdkit.digraph import Digraph, distance_table
 from drdkit.errors import InvalidParameter
-from drdkit.ratlin import IntMatrix, PartitionBasis, adjacency_matrix, mat_mul
+from drdkit.ratlin import IntMatrix, PartitionBasis, SpanBasis, adjacency_matrix, mat_mul
 from drdkit.scheme import distance_matrices, transpose_closure
 from drdkit.spectral import is_normal, spectrum
 
@@ -73,30 +74,36 @@ class TestCheckAll:
             assert rep.agreement
         assert len(calls) == 2
 
-    def test_only_the_power_basis_is_stacked_from_matrices(self, monkeypatch):
-        """The distance classes' partition basis is the distance table, so
-        PartitionBasis.from_matrices runs once per graph at most, for the
-        powers I, A, ..., A^(deg - 1) of the minimal polynomial's degree."""
-        families = []
-        stack = PartitionBasis.from_matrices.__func__
+    def test_power_basis_is_the_distance_basis_exactly_when_powers_are_classes(self):
+        """On directed cycles and complete digraphs A^j = A_j for every j, so
+        the powers are the distance classes' partition basis itself; on the
+        others they are eliminated."""
 
-        def counted(cls, mats):
-            families.append(list(mats))
-            return stack(cls, mats)
+        def complete(n):
+            return Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n) if u != v])
 
-        monkeypatch.setattr(PartitionBasis, "from_matrices", classmethod(counted))
-        powered = 0
-        for g in (paper6(), cycle(6), paley(7), kautz(2, 2), cycle_with_chord(5)):
-            families.clear()
-            ctx = check_all(g).context
-            assert len(families) <= 1
-            for mats in families:
-                powers = [IntMatrix.identity(g.n)]
-                while len(powers) < ctx.minpoly.degree:
-                    powers.append(mat_mul(powers[-1], ctx.adjacency))
-                assert mats == powers
-                powered += 1
-        assert powered >= 3
+        for g in (complete(1), cycle(2), cycle(6), cycle(10), complete(3), complete(5)):
+            ctx = GraphContext(g, CheckConfig())
+            assert ctx.power_basis is ctx.dm.basis
+        for g in (paper6(), paley(7), paley(19), cycle_with_chord(5)):
+            assert isinstance(GraphContext(g, CheckConfig()).power_basis, SpanBasis)
+
+    def test_power_memberships_match_elimination(self, corpus):
+        """Wherever deg minpoly = D + 1, each A_i lies in the adjacency
+        algebra exactly when elimination over the powers solves for it."""
+        kinds = set()
+        for name, g in corpus:
+            ctx = GraphContext(g, CheckConfig())
+            if ctx.minpoly.degree != ctx.dm.D + 1:
+                continue
+            powers = [IntMatrix.identity(g.n)]
+            while len(powers) < ctx.minpoly.degree:
+                powers.append(mat_mul(powers[-1], ctx.adjacency))
+            slow = SpanBasis(powers)
+            for i, m in enumerate(ctx.dm.mats):
+                assert ctx.distance_matrix_in_powers(i) == (slow.solve(m) is not None), (name, i)
+            kinds.add(type(ctx.power_basis))
+        assert kinds == {PartitionBasis, SpanBasis}
 
     def test_subset_selection(self):
         config = CheckConfig(chars=("DEF", "J"))

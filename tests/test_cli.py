@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import random
@@ -170,6 +171,33 @@ class TestGenCommand:
         path = tmp_path / "paley7.el"
         path.write_text(text)
         assert main(["check", str(path)]) == 0
+
+    def test_random_sc_without_arcs_exits_four_before_sampling(self, monkeypatch, capsys):
+        # No arcless digraph on two or more vertices is strongly connected,
+        # so no sample is drawn; a single vertex needs no arc.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a digraph that cannot be strongly connected")
+
+        assert main(["gen", "random-sc", "1", "--p", "0"]) == 0
+        assert capsys.readouterr().out == "1 0\n"
+        monkeypatch.setattr(drdkit.digraph.Digraph, "from_arcs", refuse)
+        assert main(["gen", "random-sc", "2048", "--p", "0"]) == 4
+        assert "without arcs is strongly connected" in capsys.readouterr().err
+
+
+def test_two_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        if kwargs.get("prog") == "drdkit":
+            built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["gen", "cycle", "3"]) == main(["gen", "paper6"]) == 0
+    # None when an earlier test already built it in this process.
+    assert len(built) <= 1
 
 
 @pytest.mark.parametrize(
