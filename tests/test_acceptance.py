@@ -26,7 +26,7 @@ from drdkit.ratlin import SpanBasis, adjacency_matrix, eval_poly_at_matrix, mat_
 from drdkit.scheme import (
     distance_matrices,
     distance_polynomials,
-    product_table,
+    pair_intersection_counts,
     transpose_closure,
 )
 from drdkit.spectral import average_last_shell, is_normal, spectral_excess_rhs, spectrum
@@ -105,7 +105,7 @@ def test_criterion_3_directed_cycles():
         assert rep.overall == "yes" and rep.agreement, n
         t = distance_table(g)
         dm = distance_matrices(g, t)
-        polys = distance_polynomials(dm, product_table(dm))
+        polys = distance_polynomials(dm, pair_intersection_counts(t))
         for i, p in enumerate(polys):
             assert p.coeffs == (0,) * i + (1,), (n, i)
         tensor = intersection_numbers(dm, t)

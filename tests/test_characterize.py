@@ -24,6 +24,7 @@ from drdkit.ratlin import IntMatrix, PartitionBasis, SpanBasis, adjacency_matrix
 from drdkit.scheme import distance_matrices, transpose_closure
 from drdkit.spectral import is_normal, spectrum
 
+from conftest import circulant
 from oracles import weak_dr_comellas
 
 
@@ -115,6 +116,11 @@ class TestCheckAll:
         with pytest.raises(InvalidParameter):
             check_all(paper6(), CheckConfig(chars=("DEF", "ZZ")))
 
+    def test_negative_walk_bound_rejected(self):
+        with pytest.raises(InvalidParameter):
+            CheckConfig(max_walk_len=-1)
+        assert CheckConfig(max_walk_len=0).max_walk_len == 0
+
 
 class TestCheckSingle:
     def test_paley7_spectral_excess(self):
@@ -139,8 +145,17 @@ class TestCheckSingle:
         with pytest.raises(InvalidParameter):
             check_single(cycle(3), "Q")
 
+    def test_a_reports_commutative_on_an_open_circulant(self):
+        # Cay(Z_8, {1, 4, 5}) is not distance-regular, so some product of its
+        # distance matrices leaves their span; each class is a sum of the
+        # commuting translations of Z_8, so the products still commute.
+        v = check_single(circulant(8, (1, 4, 5)), "A")
+        assert v.verdict == "no"
+        axioms = v.params["axioms"]
+        assert axioms["product_closed"] is False and axioms["commutative"] is True
+
     def test_a_neither_transposes_nor_adds_matrices(self, corpus, monkeypatch):
-        """Check A reads its axioms off the product table and the transpose
+        """Check A reads its axioms off the pair count scan and the transpose
         map: with every binding of ratlin.transpose and IntMatrix.add made
         to raise, it gives the same verdicts, witnesses and params."""
         expected = [check_single(g, "A") for _, g in corpus]

@@ -110,6 +110,11 @@ class TestCheckCommand:
         assert main(["check", paper6_file, flag, value]) == 4
         assert "must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-3", "-1"])
+    def test_negative_walk_bound_exit_four(self, paper6_file, value, capsys):
+        assert main(["check", paper6_file, "--max-walk-len", value]) == 4
+        assert "max_walk_len must be >= 0" in capsys.readouterr().err
+
     def test_failed_minimal_polynomial_exit_three(self, chord4_file, monkeypatch, capsys):
         # A certificate that never passes must end in exit 3, an internal
         # inconsistency, not in a traceback with exit status 1 ("no"). The

@@ -160,7 +160,11 @@ class TestFamilyVerdicts:
 class TestDamerellGirth:
     def test_every_yes_has_girth_d_or_d_plus_one(self, corpus):
         # Damerell (JCTB 31, 1981): a distance-regular digraph of diameter
-        # D >= 1 has girth D or D + 1. K_1 has no arc, so no girth.
+        # D >= 1 that is not an undirected graph (its adjacency matrix is not
+        # symmetric) has girth D or D + 1. Undirected ones are excluded: the
+        # hexagon Cay(Z_6, {1, 5}) has girth 2 and D = 3. The corpus's one
+        # undirected "yes" of positive diameter, the digon, has girth 2 =
+        # D + 1. K_1 has no arc, so no girth.
         decided_yes = 0
         for name, g in corpus:
             if g.m == 0 or check_all(g).overall != "yes":

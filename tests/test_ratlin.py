@@ -31,7 +31,7 @@ from drdkit.ratlin import (
     minimal_polynomial,
     transpose,
 )
-from drdkit.scheme import distance_matrices, distance_polynomials, product_table
+from drdkit.scheme import distance_matrices, distance_polynomials, pair_intersection_counts
 
 import oracles
 from oracles import (
@@ -228,8 +228,9 @@ class TestIntegralEvaluation:
 
     def test_distance_polynomial_value_keeps_the_int64_form(self):
         g = paley(19)
-        dm = distance_matrices(g, distance_table(g))
-        p2 = distance_polynomials(dm, product_table(dm))[2]
+        t = distance_table(g)
+        dm = distance_matrices(g, t)
+        p2 = distance_polynomials(dm, pair_intersection_counts(t))[2]
         assert any(isinstance(c, Fraction) for c in p2.coeffs)
         value = eval_poly_at_matrix(p2, dm.adjacency)
         assert value.num.dtype == np.int64 and value == dm.mats[2]

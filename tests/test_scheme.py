@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -28,7 +29,6 @@ from drdkit.scheme import (
     distance_matrices,
     distance_polynomials,
     pair_intersection_counts,
-    product_table,
     scheme_axioms,
     transpose_closure,
     two_way_relations,
@@ -37,6 +37,7 @@ from drdkit.scheme import (
 )
 from drdkit.spectral import is_normal
 
+from conftest import circulant
 from oracles import (
     adjacency_transpose_by_matrices,
     comellas_damerell_link,
@@ -46,6 +47,7 @@ from oracles import (
     ones,
     pair_counts_by_dict,
     partition_basis_by_matrices,
+    product_table_by_matrices,
     scheme_axioms_by_matrices,
     transpose_closure_by_matrices,
     weak_dr_comellas,
@@ -57,12 +59,12 @@ def build(g):
     return t, distance_matrices(g, t)
 
 
-def axioms(dm):
-    return scheme_axioms(product_table(dm), transpose_closure(dm))
+def axioms(t, dm):
+    return scheme_axioms(pair_intersection_counts(t), transpose_closure(dm))
 
 
-def polynomials(dm):
-    return distance_polynomials(dm, product_table(dm))
+def polynomials(t, dm):
+    return distance_polynomials(dm, pair_intersection_counts(t))
 
 
 def reference_axioms(mats):
@@ -198,8 +200,8 @@ class TestIntersectionNumbers:
 class TestDistancePolynomials:
     def test_cycle_monomials(self):
         g = cycle(6)
-        _, dm = build(g)
-        polys = polynomials(dm)
+        t, dm = build(g)
+        polys = polynomials(t, dm)
         assert polys is not None
         for i, p in enumerate(polys):
             expected = (0,) * i + (1,)
@@ -207,7 +209,7 @@ class TestDistancePolynomials:
 
     def test_paper6_degrees_and_identity(self, fig6):
         t, dm = build(fig6)
-        polys = polynomials(dm)
+        polys = polynomials(t, dm)
         assert polys is not None
         assert [p.degree for p in polys] == [0, 1, 2, 3]
         from drdkit.ratlin import eval_poly_at_matrix
@@ -217,8 +219,8 @@ class TestDistancePolynomials:
             assert eval_poly_at_matrix(p, a) == dm.mats[i]
 
     def test_chorded_cycle_has_none(self):
-        _, dm = build(cycle_with_chord(4))
-        assert polynomials(dm) is None
+        t, dm = build(cycle_with_chord(4))
+        assert polynomials(t, dm) is None
 
     def test_degree_bound_everywhere(self, corpus):
         for name, g in corpus:
@@ -227,62 +229,61 @@ class TestDistancePolynomials:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            polys = polynomials(distance_matrices(g, t))
+            polys = polynomials(t, distance_matrices(g, t))
             if polys is not None:
                 assert all(p.degree == i for i, p in enumerate(polys)), name
 
     @staticmethod
-    def _both(dm, products):
+    def _both(dm, scan):
         """The induction's polynomials and the evaluation oracle's, as
         coefficient tuples (None where there are none)."""
-        polys = distance_polynomials(dm, products)
+        polys = distance_polynomials(dm, scan)
         mats = [[list(row) for row in m.entries] for m in dm.mats]
-        ref = distance_polynomials_by_evaluation(mats, products.coords)
+        ref = distance_polynomials_by_evaluation(mats, scan)
         return (None if polys is None else tuple(p.coeffs for p in polys)), ref
 
     @staticmethod
-    def _perturbed(products, i, h, delta):
-        """products with the coordinate h of A_i A moved by delta."""
-        coords = [list(row) for row in products.coords]
-        c = list(coords[i][1])
-        c[h] += delta
-        coords[i][1] = tuple(c)
-        return replace(products, coords=tuple(map(tuple, coords)))
+    def _perturbed(scan, i, h, delta):
+        """scan with the coordinate h of A_i A, values[h][i][1], moved by
+        delta."""
+        values = [[list(row) for row in v] for v in scan.values]
+        values[h][i][1] += delta
+        return replace(scan, values=tuple(tuple(map(tuple, v)) for v in values))
 
     def test_induction_equals_evaluating_every_polynomial(self, corpus):
         for name, g in corpus + [("paley19", paley(19)), ("kautz_3_2", kautz(3, 2))]:
             if g.n == 1 or not strongly_connected(g):
                 continue
-            _, dm = build(g)
-            got, ref = self._both(dm, product_table(dm))
+            t, dm = build(g)
+            got, ref = self._both(dm, pair_intersection_counts(t))
             assert got == ref, name
 
     def test_induction_equals_evaluation_on_every_perturbed_coordinate(self, fig6):
         # A wrong coordinate at or below distance i + 1 makes both the
         # induction and the evaluation refuse.
         for g in (fig6, cycle(6), paley(7), kautz(2, 2)):
-            _, dm = build(g)
-            products = product_table(dm)
-            assert self._both(dm, products)[0] is not None
+            t, dm = build(g)
+            scan = pair_intersection_counts(t)
+            assert self._both(dm, scan)[0] is not None
             for i in range(1, dm.D):
                 for h in range(i + 2):
                     for delta in (-1, 1):
-                        got, ref = self._both(dm, self._perturbed(products, i, h, delta))
+                        got, ref = self._both(dm, self._perturbed(scan, i, h, delta))
                         assert got is None and ref is None, (g.n, i, h, delta)
 
     def test_perturbed_product_table_gives_none(self):
-        _, dm = build(cycle(6))
-        products = product_table(dm)
-        assert distance_polynomials(dm, products) is not None
-        assert distance_polynomials(dm, self._perturbed(products, 2, 1, 1)) is None
+        t, dm = build(cycle(6))
+        scan = pair_intersection_counts(t)
+        assert distance_polynomials(dm, scan) is not None
+        assert distance_polynomials(dm, self._perturbed(scan, 2, 1, 1)) is None
 
     def test_one_product_per_step(self, monkeypatch):
-        _, dm = build(cycle(12))
-        products = product_table(dm)
+        t, dm = build(cycle(12))
+        scan = pair_intersection_counts(t)
         calls = []
         real = scheme.mat_mul
         monkeypatch.setattr(scheme, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
-        assert distance_polynomials(dm, products) is not None
+        assert distance_polynomials(dm, scan) is not None
         assert len(calls) == dm.D - 1
 
 
@@ -373,13 +374,13 @@ class TestWalkCounts:
 
 class TestSchemeAxioms:
     def test_cycle_passes(self):
-        _, dm = build(cycle(5))
-        rep = axioms(dm)
+        t, dm = build(cycle(5))
+        rep = axioms(t, dm)
         assert rep.all
 
     def test_paper6_passes(self, fig6):
-        _, dm = build(fig6)
-        assert axioms(dm).all
+        t, dm = build(fig6)
+        assert axioms(t, dm).all
 
     def test_ad_hoc_family_fails_product_closure(self):
         # A family that is not the distance matrices has no library axioms;
@@ -395,8 +396,8 @@ class TestSchemeAxioms:
 
     @staticmethod
     def _assert_matches_matrices(g):
-        _, dm = build(g)
-        assert axiom_fields(axioms(dm)) == reference_axioms(dm.mats)
+        t, dm = build(g)
+        assert axiom_fields(axioms(t, dm)) == reference_axioms(dm.mats)
 
     @settings(max_examples=100, deadline=None)
     @given(st.deferred(lambda: _strongly_connected_digraphs(8)))
@@ -415,7 +416,7 @@ class TestSchemeAxioms:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            axioms_pass = axioms(distance_matrices(g, t)).all
+            axioms_pass = axioms(t, distance_matrices(g, t)).all
             drd = distance_regular_scan(g, t, "out")[0] is not None
             assert axioms_pass == drd, name
 
@@ -466,19 +467,19 @@ class TestTwoWayRelations:
         t, dm = build(g)
         rel = two_way_relations(t)
         assert set(rel.delta) == {(0, 0)} | {(i, n - i) for i in range(1, n)}
-        assert wang_suzuki_drd_check(rel, t, dm, lambda: axioms(dm))
+        assert wang_suzuki_drd_check(rel, t, dm, lambda: axioms(t, dm))
 
     def test_paper6(self, fig6):
         t, dm = build(fig6)
         rel = two_way_relations(t)
         assert len(rel.delta) == 4 == dm.D + 1
-        assert wang_suzuki_drd_check(rel, t, dm, lambda: axioms(dm))
+        assert wang_suzuki_drd_check(rel, t, dm, lambda: axioms(t, dm))
 
     def test_chorded_cycle(self):
         g = cycle_with_chord(4)
         t, dm = build(g)
         rel = two_way_relations(t)
-        assert not wang_suzuki_drd_check(rel, t, dm, lambda: axioms(dm))
+        assert not wang_suzuki_drd_check(rel, t, dm, lambda: axioms(t, dm))
 
     def test_h_reads_the_distance_matrices_axioms(self, corpus):
         # H's verdict and witness equal the scheme axioms of the two-way
@@ -493,7 +494,7 @@ class TestTwoWayRelations:
                 assert h.verdict == "no" and "two-way distance classes" in h.witness, name
                 continue
             alone = reference_axioms(class_matrices(rel.index, len(rel.delta)))
-            shared = axioms(dm)
+            shared = axioms(t, dm)
             assert wang_suzuki_drd_check(rel, t, dm, lambda: shared).axioms is shared, name
             assert axiom_fields(shared) == alone, name
             assert h.verdict == ("yes" if alone["witness"] is None else "no"), name
@@ -507,7 +508,7 @@ class TestTwoWayRelations:
         swapped[rel.index == 1] = 2
         swapped[rel.index == 2] = 1
         with pytest.raises(InternalInconsistency):
-            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, dm, lambda: axioms(dm))
+            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, dm, lambda: axioms(t, dm))
 
     def test_classes_partition(self, fig6):
         t, _ = build(fig6)
@@ -584,6 +585,27 @@ def _assert_scan_matches_oracle(t):
     assert (scan.witness is None) == scan.all_constant
 
 
+def _assert_scan_matches_products(g, t):
+    """The scan read as a product table equals the matrix reference: every
+    product's coordinates, the first open product, closure and
+    commutativity."""
+    scan = pair_intersection_counts(t)
+    ref = product_table_by_matrices(distance_matrices(g, t))
+    size = t.diameter + 1
+    assert tuple(tuple(scan.coords(i, j) for j in range(size)) for i in range(size)) == ref.table
+    assert scan.first_open == ref.first_open
+    assert scan.all_constant == ref.all_constant
+    assert scan.commutative == ref.commutative
+
+
+def _first_noncommuting_pair(dm) -> int:
+    """Row-major index of the first pair (x, y) with (A_i A_j)[x][y] !=
+    (A_j A_i)[x][y] for some i and j, by numpy products."""
+    arrs = [m.num for m in dm.mats]
+    differs = sum((a @ b != b @ a).astype(int) for a in arrs for b in arrs)
+    return int(np.flatnonzero(differs)[0])
+
+
 class TestPairCountScan:
     @settings(max_examples=150, deadline=None)
     @given(_strongly_connected_digraphs(9), st.sampled_from([1, 50, scheme.SCAN_BLOCK]))
@@ -591,6 +613,36 @@ class TestPairCountScan:
         t = distance_table(g)
         with mock.patch.object(scheme, "SCAN_BLOCK", cap):
             _assert_scan_matches_oracle(t)
+            _assert_scan_matches_products(g, t)
+
+    def test_every_closed_family_commutes(self, corpus):
+        # A A_i is zero past distance i + 1 and positive at it, so in a
+        # closed family every A_i is a polynomial in A: the scan skips the
+        # commutativity pass there. The matrix reference confirms it.
+        closed = 0
+        for name, g in corpus:
+            if not strongly_connected(g):
+                continue
+            ref = product_table_by_matrices(build(g)[1])
+            if ref.all_constant:
+                assert ref.commutative, name
+                closed += 1
+        assert closed >= 15
+
+    def test_commutativity_pass_stops_at_the_first_differing_block(self, monkeypatch):
+        # One pair per block: the pass counts pairs up to the first whose
+        # counts at (i, j) and (j, i) differ, and no further. On kautz(2, 3)
+        # that is pair (0, 1), the second of 144.
+        g = kautz(2, 3)
+        t, dm = build(g)
+        stop = _first_noncommuting_pair(dm)
+        assert 0 < stop < g.n * g.n - 1
+        calls = []
+        real = scheme._pair_counts
+        monkeypatch.setattr(scheme, "SCAN_BLOCK", 1)
+        monkeypatch.setattr(scheme, "_pair_counts", lambda *a: calls.append(1) or real(*a))
+        assert not scheme._commutes(t.array, t.diameter + 1)
+        assert len(calls) == stop + 1
 
     @pytest.mark.parametrize(
         "g, step",
@@ -618,6 +670,45 @@ class TestPairCountScan:
         t = distance_table(cycle_with_chord(4))
         scan = pair_intersection_counts(t)
         assert scan.witness == (1, 1, 1, (0, 1), (0, 2), 0, 1)
+
+
+def _circulants(max_n: int):
+    """Every strongly connected circulant Cay(Z_n, S), 2 <= n <= max_n: the
+    nonempty S in {1, ..., n - 1} whose gcd with n is 1."""
+    for n in range(2, max_n + 1):
+        for mask in range(1, 1 << (n - 1)):
+            jumps = tuple(s for s in range(1, n) if mask >> (s - 1) & 1)
+            if math.gcd(n, *jumps) == 1:
+                yield n, jumps
+
+
+class TestCirculantSweep:
+    def test_every_circulant_up_to_nine_vertices(self):
+        """All 487 strongly connected circulants with n <= 9: the checks
+        agree, the pair count scan equals the matrix product table, and
+        every directed "yes" has Damerell's girth."""
+        swept = yes = undirected_yes = 0
+        for n, jumps in _circulants(9):
+            g = circulant(n, jumps)
+            rep = check_all(g)
+            assert rep.agreement, (n, jumps)
+            t = distance_table(g)
+            _assert_scan_matches_products(g, t)
+            swept += 1
+            if rep.overall != "yes":
+                continue
+            yes += 1
+            if g.adj == tuple(zip(*g.adj)):
+                undirected_yes += 1
+            else:
+                assert t.girth in (t.diameter, t.diameter + 1), (n, jumps)
+        assert (swept, yes, undirected_yes) == (487, 59, 25)
+
+    def test_the_undirected_hexagon_is_outside_damerell(self):
+        g = circulant(6, (1, 5))
+        t = distance_table(g)
+        assert check_all(g).overall == "yes"
+        assert (t.girth, t.diameter) == (2, 3)
 
 
 def _assert_index_reads_match_matrices(g):
