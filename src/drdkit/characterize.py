@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Union
+from typing import Callable, Hashable, Iterator, Optional, Union
 
 from .digraph import Digraph, DistanceTable, distance_table, regularity, strongly_connected
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
@@ -30,7 +30,6 @@ from .ratlin import (
 from .scheme import (
     AxiomReport,
     DamerellTable,
-    DistanceMatrices,
     PairCountScan,
     TransposeMap,
     adjacency_transpose_index,
@@ -123,8 +122,8 @@ class Report:
 class GraphContext:
     """Lazily computed primitives shared by the checks for one digraph.
 
-    Everything cached here is a low-level quantity (distance table, matrices,
-    span expansions, spectrum), never a verdict.
+    Everything cached here is a low-level quantity (distance table and
+    basis, pair count scan, span bases, spectrum), never a verdict.
     """
 
     def __init__(self, g: Digraph, config: CheckConfig):
@@ -150,8 +149,9 @@ class GraphContext:
         return self._get("adjacency", lambda: adjacency_matrix(self.g))
 
     @property
-    def dm(self) -> DistanceMatrices:
-        return self._get("dm", lambda: distance_matrices(self.g, self.table))
+    def distance_basis(self) -> PartitionBasis:
+        """The distance matrices, as their partition basis on the table."""
+        return self._get("distance_basis", lambda: distance_matrices(self.g, self.table))
 
     @property
     def pair_scan(self) -> PairCountScan:
@@ -164,33 +164,48 @@ class GraphContext:
 
     @property
     def transpose_map(self) -> TransposeMap:
-        return self._get("transpose_map", lambda: transpose_closure(self.dm))
+        return self._get("transpose_map", lambda: transpose_closure(self.distance_basis))
 
     @property
     def adjacency_transpose(self) -> Optional[int]:
-        return self._get("adjacency_transpose", lambda: adjacency_transpose_index(self.dm))
+        return self._get(
+            "adjacency_transpose", lambda: adjacency_transpose_index(self.distance_basis)
+        )
 
     @property
     def minpoly(self) -> RatPolynomial:
         return self._get("minpoly", lambda: minimal_polynomial(self.adjacency))
 
+    def _powers(self) -> Iterator[IntMatrix]:
+        """A^0, A^1, ..., A^(deg minpoly - 1), one at a time."""
+        power = IntMatrix.identity(self.g.n)
+        for j in range(self.minpoly.degree):
+            if j:
+                power = mat_mul(power, self.adjacency)
+            yield power
+
     @property
     def power_basis(self) -> Union[PartitionBasis, SpanBasis]:
         """Membership in the adjacency algebra, span(A^0 .. A^(deg minpoly - 1)):
         the distance basis itself when every A^j = A_j, since A^j is 0 past
-        distance j and positive at it, and elimination otherwise."""
+        distance j and positive at it, and elimination otherwise. The powers
+        are compared with the classes one at a time, and listed only for
+        elimination, which costs far more than computing them again."""
 
         def make():
-            mats = [IntMatrix.identity(self.g.n)]
-            for _ in range(self.minpoly.degree - 1):
-                mats.append(mat_mul(mats[-1], self.adjacency))
-            return self.dm.basis if mats == list(self.dm.mats) else SpanBasis(mats)
+            basis = self.distance_basis
+            if self.minpoly.degree == basis.size and all(
+                power == basis.member(j) for j, power in enumerate(self._powers())
+            ):
+                return basis
+            return SpanBasis(list(self._powers()))
 
         return self._get("power_basis", make)
 
     def distance_matrix_in_powers(self, i: int) -> bool:
         return self._get(
-            ("dm_in_powers", i), lambda: self.power_basis.solve(self.dm.mats[i]) is not None
+            ("dm_in_powers", i),
+            lambda: self.power_basis.solve(self.distance_basis.member(i)) is not None,
         )
 
     @property
@@ -269,7 +284,7 @@ def _check_a(ctx: GraphContext) -> CharacterizationVerdict:
 
 
 def _check_b(ctx: GraphContext) -> CharacterizationVerdict:
-    D = ctx.dm.D
+    D = ctx.table.diameter
     deg = ctx.minpoly.degree
     params = {"min_poly_degree": deg, "diameter": D}
     if deg != D + 1:
@@ -286,8 +301,8 @@ def _check_b(ctx: GraphContext) -> CharacterizationVerdict:
 def _check_c(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("C", "transpose of A is not a distance matrix")
-    for i in range(ctx.dm.D + 1):
-        if not ctx.pair_scan.ok[i][1]:
+    for i in range(ctx.table.diameter + 1):
+        if not ctx.pair_scan.ok[i, 1]:
             return _no("C", f"A_{i} * A leaves the span of the distance matrices")
     return _yes("C")
 
@@ -295,7 +310,7 @@ def _check_c(ctx: GraphContext) -> CharacterizationVerdict:
 def _check_c1(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("C1", "transpose of A is not a distance matrix")
-    D = ctx.dm.D
+    D = ctx.table.diameter
     deg = ctx.minpoly.degree
     if deg != D + 1:
         return _no("C1", f"adjacency algebra has dimension {deg}, expected {D + 1}")
@@ -323,7 +338,7 @@ def _check_c2(ctx: GraphContext) -> CharacterizationVerdict:
 def _check_d(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("D", "transpose of A is not a distance matrix")
-    polys = distance_polynomials(ctx.dm, ctx.pair_scan)
+    polys = distance_polynomials(ctx.distance_basis, ctx.adjacency, ctx.pair_scan)
     if polys is None:
         return _no("D", "no degree-i polynomials with p_i(A) = A_i exist")
     return _yes("D", {"polynomials": [str(p) for p in polys]})
@@ -332,10 +347,11 @@ def _check_d(ctx: GraphContext) -> CharacterizationVerdict:
 def _check_e(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("E", "transpose of A is not a distance matrix")
+    D = ctx.table.diameter
     max_len = ctx.config.max_walk_len
-    if max_len is not None and max_len < ctx.dm.D:
-        max_len = ctx.dm.D  # shorter walks would not certify the theorem
-    walks = walk_count_constancy(ctx.dm, max_len)
+    if max_len is not None and max_len < D:
+        max_len = D  # shorter walks would not certify the theorem
+    walks = walk_count_constancy(ctx.distance_basis, ctx.adjacency, max_len)
     if not walks:
         ell, h, p0, p1, v0, v1 = walks.witness
         return _no(
@@ -371,16 +387,13 @@ def _check_g1(ctx: GraphContext) -> CharacterizationVerdict:
 
 def _check_h(ctx: GraphContext) -> CharacterizationVerdict:
     rel = two_way_relations(ctx.table)
-    result = wang_suzuki_drd_check(
-        rel, ctx.table, ctx.dm, lambda: ctx.axioms_on_distance_matrices
-    )
+    result = wang_suzuki_drd_check(rel, ctx.table, lambda: ctx.axioms_on_distance_matrices)
     params = {"delta": [list(p) for p in rel.delta]}
     if not result:
-        if result.delta_size != ctx.dm.D + 1:
+        classes = ctx.table.diameter + 1
+        if result.delta_size != classes:
             return _no(
-                "H",
-                f"{result.delta_size} two-way distance classes, expected {ctx.dm.D + 1}",
-                params,
+                "H", f"{result.delta_size} two-way distance classes, expected {classes}", params
             )
         return _no("H", result.axioms.witness or "scheme axiom failed", params)
     return _yes("H", params)
@@ -396,14 +409,11 @@ def _check_i(ctx: GraphContext) -> CharacterizationVerdict:
         return _no("I", "digraph is not regular", params)
     if not ctx.normal:
         return _no("I", "transpose of A is not a polynomial in A (A not normal)", params)
+    D = ctx.table.diameter
     deg = ctx.minpoly.degree
-    if deg != ctx.dm.D + 1:
-        return _no(
-            "I",
-            f"diameter {ctx.dm.D} is not spectrally maximum ({deg - 1})",
-            params,
-        )
-    if not ctx.distance_matrix_in_powers(ctx.dm.D):
+    if deg != D + 1:
+        return _no("I", f"diameter {D} is not spectrally maximum ({deg - 1})", params)
+    if not ctx.distance_matrix_in_powers(D):
         return _no("I", "distance-D matrix is not a polynomial in A", params)
     return _yes("I", params)
 
@@ -416,10 +426,11 @@ def _check_j(ctx: GraphContext) -> CharacterizationVerdict:
     s = ctx.spectrum_or_error
     if isinstance(s, Exception):
         return _na("J", f"spectral failure: {s}")
-    if s.d != ctx.dm.D:
+    D = ctx.table.diameter
+    if s.d != D:
         return _no(
             "J",
-            f"diameter {ctx.dm.D} is not spectrally maximum ({s.d})",
+            f"diameter {D} is not spectrally maximum ({s.d})",
             {"distinct_eigenvalues": s.d + 1},
         )
     try:
@@ -446,11 +457,12 @@ def _check_nx(ctx: GraphContext) -> CharacterizationVerdict:
     s = ctx.spectrum_or_error
     if isinstance(s, Exception):
         return _na("NX", f"spectral failure: {s}")
-    if s.d != ctx.dm.D:
-        return _no("NX", f"diameter {ctx.dm.D} is not spectrally maximum ({s.d})", params)
+    D = ctx.table.diameter
+    if s.d != D:
+        return _no("NX", f"diameter {D} is not spectrally maximum ({s.d})", params)
     if ctx.adjacency_transpose is None:
         return _no("NX", "transpose of A is not a distance matrix", params)
-    if not ctx.distance_matrix_in_powers(ctx.dm.D):
+    if not ctx.distance_matrix_in_powers(D):
         return _no("NX", "distance-D matrix is not a polynomial in A", params)
     return _yes("NX", params)
 

@@ -14,13 +14,15 @@ ACM TOMS 35(3), 2008); only an inner dimension below 16, where the casts
 cost more than they save, skips this tier. Below 2**63 ``@`` runs on int64,
 which numpy does not hand to BLAS but which cannot overflow. Otherwise it
 runs on object arrays, whose Python ints never overflow. The 01 matrices
-that the checks build (identity, zero, adjacency, distance and class
-matrices) carry their bounds from construction, so only derived matrices are
-scanned for them.
+that the checks build (identity, zero, adjacency and class matrices) carry
+their bounds from construction, so only derived matrices are scanned for
+them.
 
 The distance classes' basis, built on the distance table, is the only
-partition basis; the powers I, A, ..., A^D are that basis exactly when
-A^j = A_j for every j. Every other span solve runs `SpanBasis._reduce`,
+partition basis. It holds the class index alone and builds a class matrix
+only when asked for one, so no stack of D + 1 dense matrices is ever kept;
+the powers I, A, ..., A^D are that basis exactly when A^j = A_j for every
+j. Every other span solve runs `SpanBasis._reduce`,
 fraction-free: each step cross-multiplies and divides by the content gcd,
 and Fractions appear only in the coordinates a solve returns.
 
@@ -168,14 +170,6 @@ def adjacency_matrix(g: Digraph) -> IntMatrix:
     return IntMatrix.bounded(np.array(g.adj, dtype=np.int64), min(k, 1), k)
 
 
-def class_matrices(index: np.ndarray, size: int) -> tuple[IntMatrix, ...]:
-    """The 01 matrices M_0..M_{size-1} with (M_i)[x][y] = 1 iff
-    index[x][y] = i, for an array index with entries in [0, size). Their
-    entries are 0 and 1, so (1, number of columns) bounds each unscanned."""
-    cols = index.shape[1]
-    return tuple(IntMatrix.bounded((index == i).astype(np.int64), 1, cols) for i in range(size))
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     return IntMatrix(np.ascontiguousarray(a.num.T))
 
@@ -230,6 +224,11 @@ class PartitionBasis:
         self.size = size
         self.shape = index.shape
         self.reps = first  # row-major first position of each class
+
+    def member(self, i: int) -> IntMatrix:
+        """The class matrix M_i, built on demand. Its entries are 0 and 1,
+        so (1, number of columns) bounds it unscanned."""
+        return IntMatrix.bounded((self.index == i).astype(np.int64), 1, self.shape[1])
 
     def _off_class(self, target: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
         """The target's value at each class representative, and where the

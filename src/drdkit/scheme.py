@@ -3,6 +3,11 @@ of the distance matrices, and the association-scheme axioms read from it,
 transpose closure, distance polynomials, walk counts, and the one-step and
 two-way-distance count tables.
 
+The distance table is the distance matrices: its level sets are the classes
+A_0..A_D, and `distance_matrices` returns their partition basis on it. Every
+reader works on that table and its pair count scan; a class matrix is built
+only where it is multiplied, one at a time.
+
 Every check in this module is exact; all quantities are integer counts or
 integer matrix identities, so there are no tolerances anywhere.
 """
@@ -25,46 +30,26 @@ from .ratlin import (
     IntMatrix,
     PartitionBasis,
     RatPolynomial,
-    adjacency_matrix,
-    class_matrices,
     mat_mul,
 )
 
 
-@dataclass(frozen=True)
-class DistanceMatrices:
-    """The 01 matrices A_0..A_D with (A_i)[x][y] = 1 iff d(x,y) = i, and
-    their partition basis, whose class index is the distance table."""
-
-    mats: tuple[IntMatrix, ...]
-    basis: PartitionBasis
-
-    @property
-    def D(self) -> int:
-        return len(self.mats) - 1
-
-    @property
-    def adjacency(self) -> IntMatrix:
-        """A_1 when the diameter is positive, else the zero matrix."""
-        if self.D >= 1:
-            return self.mats[1]
-        n = self.mats[0].rows
-        return IntMatrix.zeros(n, n)
-
-
-def distance_matrices(g: Digraph, t: DistanceTable) -> DistanceMatrices:
-    """Build A_0..A_D and verify the partition invariants at construction."""
+def distance_matrices(g: Digraph, t: DistanceTable) -> PartitionBasis:
+    """The distance matrices A_0..A_D with (A_i)[x][y] = 1 iff d(x,y) = i,
+    as their partition basis on the distance table, after three facts are
+    verified on the table itself: A_0 = I, A_1 = A and sum A_i = J. No
+    matrix is built; `PartitionBasis.member` builds one A_i when asked."""
     if not t.strongly_connected:
         raise NotStronglyConnected("distance matrices need a strongly connected digraph")
+    dist = t.array
     D = t.diameter
-    mats = class_matrices(t.array, D + 1)
-    if mats[0] != IntMatrix.identity(g.n):
+    if not np.array_equal(dist == 0, np.eye(g.n, dtype=bool)):
         raise InternalInconsistency("A_0 != I")
-    if (sum(m.num for m in mats) != 1).any():
+    if dist.min() < 0 or dist.max() > D:
         raise InternalInconsistency("distance classes do not partition X x X")
-    if D >= 1 and mats[1] != adjacency_matrix(g):
+    if D >= 1 and not np.array_equal(dist == 1, np.array(g.adj, dtype=bool)):
         raise InternalInconsistency("A_1 != adjacency matrix")
-    return DistanceMatrices(mats, PartitionBasis(t.array, D + 1))
+    return PartitionBasis(dist, D + 1)
 
 
 @dataclass(frozen=True)
@@ -90,27 +75,27 @@ def _transpose_class(basis: PartitionBasis, i: int) -> Optional[int]:
     return j if np.array_equal(index == j, index.T == i) else None
 
 
-def transpose_closure(dm: DistanceMatrices) -> TransposeMap:
+def transpose_closure(basis: PartitionBasis) -> TransposeMap:
     """For i = 0..D in order, the j with A_i^T = A_j, read off the distance
     table: A_i^T = A_j iff d(x,y) = j exactly where d(y,x) = i. The failing
     index is the lowest i with no such j."""
     sigma = []
-    for i in range(dm.D + 1):
-        j = _transpose_class(dm.basis, i)
+    for i in range(basis.size):
+        j = _transpose_class(basis, i)
         if j is None:
             return TransposeMap(None, i)
         sigma.append(j)
     return TransposeMap(tuple(sigma), None)
 
 
-def adjacency_transpose_index(dm: DistanceMatrices) -> Optional[int]:
+def adjacency_transpose_index(basis: PartitionBasis) -> Optional[int]:
     """The j with A^T = A_j, if any, read off the distance table."""
-    if dm.D == 0:
+    if basis.size == 1:
         return 0  # one-vertex digraph: conventionally closed
-    return _transpose_class(dm.basis, 1)
+    return _transpose_class(basis, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairCountScan:
     """Constancy scan of the counts |{z : d(x,z) = i and d(z,y) = j}| over all
     ordered pairs (x, y) grouped by h = d(x,y). The count is (A_i A_j)[x][y],
@@ -118,30 +103,31 @@ class PairCountScan:
     span iff its counts are constant on every class h, with those constants
     as coordinates.
 
-    values[h][i][j] holds the count seen at the first pair of class h;
-    ok[i][j] says whether that count was constant over every pair.
-    commutative says whether A_i A_j = A_j A_i for every i and j.
+    values[h, i, j] holds the count seen at the first pair of class h;
+    ok[i, j] says whether that count was constant over every pair. Both are
+    read-only arrays. commutative says whether A_i A_j = A_j A_i for every
+    i and j.
     """
 
-    values: tuple[tuple[tuple[int, ...], ...], ...]
-    ok: tuple[tuple[bool, ...], ...]
+    values: np.ndarray
+    ok: np.ndarray
     witness: Optional[tuple]
     commutative: bool
 
     @property
     def all_constant(self) -> bool:
-        return all(all(row) for row in self.ok)
+        return bool(self.ok.all())
 
     def coords(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         """Coordinates of A_i A_j in the distance matrices, or None where the
         product leaves their span."""
-        return tuple(v[i][j] for v in self.values) if self.ok[i][j] else None
+        return tuple(self.values[:, i, j].tolist()) if self.ok[i, j] else None
 
     @property
     def first_open(self) -> Optional[tuple[int, int]]:
         """The first (i, j) in row-major order whose product leaves the span."""
-        open_pairs = [(i, j) for i, row in enumerate(self.ok) for j, c in enumerate(row) if not c]
-        return open_pairs[0] if open_pairs else None
+        open_slots = np.flatnonzero(~self.ok)
+        return divmod(int(open_slots[0]), self.ok.shape[1]) if open_slots.size else None
 
 
 # Cap on the elements of each array one block of the pair count scan
@@ -215,18 +201,19 @@ def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
                 int(expected[k, slot]),
                 int(counts[k, slot]),
             )
-    values = ref.reshape(width, width, width).tolist()
-    ok = (~bad_slots).reshape(width, width).tolist()
+    values = ref.reshape(width, width, width)
+    ok = (~bad_slots).reshape(width, width)
+    values.flags.writeable = ok.flags.writeable = False
     return PairCountScan(
-        values=tuple(tuple(map(tuple, v)) for v in values),
-        ok=tuple(map(tuple, ok)),
+        values=values,
+        ok=ok,
         witness=witness,
         commutative=not bad_slots.any() or _commutes(dist, width),
     )
 
 
 def distance_polynomials(
-    dm: DistanceMatrices, scan: PairCountScan
+    basis: PartitionBasis, a: IntMatrix, scan: PairCountScan
 ) -> Optional[tuple[RatPolynomial, ...]]:
     """Polynomials p_i with p_i(A) = A_i and deg p_i = i, or None.
 
@@ -236,11 +223,10 @@ def distance_polynomials(
     table, then re-verified by induction with one product per step:
     p_0(A) = I = A_0 and p_1(A) = A = A_1 (both proved by
     `distance_matrices`), and once p_h(A) = A_h for every h <= i,
-    p_{i+1}(A) = A_{i+1} holds exactly when
-    c_{i+1} A_{i+1} = A_i A - sum_{h<=i} c_h A_h.
+    p_{i+1}(A) = A_{i+1} holds exactly when A_i A = sum_h c_h A_h, that is
+    when the distance basis solves the product A_i A to the coordinates c.
     """
-    a = dm.adjacency
-    D = dm.D
+    D = basis.size - 1
     polys = [RatPolynomial.one()]
     if D >= 1:
         polys.append(RatPolynomial.t())
@@ -261,12 +247,7 @@ def distance_polynomials(
     if any(p.degree != i for i, p in enumerate(polys)):
         return None
     for i in range(1, D):
-        coeffs = scan.coords(i, 1)
-        rest = mat_mul(dm.mats[i], a)
-        for h in range(i + 1):
-            if coeffs[h]:
-                rest = rest.add(dm.mats[h].scale(-coeffs[h]))
-        if rest != dm.mats[i + 1].scale(coeffs[i + 1]):
+        if basis.solve(mat_mul(basis.member(i), a)) != scan.coords(i, 1):
             return None
     return tuple(polys)
 
@@ -284,24 +265,25 @@ class WalkConstancy:
         return self.ok
 
 
-def walk_count_constancy(dm: DistanceMatrices, max_len: Optional[int] = None) -> WalkConstancy:
+def walk_count_constancy(
+    basis: PartitionBasis, a: IntMatrix, max_len: Optional[int] = None
+) -> WalkConstancy:
     """Check that A^l is constant on every distance class for l = 0..max_len
     (default: the diameter). max_len below the diameter would weaken the
     test and is refused. Only l < n is stepped: by Cayley-Hamilton A^n is a
     combination of I, A, ..., A^(n-1), so constancy for every l < n gives it
     for all l, and the first failing l is below n. Powers past the int64
     bound take mat_mul's object-array route, so long walks stay exact."""
-    D = dm.D
+    D = basis.size - 1
     if max_len is None:
         max_len = D
     elif max_len < D:
         raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
-    a = dm.adjacency
     power = IntMatrix.identity(a.rows)
     for ell in range(min(max_len, a.rows - 1) + 1):
         if ell > 0:
             power = mat_mul(power, a)
-        off = dm.basis.deviation(power)
+        off = basis.deviation(power)
         if off is not None:
             h, (x0, y0), (x, y) = off
             v0, v1 = int(power.num[x0, y0]), int(power.num[x, y])
@@ -312,9 +294,9 @@ def walk_count_constancy(dm: DistanceMatrices, max_len: Optional[int] = None) ->
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of the association-scheme axioms on the distance matrices.
-    A_0 = I and sum A_i = J hold by construction (`distance_matrices`
-    raises otherwise), so only transpose closure, product closure and
-    commutativity are reported."""
+    A_0 = I and sum A_i = J are verified on the distance table
+    (`distance_matrices` raises otherwise), so only transpose closure,
+    product closure and commutativity are reported."""
 
     transpose_closed: bool
     product_closed: bool
@@ -423,7 +405,6 @@ class WangSuzukiResult:
 def wang_suzuki_drd_check(
     r: TwoWayRelations,
     t: DistanceTable,
-    dm: DistanceMatrices,
     axioms: Callable[[], AxiomReport],
 ) -> WangSuzukiResult:
     """Whether the two-way classes form a commutative association scheme
@@ -433,7 +414,7 @@ def wang_suzuki_drd_check(
     the distance matrices, which is checked here (a mismatch is a fault, not
     a verdict). The scheme axioms are then those of the distance matrices:
     `axioms` returns the caller's shared report and is called only then."""
-    if len(r.delta) != dm.D + 1:
+    if len(r.delta) != t.diameter + 1:
         return WangSuzukiResult(False, len(r.delta), None)
     if not np.array_equal(r.index, t.array):
         raise InternalInconsistency("D + 1 two-way classes differ from the distance matrices")

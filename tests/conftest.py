@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -21,6 +22,16 @@ settings.register_profile("ci", print_blob=True, deadline=None)
 
 def circulant(n: int, jumps: tuple[int, ...]) -> Digraph:
     return Digraph.from_arcs(n, [(x, (x + s) % n) for x in range(n) for s in jumps])
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory traced while call runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def named_corpus() -> list[tuple[str, Digraph]]:

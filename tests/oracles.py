@@ -45,7 +45,12 @@ from drdkit.ratlin import (
     mat_mul,
     minimal_polynomial,
 )
-from drdkit.scheme import damerell_numbers, distance_polynomials, pair_intersection_counts
+from drdkit.scheme import (
+    damerell_numbers,
+    distance_matrices,
+    distance_polynomials,
+    pair_intersection_counts,
+)
 from drdkit.spectral import Spectrum, is_normal
 
 INF = math.inf
@@ -86,6 +91,18 @@ def table_by_floyd_warshall(adj):
         girth,
         len(finite) == len(adj) ** 2,
     )
+
+
+def class_matrices(index: np.ndarray, size: int) -> tuple[IntMatrix, ...]:
+    """The 01 matrices M_0..M_{size-1} with (M_i)[x][y] = 1 iff
+    index[x][y] = i, for an array index with entries in [0, size)."""
+    return tuple(IntMatrix((index == i).astype(np.int64)) for i in range(size))
+
+
+def distance_stack(t) -> tuple[IntMatrix, ...]:
+    """The distance matrices A_0..A_D of a strongly connected distance
+    table, all of them at once."""
+    return class_matrices(t.array, t.diameter + 1)
 
 
 def transpose_closure_by_matrices(mats):
@@ -465,11 +482,12 @@ class ProductTable:
         return self.noncommuting is None
 
 
-def product_table_by_matrices(dm) -> ProductTable:
+def product_table_by_matrices(mats) -> ProductTable:
     """Multiply every ordered pair of the distance matrices with `mat_mul`,
-    solve each product in their partition basis, and compare the two orders
-    of each pair exactly, whether or not the products lie in the span."""
-    mats, basis = dm.mats, dm.basis
+    solve each product in their partition basis (found by stacking them),
+    and compare the two orders of each pair exactly, whether or not the
+    products lie in the span."""
+    basis = partition_basis_by_matrices(mats)
     size = len(mats)
     table: list[list] = [[None] * size for _ in range(size)]
     noncommuting = None
@@ -533,48 +551,49 @@ class IntersectionTensor:
     pair with d(x,y) = h, when that count is pair-independent."""
 
     exists: bool
-    p: Optional[tuple[tuple[tuple[int, ...], ...], ...]]
+    p: Optional[list[list[list[int]]]]
     witness: Optional[tuple]
 
 
-def intersection_numbers(dm, t) -> IntersectionTensor:
+def intersection_numbers(t) -> IntersectionTensor:
     """The library's pair count scan cross-checked against the span
     coordinates of every product A_i * A_j in the matrix product table; any
     disagreement between the two routes raises InternalInconsistency (it
     would be a bug, not a property of the graph)."""
     scan = pair_intersection_counts(t)
-    D = dm.D
-    products = product_table_by_matrices(dm)
+    D = t.diameter
+    products = product_table_by_matrices(distance_stack(t))
     for i in range(D + 1):
         for j in range(D + 1):
             coeffs = products.coords(i, j)
-            if scan.ok[i][j] != (coeffs is not None):
+            if scan.ok[i, j] != (coeffs is not None):
                 raise InternalInconsistency(
                     f"count scan and span solve disagree on slice ({i},{j})"
                 )
             if coeffs is not None:
                 for h in range(D + 1):
-                    if coeffs[h] != scan.values[h][i][j]:
+                    if coeffs[h] != scan.values[h, i, j]:
                         raise InternalInconsistency(
-                            f"p^{h}_{{{i}{j}}}: scan {scan.values[h][i][j]} vs solve {coeffs[h]}"
+                            f"p^{h}_{{{i}{j}}}: scan {scan.values[h, i, j]} vs solve {coeffs[h]}"
                         )
     if scan.all_constant:
-        return IntersectionTensor(True, scan.values, None)
+        return IntersectionTensor(True, scan.values.tolist(), None)
     return IntersectionTensor(False, None, scan.witness)
 
 
-def weak_dr_comellas(g, dm) -> bool:
+def weak_dr_comellas(g, t) -> bool:
     """Weak distance-regularity: every distance matrix is a polynomial of its
     own degree in the adjacency matrix (equivalently, walk counts up to the
     diameter depend only on distance)."""
-    return distance_polynomials(dm, product_table_by_matrices(dm)) is not None
+    products = product_table_by_matrices(distance_stack(t))
+    return distance_polynomials(distance_matrices(g, t), adjacency_matrix(g), products) is not None
 
 
-def comellas_damerell_link(g, dm, t) -> bool:
+def comellas_damerell_link(g, t) -> bool:
     """Consistency predicate: on weakly distance-regular digraphs, adjacency
     normality and the existence of the one-step forward count table must
     coincide. Always true for a correct implementation."""
-    if not weak_dr_comellas(g, dm):
+    if not weak_dr_comellas(g, t):
         return True
     return is_normal(adjacency_matrix(g)) == damerell_numbers(g, t).exists
 

@@ -33,6 +33,7 @@ from drdkit.spectral import average_last_shell, is_normal, spectral_excess_rhs, 
 
 from oracles import (
     comellas_damerell_link,
+    distance_stack,
     hoffman_polynomial,
     intersection_numbers,
     ones,
@@ -104,11 +105,11 @@ def test_criterion_3_directed_cycles():
         rep = check_all(g)
         assert rep.overall == "yes" and rep.agreement, n
         t = distance_table(g)
-        dm = distance_matrices(g, t)
-        polys = distance_polynomials(dm, pair_intersection_counts(t))
+        basis = distance_matrices(g, t)
+        polys = distance_polynomials(basis, adjacency_matrix(g), pair_intersection_counts(t))
         for i, p in enumerate(polys):
             assert p.coeffs == (0,) * i + (1,), (n, i)
-        tensor = intersection_numbers(dm, t)
+        tensor = intersection_numbers(t)
         assert tensor.exists
         for h in range(n):
             for i in range(n):
@@ -184,10 +185,9 @@ def test_criterion_6_strictness_witness_and_link(corpus):
         t = distance_table(g)
         if not t.strongly_connected:
             continue
-        dm = distance_matrices(g, t)
-        assert comellas_damerell_link(g, dm, t), name
+        assert comellas_damerell_link(g, t), name
         if (
-            weak_dr_comellas(g, dm)
+            weak_dr_comellas(g, t)
             and not is_normal(adjacency_matrix(g))
             and distance_regular_scan(g, t, "out")[0] is None
         ):
@@ -227,14 +227,14 @@ def test_criterion_8_intersection_number_bounds(corpus):
         t = distance_table(g)
         if not t.strongly_connected or distance_regular_scan(g, t, "out")[0] is None:
             continue
-        dm = distance_matrices(g, t)
-        tensor = intersection_numbers(dm, t)  # internally cross-checked
+        mats = distance_stack(t)
+        tensor = intersection_numbers(t)  # internally cross-checked
         assert tensor.exists, name
-        D = dm.D
-        basis = SpanBasis(dm.mats)
+        D = t.diameter
+        basis = SpanBasis(mats)
         for i in range(D + 1):
             for j in range(D + 1):
-                coeffs = basis.solve(mat_mul(dm.mats[i], dm.mats[j]))
+                coeffs = basis.solve(mat_mul(mats[i], mats[j]))
                 assert coeffs is not None, name
                 for h in range(D + 1):
                     assert coeffs[h] == tensor.p[h][i][j], (name, h, i, j)

@@ -24,8 +24,8 @@ from drdkit.ratlin import IntMatrix, PartitionBasis, SpanBasis, adjacency_matrix
 from drdkit.scheme import distance_matrices, transpose_closure
 from drdkit.spectral import is_normal, spectrum
 
-from conftest import circulant
-from oracles import weak_dr_comellas
+from conftest import circulant, traced_peak
+from oracles import distance_stack, weak_dr_comellas
 
 
 class TestCheckAll:
@@ -85,9 +85,19 @@ class TestCheckAll:
 
         for g in (complete(1), cycle(2), cycle(6), cycle(10), complete(3), complete(5)):
             ctx = GraphContext(g, CheckConfig())
-            assert ctx.power_basis is ctx.dm.basis
+            assert ctx.power_basis is ctx.distance_basis
         for g in (paper6(), paley(7), paley(19), cycle_with_chord(5)):
             assert isinstance(GraphContext(g, CheckConfig()).power_basis, SpanBasis)
+
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_power_basis_holds_one_power_at_a_time(self, n):
+        # With the minimal polynomial and the distance basis cached, the
+        # comparison of A^j with A_j keeps a few n x n arrays alive, not
+        # the n powers.
+        ctx = GraphContext(cycle(n), CheckConfig())
+        assert ctx.minpoly.degree == ctx.distance_basis.size == n
+        assert traced_peak(lambda: ctx.power_basis) < 8 * n * n * 8
+        assert ctx.power_basis is ctx.distance_basis
 
     def test_power_memberships_match_elimination(self, corpus):
         """Wherever deg minpoly = D + 1, each A_i lies in the adjacency
@@ -95,13 +105,13 @@ class TestCheckAll:
         kinds = set()
         for name, g in corpus:
             ctx = GraphContext(g, CheckConfig())
-            if ctx.minpoly.degree != ctx.dm.D + 1:
+            if ctx.minpoly.degree != ctx.table.diameter + 1:
                 continue
             powers = [IntMatrix.identity(g.n)]
             while len(powers) < ctx.minpoly.degree:
                 powers.append(mat_mul(powers[-1], ctx.adjacency))
             slow = SpanBasis(powers)
-            for i, m in enumerate(ctx.dm.mats):
+            for i, m in enumerate(distance_stack(ctx.table)):
                 assert ctx.distance_matrix_in_powers(i) == (slow.solve(m) is not None), (name, i)
             kinds.add(type(ctx.power_basis))
         assert kinds == {PartitionBasis, SpanBasis}
@@ -230,9 +240,7 @@ class TestMasterEquivalence:
 class TestStrictnessWitness:
     def test_kautz22_separates_weak_dr_from_drd(self):
         g = kautz(2, 2)
-        t = distance_table(g)
-        dm = distance_matrices(g, t)
-        assert weak_dr_comellas(g, dm)
+        assert weak_dr_comellas(g, distance_table(g))
         assert not is_normal(adjacency_matrix(g))
         rep = check_all(g)
         verdicts = {v.id: v.verdict for v in rep.verdicts}

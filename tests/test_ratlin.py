@@ -110,17 +110,16 @@ class TestSpanSolve:
             assert _combination(coords, family) == target
 
     def test_unit_vector_on_independent_basis(self):
-        g = paper6()
-        dm = distance_matrices(g, distance_table(g))
-        coeffs = SpanBasis(dm.mats).solve(dm.mats[2])
+        mats = oracles.distance_stack(distance_table(paper6()))
+        coeffs = SpanBasis(mats).solve(mats[2])
         assert coeffs == (0, 0, 1, 0)
 
     def test_all_ones_in_distance_span(self):
         # The distance classes partition X x X, so J has all-ones coordinates.
         for g in (cycle(5), paper6(), cycle_with_chord(6)):
-            dm = distance_matrices(g, distance_table(g))
-            coeffs = SpanBasis(dm.mats).solve(ones(g.n))
-            assert coeffs == (1,) * (dm.D + 1)
+            mats = oracles.distance_stack(distance_table(g))
+            coeffs = SpanBasis(mats).solve(ones(g.n))
+            assert coeffs == (1,) * len(mats)
 
     def test_c3_square_outside_span_of_i_a(self):
         a = adjacency_matrix(cycle(3))
@@ -128,11 +127,11 @@ class TestSpanSolve:
 
     def test_round_trip_reconstruction(self):
         g = cycle_with_chord(5)
-        dm = distance_matrices(g, distance_table(g))
+        mats = oracles.distance_stack(distance_table(g))
         target = ones(g.n)
-        coeffs = SpanBasis(dm.mats).solve(target)
+        coeffs = SpanBasis(mats).solve(target)
         acc = IntMatrix.zeros(g.n, g.n)
-        for c, m in zip(coeffs, dm.mats):
+        for c, m in zip(coeffs, mats):
             acc = acc.add(m.scale(c))
         assert acc == target
 
@@ -229,11 +228,11 @@ class TestIntegralEvaluation:
     def test_distance_polynomial_value_keeps_the_int64_form(self):
         g = paley(19)
         t = distance_table(g)
-        dm = distance_matrices(g, t)
-        p2 = distance_polynomials(dm, pair_intersection_counts(t))[2]
+        a = adjacency_matrix(g)
+        p2 = distance_polynomials(distance_matrices(g, t), a, pair_intersection_counts(t))[2]
         assert any(isinstance(c, Fraction) for c in p2.coeffs)
-        value = eval_poly_at_matrix(p2, dm.adjacency)
-        assert value.num.dtype == np.int64 and value == dm.mats[2]
+        value = eval_poly_at_matrix(p2, a)
+        assert value.num.dtype == np.int64 and value == oracles.distance_stack(t)[2]
 
     def test_non_integral_value_stays_exact(self):
         # 1/3 + t/2 at the 3-cycle has entries 1/3 and 1/2: no integer matrix.
@@ -698,15 +697,15 @@ class TestPartitionBasis:
 
     def test_products_and_partition_solves_build_no_fraction(self, monkeypatch):
         g = paper6()
-        dm = distance_matrices(g, distance_table(g))
+        basis = distance_matrices(g, distance_table(g))
+        mats = [basis.member(i) for i in range(basis.size)]
 
         def refuse(*args):
             raise AssertionError("Fraction built by an integer matrix routine")
 
         monkeypatch.setattr(ratlin, "Fraction", refuse)
-        basis = dm.basis
-        for left in dm.mats:
-            for right in dm.mats:
+        for left in mats:
+            for right in mats:
                 coords = basis.solve(mat_mul(left, transpose(right)).add(left.scale(-3)))
                 assert coords is not None and all(type(c) is int for c in coords)
         wide = mat_mul(from_rows([[2**40, 1], [0, 1]]), from_rows([[2**40, 0], [1, 1]]))

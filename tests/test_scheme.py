@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drdkit.characterize as characterize
 import drdkit.ratlin as ratlin
 import drdkit.scheme as scheme
 from drdkit.characterize import CheckConfig, check_all, check_single
-from drdkit.corpus import cycle, cycle_with_chord, kautz, paley, paper6
+from drdkit.cli import main
+from drdkit.corpus import cycle, cycle_with_chord, edge_list_text, kautz, paley, paper6
 from drdkit.digraph import Digraph, distance_table, strongly_connected
 from drdkit.errors import InternalInconsistency
 from drdkit.partitions import distance_regular_scan
@@ -18,7 +20,6 @@ from drdkit.ratlin import (
     IntMatrix,
     SpanBasis,
     adjacency_matrix,
-    class_matrices,
     mat_mul,
     minimal_polynomial,
 )
@@ -37,12 +38,14 @@ from drdkit.scheme import (
 )
 from drdkit.spectral import is_normal
 
-from conftest import circulant
+from conftest import circulant, traced_peak
 from oracles import (
     adjacency_transpose_by_matrices,
+    class_matrices,
     comellas_damerell_link,
     count_walks,
     distance_polynomials_by_evaluation,
+    distance_stack,
     intersection_numbers,
     ones,
     pair_counts_by_dict,
@@ -59,12 +62,14 @@ def build(g):
     return t, distance_matrices(g, t)
 
 
-def axioms(t, dm):
-    return scheme_axioms(pair_intersection_counts(t), transpose_closure(dm))
+def axioms(t, basis):
+    return scheme_axioms(pair_intersection_counts(t), transpose_closure(basis))
 
 
-def polynomials(t, dm):
-    return distance_polynomials(dm, pair_intersection_counts(t))
+def polynomials(g, t):
+    return distance_polynomials(
+        distance_matrices(g, t), adjacency_matrix(g), pair_intersection_counts(t)
+    )
 
 
 def reference_axioms(mats):
@@ -84,22 +89,67 @@ def axiom_fields(rep):
     }
 
 
+def _diagonal_one(dist):
+    dist[0, 0] = 1
+
+
+def _arc_at_two(dist):
+    dist[0, 1] = 2
+
+
+def _no_class_one(dist):
+    dist[dist == 1] = 2
+
+
+def _past_the_diameter(dist):
+    dist[0, 2] = 9
+
+
 class TestDistanceMatrices:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_diagonal_one, "A_0 != I"),
+            (_arc_at_two, "A_1 != adjacency matrix"),
+            (_no_class_one, "A_1 != adjacency matrix"),
+            (_past_the_diameter, "do not partition"),
+        ],
+        ids=["diagonal-one", "arc-at-two", "no-class-one", "past-the-diameter"],
+    )
+    def test_doctored_tables_are_internal_inconsistencies(
+        self, edit, message, monkeypatch, tmp_path
+    ):
+        # The table's three invariants are checked before the partition
+        # basis checks its labels, so a table with no class 1 is an
+        # internal inconsistency (exit 3), never an invalid partition (exit 4).
+        g = cycle(5)
+        t = distance_table(g)
+        dist = t.array.copy()
+        edit(dist)
+        dist.flags.writeable = False
+        doctored = replace(t, array=dist)
+        with pytest.raises(InternalInconsistency, match=message):
+            distance_matrices(g, doctored)
+        monkeypatch.setattr(characterize, "distance_table", lambda g: doctored)
+        path = tmp_path / "cycle5.el"
+        path.write_text(edge_list_text(g))
+        assert main(["check", str(path), "--char", "D"]) == 3
+
     def test_cycle_powers(self):
         g = cycle(5)
-        t, dm = build(g)
+        t, basis = build(g)
         a = adjacency_matrix(g)
         power = IntMatrix.identity(5)
-        for i in range(dm.D + 1):
-            assert dm.mats[i] == power
+        for i in range(t.diameter + 1):
+            assert basis.member(i) == power
             power = mat_mul(power, a)
 
     def test_paper6_last_shell_row(self, fig6):
-        t, dm = build(fig6)
-        assert dm.D == 3
+        t, basis = build(fig6)
+        assert t.diameter == 3 and basis.size == 4
         a = fig6.labels.index("a")
         f = fig6.labels.index("f")
-        row = dm.mats[3].entries[a]
+        row = basis.member(3).entries[a]
         assert sum(row) == 1 and row[f] == 1
 
     def test_sum_to_all_ones(self, corpus):
@@ -107,27 +157,27 @@ class TestDistanceMatrices:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            dm = distance_matrices(g, t)
+            basis = distance_matrices(g, t)
             total = IntMatrix.zeros(g.n, g.n)
-            for m in dm.mats:
-                total = total.add(m)
+            for i in range(basis.size):
+                total = total.add(basis.member(i))
             assert total == ones(g.n), name
 
 
 class TestTransposeClosure:
     def test_cycle_reversal(self):
         n = 6
-        _, dm = build(cycle(n))
-        tm = transpose_closure(dm)
+        _, basis = build(cycle(n))
+        tm = transpose_closure(basis)
         assert tm.sigma == (0,) + tuple(n - i for i in range(1, n))
 
     def test_paper6(self, fig6):
-        _, dm = build(fig6)
-        assert transpose_closure(dm).sigma == (0, 2, 1, 3)
+        _, basis = build(fig6)
+        assert transpose_closure(basis).sigma == (0, 2, 1, 3)
 
     def test_chorded_cycle_fails(self):
-        _, dm = build(cycle_with_chord(4))
-        tm = transpose_closure(dm)
+        _, basis = build(cycle_with_chord(4))
+        tm = transpose_closure(basis)
         assert not tm.exists
         assert tm.failing_index is not None
 
@@ -149,8 +199,7 @@ class TestIntersectionNumbers:
     def test_cycle_cyclic_delta(self):
         n = 5
         g = cycle(n)
-        t, dm = build(g)
-        tensor = intersection_numbers(dm, t)
+        tensor = intersection_numbers(distance_table(g))
         assert tensor.exists
         for h in range(n):
             for i in range(n):
@@ -159,10 +208,10 @@ class TestIntersectionNumbers:
                     assert tensor.p[h][i][j] == expected
 
     def test_paper6_bounds(self, fig6):
-        t, dm = build(fig6)
-        tensor = intersection_numbers(dm, t)
+        t = distance_table(fig6)
+        tensor = intersection_numbers(t)
         assert tensor.exists
-        D = dm.D
+        D = t.diameter
         for h in range(D + 1):
             for i in range(D + 1):
                 for j in range(D + 1):
@@ -175,8 +224,7 @@ class TestIntersectionNumbers:
 
     def test_chorded_cycle_fails_with_witness(self):
         g = cycle_with_chord(4)
-        t, dm = build(g)
-        tensor = intersection_numbers(dm, t)
+        tensor = intersection_numbers(distance_table(g))
         assert not tensor.exists
         assert tensor.witness is not None
 
@@ -187,10 +235,9 @@ class TestIntersectionNumbers:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            dm = distance_matrices(g, t)
-            tensor = intersection_numbers(dm, t)
-            if tensor.exists and transpose_closure(dm).exists:
-                D = dm.D
+            tensor = intersection_numbers(t)
+            if tensor.exists and transpose_closure(distance_matrices(g, t)).exists:
+                D = t.diameter
                 for h in range(D + 1):
                     for i in range(D + 1):
                         for j in range(D + 1):
@@ -200,27 +247,26 @@ class TestIntersectionNumbers:
 class TestDistancePolynomials:
     def test_cycle_monomials(self):
         g = cycle(6)
-        t, dm = build(g)
-        polys = polynomials(t, dm)
+        polys = polynomials(g, distance_table(g))
         assert polys is not None
         for i, p in enumerate(polys):
             expected = (0,) * i + (1,)
             assert p.coeffs == expected
 
     def test_paper6_degrees_and_identity(self, fig6):
-        t, dm = build(fig6)
-        polys = polynomials(t, dm)
+        t = distance_table(fig6)
+        polys = polynomials(fig6, t)
         assert polys is not None
         assert [p.degree for p in polys] == [0, 1, 2, 3]
         from drdkit.ratlin import eval_poly_at_matrix
 
         a = adjacency_matrix(fig6)
         for i, p in enumerate(polys):
-            assert eval_poly_at_matrix(p, a) == dm.mats[i]
+            assert eval_poly_at_matrix(p, a) == distance_stack(t)[i]
 
     def test_chorded_cycle_has_none(self):
-        t, dm = build(cycle_with_chord(4))
-        assert polynomials(t, dm) is None
+        g = cycle_with_chord(4)
+        assert polynomials(g, distance_table(g)) is None
 
     def test_degree_bound_everywhere(self, corpus):
         for name, g in corpus:
@@ -229,78 +275,81 @@ class TestDistancePolynomials:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            polys = polynomials(t, distance_matrices(g, t))
+            polys = polynomials(g, t)
             if polys is not None:
                 assert all(p.degree == i for i, p in enumerate(polys)), name
 
     @staticmethod
-    def _both(dm, scan):
+    def _both(g, t, scan):
         """The induction's polynomials and the evaluation oracle's, as
         coefficient tuples (None where there are none)."""
-        polys = distance_polynomials(dm, scan)
-        mats = [[list(row) for row in m.entries] for m in dm.mats]
+        polys = distance_polynomials(distance_matrices(g, t), adjacency_matrix(g), scan)
+        mats = [[list(row) for row in m.entries] for m in distance_stack(t)]
         ref = distance_polynomials_by_evaluation(mats, scan)
         return (None if polys is None else tuple(p.coeffs for p in polys)), ref
 
     @staticmethod
     def _perturbed(scan, i, h, delta):
-        """scan with the coordinate h of A_i A, values[h][i][1], moved by
+        """scan with the coordinate h of A_i A, values[h, i, 1], moved by
         delta."""
-        values = [[list(row) for row in v] for v in scan.values]
-        values[h][i][1] += delta
-        return replace(scan, values=tuple(tuple(map(tuple, v)) for v in values))
+        values = scan.values.copy()
+        values[h, i, 1] += delta
+        return replace(scan, values=values)
 
     def test_induction_equals_evaluating_every_polynomial(self, corpus):
         for name, g in corpus + [("paley19", paley(19)), ("kautz_3_2", kautz(3, 2))]:
             if g.n == 1 or not strongly_connected(g):
                 continue
-            t, dm = build(g)
-            got, ref = self._both(dm, pair_intersection_counts(t))
+            t = distance_table(g)
+            got, ref = self._both(g, t, pair_intersection_counts(t))
             assert got == ref, name
 
     def test_induction_equals_evaluation_on_every_perturbed_coordinate(self, fig6):
         # A wrong coordinate at or below distance i + 1 makes both the
         # induction and the evaluation refuse.
         for g in (fig6, cycle(6), paley(7), kautz(2, 2)):
-            t, dm = build(g)
+            t = distance_table(g)
             scan = pair_intersection_counts(t)
-            assert self._both(dm, scan)[0] is not None
-            for i in range(1, dm.D):
+            assert self._both(g, t, scan)[0] is not None
+            for i in range(1, t.diameter):
                 for h in range(i + 2):
                     for delta in (-1, 1):
-                        got, ref = self._both(dm, self._perturbed(scan, i, h, delta))
+                        got, ref = self._both(g, t, self._perturbed(scan, i, h, delta))
                         assert got is None and ref is None, (g.n, i, h, delta)
 
     def test_perturbed_product_table_gives_none(self):
-        t, dm = build(cycle(6))
+        g = cycle(6)
+        t, basis = build(g)
+        a = adjacency_matrix(g)
         scan = pair_intersection_counts(t)
-        assert distance_polynomials(dm, scan) is not None
-        assert distance_polynomials(dm, self._perturbed(scan, 2, 1, 1)) is None
+        assert distance_polynomials(basis, a, scan) is not None
+        assert distance_polynomials(basis, a, self._perturbed(scan, 2, 1, 1)) is None
 
     def test_one_product_per_step(self, monkeypatch):
-        t, dm = build(cycle(12))
+        g = cycle(12)
+        t, basis = build(g)
         scan = pair_intersection_counts(t)
         calls = []
         real = scheme.mat_mul
         monkeypatch.setattr(scheme, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
-        assert distance_polynomials(dm, scan) is not None
-        assert len(calls) == dm.D - 1
+        assert distance_polynomials(basis, adjacency_matrix(g), scan) is not None
+        assert len(calls) == t.diameter - 1
 
 
 class TestWalkCounts:
     def test_c4_power_four_is_identity(self):
         g = cycle(4)
-        _, dm = build(g)
-        assert walk_count_constancy(dm, max_len=4)
+        _, basis = build(g)
+        assert walk_count_constancy(basis, adjacency_matrix(g), max_len=4)
 
     def test_paper6_constant(self, fig6):
-        _, dm = build(fig6)
-        assert walk_count_constancy(dm)
+        _, basis = build(fig6)
+        assert walk_count_constancy(basis, adjacency_matrix(fig6))
 
     def test_chorded_cycle_fails(self):
         g = cycle_with_chord(4)
-        _, dm = build(g)
-        res = walk_count_constancy(dm)
+        _, basis = build(g)
+        res = walk_count_constancy(basis, adjacency_matrix(g))
         assert not res
         ell, h, pair0, pair1, v0, v1 = res.witness
         # The witness is a genuine walk-count discrepancy: re-count both
@@ -313,22 +362,24 @@ class TestWalkCounts:
         from drdkit.errors import PreconditionViolated
 
         g = cycle(5)
-        _, dm = build(g)
+        _, basis = build(g)
         with pytest.raises(PreconditionViolated):
-            walk_count_constancy(dm, max_len=2)
+            walk_count_constancy(basis, adjacency_matrix(g), max_len=2)
 
     def test_walks_past_the_int64_bound_stay_exact(self, monkeypatch):
         # Walks stop at l = n - 1. On paley(23) the entries of A^l are near
         # 11^l / 23, so A^20 is the first power past 2^63: the last three
         # take the object-array route, and the verdict must match the
         # default walk length.
-        _, dm = build(paley(23))
+        g = paley(23)
+        _, basis = build(g)
+        a = adjacency_matrix(g)
         powers = []
         real = scheme.mat_mul
         monkeypatch.setattr(scheme, "mat_mul", lambda a, b: powers.append(real(a, b)) or powers[-1])
-        long = walk_count_constancy(dm, max_len=70)
+        long = walk_count_constancy(basis, a, max_len=70)
         assert [p.num.dtype == object for p in powers] == [False] * 19 + [True] * 3
-        assert bool(long) == bool(walk_count_constancy(dm)) is True
+        assert bool(long) == bool(walk_count_constancy(basis, a)) is True
         a = adjacency_matrix(paper6())
         power = IntMatrix.identity(6)
         for _ in range(70):
@@ -354,9 +405,11 @@ class TestWalkCounts:
         assert v.verdict == "yes" and v.params == {"max_len": 10**9}
 
     def test_witness_does_not_depend_on_a_bound_past_n(self):
-        _, dm = build(cycle_with_chord(5))
-        at_d = walk_count_constancy(dm, max_len=dm.D)
-        at_50 = walk_count_constancy(dm, max_len=50)
+        g = cycle_with_chord(5)
+        t, basis = build(g)
+        a = adjacency_matrix(g)
+        at_d = walk_count_constancy(basis, a, max_len=t.diameter)
+        at_50 = walk_count_constancy(basis, a, max_len=50)
         assert not at_d and at_d.witness == at_50.witness
         assert at_50.max_len == 50
 
@@ -374,13 +427,13 @@ class TestWalkCounts:
 
 class TestSchemeAxioms:
     def test_cycle_passes(self):
-        t, dm = build(cycle(5))
-        rep = axioms(t, dm)
+        t, basis = build(cycle(5))
+        rep = axioms(t, basis)
         assert rep.all
 
     def test_paper6_passes(self, fig6):
-        t, dm = build(fig6)
-        assert axioms(t, dm).all
+        t, basis = build(fig6)
+        assert axioms(t, basis).all
 
     def test_ad_hoc_family_fails_product_closure(self):
         # A family that is not the distance matrices has no library axioms;
@@ -396,8 +449,8 @@ class TestSchemeAxioms:
 
     @staticmethod
     def _assert_matches_matrices(g):
-        t, dm = build(g)
-        assert axiom_fields(axioms(t, dm)) == reference_axioms(dm.mats)
+        t, basis = build(g)
+        assert axiom_fields(axioms(t, basis)) == reference_axioms(distance_stack(t))
 
     @settings(max_examples=100, deadline=None)
     @given(st.deferred(lambda: _strongly_connected_digraphs(8)))
@@ -464,22 +517,22 @@ class TestTwoWayRelations:
     def test_cycle(self):
         n = 5
         g = cycle(n)
-        t, dm = build(g)
+        t, basis = build(g)
         rel = two_way_relations(t)
         assert set(rel.delta) == {(0, 0)} | {(i, n - i) for i in range(1, n)}
-        assert wang_suzuki_drd_check(rel, t, dm, lambda: axioms(t, dm))
+        assert wang_suzuki_drd_check(rel, t, lambda: axioms(t, basis))
 
     def test_paper6(self, fig6):
-        t, dm = build(fig6)
+        t, basis = build(fig6)
         rel = two_way_relations(t)
-        assert len(rel.delta) == 4 == dm.D + 1
-        assert wang_suzuki_drd_check(rel, t, dm, lambda: axioms(t, dm))
+        assert len(rel.delta) == 4 == t.diameter + 1
+        assert wang_suzuki_drd_check(rel, t, lambda: axioms(t, basis))
 
     def test_chorded_cycle(self):
         g = cycle_with_chord(4)
-        t, dm = build(g)
+        t, basis = build(g)
         rel = two_way_relations(t)
-        assert not wang_suzuki_drd_check(rel, t, dm, lambda: axioms(t, dm))
+        assert not wang_suzuki_drd_check(rel, t, lambda: axioms(t, basis))
 
     def test_h_reads_the_distance_matrices_axioms(self, corpus):
         # H's verdict and witness equal the scheme axioms of the two-way
@@ -487,28 +540,28 @@ class TestTwoWayRelations:
         for name, g in corpus:
             if g.n == 1 or not strongly_connected(g):
                 continue
-            t, dm = build(g)
+            t, basis = build(g)
             rel = two_way_relations(t)
             h = next(v for v in check_all(g).verdicts if v.id == "H")
-            if len(rel.delta) != dm.D + 1:
+            if len(rel.delta) != t.diameter + 1:
                 assert h.verdict == "no" and "two-way distance classes" in h.witness, name
                 continue
             alone = reference_axioms(class_matrices(rel.index, len(rel.delta)))
-            shared = axioms(t, dm)
-            assert wang_suzuki_drd_check(rel, t, dm, lambda: shared).axioms is shared, name
+            shared = axioms(t, basis)
+            assert wang_suzuki_drd_check(rel, t, lambda: shared).axioms is shared, name
             assert axiom_fields(shared) == alone, name
             assert h.verdict == ("yes" if alone["witness"] is None else "no"), name
             if alone["witness"] is not None:
                 assert h.witness == alone["witness"], name
 
     def test_classes_that_are_not_the_distance_matrices_raise(self, fig6):
-        t, dm = build(fig6)
+        t, basis = build(fig6)
         rel = two_way_relations(t)
         swapped = rel.index.copy()
         swapped[rel.index == 1] = 2
         swapped[rel.index == 2] = 1
         with pytest.raises(InternalInconsistency):
-            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, dm, lambda: axioms(t, dm))
+            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, lambda: axioms(t, basis))
 
     def test_classes_partition(self, fig6):
         t, _ = build(fig6)
@@ -525,17 +578,17 @@ class TestTwoWayRelations:
 class TestWeakDistanceRegularity:
     def test_cycles_and_paper6(self, fig6):
         for g in (cycle(4), cycle(7), fig6):
-            t, dm = build(g)
-            assert weak_dr_comellas(g, dm)
-            assert comellas_damerell_link(g, dm, t)
+            t = distance_table(g)
+            assert weak_dr_comellas(g, t)
+            assert comellas_damerell_link(g, t)
 
     def test_kautz22_is_weak_dr_but_not_normal(self):
         g = kautz(2, 2)
-        t, dm = build(g)
-        assert weak_dr_comellas(g, dm)
+        t = distance_table(g)
+        assert weak_dr_comellas(g, t)
         assert not is_normal(adjacency_matrix(g))
         assert distance_regular_scan(g, t, "out")[0] is None
-        assert comellas_damerell_link(g, dm, t)
+        assert comellas_damerell_link(g, t)
 
     def test_weak_dr_equals_walk_constancy(self, corpus):
         for name, g in corpus:
@@ -544,8 +597,8 @@ class TestWeakDistanceRegularity:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            dm = distance_matrices(g, t)
-            assert weak_dr_comellas(g, dm) == bool(walk_count_constancy(dm)), name
+            walks = walk_count_constancy(distance_matrices(g, t), adjacency_matrix(g))
+            assert weak_dr_comellas(g, t) == bool(walks), name
 
     def test_link_true_on_corpus(self, corpus):
         for name, g in corpus:
@@ -554,8 +607,7 @@ class TestWeakDistanceRegularity:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            dm = distance_matrices(g, t)
-            assert comellas_damerell_link(g, dm, t), name
+            assert comellas_damerell_link(g, t), name
 
 
 def _strongly_connected_digraphs(max_n: int):
@@ -579,8 +631,9 @@ def _strongly_connected_digraphs(max_n: int):
 def _assert_scan_matches_oracle(t):
     scan = pair_intersection_counts(t)
     values, ok, witness = pair_counts_by_dict(t.array.tolist(), t.diameter)
-    assert scan.values == values
-    assert scan.ok == ok
+    assert not scan.values.flags.writeable and not scan.ok.flags.writeable
+    assert scan.values.tolist() == [[list(row) for row in v] for v in values]
+    assert scan.ok.tolist() == [list(row) for row in ok]
     assert scan.witness == witness
     assert (scan.witness is None) == scan.all_constant
 
@@ -590,7 +643,7 @@ def _assert_scan_matches_products(g, t):
     product's coordinates, the first open product, closure and
     commutativity."""
     scan = pair_intersection_counts(t)
-    ref = product_table_by_matrices(distance_matrices(g, t))
+    ref = product_table_by_matrices(distance_stack(t))
     size = t.diameter + 1
     assert tuple(tuple(scan.coords(i, j) for j in range(size)) for i in range(size)) == ref.table
     assert scan.first_open == ref.first_open
@@ -598,10 +651,10 @@ def _assert_scan_matches_products(g, t):
     assert scan.commutative == ref.commutative
 
 
-def _first_noncommuting_pair(dm) -> int:
+def _first_noncommuting_pair(t) -> int:
     """Row-major index of the first pair (x, y) with (A_i A_j)[x][y] !=
     (A_j A_i)[x][y] for some i and j, by numpy products."""
-    arrs = [m.num for m in dm.mats]
+    arrs = [m.num for m in distance_stack(t)]
     differs = sum((a @ b != b @ a).astype(int) for a in arrs for b in arrs)
     return int(np.flatnonzero(differs)[0])
 
@@ -623,7 +676,7 @@ class TestPairCountScan:
         for name, g in corpus:
             if not strongly_connected(g):
                 continue
-            ref = product_table_by_matrices(build(g)[1])
+            ref = product_table_by_matrices(distance_stack(distance_table(g)))
             if ref.all_constant:
                 assert ref.commutative, name
                 closed += 1
@@ -634,8 +687,8 @@ class TestPairCountScan:
         # counts at (i, j) and (j, i) differ, and no further. On kautz(2, 3)
         # that is pair (0, 1), the second of 144.
         g = kautz(2, 3)
-        t, dm = build(g)
-        stop = _first_noncommuting_pair(dm)
+        t = distance_table(g)
+        stop = _first_noncommuting_pair(t)
         assert 0 < stop < g.n * g.n - 1
         calls = []
         real = scheme._pair_counts
@@ -712,14 +765,33 @@ class TestCirculantSweep:
 
 
 def _assert_index_reads_match_matrices(g):
-    _, dm = build(g)
-    tm = transpose_closure(dm)
-    assert (tm.sigma, tm.failing_index) == transpose_closure_by_matrices(dm.mats)
-    assert adjacency_transpose_index(dm) == adjacency_transpose_by_matrices(dm.mats)
-    stacked = partition_basis_by_matrices(dm.mats)
-    assert np.array_equal(dm.basis.index, stacked.index)
-    assert dm.basis.reps.tolist() == stacked.reps.tolist()
-    assert dm.basis.size == stacked.size == dm.D + 1
+    t, basis = build(g)
+    mats = distance_stack(t)
+    tm = transpose_closure(basis)
+    assert (tm.sigma, tm.failing_index) == transpose_closure_by_matrices(mats)
+    assert adjacency_transpose_index(basis) == adjacency_transpose_by_matrices(mats)
+    stacked = partition_basis_by_matrices(mats)
+    assert np.array_equal(basis.index, stacked.index)
+    assert basis.reps.tolist() == stacked.reps.tolist()
+    assert basis.size == stacked.size == t.diameter + 1
+
+
+class TestMemory:
+    """Neither the distance basis nor the pair count scan keeps a second
+    copy of what the distance table or the scan's count array holds: no
+    stack of D + 1 dense matrices, no nested tuples of counts."""
+
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_distance_matrices_builds_no_matrix_stack(self, n):
+        g = cycle(n)
+        t = distance_table(g)
+        assert traced_peak(lambda: distance_matrices(g, t)) < 6 * n * n * 8
+
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_pair_scan_keeps_its_count_array(self, n):
+        t = distance_table(cycle(n))
+        width = t.diameter + 1
+        assert traced_peak(lambda: pair_intersection_counts(t)) < 1.5 * width**3 * 8
 
 
 class TestIndexReads:
@@ -747,9 +819,9 @@ class TestIndexReads:
         built = [build(g)[1] for _, g in corpus if strongly_connected(g)]
         monkeypatch.setattr(ratlin, "transpose", refuse)
         monkeypatch.setattr(IntMatrix, "__eq__", refuse)
-        for dm in built:
-            transpose_closure(dm)
-            adjacency_transpose_index(dm)
+        for basis in built:
+            transpose_closure(basis)
+            adjacency_transpose_index(basis)
 
 
 class TestOneStepExpansions:
@@ -763,23 +835,23 @@ class TestOneStepExpansions:
             t = distance_table(g)
             if not t.strongly_connected:
                 continue
-            dm = distance_matrices(g, t)
+            mats = distance_stack(t)
             a = adjacency_matrix(g)
-            D = dm.D
+            D = t.diameter
             scan = pair_intersection_counts(t)
-            if not all(row[1] for row in scan.ok):  # some A_i * A leaves the span
+            if not scan.ok[:, 1].all():  # some A_i * A leaves the span
                 continue
             checked += 1
-            basis = SpanBasis(dm.mats)
+            basis = SpanBasis(mats)
             for i in range(D + 1):
-                coeffs = basis.solve(mat_mul(dm.mats[i], a))
+                coeffs = basis.solve(mat_mul(mats[i], a))
                 assert coeffs is not None, name
                 for h in range(i + 2, D + 1):
                     assert coeffs[h] == 0, name
                 if i + 1 <= D:
                     assert coeffs[i + 1] != 0, name
                 # The left-multiplication expansion has the mirror bounds.
-                left = basis.solve(mat_mul(a, dm.mats[i]))
+                left = basis.solve(mat_mul(a, mats[i]))
                 if left is not None:
                     for h in range(i + 2, D + 1):
                         assert left[h] == 0, name
@@ -788,10 +860,10 @@ class TestOneStepExpansions:
     def test_paper6_left_and_right_scalars_stored(self, fig6):
         t, _ = build(fig6)
         scan = pair_intersection_counts(t)
-        assert all(row[1] for row in scan.ok)  # every (i, 1) slice is constant
-        assert all(scan.ok[1])  # every (1, j) slice is constant
-        # p^h_{i1} sits at values[h][i][1]; the left scalars at values[h][1][i].
-        assert scan.values[1][0][1] == 1
+        assert scan.ok[:, 1].all()  # every (i, 1) slice is constant
+        assert scan.ok[1].all()  # every (1, j) slice is constant
+        # p^h_{i1} sits at values[h, i, 1]; the left scalars at values[h, 1, i].
+        assert scan.values[1, 0, 1] == 1
 
     def test_girth_relations_on_damerell_members(self, corpus):
         """Where the forward count table exists and girth >= 3, the diameter
@@ -805,8 +877,7 @@ class TestOneStepExpansions:
             if not damerell_numbers(g, t).exists:
                 continue
             girth = t.girth
-            dm = distance_matrices(g, t)
-            tm = transpose_closure(dm)
+            tm = transpose_closure(distance_matrices(g, t))
             assert tm.exists, name
             for i in range(1, girth):
                 assert tm.sigma[i] == girth - i, name
