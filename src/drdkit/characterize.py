@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Optional, Union
+from typing import Callable, Hashable, Optional, Union
 
 from .digraph import Digraph, DistanceTable, distance_table, regularity, strongly_connected
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
@@ -32,6 +32,7 @@ from .scheme import (
     DamerellTable,
     PairCountScan,
     TransposeMap,
+    WalkConstancy,
     adjacency_transpose_index,
     damerell_numbers,
     distance_matrices,
@@ -123,7 +124,8 @@ class GraphContext:
     """Lazily computed primitives shared by the checks for one digraph.
 
     Everything cached here is a low-level quantity (distance table and
-    basis, pair count scan, span bases, spectrum), never a verdict.
+    basis, pair count scan, walk counts, span bases, spectrum), never a
+    verdict.
     """
 
     def __init__(self, g: Digraph, config: CheckConfig):
@@ -176,29 +178,28 @@ class GraphContext:
     def minpoly(self) -> RatPolynomial:
         return self._get("minpoly", lambda: minimal_polynomial(self.adjacency))
 
-    def _powers(self) -> Iterator[IntMatrix]:
-        """A^0, A^1, ..., A^(deg minpoly - 1), one at a time."""
-        power = IntMatrix.identity(self.g.n)
-        for j in range(self.minpoly.degree):
-            if j:
-                power = mat_mul(power, self.adjacency)
-            yield power
+    def walks(self, max_len: int) -> WalkConstancy:
+        """Check E's walk count test, which `power_basis` reads at bound D."""
+        return self._get(
+            ("walks", max_len),
+            lambda: walk_count_constancy(self.distance_basis, self.adjacency, max_len),
+        )
 
     @property
     def power_basis(self) -> Union[PartitionBasis, SpanBasis]:
         """Membership in the adjacency algebra, span(A^0 .. A^(deg minpoly - 1)):
-        the distance basis itself when every A^j = A_j, since A^j is 0 past
-        distance j and positive at it, and elimination otherwise. The powers
-        are compared with the classes one at a time, and listed only for
-        elimination, which costs far more than computing them again."""
+        the distance basis when deg minpoly = D + 1 and every A^j, j <= D, is
+        constant on its classes (both spans then have dimension D + 1), as on
+        every DRD, and elimination otherwise."""
 
         def make():
             basis = self.distance_basis
-            if self.minpoly.degree == basis.size and all(
-                power == basis.member(j) for j, power in enumerate(self._powers())
-            ):
+            if self.minpoly.degree == basis.size and self.walks(basis.size - 1):
                 return basis
-            return SpanBasis(list(self._powers()))
+            powers = [IntMatrix.identity(self.g.n)]
+            while len(powers) < self.minpoly.degree:
+                powers.append(mat_mul(powers[-1], self.adjacency))
+            return SpanBasis(powers)
 
         return self._get("power_basis", make)
 
@@ -348,10 +349,8 @@ def _check_e(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("E", "transpose of A is not a distance matrix")
     D = ctx.table.diameter
-    max_len = ctx.config.max_walk_len
-    if max_len is not None and max_len < D:
-        max_len = D  # shorter walks would not certify the theorem
-    walks = walk_count_constancy(ctx.distance_basis, ctx.adjacency, max_len)
+    # Walks shorter than D would not certify the theorem.
+    walks = ctx.walks(max(D, ctx.config.max_walk_len or D))
     if not walks:
         ell, h, p0, p1, v0, v1 = walks.witness
         return _no(

@@ -2,8 +2,9 @@
 
 Exit codes for `check`: 0 all characterizations agree on yes; 1 they agree on
 no; 2 nothing applicable (not strongly connected); 3 internal disagreement
-between characterizations or a failed exact certificate (a bug signal, never
-a property of the input); 4 I/O, parse or parameter errors.
+between characterizations, a failed exact certificate or any exception
+outside drdkit's own errors (a bug signal, never a property of the input);
+4 I/O, parse or parameter errors.
 """
 from __future__ import annotations
 
@@ -103,6 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(exc: Exception) -> str:
+    """The exception's type and message on one line."""
+    return " ".join(f"{type(exc).__name__}: {exc}".split())
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         if args.path == "-":
@@ -111,7 +117,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             with open(args.path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         g = parse_digraph(text, args.format)
-    except (OSError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -125,19 +131,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
             experimental_nx=args.experimental_nx,
         )
         report = check_all(g, config)
+        if args.json:
+            ctx = report.context
+            spec = None if ctx is None else spectral_block(ctx.spectrum_or_error, ctx.table)
+            text = canonical_json(report_document(report, spec))
+        else:
+            text = human_summary(report)
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     except DrdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    if args.json:
-        ctx = report.context
-        spec = None if ctx is None else spectral_block(ctx.spectrum_or_error, ctx.table)
-        sys.stdout.write(canonical_json(report_document(report, spec)))
-    else:
-        sys.stdout.write(human_summary(report))
+    except Exception as exc:  # a crash is a bug signal, never a verdict
+        print(f"internal error: {_one_line(exc)}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    sys.stdout.write(text)
 
     if not report.agreement:
         return EXIT_DISAGREEMENT
@@ -177,6 +186,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         except InternalInconsistency as exc:
             disagreements += 1
             print(f"INTERNAL INCONSISTENCY on arcs={g.arcs()}: {exc}", file=sys.stderr)
+            return
+        except DrdError:
+            raise
+        except Exception as exc:  # a crash counts as an internal inconsistency
+            disagreements += 1
+            print(f"INTERNAL ERROR on arcs={g.arcs()}: {_one_line(exc)}", file=sys.stderr)
             return
         if not report.agreement:
             disagreements += 1

@@ -21,8 +21,8 @@ them.
 The distance classes' basis, built on the distance table, is the only
 partition basis. It holds the class index alone and builds a class matrix
 only when asked for one, so no stack of D + 1 dense matrices is ever kept;
-the powers I, A, ..., A^D are that basis exactly when A^j = A_j for every
-j. Every other span solve runs `SpanBasis._reduce`,
+it spans the powers I, A, ..., A^D when those are constant on its classes
+and deg μ = D + 1. Every other span solve runs `SpanBasis._reduce`,
 fraction-free: each step cross-multiplies and divides by the content gcd,
 and Fractions appear only in the coordinates a solve returns.
 

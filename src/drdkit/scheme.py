@@ -6,7 +6,10 @@ two-way-distance count tables.
 The distance table is the distance matrices: its level sets are the classes
 A_0..A_D, and `distance_matrices` returns their partition basis on it. Every
 reader works on that table and its pair count scan; a class matrix is built
-only where it is multiplied, one at a time.
+only where it is multiplied, one at a time. Each fact has one route: the
+scan decides product closure and commutativity in one pass over the pairs,
+and the walk count test is the only power chain, which the caller shares
+between check E and the adjacency algebra's basis.
 
 Every check in this module is exact; all quantities are integer counts or
 integer matrix identities, so there are no tolerances anywhere.
@@ -154,42 +157,41 @@ def _blocks(n: int, width: int):
         yield np.arange(lo, min(lo + step, n * n))
 
 
-def _commutes(dist: np.ndarray, width: int) -> bool:
-    """Whether A_i A_j = A_j A_i for every i and j: every pair's count at
-    (i, j) equals its count at (j, i). Stops at the first block with a
-    difference."""
-    for pairs in _blocks(dist.shape[0], width):
-        counts = _pair_counts(dist, pairs, width).reshape(len(pairs), width, width)
-        if (counts != counts.transpose(0, 2, 1)).any():
-            return False
-    return True
-
-
 def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
     """Count, for every ordered pair (x, y), the z at each distance pair
     (d(x,z), d(z,y)) and compare with the first pair of class h = d(x,y) in
     row-major order. Pairs are taken in row-major blocks of at most
     SCAN_BLOCK elements per array. The witness is the first pair in
     row-major order whose counts differ from its class's first pair, at the
-    lowest (i, j) where they differ. A closed family commutes: A A_i is zero
-    past distance i + 1 and positive at it, so by induction every A_i is a
-    polynomial in A. Only an open family is scanned again for commutativity."""
+    lowest (i, j) where they differ. The same pass decides commutativity:
+    A_i A_j = A_j A_i for all i, j iff every pair's counts are symmetric in
+    (i, j), and a pair equal to its class's first pair is symmetric iff that
+    one is, so only the references and the mismatching pairs are compared."""
     if not t.strongly_connected:
         raise NotStronglyConnected("pair counts need a strongly connected digraph")
     dist = t.array
     n = t.n
     width = t.diameter + 1
     flat = dist.ravel()
-    first = np.unique(flat, return_index=True)[1]  # first pair of each class
+    labels, first = np.unique(flat, return_index=True)  # first pair of each class
+    if not np.array_equal(labels, np.arange(width)):
+        raise InternalInconsistency(f"distance table does not realize classes 0..{width - 1}")
     ref = _pair_counts(dist, first, width)
+    values = ref.reshape(width, width, width)
+    commutative = bool((values == values.transpose(0, 2, 1)).all())
     bad_slots = np.zeros(width * width, dtype=bool)
     witness: Optional[tuple] = None
     for pairs in _blocks(n, width):
         counts = _pair_counts(dist, pairs, width)
         expected = ref[flat[pairs]]
         bad = counts != expected
+        if not bad.any():
+            continue
         bad_slots |= bad.any(axis=0)
-        if witness is None and bad.any():
+        if commutative:
+            off = counts[bad.any(axis=1)].reshape(-1, width, width)
+            commutative = bool((off == off.transpose(0, 2, 1)).all())
+        if witness is None:
             k = int(bad.any(axis=1).argmax())
             slot = int(bad[k].argmax())
             h = int(flat[pairs[k]])
@@ -201,15 +203,9 @@ def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
                 int(expected[k, slot]),
                 int(counts[k, slot]),
             )
-    values = ref.reshape(width, width, width)
     ok = (~bad_slots).reshape(width, width)
     values.flags.writeable = ok.flags.writeable = False
-    return PairCountScan(
-        values=values,
-        ok=ok,
-        witness=witness,
-        commutative=not bad_slots.any() or _commutes(dist, width),
-    )
+    return PairCountScan(values=values, ok=ok, witness=witness, commutative=commutative)
 
 
 def distance_polynomials(

@@ -14,7 +14,11 @@ built by ROOT/perfbench/workloads.py, loaded by path. The lines are:
   `fuzz 5 8 500 --seed 1`;
 - one sha256 over the `check_all` records (every verdict's id, verdict,
   reason, witness and params, plus d, girth and diameter, with the
-  experimental variant on) of the fuzz-small inputs at seeds 1 and 97.
+  experimental variant on) of the fuzz-small inputs at seeds 1 and 97;
+- one sha256 per check id over the exit codes and `check --json --char X`
+  documents (masked as above) of every drd-yes and drd-no input at seed 1
+  (14 lines). A check run alone reaches the shared primitives in another
+  order than `check_all` does, so these digests cover that order too.
 
 The input files go to a temporary directory, so nothing is written under
 ROOT. pytest does not collect this file.
@@ -31,6 +35,7 @@ import sys
 import tempfile
 
 SEEDS = (1, 97)
+WORKLOADS = ("drd-yes", "drd-no")
 
 
 def _load(root: str):
@@ -38,6 +43,7 @@ def _load(root: str):
     src = os.path.join(os.path.abspath(root), "src")
     sys.path.insert(0, src)
     import drdkit
+    import drdkit.characterize
     import drdkit.cli
     import drdkit.corpus
 
@@ -70,19 +76,50 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _inputs(drdkit, workloads, tmp: str, workload: str, seed: int):
+    """(name, path) of every input of workload at seed, each written as an
+    edge list under tmp."""
+    for name, n, arcs in workloads._named(drdkit, seed, workload):
+        path = os.path.join(tmp, f"{workload}-{seed}-{name}.el")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(drdkit.corpus.edge_list_text(drdkit.Digraph.from_arcs(n, arcs)))
+        yield name, path
+
+
+def _check_json(drdkit, argv: list[str]) -> tuple[int, str]:
+    """The exit code and the masked `check --json` document of argv."""
+    code, out = _run(drdkit, ["check", "--json", *argv])
+    return code, json.dumps(_mask(json.loads(out)), sort_keys=True)
+
+
 def check_documents(drdkit, workloads, tmp: str) -> list[str]:
     lines = []
-    for workload in ("drd-yes", "drd-no"):
+    for workload in WORKLOADS:
         for seed in SEEDS:
-            for name, n, arcs in workloads._named(drdkit, seed, workload):
-                path = os.path.join(tmp, f"{workload}-{seed}-{name}.el")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(drdkit.corpus.edge_list_text(drdkit.Digraph.from_arcs(n, arcs)))
+            for name, path in _inputs(drdkit, workloads, tmp, workload, seed):
                 for extra in ([], ["--experimental-nx"]):
-                    code, out = _run(drdkit, ["check", "--json", path, *extra])
-                    doc = json.dumps(_mask(json.loads(out)), sort_keys=True)
+                    code, doc = _check_json(drdkit, [path, *extra])
                     nx = "nx" if extra else "--"
                     lines.append(f"check {workload} {seed} {name} {nx} exit={code} {_sha(doc)}")
+    return lines
+
+
+def single_check_digests(drdkit, workloads, tmp: str) -> list[str]:
+    paths = [
+        path
+        for workload in WORKLOADS
+        for _, path in _inputs(drdkit, workloads, tmp, workload, SEEDS[0])
+    ]
+    lines = []
+    for check_id in drdkit.characterize.CHECK_IDS:
+        digest = hashlib.sha256()
+        for path in paths:
+            code, doc = _check_json(drdkit, [path, "--char", check_id])
+            digest.update(f"{code} {doc}\n".encode())
+        lines.append(
+            f"check --char {check_id} over {' and '.join(WORKLOADS)} at seed {SEEDS[0]}: "
+            f"{digest.hexdigest()}"
+        )
     return lines
 
 
@@ -116,8 +153,9 @@ def main(argv: list[str]) -> int:
     drdkit, workloads = _load(argv[0])
     with tempfile.TemporaryDirectory() as tmp:
         lines = check_documents(drdkit, workloads, tmp)
-    lines += fuzz_summaries(drdkit)
-    lines.append(record_digest(drdkit, workloads))
+        lines += fuzz_summaries(drdkit)
+        lines.append(record_digest(drdkit, workloads))
+        lines += single_check_digests(drdkit, workloads, tmp)
     print("\n".join(lines))
     return 0
 

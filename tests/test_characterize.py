@@ -76,18 +76,44 @@ class TestCheckAll:
         assert len(calls) == 2
 
     def test_power_basis_is_the_distance_basis_exactly_when_powers_are_classes(self):
-        """On directed cycles and complete digraphs A^j = A_j for every j, so
-        the powers are the distance classes' partition basis itself; on the
-        others they are eliminated."""
+        """When deg minpoly = D + 1 and A^0 .. A^D are constant on the
+        distance classes, the powers span the distance basis's space, so the
+        powers are that basis; on the others they are eliminated."""
 
         def complete(n):
             return Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n) if u != v])
 
-        for g in (complete(1), cycle(2), cycle(6), cycle(10), complete(3), complete(5)):
+        for g in (
+            complete(1), cycle(2), cycle(6), cycle(10), complete(3), complete(5),
+            paper6(), paley(7), paley(19),
+        ):
             ctx = GraphContext(g, CheckConfig())
             assert ctx.power_basis is ctx.distance_basis
-        for g in (paper6(), paley(7), paley(19), cycle_with_chord(5)):
-            assert isinstance(GraphContext(g, CheckConfig()).power_basis, SpanBasis)
+        for g in (cycle_with_chord(5), kautz(2, 3)):
+            ctx = GraphContext(g, CheckConfig())
+            assert ctx.minpoly.degree == ctx.table.diameter + 1
+            assert isinstance(ctx.power_basis, SpanBasis)
+
+    @pytest.mark.parametrize("g", [paley(19), cycle(12)], ids=["paley19", "cycle12"])
+    def test_check_all_steps_the_powers_once(self, g, monkeypatch):
+        # B's power basis and E's walks read one cached walk count check:
+        # a DRD builds no SpanBasis and no second power chain.
+        import drdkit.characterize as characterize
+
+        walks, spans, products = [], [], []
+        real_walks = characterize.walk_count_constancy
+        monkeypatch.setattr(
+            characterize, "walk_count_constancy", lambda *a: walks.append(1) or real_walks(*a)
+        )
+        monkeypatch.setattr(
+            characterize, "SpanBasis", lambda *a: spans.append(1) or SpanBasis(*a)
+        )
+        monkeypatch.setattr(
+            characterize, "mat_mul", lambda *a: products.append(1) or mat_mul(*a)
+        )
+        rep = check_all(g)
+        assert rep.overall == "yes" and rep.agreement
+        assert len(walks) == 1 and not spans and not products
 
     @pytest.mark.parametrize("n", [60, 100])
     def test_power_basis_holds_one_power_at_a_time(self, n):

@@ -55,6 +55,12 @@ class TestCheckCommand:
         bad.write_text("2 2\n0 1\n0 1\n")
         assert main(["check", str(bad)]) == 4
 
+    def test_undecodable_file_exit_four(self, tmp_path, capsys):
+        path = tmp_path / "binary.el"
+        path.write_bytes(b"\xff\xfe 3 3\n")
+        assert main(["check", str(path)]) == 4
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+
     def test_oversized_header_exit_four(self, tmp_path, capsys):
         huge = tmp_path / "huge.el"
         huge.write_text("1000000 0\n")
@@ -146,6 +152,24 @@ class TestCheckCommand:
         assert main(["check", paper6_file]) == 3
         assert "primes fall below degree 5" in capsys.readouterr().err
         assert 0 < len(primes) < 100
+
+    @pytest.mark.parametrize(
+        "module, name, flags",
+        [("drdkit.characterize", "distance_table", []), ("drdkit.cli", "spectral_block", ["--json"])],
+        ids=["check", "report"],
+    )
+    def test_crash_exit_three(self, paper6_file, module, name, flags, monkeypatch, capsys):
+        # Exit 1 means "no", so an exception that is not one of drdkit's own
+        # errors, in the checks or in the report, must end in exit 3 with
+        # one line on stderr, not a traceback.
+        def crash(*args):
+            raise RuntimeError("primitive failed\non two lines")
+
+        monkeypatch.setattr(f"{module}.{name}", crash)
+        assert main(["check", paper6_file, *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: primitive failed on two lines\n"
 
     def test_matrix_format(self, tmp_path):
         path = tmp_path / "c3.mat"
@@ -247,6 +271,22 @@ class TestFuzzCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--exhaustive needs n_max <= 5" in captured.err
+
+    def test_crash_counts_as_internal_inconsistency(self, monkeypatch, capsys):
+        import drdkit.characterize as characterize
+
+        def crash(g):
+            raise RuntimeError("primitive failed")
+
+        monkeypatch.setattr(characterize, "distance_table", crash)
+        assert main(["fuzz", "3", "4", "3", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "checked 0 digraphs" in captured.out and "3 disagreements" in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert line.startswith("INTERNAL ERROR on arcs=[(")
+            assert line.endswith("]: RuntimeError: primitive failed")
 
     def test_bad_range(self, capsys):
         assert main(["fuzz", "0", "3"]) == 4

@@ -135,6 +135,23 @@ class TestDistanceMatrices:
         path.write_text(edge_list_text(g))
         assert main(["check", str(path), "--char", "D"]) == 3
 
+    def test_scan_of_a_table_that_skips_a_class_exits_three(self, monkeypatch, tmp_path):
+        # Check A reads the pair count scan before anything else checks the
+        # table, so the scan itself refuses labels other than 0..D before
+        # it indexes its per-class reference.
+        g = cycle(5)
+        t = distance_table(g)
+        dist = t.array.copy()
+        _no_class_one(dist)
+        dist.flags.writeable = False
+        doctored = replace(t, array=dist)
+        with pytest.raises(InternalInconsistency, match="classes 0..4"):
+            pair_intersection_counts(doctored)
+        monkeypatch.setattr(characterize, "distance_table", lambda g: doctored)
+        path = tmp_path / "cycle5.el"
+        path.write_text(edge_list_text(g))
+        assert main(["check", str(path), "--char", "A"]) == 3
+
     def test_cycle_powers(self):
         g = cycle(5)
         t, basis = build(g)
@@ -651,14 +668,6 @@ def _assert_scan_matches_products(g, t):
     assert scan.commutative == ref.commutative
 
 
-def _first_noncommuting_pair(t) -> int:
-    """Row-major index of the first pair (x, y) with (A_i A_j)[x][y] !=
-    (A_j A_i)[x][y] for some i and j, by numpy products."""
-    arrs = [m.num for m in distance_stack(t)]
-    differs = sum((a @ b != b @ a).astype(int) for a in arrs for b in arrs)
-    return int(np.flatnonzero(differs)[0])
-
-
 class TestPairCountScan:
     @settings(max_examples=150, deadline=None)
     @given(_strongly_connected_digraphs(9), st.sampled_from([1, 50, scheme.SCAN_BLOCK]))
@@ -670,8 +679,8 @@ class TestPairCountScan:
 
     def test_every_closed_family_commutes(self, corpus):
         # A A_i is zero past distance i + 1 and positive at it, so in a
-        # closed family every A_i is a polynomial in A: the scan skips the
-        # commutativity pass there. The matrix reference confirms it.
+        # closed family every A_i is a polynomial in A, and the family
+        # commutes. The matrix reference confirms it.
         closed = 0
         for name, g in corpus:
             if not strongly_connected(g):
@@ -682,20 +691,27 @@ class TestPairCountScan:
                 closed += 1
         assert closed >= 15
 
-    def test_commutativity_pass_stops_at_the_first_differing_block(self, monkeypatch):
-        # One pair per block: the pass counts pairs up to the first whose
-        # counts at (i, j) and (j, i) differ, and no further. On kautz(2, 3)
-        # that is pair (0, 1), the second of 144.
-        g = kautz(2, 3)
+    @pytest.mark.parametrize("cap", [1, scheme.SCAN_BLOCK], ids=["block1", "default"])
+    @pytest.mark.parametrize(
+        "g, commutes",
+        [(circulant(8, (1, 4, 5)), True), (kautz(2, 3), False)],
+        ids=["circulant8", "kautz23"],
+    )
+    def test_one_pass_decides_commutativity(self, g, commutes, cap, monkeypatch):
+        # Both families are open, so closure does not imply commutativity;
+        # it is still read off the counts of the one pass: one bincount for
+        # the class references and one per block.
         t = distance_table(g)
-        stop = _first_noncommuting_pair(t)
-        assert 0 < stop < g.n * g.n - 1
         calls = []
         real = scheme._pair_counts
-        monkeypatch.setattr(scheme, "SCAN_BLOCK", 1)
+        monkeypatch.setattr(scheme, "SCAN_BLOCK", cap)
         monkeypatch.setattr(scheme, "_pair_counts", lambda *a: calls.append(1) or real(*a))
-        assert not scheme._commutes(t.array, t.diameter + 1)
-        assert len(calls) == stop + 1
+        scan = pair_intersection_counts(t)
+        assert not scan.all_constant
+        assert scan.commutative == commutes
+        assert len(calls) == 1 + len(list(scheme._blocks(g.n, t.diameter + 1)))
+        if cap == 1:
+            assert len(calls) == 1 + g.n * g.n
 
     @pytest.mark.parametrize(
         "g, step",
