@@ -21,11 +21,10 @@ from .partitions import EquitableParams, distance_regular_scan
 from .ratlin import (
     IntMatrix,
     PartitionBasis,
-    RatPolynomial,
     SpanBasis,
     adjacency_matrix,
     mat_mul,
-    minimal_polynomial,
+    minimal_polynomial_degree,
 )
 from .scheme import (
     AxiomReport,
@@ -124,8 +123,8 @@ class GraphContext:
     """Lazily computed primitives shared by the checks for one digraph.
 
     Everything cached here is a low-level quantity (distance table and
-    basis, pair count scan, walk counts, span bases, spectrum), never a
-    verdict.
+    basis, pair count scan, walk counts, span bases, spectrum, the minimal
+    polynomial's degree), never a verdict.
     """
 
     def __init__(self, g: Digraph, config: CheckConfig):
@@ -175,8 +174,10 @@ class GraphContext:
         )
 
     @property
-    def minpoly(self) -> RatPolynomial:
-        return self._get("minpoly", lambda: minimal_polynomial(self.adjacency))
+    def min_poly_degree(self) -> int:
+        """deg μ: B, C1, I, `power_basis` and the spectrum's cross-check read
+        nothing else of the minimal polynomial μ."""
+        return self._get("min_poly_degree", lambda: minimal_polynomial_degree(self.adjacency))
 
     def walks(self, max_len: int) -> WalkConstancy:
         """Check E's walk count test, which `power_basis` reads at bound D."""
@@ -187,17 +188,17 @@ class GraphContext:
 
     @property
     def power_basis(self) -> Union[PartitionBasis, SpanBasis]:
-        """Membership in the adjacency algebra, span(A^0 .. A^(deg minpoly - 1)):
-        the distance basis when deg minpoly = D + 1 and every A^j, j <= D, is
+        """Membership in the adjacency algebra, span(A^0 .. A^(deg μ - 1)):
+        the distance basis when deg μ = D + 1 and every A^j, j <= D, is
         constant on its classes (both spans then have dimension D + 1), as on
         every DRD, and elimination otherwise."""
 
         def make():
             basis = self.distance_basis
-            if self.minpoly.degree == basis.size and self.walks(basis.size - 1):
+            if self.min_poly_degree == basis.size and self.walks(basis.size - 1):
                 return basis
             powers = [IntMatrix.identity(self.g.n)]
-            while len(powers) < self.minpoly.degree:
+            while len(powers) < self.min_poly_degree:
                 powers.append(mat_mul(powers[-1], self.adjacency))
             return SpanBasis(powers)
 
@@ -222,10 +223,10 @@ class GraphContext:
         def make():
             try:
                 s = spectrum(self.adjacency, self.config.cluster_tol)
-                if self.normal and len(s.eigs) != self.minpoly.degree:
+                if self.normal and len(s.eigs) != self.min_poly_degree:
                     raise InternalInconsistency(
                         f"{len(s.eigs)} eigenvalue clusters vs minimal polynomial "
-                        f"degree {self.minpoly.degree}"
+                        f"degree {self.min_poly_degree}"
                     )
                 return s
             except (SpectralError, InternalInconsistency) as exc:
@@ -286,7 +287,7 @@ def _check_a(ctx: GraphContext) -> CharacterizationVerdict:
 
 def _check_b(ctx: GraphContext) -> CharacterizationVerdict:
     D = ctx.table.diameter
-    deg = ctx.minpoly.degree
+    deg = ctx.min_poly_degree
     params = {"min_poly_degree": deg, "diameter": D}
     if deg != D + 1:
         return _no("B", f"adjacency algebra has dimension {deg}, expected {D + 1}", params)
@@ -312,7 +313,7 @@ def _check_c1(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("C1", "transpose of A is not a distance matrix")
     D = ctx.table.diameter
-    deg = ctx.minpoly.degree
+    deg = ctx.min_poly_degree
     if deg != D + 1:
         return _no("C1", f"adjacency algebra has dimension {deg}, expected {D + 1}")
     for i in range(D + 1):
@@ -402,14 +403,14 @@ def _check_i(ctx: GraphContext) -> CharacterizationVerdict:
     params = {
         "regular": ctx.valency is not None,
         "normal": ctx.normal,
-        "min_poly_degree": ctx.minpoly.degree,
+        "min_poly_degree": ctx.min_poly_degree,
     }
     if ctx.valency is None:
         return _no("I", "digraph is not regular", params)
     if not ctx.normal:
         return _no("I", "transpose of A is not a polynomial in A (A not normal)", params)
     D = ctx.table.diameter
-    deg = ctx.minpoly.degree
+    deg = ctx.min_poly_degree
     if deg != D + 1:
         return _no("I", f"diameter {D} is not spectrally maximum ({deg - 1})", params)
     if not ctx.distance_matrix_in_powers(D):

@@ -39,6 +39,14 @@ polynomials of v and of each unit vector, which is μ mod p itself. The
 result never depends on chance, and a search that skips more primes than
 a Hadamard bound allows stops with InternalInconsistency.
 
+The checks read only deg μ, which `minimal_polynomial_degree` gives. A rank
+mod p never exceeds the rank over the rationals, so the Krylov degree of v
+modulo one prime is at most its degree over the rationals, which is at most
+deg μ <= n. A first prime whose Krylov degree is n therefore proves
+deg μ = n, exactly and with no lift or certificate. Almost every random
+digraph ends there, and so does every cycle (μ = t^n - 1) with n <= 300,
+the range checked; only a lower degree runs `minimal_polynomial`.
+
 Every prime p is at most a cap that depends on n alone and proves
 n * (p - 1)**2 < 2**53. The Krylov and elimination steps then fit in int64,
 and the proof's products run on float64 BLAS by the same argument as
@@ -648,3 +656,16 @@ def minimal_polynomial(a: IntMatrix) -> RatPolynomial:
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
     return RatPolynomial.from_coeffs(_integer_minimal_polynomial(a.num, a.abs_bounds()[1]))
+
+
+def minimal_polynomial_degree(a: IntMatrix) -> int:
+    """deg μ of a square a, exactly: n when the fixed vector's Krylov
+    degree modulo the first prime, a lower bound on deg μ, is n; else the
+    degree of `minimal_polynomial`."""
+    if a.rows != a.cols:
+        raise DimensionMismatch("matrix must be square")
+    n = a.rows
+    p = next(_primes(n))
+    if len(_krylov_polynomial((a.num % p).astype(np.int64), _krylov_vector(n) % p, p)) == n + 1:
+        return n
+    return minimal_polynomial(a).degree

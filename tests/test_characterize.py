@@ -17,6 +17,7 @@ from drdkit.corpus import (
     kautz,
     paley,
     paper6,
+    random_sc,
 )
 from drdkit.digraph import Digraph, distance_table
 from drdkit.errors import InvalidParameter
@@ -91,8 +92,23 @@ class TestCheckAll:
             assert ctx.power_basis is ctx.distance_basis
         for g in (cycle_with_chord(5), kautz(2, 3)):
             ctx = GraphContext(g, CheckConfig())
-            assert ctx.minpoly.degree == ctx.table.diameter + 1
+            assert ctx.min_poly_degree == ctx.table.diameter + 1
             assert isinstance(ctx.power_basis, SpanBasis)
+
+    @pytest.mark.parametrize(
+        "g, overall",
+        [(cycle(30), "yes"), (random_sc(40, 0.2, seed=1), "no")],
+        ids=["cycle30", "random40"],
+    )
+    def test_degree_n_runs_no_lift(self, g, overall, monkeypatch):
+        # deg μ = n on both, which one prime proves: the checks never ask
+        # for μ's coefficients.
+        def refuse(a):
+            raise AssertionError("minimal_polynomial ran")
+
+        monkeypatch.setattr(ratlin, "minimal_polynomial", refuse)
+        rep = check_all(g)
+        assert rep.overall == overall and rep.agreement
 
     @pytest.mark.parametrize("g", [paley(19), cycle(12)], ids=["paley19", "cycle12"])
     def test_check_all_steps_the_powers_once(self, g, monkeypatch):
@@ -121,7 +137,7 @@ class TestCheckAll:
         # comparison of A^j with A_j keeps a few n x n arrays alive, not
         # the n powers.
         ctx = GraphContext(cycle(n), CheckConfig())
-        assert ctx.minpoly.degree == ctx.distance_basis.size == n
+        assert ctx.min_poly_degree == ctx.distance_basis.size == n
         assert traced_peak(lambda: ctx.power_basis) < 8 * n * n * 8
         assert ctx.power_basis is ctx.distance_basis
 
@@ -131,10 +147,10 @@ class TestCheckAll:
         kinds = set()
         for name, g in corpus:
             ctx = GraphContext(g, CheckConfig())
-            if ctx.minpoly.degree != ctx.table.diameter + 1:
+            if ctx.min_poly_degree != ctx.table.diameter + 1:
                 continue
             powers = [IntMatrix.identity(g.n)]
-            while len(powers) < ctx.minpoly.degree:
+            while len(powers) < ctx.min_poly_degree:
                 powers.append(mat_mul(powers[-1], ctx.adjacency))
             slow = SpanBasis(powers)
             for i, m in enumerate(distance_stack(ctx.table)):

@@ -1,7 +1,11 @@
 import argparse
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ import drdkit.cli
 import drdkit.digraph
 from drdkit.characterize import CheckConfig, check_all
 from drdkit.cli import main
-from drdkit.corpus import cycle_with_chord, edge_list_text, paper6
+from drdkit.corpus import cycle, cycle_with_chord, edge_list_text, paper6
 from drdkit.report import canonical_json
 
 
@@ -89,13 +93,13 @@ class TestCheckCommand:
         import drdkit.characterize as characterize
 
         calls = []
-        real = characterize.minimal_polynomial
+        real = characterize.minimal_polynomial_degree
 
         def counted(a):
             calls.append(a)
             return real(a)
 
-        monkeypatch.setattr(characterize, "minimal_polynomial", counted)
+        monkeypatch.setattr(characterize, "minimal_polynomial_degree", counted)
         assert main(["check", paper6_file, "--json"]) == 0
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out)["spectral"]["gap"] < 1e-6
@@ -121,16 +125,22 @@ class TestCheckCommand:
         assert main(["check", paper6_file, "--max-walk-len", value]) == 4
         assert "max_walk_len must be >= 0" in capsys.readouterr().err
 
-    def test_failed_minimal_polynomial_exit_three(self, chord4_file, monkeypatch, capsys):
-        # A certificate that never passes must end in exit 3, an internal
-        # inconsistency, not in a traceback with exit status 1 ("no"). The
-        # minimal polynomial of cycle_with_chord(4) has degree n = 4, where a
-        # failed certificate is final.
+    def test_degree_n_is_decided_without_the_lift(self, chord4_file, monkeypatch, capsys):
+        # The minimal polynomial of cycle_with_chord(4) has degree n = 4, which
+        # one prime proves: neither the lift nor its certificate runs, and the
+        # document is the one an unpatched run prints.
         import drdkit.ratlin as ratlin
 
-        monkeypatch.setattr(ratlin, "_vanishes", lambda *args: False)
-        assert main(["check", chord4_file]) == 3
-        assert "certificate failed at degree n" in capsys.readouterr().err
+        assert main(["check", chord4_file]) == 1
+        expected = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("the lift ran")
+
+        monkeypatch.setattr(ratlin, "_vanishes", refuse)
+        monkeypatch.setattr(ratlin, "_integer_minimal_polynomial", refuse)
+        assert main(["check", chord4_file]) == 1
+        assert capsys.readouterr().out == expected
 
     def test_failed_certificate_below_degree_n_exit_three(self, paper6_file, monkeypatch, capsys):
         # paper6's minimal polynomial has degree 4 < n = 6. Once the refused
@@ -170,6 +180,38 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError: primitive failed on two lines\n"
+
+    def test_memory_exhaustion_is_never_a_no(self, tmp_path):
+        # Check A's scan on cycle(600) may ask for more than 1.5 GiB. Under
+        # that address-space limit, set in the child alone, a MemoryError
+        # must end in exit 3 with one line on stderr, never in exit 1 ("no");
+        # a scan that fits may decide the graph and exit 0.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no address-space limit on this platform")
+        limit = 3 << 29  # 1.5 GiB
+
+        def cap_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            cap = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        path = tmp_path / "cycle600.el"
+        path.write_text(edge_list_text(cycle(600)))
+        src = str(Path(drdkit.cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "drdkit.cli", "check", str(path), "--char", "A"],
+            env=env,
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert child.returncode != 1, child.stderr
+        if child.returncode != 0:
+            assert len(child.stderr.splitlines()) == 1, child.stderr
 
     def test_matrix_format(self, tmp_path):
         path = tmp_path / "c3.mat"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from drdkit.corpus import cycle, cycle_with_chord, paley, paper6
 import drdkit.ratlin as ratlin
-from drdkit.digraph import MAX_VERTICES, Digraph, distance_table
+from drdkit.digraph import MAX_VERTICES, Digraph, distance_table, strongly_connected
 from drdkit.errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -29,6 +29,7 @@ from drdkit.ratlin import (
     eval_poly_at_matrix,
     mat_mul,
     minimal_polynomial,
+    minimal_polynomial_degree,
     transpose,
 )
 from drdkit.scheme import distance_matrices, distance_polynomials, pair_intersection_counts
@@ -368,6 +369,13 @@ class TestModularMinimalPolynomial:
         assert minimal_polynomial(a) == RatPolynomial.from_coeffs([0, -1, 1])
         assert verdicts == [False, True]
 
+    def test_failed_certificate_at_degree_n_raises(self, monkeypatch):
+        # Primes of degree n are lucky (Cayley-Hamilton), so a refused
+        # certificate there is final: only a fault can cause it.
+        monkeypatch.setattr(ratlin, "_vanishes", lambda *args: False)
+        with pytest.raises(InternalInconsistency, match="certificate failed at degree n"):
+            minimal_polynomial(adjacency_matrix(cycle_with_chord(4)))
+
     def test_unlucky_vector_takes_the_lcm(self, monkeypatch):
         # A fixes the all-ones vector of cycle(5), whose polynomial t - 1
         # fails the certificate; the lcm over the unit vectors gives t^5 - 1.
@@ -417,6 +425,52 @@ class TestModularMinimalPolynomial:
         expected = minimal_polynomial_coeffs(rows)
         for a in (IntMatrix(np.array(rows, dtype=np.int64)), from_rows(rows)):
             assert minimal_polynomial(a).coeffs == expected
+
+
+@st.composite
+def _strongly_connected_digraphs(draw):
+    """Digraphs with n <= 9: a drawn arc set, closed by the cycle
+    0 -> 1 -> ... -> n - 1 -> 0 when it is not strongly connected."""
+    n = draw(st.integers(1, 9))
+    positions = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(positions), max_size=len(positions)))
+    arcs = [pos for pos, kept in zip(positions, keep) if kept]
+    g = Digraph.from_arcs(n, arcs)
+    if strongly_connected(g):
+        return g
+    ring = {(u, (u + 1) % n) for u in range(n) if n > 1}
+    return Digraph.from_arcs(n, sorted(set(arcs) | ring))
+
+
+class TestMinimalPolynomialDegree:
+    @settings(max_examples=80, deadline=None)
+    @given(_strongly_connected_digraphs())
+    def test_equals_the_degree_of_the_lift(self, g):
+        a = adjacency_matrix(g)
+        assert minimal_polynomial_degree(a) == minimal_polynomial(a).degree
+
+    def test_unlucky_first_prime_falls_back_to_the_lift(self, monkeypatch):
+        # diag(0, p) is 0 mod p, of Krylov degree 1, but its μ is t^2 - p t.
+        p = next(ratlin._primes(2))
+        lifts = []
+        real = ratlin.minimal_polynomial
+        monkeypatch.setattr(ratlin, "minimal_polynomial", lambda a: lifts.append(1) or real(a))
+        assert minimal_polynomial_degree(IntMatrix(np.array([[0, 0], [0, p]]))) == 2
+        assert lifts == [1]
+
+    def test_degree_n_needs_no_lift(self, monkeypatch):
+        # Past int64 too: the entries are reduced mod p before the Krylov steps.
+        def refuse(*args):
+            raise AssertionError("the lift ran")
+
+        for name in ("minimal_polynomial", "_integer_minimal_polynomial", "_vanishes"):
+            monkeypatch.setattr(ratlin, name, refuse)
+        assert minimal_polynomial_degree(adjacency_matrix(cycle(7))) == 7
+        assert minimal_polynomial_degree(from_rows([[0, 2**70], [1, 0]])) == 2
+
+    def test_not_square(self):
+        with pytest.raises(DimensionMismatch):
+            minimal_polynomial_degree(IntMatrix.zeros(2, 3))
 
 
 class TestEvalPolyAtMatrix:
