@@ -7,12 +7,16 @@ span memberships, walk counts, one-step count tables, two-way distances,
 spectral identities). They may share cached low-level primitives such as the
 distance table, its pair count scan (the distance matrices' product table) or
 a prepared span basis, but no check ever consults another check's verdict.
+
+A `Report` reads its graph facts off the checks' `GraphContext`, so a fact
+that no check and no reader asks for (the spectrum behind `Report.d`, say)
+is never computed.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Optional, Union
 
 from .digraph import Digraph, DistanceTable, distance_table, regularity, strongly_connected
@@ -91,19 +95,44 @@ class CharacterizationVerdict:
 
 @dataclass(frozen=True)
 class Report:
-    n: int
-    m: int
-    k: Optional[int]
-    diameter: Optional[int]
-    d: Optional[int]
-    girth: Optional[int]
-    strongly_connected: bool
+    """The verdicts on one digraph; its graph facts are read off the checks'
+    context, so reading `d` may cost a spectrum. `diameter`, `girth` and `d`
+    are None when the digraph is not strongly connected. `total_ms` times
+    only the checks."""
+
     verdicts: tuple[CharacterizationVerdict, ...]
-    agreement: bool
     total_ms: float
-    # The primitives the checks computed (None when no check ran on a
-    # context), for callers that render more of them than the report holds.
-    context: Optional["GraphContext"] = field(default=None, repr=False, compare=False)
+    context: "GraphContext" = field(repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.context.g.n
+
+    @property
+    def m(self) -> int:
+        return self.context.g.m
+
+    @property
+    def k(self) -> Optional[int]:
+        return self.context.valency
+
+    @property
+    def strongly_connected(self) -> bool:
+        return self.context.strongly_connected
+
+    @property
+    def diameter(self) -> Optional[int]:
+        return self.context.table.diameter if self.strongly_connected else None
+
+    @property
+    def girth(self) -> Optional[int]:
+        return self.context.table.girth if self.strongly_connected else None
+
+    @property
+    def d(self) -> Optional[int]:
+        """Distinct eigenvalues minus one; None where the spectrum fails."""
+        s = self.context.spectrum_or_error if self.strongly_connected else None
+        return s.d if isinstance(s, Spectrum) else None
 
     @property
     def overall(self) -> Optional[str]:
@@ -118,13 +147,17 @@ class Report:
             return None
         return applicable[0] if len(set(applicable)) == 1 else "disagreement"
 
+    @property
+    def agreement(self) -> bool:
+        return self.overall != "disagreement"
+
 
 class GraphContext:
     """Lazily computed primitives shared by the checks for one digraph.
 
-    Everything cached here is a low-level quantity (distance table and
-    basis, pair count scan, walk counts, span bases, spectrum, the minimal
-    polynomial's degree), never a verdict.
+    Everything cached here is a low-level quantity (strong connectivity,
+    distance table and basis, pair count scan, walk counts, span bases,
+    spectrum, the minimal polynomial's degree), never a verdict.
     """
 
     def __init__(self, g: Digraph, config: CheckConfig):
@@ -136,6 +169,10 @@ class GraphContext:
         if key not in self._cache:
             self._cache[key] = make()
         return self._cache[key]
+
+    @property
+    def strongly_connected(self) -> bool:
+        return self._get("strongly_connected", lambda: strongly_connected(self.g))
 
     @property
     def table(self) -> DistanceTable:
@@ -179,23 +216,30 @@ class GraphContext:
         nothing else of the minimal polynomial μ."""
         return self._get("min_poly_degree", lambda: minimal_polynomial_degree(self.adjacency))
 
-    def walks(self, max_len: int) -> WalkConstancy:
-        """Check E's walk count test, which `power_basis` reads at bound D."""
-        return self._get(
-            ("walks", max_len),
-            lambda: walk_count_constancy(self.distance_basis, self.adjacency, max_len),
-        )
+    @property
+    def walks(self) -> WalkConstancy:
+        """Check E's walk count test at bound max(D, `max_walk_len`), stepped
+        once for E and `power_basis` alike. Walks shorter than D would not
+        certify the theorem."""
+
+        def make():
+            bound = max(self.table.diameter, self.config.max_walk_len or 0)
+            return walk_count_constancy(self.distance_basis, self.adjacency, bound)
+
+        return self._get("walks", make)
 
     @property
     def power_basis(self) -> Union[PartitionBasis, SpanBasis]:
         """Membership in the adjacency algebra, span(A^0 .. A^(deg μ - 1)):
         the distance basis when deg μ = D + 1 and every A^j, j <= D, is
         constant on its classes (both spans then have dimension D + 1), as on
-        every DRD, and elimination otherwise."""
+        every DRD, and elimination otherwise. With deg μ = D + 1 every power
+        is a combination of A^0 .. A^D, so check E's walk test decides this
+        at whatever bound >= D it was stepped to."""
 
         def make():
             basis = self.distance_basis
-            if self.min_poly_degree == basis.size and self.walks(basis.size - 1):
+            if self.min_poly_degree == basis.size and self.walks:
                 return basis
             powers = [IntMatrix.identity(self.g.n)]
             while len(powers) < self.min_poly_degree:
@@ -349,9 +393,7 @@ def _check_d(ctx: GraphContext) -> CharacterizationVerdict:
 def _check_e(ctx: GraphContext) -> CharacterizationVerdict:
     if ctx.adjacency_transpose is None:
         return _no("E", "transpose of A is not a distance matrix")
-    D = ctx.table.diameter
-    # Walks shorter than D would not certify the theorem.
-    walks = ctx.walks(max(D, ctx.config.max_walk_len or D))
+    walks = ctx.walks
     if not walks:
         ell, h, p0, p1, v0, v1 = walks.witness
         return _no(
@@ -482,16 +524,20 @@ _CHECKS: dict[str, Callable[[GraphContext], CharacterizationVerdict]] = {
     "H": _check_h,
     "I": _check_i,
     "J": _check_j,
+    "NX": _check_nx,
 }
 
 
-def _timed(check_id: str, fn: Callable[[], CharacterizationVerdict]) -> CharacterizationVerdict:
+def _run_check(ctx: GraphContext, check_id: str) -> CharacterizationVerdict:
+    """One check's verdict on ctx, timed; trivially not-applicable when the
+    digraph is not strongly connected, and yes on a single vertex."""
+    if not ctx.strongly_connected:
+        return _na(check_id, "digraph is not strongly connected")
+    if ctx.g.n == 1:
+        return _yes(check_id, {"trivial": "single vertex"})
     start = time.perf_counter()
-    verdict = fn()
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return CharacterizationVerdict(
-        verdict.id, verdict.verdict, verdict.reason, verdict.witness, verdict.params, elapsed
-    )
+    verdict = _CHECKS[check_id](ctx)
+    return replace(verdict, elapsed_ms=(time.perf_counter() - start) * 1000.0)
 
 
 def _selected_ids(config: CheckConfig) -> tuple[str, ...]:
@@ -506,73 +552,20 @@ def _selected_ids(config: CheckConfig) -> tuple[str, ...]:
 def check_single(
     g: Digraph, check_id: str, config: Optional[CheckConfig] = None
 ) -> CharacterizationVerdict:
-    """Evaluate one characterization in isolation."""
-    if config is None:
-        config = CheckConfig()
-    if check_id not in CHECK_IDS and check_id != "NX":
+    """Evaluate one characterization, or the experimental NX, in isolation."""
+    if check_id not in _CHECKS:
         raise InvalidParameter(f"unknown characterization id {check_id!r}")
-    if not strongly_connected(g):
-        return _na(check_id, "digraph is not strongly connected")
-    if g.n == 1:
-        return _yes(check_id, {"trivial": "single vertex"})
-    ctx = GraphContext(g, config)
-    fn = _CHECKS[check_id] if check_id != "NX" else _check_nx
-    return _timed(check_id, lambda: fn(ctx))
+    return _run_check(GraphContext(g, config or CheckConfig()), check_id)
 
 
 def check_all(g: Digraph, config: Optional[CheckConfig] = None) -> Report:
-    """Run every enabled characterization independently and assemble the
-    report with the agreement flag."""
-    if config is None:
-        config = CheckConfig()
-    ids = _selected_ids(config)
+    """Run every enabled characterization independently and assemble their
+    report. The experimental NX is listed only on a strongly connected
+    digraph."""
+    ctx = GraphContext(g, config or CheckConfig())
+    ids = _selected_ids(ctx.config)
+    if ctx.strongly_connected and ctx.config.experimental_nx:
+        ids += ("NX",)
     start = time.perf_counter()
-    sc = strongly_connected(g)
-    k = regularity(g)
-
-    if not sc:
-        verdicts = tuple(_na(i, "digraph is not strongly connected") for i in ids)
-        total = (time.perf_counter() - start) * 1000.0
-        return Report(
-            n=g.n, m=g.m, k=k, diameter=None, d=None, girth=None,
-            strongly_connected=False, verdicts=verdicts, agreement=True,
-            total_ms=total,
-        )
-
-    if g.n == 1:
-        verdicts = tuple(_yes(i, {"trivial": "single vertex"}) for i in ids)
-        if config.experimental_nx:
-            verdicts = verdicts + (_yes("NX", {"trivial": "single vertex"}),)
-        total = (time.perf_counter() - start) * 1000.0
-        return Report(
-            n=1, m=0, k=0, diameter=0, d=0, girth=None,
-            strongly_connected=True, verdicts=verdicts, agreement=True,
-            total_ms=total,
-        )
-
-    ctx = GraphContext(g, config)
-    verdicts = [_timed(i, lambda i=i: _CHECKS[i](ctx)) for i in ids]
-    if config.experimental_nx:
-        verdicts.append(_timed("NX", lambda: _check_nx(ctx)))
-
-    applicable = {
-        v.verdict for v in verdicts if v.verdict != NOT_APPLICABLE and v.id != "NX"
-    }
-    agreement = len(applicable) <= 1
-
-    s = ctx.spectrum_or_error
-    d = s.d if isinstance(s, Spectrum) else None
-    total = (time.perf_counter() - start) * 1000.0
-    return Report(
-        n=g.n,
-        m=g.m,
-        k=k,
-        diameter=ctx.table.diameter,
-        d=d,
-        girth=ctx.table.girth,
-        strongly_connected=True,
-        verdicts=tuple(verdicts),
-        agreement=agreement,
-        total_ms=total,
-        context=ctx,
-    )
+    verdicts = tuple(_run_check(ctx, i) for i in ids)
+    return Report(verdicts, (time.perf_counter() - start) * 1000.0, ctx)

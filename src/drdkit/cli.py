@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .digraph import Digraph, _check_size, parse_digraph
 from .errors import DrdError, InternalInconsistency, ParseError
-from .report import canonical_json, human_summary, report_document, spectral_block
+from .report import canonical_json, human_summary, report_document
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -131,12 +131,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             experimental_nx=args.experimental_nx,
         )
         report = check_all(g, config)
-        if args.json:
-            ctx = report.context
-            spec = None if ctx is None else spectral_block(ctx.spectrum_or_error, ctx.table)
-            text = canonical_json(report_document(report, spec))
-        else:
-            text = human_summary(report)
+        text = canonical_json(report_document(report)) if args.json else human_summary(report)
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -589,10 +589,13 @@ def _vanishes(ints: np.ndarray, coeffs: Sequence[int], rho: int, primes: Iterato
     return True
 
 
-def _integer_minimal_polynomial(ints: np.ndarray, rho: int) -> list[int]:
+def _integer_minimal_polynomial(
+    ints: np.ndarray, rho: int, first: Optional[list[int]] = None
+) -> list[int]:
     """Integer coefficients, lowest power first, of the monic minimal
     polynomial μ of the integer matrix ints (int64 or Python-int object
-    array), where rho bounds its max row sum of |entries|.
+    array), where rho bounds its max row sum of |entries|. `first`, when
+    given, is the first prime's Krylov polynomial, already computed.
 
     Each prime p gives the Krylov polynomial μ_{v,p} of the fixed vector v.
     It divides μ_{v,Q} mod p, where μ_{v,Q}, the polynomial of v over the
@@ -624,7 +627,8 @@ def _integer_minimal_polynomial(ints: np.ndarray, rho: int) -> list[int]:
     polynomial_mod = _krylov_polynomial
     degree, residues, modulus, skipped = 0, [0], 1, 0
     for p in primes:
-        mu = polynomial_mod((ints % p).astype(np.int64), v % p, p)
+        mu = first or polynomial_mod((ints % p).astype(np.int64), v % p, p)
+        first = None
         d = len(mu) - 1
         if d < degree:
             skipped += 1
@@ -661,11 +665,12 @@ def minimal_polynomial(a: IntMatrix) -> RatPolynomial:
 def minimal_polynomial_degree(a: IntMatrix) -> int:
     """deg μ of a square a, exactly: n when the fixed vector's Krylov
     degree modulo the first prime, a lower bound on deg μ, is n; else the
-    degree of `minimal_polynomial`."""
+    degree of μ, lifted from that prime's polynomial on."""
     if a.rows != a.cols:
         raise DimensionMismatch("matrix must be square")
     n = a.rows
     p = next(_primes(n))
-    if len(_krylov_polynomial((a.num % p).astype(np.int64), _krylov_vector(n) % p, p)) == n + 1:
+    mu = _krylov_polynomial((a.num % p).astype(np.int64), _krylov_vector(n) % p, p)
+    if len(mu) == n + 1:
         return n
-    return minimal_polynomial(a).degree
+    return len(_integer_minimal_polynomial(a.num, a.abs_bounds()[1], mu)) - 1

@@ -37,22 +37,25 @@ def _verdict_doc(v: CharacterizationVerdict) -> dict:
     return doc
 
 
-def spectral_block(spec, table) -> Optional[dict]:
+def spectral_block(report: Report) -> Optional[dict]:
     """Eigenvalue listing plus both sides of the spectral excess identity.
-    None when the spectrum was not computable."""
+    None when the checks were trivial (not strongly connected, or one
+    vertex) or the spectrum was not computable."""
+    ctx = report.context
+    spec = ctx.spectrum_or_error if report.strongly_connected and report.n > 1 else None
     if not isinstance(spec, Spectrum):
         return None
     block: dict = {
         "eigenvalues": [[lam.real, lam.imag, m] for lam, m in spec.eigs],
     }
     try:
-        block["excess_lhs"], block["excess_rhs"], block["gap"] = spectral_excess(spec, table)
+        block["excess_lhs"], block["excess_rhs"], block["gap"] = spectral_excess(spec, ctx.table)
     except SpectralError:
         pass
     return block
 
 
-def report_document(report: Report, spectral: Optional[dict] = None) -> dict:
+def report_document(report: Report) -> dict:
     """Assemble the serializable document for one graph's report; its floats
     are normalized when `canonical_json` renders it."""
     return {
@@ -70,7 +73,7 @@ def report_document(report: Report, spectral: Optional[dict] = None) -> dict:
         "agreement": report.agreement,
         "overall": report.overall,
         "total_ms": report.total_ms,
-        "spectral": spectral,
+        "spectral": spectral_block(report),
     }
 
 

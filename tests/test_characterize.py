@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from drdkit.corpus import (
     paper6,
     random_sc,
 )
-from drdkit.digraph import Digraph, distance_table
+from drdkit.digraph import Digraph, distance_table, strongly_connected
 from drdkit.errors import InvalidParameter
 from drdkit.ratlin import IntMatrix, PartitionBasis, SpanBasis, adjacency_matrix, mat_mul
 from drdkit.scheme import distance_matrices, transpose_closure
@@ -55,10 +56,35 @@ class TestCheckAll:
         assert all(v.verdict == "not-applicable" for v in rep.verdicts)
         assert rep.overall is None
         assert rep.agreement
+        # k comes from regularity; the distance and spectral facts are None.
+        for g, k in ((g, 1), (Digraph.from_arcs(3, [(0, 1), (1, 2)]), None)):
+            rep = check_all(g)
+            assert not rep.strongly_connected
+            assert (rep.n, rep.m, rep.k) == (g.n, g.m, k)
+            assert rep.diameter is None and rep.d is None and rep.girth is None
 
     def test_single_vertex_trivially_yes(self):
         rep = check_all(Digraph.from_arcs(1, []))
         assert rep.overall == "yes" and rep.agreement
+        assert rep.strongly_connected
+        assert (rep.n, rep.m, rep.k, rep.diameter, rep.d) == (1, 0, 0, 0, 0)
+        assert rep.girth is None
+
+    def test_spectrum_only_where_read(self, monkeypatch):
+        # Check J asks for the spectrum only on a regular normal digraph;
+        # elsewhere only a reader of Report.d computes it, once.
+        import drdkit.characterize as characterize
+
+        calls = []
+        monkeypatch.setattr(characterize, "spectrum", lambda *a: calls.append(1) or spectrum(*a))
+        rep = check_all(cycle_with_chord(5))
+        assert rep.overall == "no" and calls == []
+        d = rep.d
+        assert rep.d == d and calls == [1]
+        calls.clear()
+        rep = check_all(paper6())
+        assert calls == [1]
+        assert rep.d == 3 and calls == [1]
 
     def test_g_and_g1_share_one_count_table(self, monkeypatch):
         import drdkit.characterize as characterize
@@ -130,6 +156,35 @@ class TestCheckAll:
         rep = check_all(g)
         assert rep.overall == "yes" and rep.agreement
         assert len(walks) == 1 and not spans and not products
+
+    def test_a_long_walk_bound_steps_the_walks_once(self, monkeypatch):
+        # B's power basis and E read one walk test, stepped to max(D, bound):
+        # on cycle(30) no power past A^29 is stepped, whatever the bound.
+        import drdkit.characterize as characterize
+        import drdkit.scheme as scheme
+
+        bounds, products = [], []
+        real_walks, real_mul = characterize.walk_count_constancy, scheme.mat_mul
+        monkeypatch.setattr(
+            characterize,
+            "walk_count_constancy",
+            lambda *a: bounds.append(a[2]) or real_walks(*a),
+        )
+        monkeypatch.setattr(scheme, "mat_mul", lambda *a: products.append(1) or real_mul(*a))
+        runs = []
+        for bound in (None, 1000):
+            bounds.clear(), products.clear()
+            rep = check_all(cycle(30), CheckConfig(max_walk_len=bound))
+            assert rep.overall == "yes" and rep.agreement
+            e = next(v for v in rep.verdicts if v.id == "E")
+            runs.append((list(bounds), len(products), e.params))
+        assert runs[0][0] == [29] and runs[1][0] == [1000]
+        assert runs[0][1] == runs[1][1]
+        assert runs[0][2] == {"max_len": 29} and runs[1][2] == {"max_len": 1000}
+        # A failing walk test keeps its witness under any bound.
+        g = circulant(7, (1, 2))
+        long = check_single(g, "E", CheckConfig(max_walk_len=1000))
+        assert long.verdict == "no" and long.witness == check_single(g, "E").witness
 
     @pytest.mark.parametrize("n", [60, 100])
     def test_power_basis_holds_one_power_at_a_time(self, n):
@@ -311,6 +366,25 @@ class TestExperimentalVariant:
 
 
 class TestIndependenceOfChecks:
+    def test_single_is_the_batch_on_that_id_alone(self, corpus):
+        # Both run each check on one path, trivial verdicts included; only
+        # the experimental NX is left out of a batch that is not strongly
+        # connected.
+        disconnected = [
+            ("two_cycles", Digraph.from_arcs(4, [(0, 1), (1, 0), (2, 3), (3, 2)])),
+            ("path3", Digraph.from_arcs(3, [(0, 1), (1, 2)])),
+        ]
+        for name, g in corpus + disconnected:
+            for check_id in CHECK_IDS + ("NX",):
+                nx = check_id == "NX"
+                config = CheckConfig(chars=() if nx else (check_id,), experimental_nx=nx)
+                batch = [replace(v, elapsed_ms=0.0) for v in check_all(g, config).verdicts]
+                alone = replace(check_single(g, check_id), elapsed_ms=0.0)
+                if nx and not strongly_connected(g):
+                    assert batch == [] and alone.verdict == "not-applicable", name
+                else:
+                    assert batch == [alone], (name, check_id)
+
     def test_single_matches_batch(self, corpus):
         for name, g in corpus[:10]:
             rep = check_all(g)

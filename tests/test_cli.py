@@ -165,7 +165,7 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize(
         "module, name, flags",
-        [("drdkit.characterize", "distance_table", []), ("drdkit.cli", "spectral_block", ["--json"])],
+        [("drdkit.characterize", "distance_table", []), ("drdkit.report", "spectral_block", ["--json"])],
         ids=["check", "report"],
     )
     def test_crash_exit_three(self, paper6_file, module, name, flags, monkeypatch, capsys):

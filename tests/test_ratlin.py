@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drdkit.corpus import cycle, cycle_with_chord, paley, paper6
+from drdkit.corpus import cycle, cycle_with_chord, kautz, paley, paper6
 import drdkit.ratlin as ratlin
 from drdkit.digraph import MAX_VERTICES, Digraph, distance_table, strongly_connected
 from drdkit.errors import (
@@ -451,12 +451,32 @@ class TestMinimalPolynomialDegree:
 
     def test_unlucky_first_prime_falls_back_to_the_lift(self, monkeypatch):
         # diag(0, p) is 0 mod p, of Krylov degree 1, but its μ is t^2 - p t.
+        # The lift starts from that prime's polynomial t instead of
+        # recomputing it.
         p = next(ratlin._primes(2))
-        lifts = []
-        real = ratlin.minimal_polynomial
-        monkeypatch.setattr(ratlin, "minimal_polynomial", lambda a: lifts.append(1) or real(a))
+        firsts = []
+        real = ratlin._integer_minimal_polynomial
+        monkeypatch.setattr(
+            ratlin, "_integer_minimal_polynomial", lambda *a: firsts.append(a[2]) or real(*a)
+        )
         assert minimal_polynomial_degree(IntMatrix(np.array([[0, 0], [0, p]]))) == 2
-        assert lifts == [1]
+        assert firsts == [[0, 1]]
+
+    @pytest.mark.parametrize(
+        "g", [paper6(), paley(19), paley(43), kautz(2, 3)], ids=lambda g: f"n{g.n}"
+    )
+    def test_one_krylov_polynomial_below_degree_n(self, g, monkeypatch):
+        # deg μ < n on each, and one prime lifts μ: the lift reuses the
+        # first prime's polynomial, so the degree costs what μ alone costs.
+        primes = []
+        real = ratlin._krylov_polynomial
+        monkeypatch.setattr(
+            ratlin, "_krylov_polynomial", lambda *a: primes.append(a[2]) or real(*a)
+        )
+        a = adjacency_matrix(g)
+        assert minimal_polynomial_degree(a) < g.n
+        assert len(primes) == 1
+        assert minimal_polynomial(a).degree < g.n and len(primes) == 2
 
     def test_degree_n_needs_no_lift(self, monkeypatch):
         # Past int64 too: the entries are reduced mod p before the Krylov steps.
