@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Union
 
 from .digraph import Digraph, DistanceTable, distance_table, regularity, strongly_connected
@@ -157,12 +157,14 @@ class GraphContext:
 
     Everything cached here is a low-level quantity (strong connectivity,
     distance table and basis, pair count scan, walk counts, span bases,
-    spectrum, the minimal polynomial's degree), never a verdict.
+    spectrum, the minimal polynomial's degree), never a verdict. `checks`
+    names the checks that will read it.
     """
 
-    def __init__(self, g: Digraph, config: CheckConfig):
+    def __init__(self, g: Digraph, config: CheckConfig, checks: tuple[str, ...] = CHECK_IDS):
         self.g = g
         self.config = config
+        self.checks = checks
         self._cache: dict = {}
 
     def _get(self, key: Hashable, make: Callable):
@@ -219,11 +221,13 @@ class GraphContext:
     @property
     def walks(self) -> WalkConstancy:
         """Check E's walk count test at bound max(D, `max_walk_len`), stepped
-        once for E and `power_basis` alike. Walks shorter than D would not
-        certify the theorem."""
+        once for E and `power_basis` alike; at bound D when E will not run,
+        since `power_basis` reads no walk past D. Walks shorter than D would
+        not certify the theorem."""
 
         def make():
-            bound = max(self.table.diameter, self.config.max_walk_len or 0)
+            longest = self.config.max_walk_len if "E" in self.checks else None
+            bound = max(self.table.diameter, longest or 0)
             return walk_count_constancy(self.distance_basis, self.adjacency, bound)
 
         return self._get("walks", make)
@@ -536,8 +540,9 @@ def _run_check(ctx: GraphContext, check_id: str) -> CharacterizationVerdict:
     if ctx.g.n == 1:
         return _yes(check_id, {"trivial": "single vertex"})
     start = time.perf_counter()
-    verdict = _CHECKS[check_id](ctx)
-    return replace(verdict, elapsed_ms=(time.perf_counter() - start) * 1000.0)
+    v = _CHECKS[check_id](ctx)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return CharacterizationVerdict(v.id, v.verdict, v.reason, v.witness, v.params, elapsed_ms)
 
 
 def _selected_ids(config: CheckConfig) -> tuple[str, ...]:
@@ -555,16 +560,17 @@ def check_single(
     """Evaluate one characterization, or the experimental NX, in isolation."""
     if check_id not in _CHECKS:
         raise InvalidParameter(f"unknown characterization id {check_id!r}")
-    return _run_check(GraphContext(g, config or CheckConfig()), check_id)
+    return _run_check(GraphContext(g, config or CheckConfig(), (check_id,)), check_id)
 
 
 def check_all(g: Digraph, config: Optional[CheckConfig] = None) -> Report:
     """Run every enabled characterization independently and assemble their
     report. The experimental NX is listed only on a strongly connected
     digraph."""
-    ctx = GraphContext(g, config or CheckConfig())
-    ids = _selected_ids(ctx.config)
-    if ctx.strongly_connected and ctx.config.experimental_nx:
+    config = config or CheckConfig()
+    ids = _selected_ids(config)
+    ctx = GraphContext(g, config, ids)
+    if ctx.strongly_connected and config.experimental_nx:
         ids += ("NX",)
     start = time.perf_counter()
     verdicts = tuple(_run_check(ctx, i) for i in ids)

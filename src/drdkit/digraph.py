@@ -96,6 +96,22 @@ class Digraph:
         )
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """The adjacency relation as one read-only n x n bool array, built
+        once per digraph for every numpy reader."""
+        array = np.array(self.adj, dtype=bool)
+        array.flags.writeable = False
+        return array
+
+    @cached_property
+    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads): the arcs as two read-only index arrays, in
+        row-major order."""
+        tails, heads = np.nonzero(self.matrix)
+        tails.flags.writeable = heads.flags.writeable = False
+        return tails, heads
+
+    @cached_property
     def m(self) -> int:
         """Number of arcs."""
         return sum(self.out_deg)

@@ -8,17 +8,36 @@ partition around every vertex is equitable with parameters that do not
 depend on the vertex; the in-distance mirror is an equivalent formulation
 and is checked independently.
 
-Both scans, and Damerell's one-step table in `scheme`, count through one
-kernel, `shell_counts`: for one source vertex's row of distances, the
-neighbors of every vertex y grouped by their distance class.
+Both scans, and Damerell's one-step table in `scheme`, count the neighbors
+of every vertex y by their distance class around a source vertex x, on one
+of two routes. The work of one source row is n * (D + 1) + m; below
+NUMPY_ROUTE_WORK, the pure-Python `shell_counts` counts one source row at a
+time. From it on, `block_shell_counts` counts a block of source rows with
+one numpy `bincount`, the blocks doubling from one row up to COUNT_BLOCK
+elements per array, so a "no" found at vertex 0 pays for one row. Both
+routes visit the sources in the same order and report the same witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .digraph import Digraph, DistanceTable
 from .errors import NotStronglyConnected
+
+# Work of one source row, n * (D + 1) + m, from which the counts run on
+# numpy: below it one numpy call costs more than the Python loop it
+# replaces. Set from a size sweep of cycles, Paley digraphs and random
+# digraphs: on a "yes" numpy is faster from a work of about 250, and a "no"
+# decided at vertex 0 pays a fixed 0.2-0.3 ms more on it, so the cut sits
+# at twice that crossover.
+NUMPY_ROUTE_WORK = 512
+
+# Cap on the elements of each array one block of source rows allocates on
+# the numpy route; a block holds at least one row, whatever the cap.
+COUNT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -34,6 +53,14 @@ class EquitableParams:
     cell_sizes: tuple[int, ...]
 
 
+def numpy_route(g: Digraph, width: int) -> bool:
+    """Whether the counts over distance classes 0..width - 1 run on numpy.
+    The arcs are counted only where n * (width + n - 1), a bound on the
+    work, reaches the cut, so a small digraph is routed in constant time."""
+    n = g.n
+    return n * (width + n - 1) >= NUMPY_ROUTE_WORK and n * width + g.m >= NUMPY_ROUTE_WORK
+
+
 def shell_counts(
     row: Sequence[int], neighbors: Sequence[Sequence[int]], width: int
 ) -> list[list[int]]:
@@ -46,6 +73,34 @@ def shell_counts(
             c[row[z]] += 1
         counts.append(c)
     return counts
+
+
+def block_shell_counts(
+    rows: np.ndarray, tails: np.ndarray, heads: np.ndarray, width: int, tail_count: int
+) -> np.ndarray:
+    """counts[b][y][j] = |{arcs (y, z) : rows[b][z] = j}| for a block of
+    source rows, every tail y in [0, tail_count) and every class in
+    [0, width): one bincount over the keys (b * tail_count + y) * width +
+    rows[b][z]. Swapping tails and heads counts in-neighbors instead."""
+    b = len(rows)
+    keys = rows[:, heads]
+    keys += tails * width
+    keys += (np.arange(b) * (tail_count * width))[:, None]
+    return np.bincount(keys.ravel(), minlength=b * tail_count * width).reshape(
+        b, tail_count, width
+    )
+
+
+def row_blocks(dist: np.ndarray, per_row: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, block of rows) of dist in order: 1, 2, 4, ... rows, up to
+    COUNT_BLOCK elements per array at per_row elements a row."""
+    n = dist.shape[0]
+    cap = max(1, COUNT_BLOCK // per_row)
+    lo, step = 0, 1
+    while lo < n:
+        yield lo, dist[lo : lo + step]
+        lo += step
+        step = min(2 * step, cap)
 
 
 def _equitable_params(g: Digraph, row: list[int], width: int) -> Optional[EquitableParams]:
@@ -66,21 +121,14 @@ def _equitable_params(g: Digraph, row: list[int], width: int) -> Optional[Equita
     return EquitableParams(d_out=params[0], d_in=params[1], cell_sizes=tuple(sizes))
 
 
-def distance_regular_scan(
-    g: Digraph, t: DistanceTable, direction: str
-) -> tuple[Optional[EquitableParams], Optional[str]]:
-    """Shared body of the out- and in-partition distance-regularity checks.
+# A scan's outcome: (the common parameters, None, "") on success, else
+# (None, the first failing source vertex, the failure's kind).
+_Scan = tuple[Optional[EquitableParams], Optional[int], str]
 
-    Walks the source vertices x in order: the rows of the distance table for
-    "out", its columns for "in". Each vertex's class count, then
-    equitability, then equality with vertex 0's parameters is checked, and
-    only one vertex's counts are held at a time.
 
-    Returns (params, None) on success or (None, failure description).
-    """
-    if not t.strongly_connected:
-        raise NotStronglyConnected("distance-regularity is defined for strongly connected digraphs")
-    dist = t.array if direction == "out" else t.array.T
+def _python_scan(g: Digraph, dist: np.ndarray) -> _Scan:
+    """The scan over the rows of dist, one source row at a time through
+    `shell_counts`."""
     reference: Optional[EquitableParams] = None
     ref_cells = 0
     for x in range(g.n):
@@ -89,19 +137,87 @@ def distance_regular_scan(
         if x == 0:
             ref_cells = cells
         elif cells != ref_cells:
-            return None, (
-                f"vertex {g.labels[x]} has {cells - 1} {direction}-distance classes, "
-                f"vertex {g.labels[0]} has {ref_cells - 1}"
-            )
+            return None, x, "cells"
         params = _equitable_params(g, row, cells)
         if params is None:
-            return None, f"{direction}-distance partition around {g.labels[x]} is not equitable"
+            return None, x, "equitable"
         if reference is None:
             reference = params
         elif params != reference:
-            return None, (
-                f"{direction}-distance parameters around {g.labels[x]} differ "
-                f"from those around {g.labels[0]}"
-            )
-    return reference, None
+            return None, x, "params"
+    return reference, None, ""
 
+
+def _numpy_scan(g: Digraph, dist: np.ndarray, width: int) -> _Scan:
+    """What `_python_scan` returns, from blocks of source rows through
+    `block_shell_counts`: one call counts both halves, the in-half as the
+    tails n..2n - 1 of the swapped arcs. A block's rows are tested
+    together, and the first row that fails names the failure, in the order
+    class count, equitability, vertex 0's parameters."""
+    n = g.n
+    tails, heads = g.arc_arrays
+    both = (np.concatenate([tails, heads + n]), np.concatenate([heads, tails]))
+    classes = np.arange(width)
+    ref = None  # vertex 0's class count, (d_out, d_in) and cell sizes
+    for lo, rows in row_blocks(dist, 2 * max(n * width, len(tails))):
+        b = len(rows)
+        block = np.arange(b)[:, None]
+        cells = rows.max(axis=1) + 1
+        member = rows[:, :, None] == classes
+        first = member.argmax(axis=1)  # lowest vertex of each class
+        sizes = member.sum(axis=1)
+        # halves[h][b][y][j]: out- (h = 0) and in-neighbors (h = 1) of y in class j
+        halves = block_shell_counts(rows, *both, width, 2 * n).reshape(b, 2, n, width)
+        halves = halves.transpose(1, 0, 2, 3)
+        equitable = (halves == halves[:, block, first[block, rows]]).all(axis=(0, 2, 3))
+        params = halves[:, block, first]
+        if ref is None:  # the first block is vertex 0 alone
+            ref = (int(cells[0]), params[:, 0, : cells[0]], sizes[0])
+        c0, ref_params, ref_sizes = ref
+        same = (params[:, :, :c0] == ref_params[:, None]).all(axis=(0, 2, 3)) & (
+            sizes == ref_sizes
+        ).all(axis=1)
+        failed = (cells != c0) | ~equitable | ~same
+        if failed.any():
+            k = int(failed.argmax())
+            kind = "cells" if cells[k] != c0 else "equitable" if not equitable[k] else "params"
+            return None, lo + k, kind
+    d_out, d_in = ref_params[:, :, :c0].tolist()
+    return EquitableParams(
+        tuple(map(tuple, d_out)), tuple(map(tuple, d_in)), tuple(ref_sizes[:c0].tolist())
+    ), None, ""
+
+
+def distance_regular_scan(
+    g: Digraph, t: DistanceTable, direction: str
+) -> tuple[Optional[EquitableParams], Optional[str]]:
+    """Shared body of the out- and in-partition distance-regularity checks.
+
+    Walks the source vertices x in order: the rows of the distance table for
+    "out", its columns for "in". Each vertex's class count, then
+    equitability (out before in), then equality with vertex 0's parameters
+    is checked, on the route `numpy_route` picks.
+
+    Returns (params, None) on success or (None, failure description).
+    """
+    if not t.strongly_connected:
+        raise NotStronglyConnected("distance-regularity is defined for strongly connected digraphs")
+    dist = t.array if direction == "out" else t.array.T
+    width = t.diameter + 1
+    if numpy_route(g, width):
+        params, x, kind = _numpy_scan(g, dist, width)
+    else:
+        params, x, kind = _python_scan(g, dist)
+    if x is None:
+        return params, None
+    if kind == "cells":
+        return None, (
+            f"vertex {g.labels[x]} has {int(dist[x].max())} {direction}-distance classes, "
+            f"vertex {g.labels[0]} has {int(dist[0].max())}"
+        )
+    if kind == "equitable":
+        return None, f"{direction}-distance partition around {g.labels[x]} is not equitable"
+    return None, (
+        f"{direction}-distance parameters around {g.labels[x]} differ "
+        f"from those around {g.labels[0]}"
+    )

@@ -175,7 +175,7 @@ class IntMatrix:
 
 def adjacency_matrix(g: Digraph) -> IntMatrix:
     k = max(g.out_deg)
-    return IntMatrix.bounded(np.array(g.adj, dtype=np.int64), min(k, 1), k)
+    return IntMatrix.bounded(g.matrix.astype(np.int64), min(k, 1), k)
 
 
 def transpose(a: IntMatrix) -> IntMatrix:

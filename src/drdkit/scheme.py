@@ -28,7 +28,7 @@ from .errors import (
     NotStronglyConnected,
     PreconditionViolated,
 )
-from .partitions import shell_counts
+from .partitions import block_shell_counts, numpy_route, row_blocks, shell_counts
 from .ratlin import (
     IntMatrix,
     PartitionBasis,
@@ -50,7 +50,7 @@ def distance_matrices(g: Digraph, t: DistanceTable) -> PartitionBasis:
         raise InternalInconsistency("A_0 != I")
     if dist.min() < 0 or dist.max() > D:
         raise InternalInconsistency("distance classes do not partition X x X")
-    if D >= 1 and not np.array_equal(dist == 1, np.array(g.adj, dtype=bool)):
+    if D >= 1 and not np.array_equal(dist == 1, g.matrix):
         raise InternalInconsistency("A_1 != adjacency matrix")
     return PartitionBasis(dist, D + 1)
 
@@ -338,14 +338,17 @@ class DamerellTable:
 
 def damerell_numbers(g: Digraph, t: DistanceTable) -> DamerellTable:
     """Damerell's one-step table (Damerell, JCTB 31, 1981): for every pair
-    (x, y), the out-neighbors z of y counted by d(x, z), through the
-    `partitions.shell_counts` kernel on row x of the distance table, one
-    source vertex at a time. Each pair is compared with the first pair of its
-    class i = d(x,y) in row-major order; the witness is the first pair that
-    differs, at the lowest j where it does."""
+    (x, y), the out-neighbors z of y counted by d(x, z), from row x of the
+    distance table. Below `partitions.NUMPY_ROUTE_WORK` the rows go one at
+    a time through `partitions.shell_counts`; from it on, in doubling
+    blocks through `partitions.block_shell_counts`. Each pair is compared
+    with the first pair of its class i = d(x,y) in row-major order; the
+    witness is the first pair that differs, at the lowest j where it does."""
     if not t.strongly_connected:
         raise NotStronglyConnected("count table needs a strongly connected digraph")
     width = t.diameter + 1
+    if numpy_route(g, width):
+        return _damerell_blocks(g, t.array, width)
     ref: list[Optional[list[int]]] = [None] * width
     ref_pair: list[tuple[int, int]] = [(-1, -1)] * width
     for x in range(g.n):
@@ -362,6 +365,35 @@ def damerell_numbers(g: Digraph, t: DistanceTable) -> DamerellTable:
                     False, None, (i, j, ref_pair[i], (x, y), base[j], counts[j])
                 )
     return DamerellTable(True, tuple(tuple(r) for r in ref if r is not None), None)
+
+
+def _damerell_blocks(g: Digraph, dist: np.ndarray, width: int) -> DamerellTable:
+    """`damerell_numbers` on blocks of source rows: a class's reference is
+    set from the first block that holds one of its pairs, before that block
+    is compared, and the witness's first pair of a class is looked up in the
+    table."""
+    n = g.n
+    tails, heads = g.arc_arrays
+    ref = np.zeros((width, width), dtype=np.int64)
+    unseen = np.ones(width, dtype=bool)
+    for lo, rows in row_blocks(dist, max(n * width, len(tails))):
+        counts = block_shell_counts(rows, tails, heads, width, n).reshape(-1, width)
+        cls = rows.ravel()
+        if unseen.any():
+            labels, at = np.unique(cls, return_index=True)
+            new = unseen[labels]
+            ref[labels[new]] = counts[at[new]]
+            unseen[labels] = False
+        bad = counts != ref[cls]
+        if bad.any():
+            k = int(bad.any(axis=1).argmax())
+            i, j = int(cls[k]), int(bad[k].argmax())
+            first = divmod(int((dist == i).argmax()), n)
+            pair = divmod(lo * n + k, n)
+            return DamerellTable(
+                False, None, (i, j, first, pair, int(ref[i, j]), int(counts[k, j]))
+            )
+    return DamerellTable(True, tuple(map(tuple, ref.tolist())), None)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,28 @@ class TestCheckAll:
         long = check_single(g, "E", CheckConfig(max_walk_len=1000))
         assert long.verdict == "no" and long.witness == check_single(g, "E").witness
 
+    def test_the_walk_bound_is_the_diameter_without_check_e(self, monkeypatch):
+        # Only E reads walks past D, so without E the one walk test stops
+        # at D, whatever the bound; the verdicts stay as they were.
+        import drdkit.characterize as characterize
+
+        bounds = []
+        real = characterize.walk_count_constancy
+        monkeypatch.setattr(
+            characterize, "walk_count_constancy", lambda *a: bounds.append(a[2]) or real(*a)
+        )
+        g = paley(43)
+        rep = check_all(g, CheckConfig(chars=("B",), max_walk_len=1000))
+        assert bounds == [2]
+        assert [(v.id, v.verdict) for v in rep.verdicts] == [("B", "yes")]
+        bounds.clear()
+        assert check_single(g, "B", CheckConfig(max_walk_len=1000)).verdict == "yes"
+        assert bounds == [2]
+        bounds.clear()
+        rep = check_all(g, CheckConfig(chars=("B", "E"), max_walk_len=1000))
+        assert bounds == [1000]
+        assert [(v.id, v.verdict) for v in rep.verdicts] == [("B", "yes"), ("E", "yes")]
+
     @pytest.mark.parametrize("n", [60, 100])
     def test_power_basis_holds_one_power_at_a_time(self, n):
         # With the minimal polynomial and the distance basis cached, the

@@ -178,6 +178,25 @@ class TestConverse:
         assert converse(converse(g)) == g
 
 
+class TestNumpyViews:
+    @settings(max_examples=50, deadline=None)
+    @given(small_digraphs())
+    def test_matrix_and_arc_arrays_are_adj(self, g):
+        assert g.matrix.dtype == bool and not g.matrix.flags.writeable
+        assert g.matrix.astype(int).tolist() == [list(row) for row in g.adj]
+        tails, heads = g.arc_arrays
+        assert not tails.flags.writeable and not heads.flags.writeable
+        assert list(zip(tails.tolist(), heads.tolist())) == g.arcs()
+
+    def test_built_once_and_shared(self):
+        from drdkit.ratlin import adjacency_matrix
+
+        g = paper6()
+        assert g.matrix is g.matrix and g.arc_arrays is g.arc_arrays
+        a = adjacency_matrix(g)
+        assert a.num.dtype == np.int64 and a.num.tolist() == g.matrix.astype(int).tolist()
+
+
 class TestRegularity:
     def test_cycle(self):
         assert regularity(cycle(9)) == 1

@@ -1,16 +1,26 @@
 from dataclasses import dataclass
 from typing import Optional
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drdkit.corpus import cycle, cycle_with_chord, paley
+import drdkit.partitions as partitions
+from drdkit.corpus import cycle, cycle_with_chord, paley, random_sc
 from drdkit.digraph import Digraph, DistanceTable, distance_table
 from drdkit.errors import NotStronglyConnected, PreconditionViolated
-from drdkit.partitions import distance_regular_scan, shell_counts
+from drdkit.partitions import (
+    block_shell_counts,
+    distance_regular_scan,
+    numpy_route,
+    row_blocks,
+    shell_counts,
+)
 from drdkit.scheme import damerell_numbers
 
+from conftest import circulant, traced_peak
 from oracles import damerell_table_direct, distance_regular_scan_direct, equitable_params_direct
 
 
@@ -303,3 +313,156 @@ class TestShellCountKernel:
         _, failure = distance_regular_scan(g, distance_table(g), "out")
         assert failure is not None and message in failure
         assert_matches_direct(g)
+
+
+# NUMPY_ROUTE_WORK values that put every graph on one route: 0 sends all to
+# numpy, and no digraph of at most MAX_VERTICES vertices reaches the other.
+ROUTES = {"numpy": 0, "python": 1 << 40}
+
+
+def assert_both_routes_match_direct(g: Digraph) -> None:
+    for cut in ROUTES.values():
+        with mock.patch.object(partitions, "NUMPY_ROUTE_WORK", cut):
+            assert_matches_direct(g)
+
+
+@st.composite
+def circulants(draw):
+    n = draw(st.integers(2, 16))
+    jumps = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=n - 1))
+    return circulant(n, tuple(sorted(jumps)))
+
+
+class TestBothRoutes:
+    """The pure-Python and the numpy route each give the direct oracles'
+    verdicts, parameters and witnesses, with the cut moved so that every
+    graph takes the route under test."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            strongly_connected_digraphs(),
+            circulants().filter(lambda g: distance_table(g).strongly_connected),
+            st.sampled_from([paley(19), paley(43)]),
+        ),
+        st.sampled_from([1, partitions.COUNT_BLOCK]),
+    )
+    def test_each_route_matches_the_direct_oracles(self, g, cap):
+        with mock.patch.object(partitions, "COUNT_BLOCK", cap):
+            assert_both_routes_match_direct(g)
+
+    def test_the_cut_splits_by_the_work_of_one_source_row(self):
+        # n * (D + 1) + m: 4 * 2 + 12 = 20 on K_4; 30 * 30 + 30 = 930 on C_30.
+        complete4 = circulant(4, (1, 2, 3))
+        assert not numpy_route(complete4, 2)
+        assert numpy_route(cycle(30), 30)
+        with mock.patch.object(partitions, "NUMPY_ROUTE_WORK", 20):
+            assert numpy_route(complete4, 2)
+        with mock.patch.object(partitions, "NUMPY_ROUTE_WORK", 931):
+            assert not numpy_route(cycle(30), 30)
+
+    def test_block_counts_are_the_shell_counts(self):
+        for g in (cycle(5), paley(7), cycle_with_chord(6), random_sc(9, 0.4, seed=3)):
+            dist = distance_table(g).array
+            width = int(dist.max()) + 1
+            tails, heads = g.arc_arrays
+            out = block_shell_counts(dist, tails, heads, width, g.n)
+            into = block_shell_counts(dist, heads, tails, width, g.n)
+            for x in range(g.n):
+                row = dist[x].tolist()
+                assert out[x].tolist() == shell_counts(row, g.out_neighbors, width)
+                assert into[x].tolist() == shell_counts(row, g.in_neighbors, width)
+
+    def test_blocks_double_up_to_the_cap(self):
+        dist = np.zeros((40, 40), dtype=np.int64)
+        sizes = lambda: [len(rows) for _, rows in row_blocks(dist, 100)]
+        with mock.patch.object(partitions, "COUNT_BLOCK", 1000):
+            assert sizes() == [1, 2, 4, 8, 10, 10, 5]
+        with mock.patch.object(partitions, "COUNT_BLOCK", 1):
+            assert sizes() == [1] * 40
+        starts = [lo for lo, _ in row_blocks(dist, 100)]
+        assert starts == [0, 1, 3, 7, 15, 31]
+
+    def test_a_no_at_vertex_zero_counts_one_row(self, monkeypatch):
+        g = random_sc(60, 0.1, seed=1)
+        t = distance_table(g)
+        assert numpy_route(g, t.diameter + 1)
+        rows = []
+        real = partitions.block_shell_counts
+        monkeypatch.setattr(
+            partitions, "block_shell_counts", lambda r, *a: rows.append(len(r)) or real(r, *a)
+        )
+        params, failure = distance_regular_scan(g, t, "out")
+        assert params is None and f"around {g.labels[0]} " in failure
+        assert rows == [1]
+
+
+def _complete_bipartite(a: int, b: int) -> Digraph:
+    """Arcs both ways between parts {0..a-1} and {a..a+b-1}."""
+    arcs = [(u, v) for u in range(a) for v in range(a, a + b)]
+    return Digraph.from_arcs(a + b, arcs + [(v, u) for u, v in arcs])
+
+
+# One digraph per failure kind whose witness lies past the first block of
+# source rows (vertex 0 alone): id -> (graph, DEF's failure, Damerell's witness).
+LATE_FAILURES = {
+    # The centre of the star K_{1,5}, vertex 5, has eccentricity 1; each leaf 2.
+    "class-count": (
+        _complete_bipartite(5, 1),
+        "vertex 5 has 1 out-distance classes, vertex 0 has 2",
+        (1, 2, (0, 5), (5, 0), 4, 0),
+    ),
+    # Around vertex 1 the out-counts are equitable and the in-counts are not.
+    "in-half": (
+        Digraph.from_arcs(6, [
+            (0, 4), (1, 0), (1, 2), (1, 3), (2, 4), (3, 4),
+            (4, 0), (4, 1), (4, 5), (5, 0), (5, 2), (5, 3),
+        ]),
+        "out-distance partition around 1 is not equitable",
+        (1, 0, (0, 4), (1, 0), 1, 0),
+    ),
+    # K_{4,2}: every partition is equitable; vertex 4 has out-degree 4, not 2.
+    # Damerell's first mismatch, like the star's, is at j = 2.
+    "parameters": (
+        _complete_bipartite(4, 2),
+        "out-distance parameters around 4 differ from those around 0",
+        (1, 2, (0, 4), (4, 0), 3, 1),
+    ),
+}
+
+
+class TestLateWitnesses:
+    @pytest.mark.parametrize("case", sorted(LATE_FAILURES))
+    def test_the_numpy_route_names_the_first_failing_source(self, case, monkeypatch):
+        g, failure, damerell = LATE_FAILURES[case]
+        t = distance_table(g)
+        monkeypatch.setattr(partitions, "NUMPY_ROUTE_WORK", 0)
+        assert distance_regular_scan(g, t, "out") == (None, failure)
+        table = damerell_numbers(g, t)
+        assert not table.exists and table.witness == damerell
+        assert damerell[3][0] >= 1  # a later source row
+        assert_both_routes_match_direct(g)
+
+    def test_the_in_half_alone_fails(self):
+        g, _, _ = LATE_FAILURES["in-half"]
+        row = distance_table(g).array[1].tolist()
+        first = [row.index(i) for i in range(max(row) + 1)]
+        out = shell_counts(row, g.out_neighbors, len(first))
+        into = shell_counts(row, g.in_neighbors, len(first))
+        assert all(out[y] == out[first[i]] for y, i in enumerate(row))
+        assert any(into[y] != into[first[i]] for y, i in enumerate(row))
+
+
+class TestNumpyRouteMemory:
+    def test_cycle_holds_blocks_not_the_whole_count_table(self):
+        # C_100 has n * (D + 1) = 10,000 counts a row; the whole table
+        # would be n^2 (D + 1) * 8 B = 8 MB.
+        g = cycle(100)
+        t = distance_table(g)
+        width = t.diameter + 1
+        assert numpy_route(g, width)
+        g.arc_arrays
+        bound = 5 * (partitions.COUNT_BLOCK + g.n * width) * 8
+        assert traced_peak(lambda: distance_regular_scan(g, t, "out")) < bound
+        assert traced_peak(lambda: distance_regular_scan(g, t, "in")) < bound
+        assert traced_peak(lambda: damerell_numbers(g, t)) < bound
