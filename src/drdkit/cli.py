@@ -4,7 +4,7 @@ Exit codes for `check`: 0 all characterizations agree on yes; 1 they agree on
 no; 2 nothing applicable (not strongly connected); 3 internal disagreement
 between characterizations, a failed exact certificate or any exception
 outside drdkit's own errors (a bug signal, never a property of the input);
-4 I/O, parse or parameter errors.
+4 I/O, parse, parameter or usage errors.
 """
 from __future__ import annotations
 
@@ -38,10 +38,20 @@ EXIT_ERROR = 4
 EXHAUSTIVE_MAX_N = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_ERROR, not
+    argparse's 2, which `check` gives to a digraph that is not strongly
+    connected. Subparsers are built with the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drdkit",
         description="Decide distance-regularity of a digraph by running every "
         "characterization independently.",

@@ -15,6 +15,15 @@ import numpy as np
 
 from .errors import DuplicateArc, EmptyGraph, LoopRejected, ParseError
 
+# The all-sources frontier builds the distance table when its level bound
+# times n^3 flops is below FRONTIER_FLOPS_PER_STEP times the n * (n + m)
+# steps of n Python BFS, and only from FRONTIER_MIN_STEPS such steps, below
+# which a few numpy calls a level cost more than the whole Python table.
+# Both are set from a sweep of cycles, Paley digraphs, random digraphs,
+# Kautz and de Bruijn digraphs (ROADMAP item 4).
+FRONTIER_FLOPS_PER_STEP = 250
+FRONTIER_MIN_STEPS = 1024
+
 # Largest vertex count accepted. A header is checked against it before the
 # dense n x n adjacency is allocated, so a hostile "1000000 0" fails at once
 # instead of exhausting memory.
@@ -168,15 +177,73 @@ def strongly_connected(g: Digraph) -> bool:
     return -1 not in _bfs(g.in_neighbors, 0, g.n)  # in-neighbours only when needed
 
 
+def _frontier_pays(g: Digraph, row0: list[int]) -> bool:
+    """Whether the all-sources frontier beats n Python BFS, given row0, the
+    BFS from vertex 0: from FRONTIER_MIN_STEPS steps n * (n + m) on, when a
+    bound on its levels times n^3 is below FRONTIER_FLOPS_PER_STEP times
+    those steps. d(x,y) <= d(x,0) + d(0,y), so ecc_out(0) + ecc_in(0) bounds
+    the levels of a strongly connected digraph; n - 1 bounds any other's."""
+    n = g.n
+    steps = n * (n + g.m)
+    if steps < FRONTIER_MIN_STEPS:
+        return False
+    budget = FRONTIER_FLOPS_PER_STEP * steps
+    if min(row0) < 0:
+        bound = n - 1
+    elif (max(row0) + 1) * n**3 >= budget:  # ecc_in(0) >= 1: no in-BFS needed
+        return False
+    else:
+        col0 = _bfs(g.in_neighbors, 0, n)
+        bound = max(row0) + max(col0) if min(col0) >= 0 else n - 1
+    return bound * n**3 < budget
+
+
+def _frontier_table(g: Digraph) -> np.ndarray:
+    """Distances from every source at once: level l's frontier holds the
+    pairs (x, z) first reached at distance l, the unreached nonzero entries
+    of the previous frontier times A."""
+    n = g.n
+    a = g.matrix.astype(np.float64)
+    array = np.full((n, n), -1, dtype=np.int64)
+    np.fill_diagonal(array, 0)
+    reached = np.eye(n, dtype=bool)
+    frontier = np.eye(n)
+    left, level = n * n - n, 0
+    while left:
+        level += 1
+        fresh = frontier @ a > 0
+        fresh &= ~reached
+        count = int(np.count_nonzero(fresh))
+        if not count:
+            break
+        array[fresh] = level
+        reached |= fresh
+        left -= count
+        frontier = fresh.astype(np.float64)
+    return array
+
+
 def distance_table(g: Digraph) -> DistanceTable:
-    """BFS from every vertex; also derives the diameter and the girth.
+    """All-pairs distances; also derives the diameter and the girth.
+
+    The table is one all-sources frontier, one float64 product of the
+    boolean frontier with A per level, where `_frontier_pays` says so: on
+    dense digraphs of small diameter. Otherwise, on cycles and on every
+    digraph of at most 10 vertices (n^3 < FRONTIER_MIN_STEPS), one Python
+    BFS runs from every vertex.
 
     The diameter is the largest finite distance. The girth is the length of
     a shortest directed cycle: the minimum over arcs (u, v), i.e. entries
     d(u, v) = 1, of d(v, u) + 1 where u is reachable from v.
     """
     n = g.n
-    array = np.array([_bfs(g.out_neighbors, v, n) for v in range(n)], dtype=np.int64)
+    row0 = _bfs(g.out_neighbors, 0, n)
+    # n * (n + m) <= n^3: below the floor in n alone, m is not even read.
+    if n**3 >= FRONTIER_MIN_STEPS and _frontier_pays(g, row0):
+        array = _frontier_table(g)
+    else:
+        rows = [row0] + [_bfs(g.out_neighbors, v, n) for v in range(1, n)]
+        array = np.array(rows, dtype=np.int64)
     array.flags.writeable = False
     back = array.T[array == 1]
     back = back[back >= 0]

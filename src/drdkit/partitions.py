@@ -9,13 +9,17 @@ depend on the vertex; the in-distance mirror is an equivalent formulation
 and is checked independently.
 
 Both scans, and Damerell's one-step table in `scheme`, count the neighbors
-of every vertex y by their distance class around a source vertex x, on one
-of two routes. The work of one source row is n * (D + 1) + m; below
-NUMPY_ROUTE_WORK, the pure-Python `shell_counts` counts one source row at a
-time. From it on, `block_shell_counts` counts a block of source rows with
-one numpy `bincount`, the blocks doubling from one row up to COUNT_BLOCK
-elements per array, so a "no" found at vertex 0 pays for one row. Both
-routes visit the sources in the same order and report the same witness.
+of every vertex y by their distance class around a source vertex x, with
+one of three kernels and by two rules. The work of one source row is
+n * (D + 1) + m; below NUMPY_ROUTE_WORK, the pure-Python `shell_counts`
+counts one source row at a time. From it on, `block_shell_counts` counts a
+block of source rows at once, the blocks doubling from one row up to
+COUNT_BLOCK elements per array, so a "no" found at vertex 0 pays for one
+row. It counts by one float64 GEMM of the 0/1 operator with the block's
+one-hot class matrix where the GEMM's flops are below GEMM_FLOPS_PER_KEY
+times the keys of one numpy `bincount`, and by that `bincount` otherwise.
+Every kernel visits the sources in the same order and reports the same
+witness.
 """
 from __future__ import annotations
 
@@ -38,6 +42,15 @@ NUMPY_ROUTE_WORK = 512
 # Cap on the elements of each array one block of source rows allocates on
 # the numpy route; a block holds at least one row, whatever the cap.
 COUNT_BLOCK = 1 << 15
+
+# Flops of one BLAS GEMM worth one bincount key or bin: `block_shell_counts`
+# counts by GEMM when 2 * T * n * (D + 1) flops a row (T tails: n, or 2n for
+# both halves) stay below this many times its bincount's arcs + T * (D + 1)
+# keys and bins. Set from a sweep of the counts on cycles, Paley digraphs,
+# random digraphs, Kautz and de Bruijn digraphs (ROADMAP item 4): Paley
+# digraphs sit below 12 and GEMM is 1.2-6x faster there; cycles sit at 18
+# and up, where GEMM is 9-13 % slower up to 38 and 1.5-4x slower from 58.
+GEMM_FLOPS_PER_KEY = 16
 
 
 @dataclass(frozen=True)
@@ -75,20 +88,66 @@ def shell_counts(
     return counts
 
 
+def gemm_kernel(n: int, width: int, tail_count: int, arcs: int) -> bool:
+    """Whether `block_shell_counts` counts by GEMM rather than bincount, for
+    rows of n vertices in classes [0, width) and `arcs` arcs from
+    tail_count tails: by the GEMM's flops a row against the bincount's keys
+    and bins a row."""
+    return 2 * tail_count * n * width < GEMM_FLOPS_PER_KEY * (arcs + tail_count * width)
+
+
+def _operator(tails: np.ndarray, heads: np.ndarray, tail_count: int, n: int) -> np.ndarray:
+    """The 0/1 operator M[y][z] = [arc (y, z)], tail_count x n, in float64."""
+    operator = np.zeros((tail_count, n))
+    operator[tails, heads] = 1.0
+    return operator
+
+
 def block_shell_counts(
-    rows: np.ndarray, tails: np.ndarray, heads: np.ndarray, width: int, tail_count: int
+    rows: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    width: int,
+    tail_count: int,
+    operator: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """counts[b][y][j] = |{arcs (y, z) : rows[b][z] = j}| for a block of
     source rows, every tail y in [0, tail_count) and every class in
-    [0, width): one bincount over the keys (b * tail_count + y) * width +
-    rows[b][z]. Swapping tails and heads counts in-neighbors instead."""
-    b = len(rows)
+    [0, width). Where `gemm_kernel` says so, by one GEMM: the entry
+    (H M^T)[(b, j)][y] of the one-hot H[(b, j)][z] = [rows[b][z] = j] and the
+    arcs' `_operator` M (built here unless given), exact in float64 since no
+    sum exceeds n. Else by one bincount over the keys
+    (b * tail_count + y) * width + rows[b][z]. Swapping tails and heads
+    counts in-neighbors instead."""
+    b, n = rows.shape
+    if gemm_kernel(n, width, tail_count, len(tails)):
+        if operator is None:
+            operator = _operator(tails, heads, tail_count, n)
+        onehot = (rows[:, None, :] == np.arange(width)[:, None]).reshape(b * width, n)
+        counts = onehot.astype(np.float64) @ operator.T
+        return counts.reshape(b, width, tail_count).transpose(0, 2, 1).astype(np.int64, order="C")
     keys = rows[:, heads]
     keys += tails * width
     keys += (np.arange(b) * (tail_count * width))[:, None]
     return np.bincount(keys.ravel(), minlength=b * tail_count * width).reshape(
         b, tail_count, width
     )
+
+
+def count_blocks(
+    dist: np.ndarray, tails: np.ndarray, heads: np.ndarray, width: int, tail_count: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(first row, block of rows, its `block_shell_counts`) over the rows of
+    dist in order, in `row_blocks` sized for the kernel: per row, the counts
+    and, on bincount, the keys. The GEMM's operator is built once."""
+    n = dist.shape[1]
+    per_row, operator = tail_count * width, None
+    if gemm_kernel(n, width, tail_count, len(tails)):
+        operator = _operator(tails, heads, tail_count, n)
+    else:
+        per_row = max(per_row, len(tails))
+    for lo, rows in row_blocks(dist, per_row):
+        yield lo, rows, block_shell_counts(rows, tails, heads, width, tail_count, operator)
 
 
 def row_blocks(dist: np.ndarray, per_row: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -150,8 +209,8 @@ def _python_scan(g: Digraph, dist: np.ndarray) -> _Scan:
 
 def _numpy_scan(g: Digraph, dist: np.ndarray, width: int) -> _Scan:
     """What `_python_scan` returns, from blocks of source rows through
-    `block_shell_counts`: one call counts both halves, the in-half as the
-    tails n..2n - 1 of the swapped arcs. A block's rows are tested
+    `count_blocks`: one count holds both halves, the in-half as the tails
+    n..2n - 1 of the swapped arcs. A block's rows are tested
     together, and the first row that fails names the failure, in the order
     class count, equitability, vertex 0's parameters."""
     n = g.n
@@ -159,7 +218,7 @@ def _numpy_scan(g: Digraph, dist: np.ndarray, width: int) -> _Scan:
     both = (np.concatenate([tails, heads + n]), np.concatenate([heads, tails]))
     classes = np.arange(width)
     ref = None  # vertex 0's class count, (d_out, d_in) and cell sizes
-    for lo, rows in row_blocks(dist, 2 * max(n * width, len(tails))):
+    for lo, rows, counts in count_blocks(dist, *both, width, 2 * n):
         b = len(rows)
         block = np.arange(b)[:, None]
         cells = rows.max(axis=1) + 1
@@ -167,7 +226,7 @@ def _numpy_scan(g: Digraph, dist: np.ndarray, width: int) -> _Scan:
         first = member.argmax(axis=1)  # lowest vertex of each class
         sizes = member.sum(axis=1)
         # halves[h][b][y][j]: out- (h = 0) and in-neighbors (h = 1) of y in class j
-        halves = block_shell_counts(rows, *both, width, 2 * n).reshape(b, 2, n, width)
+        halves = counts.reshape(b, 2, n, width)
         halves = halves.transpose(1, 0, 2, 3)
         equitable = (halves == halves[:, block, first[block, rows]]).all(axis=(0, 2, 3))
         params = halves[:, block, first]

@@ -6,7 +6,8 @@ byte-identical.
 """
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .characterize import CharacterizationVerdict, Report
@@ -16,14 +17,50 @@ from .spectral import Spectrum, spectral_excess
 SCHEMA = "drdkit-report/1"
 
 
-def _normalize_floats(obj):
+def _float_text(x: float) -> str:
+    """x at 12 significant digits, written as `json.dumps` writes a float."""
+    x = float(f"{x:.12g}")
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _render(obj, pad: str) -> str:
+    """obj as `json.dumps(obj, sort_keys=True, indent=2)` writes it at
+    indent pad, with floats normalized. Keys must be strings, as in every
+    report. Strings go through the C encoder, and a list of ints is joined
+    at once."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _normalize_floats(v) for k, v in obj.items()}
+        return _float_text(obj)
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        return [_normalize_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = (_render(v, inner) for v in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in sorted(obj.items())
+        )
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _verdict_doc(v: CharacterizationVerdict) -> dict:
@@ -78,8 +115,9 @@ def report_document(report: Report) -> dict:
 
 
 def canonical_json(doc: dict) -> str:
-    """Deterministic rendering: sorted keys, normalized floats, newline end."""
-    return json.dumps(_normalize_floats(doc), sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering: sorted keys, normalized floats, newline end,
+    byte for byte the text of `json.dumps` at indent 2."""
+    return _render(doc, "") + "\n"
 
 
 def human_summary(report: Report) -> str:

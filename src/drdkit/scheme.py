@@ -28,7 +28,7 @@ from .errors import (
     NotStronglyConnected,
     PreconditionViolated,
 )
-from .partitions import block_shell_counts, numpy_route, row_blocks, shell_counts
+from .partitions import count_blocks, numpy_route, shell_counts
 from .ratlin import (
     IntMatrix,
     PartitionBasis,
@@ -341,9 +341,10 @@ def damerell_numbers(g: Digraph, t: DistanceTable) -> DamerellTable:
     (x, y), the out-neighbors z of y counted by d(x, z), from row x of the
     distance table. Below `partitions.NUMPY_ROUTE_WORK` the rows go one at
     a time through `partitions.shell_counts`; from it on, in doubling
-    blocks through `partitions.block_shell_counts`. Each pair is compared
-    with the first pair of its class i = d(x,y) in row-major order; the
-    witness is the first pair that differs, at the lowest j where it does."""
+    blocks through `partitions.count_blocks`, by GEMM with A or by
+    bincount. Each pair is compared with the first pair of its class
+    i = d(x,y) in row-major order; the witness is the first pair that
+    differs, at the lowest j where it does."""
     if not t.strongly_connected:
         raise NotStronglyConnected("count table needs a strongly connected digraph")
     width = t.diameter + 1
@@ -376,8 +377,8 @@ def _damerell_blocks(g: Digraph, dist: np.ndarray, width: int) -> DamerellTable:
     tails, heads = g.arc_arrays
     ref = np.zeros((width, width), dtype=np.int64)
     unseen = np.ones(width, dtype=bool)
-    for lo, rows in row_blocks(dist, max(n * width, len(tails))):
-        counts = block_shell_counts(rows, tails, heads, width, n).reshape(-1, width)
+    for lo, rows, counts in count_blocks(dist, tails, heads, width, n):
+        counts = counts.reshape(-1, width)
         cls = rows.ravel()
         if unseen.any():
             labels, at = np.unique(cls, return_index=True)

@@ -12,8 +12,9 @@ products from the textbook triple loop, the product table of the distance
 matrices from their products and span solves, distance polynomials by
 evaluating each of them at A from scratch, the distance-partition scans from
 the textbook equitability count on every vertex's cells, Damerell's
-one-step table from a plain loop over pairs and arcs, and the scheme axioms
-of a matrix family from its sum, transposes and `numpy` products.
+one-step table from a plain loop over pairs and arcs, the scheme axioms
+of a matrix family from its sum, transposes and `numpy` products, and the
+canonical report text from the standard library's `json.dumps`.
 
 The two last sections are different. The first holds identities from the
 paper's sources that no verdict reads, composed from library primitives so
@@ -25,6 +26,7 @@ the excess bound. The second builds test matrices.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -449,6 +451,22 @@ def damerell_table_direct(adj):
                 j = min(jj for jj in range(D + 1) if base[jj] != counts[jj])
                 return False, None, (i, j, pair0, (x, y), base[j], counts[j])
     return True, tuple(tuple(ref[i][0]) for i in sorted(ref)), None
+
+
+def _normalize_floats(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _normalize_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_normalize_floats(v) for v in obj]
+    return obj
+
+
+def canonical_json_by_dumps(doc) -> str:
+    """The canonical report text: floats at 12 significant digits, sorted
+    keys, indent 2, through the standard library's encoder."""
+    return json.dumps(_normalize_floats(doc), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,35 @@ def test_no_flags_build_the_default_config(argv, paper6_file, monkeypatch):
     assert configs == [CheckConfig()]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "PATH", "--tol", "abc"],
+        ["check", "PATH", "--max-walk-len", "x"],
+        ["check", "PATH", "--bogus"],
+        ["check", "PATH", "--format", "matrix"],
+        ["fuzz", "5", "x"],
+        [],
+    ],
+    ids=["tol", "max-walk-len", "unknown-flag", "format", "fuzz-n-max", "no-command"],
+)
+def test_usage_errors_exit_four(argv, paper6_file, capsys):
+    # Exit 2 belongs to a digraph that is not strongly connected.
+    with pytest.raises(SystemExit) as exc:
+        main([paper6_file if a == "PATH" else a for a in argv])
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: drdkit") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["fuzz", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: drdkit")
+
+
 class TestFuzzCommand:
     def test_seeded_run_is_deterministic(self, capsys):
         assert main(["fuzz", "3", "5", "30", "--seed", "42"]) == 0

@@ -1,11 +1,13 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drdkit.corpus import cycle, paper6, random_sc
+import drdkit.digraph as digraph
+from drdkit.corpus import cycle, paley, paper6, random_sc
 from drdkit.digraph import (
     MAX_VERTICES,
     Digraph,
@@ -269,3 +271,72 @@ def test_girth_matches_brute_force_on_seven_vertices():
     for seed in range(8):
         g = random_sc(7, 0.25 + 0.05 * seed, seed=seed)
         assert distance_table(g).girth == brute_girth(g.adj)
+
+
+# Settings that force each way of building the distance table.
+TABLE_ROUTES = {
+    "frontier": {"FRONTIER_MIN_STEPS": 0, "FRONTIER_FLOPS_PER_STEP": 1 << 60},
+    "python": {"FRONTIER_MIN_STEPS": 1 << 60},
+}
+
+
+def table_by(route: str, g: Digraph):
+    """The distance table of g built the given way, and only that way."""
+    called = []
+    real = digraph._frontier_table
+    with mock.patch.multiple(digraph, **TABLE_ROUTES[route]), mock.patch.object(
+        digraph, "_frontier_table", lambda g: called.append(g) or real(g)
+    ):
+        t = distance_table(g)
+    assert called == ([g] if route == "frontier" else [])
+    return t
+
+
+@st.composite
+def acyclic_digraphs(draw, max_n: int = 12):
+    """Digraphs with every arc from a lower to a higher position of a drawn
+    vertex order: no directed cycle, so no girth."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    arcs = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Digraph.from_arcs(n, sorted(arcs))
+
+
+class TestFrontier:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            small_digraphs(9),
+            acyclic_digraphs(),
+            st.builds(random_sc, st.integers(2, 24), st.floats(0.3, 0.9), seed=st.integers(0, 99)),
+            st.builds(cycle, st.integers(2, 30)),
+        )
+    )
+    def test_frontier_table_is_the_python_table(self, g):
+        frontier, python = table_by("frontier", g), table_by("python", g)
+        assert np.array_equal(frontier.array, python.array)  # the -1 entries too
+        assert frontier.array.dtype == np.int64 and not frontier.array.flags.writeable
+        assert (frontier.diameter, frontier.girth, frontier.strongly_connected) == (
+            python.diameter, python.girth, python.strongly_connected
+        )
+
+    def test_acyclic_has_no_girth_either_way(self):
+        g = Digraph.from_arcs(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
+        for route in TABLE_ROUTES:
+            t = table_by(route, g)
+            assert t.girth is None and not t.strongly_connected and t.diameter == 2
+
+    def test_the_rule_splits_by_levels_times_cube_against_bfs_steps(self):
+        # bound * n^3 against 250 * n * (n + m): paley(43) 4 * 43^3 = 318,028
+        # below 250 * 40,678; random_sc(40, 0.2) 6 * 40^3 below 250 * 13,360.
+        # C_30 reads (ecc_out(0) + 1) * 30^3 = 810,000 >= 250 * 1,800 before
+        # its in-BFS, and C_10's 10^3 steps stay below FRONTIER_MIN_STEPS.
+        for g, frontier in (
+            (paley(43), True), (random_sc(40, 0.2, seed=1), True), (cycle(30), False), (cycle(10), False)
+        ):
+            called = []
+            real = digraph._frontier_table
+            with mock.patch.object(digraph, "_frontier_table", lambda g: called.append(g) or real(g)):
+                distance_table(g)
+            assert called == ([g] if frontier else [])

@@ -134,8 +134,11 @@ def test_every_public_definition_has_a_reader():
         for elt in node.value.elts
     }
     traced = {part for _, _, path in _tracer().TARGETS for part in path.split(".")}
+    # Hooks that a standard-library base class calls by name:
+    # argparse.ArgumentParser calls cli._Parser.error on a usage error.
+    hooks = {"error"}
     modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
-    assert unread_definitions(modules, exported | traced) == set()
+    assert unread_definitions(modules, exported | traced | hooks) == set()
 
 
 def test_dead_code_guard_sees_unread_definitions():

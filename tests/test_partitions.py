@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drdkit.digraph as digraph
 import drdkit.partitions as partitions
+from drdkit.characterize import check_all
 from drdkit.corpus import cycle, cycle_with_chord, paley, random_sc
 from drdkit.digraph import Digraph, DistanceTable, distance_table
 from drdkit.errors import NotStronglyConnected, PreconditionViolated
 from drdkit.partitions import (
     block_shell_counts,
     distance_regular_scan,
+    gemm_kernel,
     numpy_route,
     row_blocks,
     shell_counts,
@@ -315,14 +318,20 @@ class TestShellCountKernel:
         assert_matches_direct(g)
 
 
-# NUMPY_ROUTE_WORK values that put every graph on one route: 0 sends all to
-# numpy, and no digraph of at most MAX_VERTICES vertices reaches the other.
-ROUTES = {"numpy": 0, "python": 1 << 40}
+# Settings that put every graph on one kernel: NUMPY_ROUTE_WORK 0 sends all
+# to numpy, where GEMM_FLOPS_PER_KEY 0 keeps bincount and 1 << 60 takes
+# GEMM; no digraph of at most MAX_VERTICES vertices reaches the cut 1 << 40.
+ROUTES = {
+    "python": {"NUMPY_ROUTE_WORK": 1 << 40},
+    "bincount": {"NUMPY_ROUTE_WORK": 0, "GEMM_FLOPS_PER_KEY": 0},
+    "gemm": {"NUMPY_ROUTE_WORK": 0, "GEMM_FLOPS_PER_KEY": 1 << 60},
+}
 
 
 def assert_both_routes_match_direct(g: Digraph) -> None:
-    for cut in ROUTES.values():
-        with mock.patch.object(partitions, "NUMPY_ROUTE_WORK", cut):
+    """The Python route and both numpy kernels against the direct oracles."""
+    for settings_ in ROUTES.values():
+        with mock.patch.multiple(partitions, **settings_):
             assert_matches_direct(g)
 
 
@@ -334,9 +343,9 @@ def circulants(draw):
 
 
 class TestBothRoutes:
-    """The pure-Python and the numpy route each give the direct oracles'
-    verdicts, parameters and witnesses, with the cut moved so that every
-    graph takes the route under test."""
+    """The pure-Python route and the numpy route's bincount and GEMM kernels
+    each give the direct oracles' verdicts, parameters and witnesses, with
+    the rules moved so that every graph takes the kernel under test."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -361,17 +370,34 @@ class TestBothRoutes:
         with mock.patch.object(partitions, "NUMPY_ROUTE_WORK", 931):
             assert not numpy_route(cycle(30), 30)
 
+    def test_the_kernel_splits_by_flops_per_key(self):
+        # 2 T n (D + 1) flops against arcs + T (D + 1) keys a row, the same
+        # ratio for T = n (G) and T = 2n (DEF, F): on paley(43)
+        # 2 * 43^2 * 3 / (903 + 43 * 3) = 10.75, on C_30 54,000 / 930 = 58.1.
+        for g, width, gemm in ((paley(43), 3, True), (cycle(30), 30, False)):
+            assert numpy_route(g, width)
+            for tail_count, arcs in ((g.n, g.m), (2 * g.n, 2 * g.m)):
+                assert gemm_kernel(g.n, width, tail_count, arcs) == gemm
+        with mock.patch.object(partitions, "GEMM_FLOPS_PER_KEY", 10):
+            assert not gemm_kernel(43, 3, 43, 903)
+        with mock.patch.object(partitions, "GEMM_FLOPS_PER_KEY", 59):
+            assert gemm_kernel(30, 30, 30, 30)
+
     def test_block_counts_are_the_shell_counts(self):
         for g in (cycle(5), paley(7), cycle_with_chord(6), random_sc(9, 0.4, seed=3)):
             dist = distance_table(g).array
             width = int(dist.max()) + 1
             tails, heads = g.arc_arrays
-            out = block_shell_counts(dist, tails, heads, width, g.n)
-            into = block_shell_counts(dist, heads, tails, width, g.n)
-            for x in range(g.n):
-                row = dist[x].tolist()
-                assert out[x].tolist() == shell_counts(row, g.out_neighbors, width)
-                assert into[x].tolist() == shell_counts(row, g.in_neighbors, width)
+            for kernel in ("bincount", "gemm"):
+                with mock.patch.multiple(partitions, **ROUTES[kernel]):
+                    assert gemm_kernel(g.n, width, g.n, g.m) == (kernel == "gemm")
+                    out = block_shell_counts(dist, tails, heads, width, g.n)
+                    into = block_shell_counts(dist, heads, tails, width, g.n)
+                assert out.dtype == into.dtype == np.int64
+                for x in range(g.n):
+                    row = dist[x].tolist()
+                    assert out[x].tolist() == shell_counts(row, g.out_neighbors, width)
+                    assert into[x].tolist() == shell_counts(row, g.in_neighbors, width)
 
     def test_blocks_double_up_to_the_cap(self):
         dist = np.zeros((40, 40), dtype=np.int64)
@@ -382,6 +408,21 @@ class TestBothRoutes:
             assert sizes() == [1] * 40
         starts = [lo for lo, _ in row_blocks(dist, 100)]
         assert starts == [0, 1, 3, 7, 15, 31]
+
+    def test_no_digraph_of_at_most_eight_vertices_reaches_a_new_rule(self, monkeypatch):
+        # n^3 <= 512 is below FRONTIER_MIN_STEPS, and n * (D + 1) + m <= 120
+        # below NUMPY_ROUTE_WORK, so neither rule is evaluated.
+        assert digraph.FRONTIER_MIN_STEPS > 8**3 and partitions.NUMPY_ROUTE_WORK > 8 * 15
+        reached = []
+        monkeypatch.setattr(digraph, "_frontier_pays", lambda *a: reached.append(a))
+        monkeypatch.setattr(partitions, "gemm_kernel", lambda *a: reached.append(a))
+        graphs = [Digraph.from_arcs(1, [])]
+        for n in range(2, 9):
+            complete = Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+            graphs += [complete, cycle(n), random_sc(n, 0.2, seed=n), random_sc(n, 0.5, seed=n)]
+        for g in graphs:
+            assert check_all(g).agreement
+        assert reached == []
 
     def test_a_no_at_vertex_zero_counts_one_row(self, monkeypatch):
         g = random_sc(60, 0.1, seed=1)
@@ -466,3 +507,28 @@ class TestNumpyRouteMemory:
         assert traced_peak(lambda: distance_regular_scan(g, t, "out")) < bound
         assert traced_peak(lambda: distance_regular_scan(g, t, "in")) < bound
         assert traced_peak(lambda: damerell_numbers(g, t)) < bound
+
+    def test_gemm_holds_blocks_beside_one_operator(self):
+        # paley(131) counts by GEMM: 2n * (D + 1) = 786 counts a row, in
+        # blocks of COUNT_BLOCK elements, beside the operator [A; A^T] (or
+        # A alone for G) of 2n^2 float64, built once a scan.
+        g = paley(131)
+        t = distance_table(g)
+        width = t.diameter + 1
+        assert numpy_route(g, width) and gemm_kernel(g.n, width, 2 * g.n, 2 * g.m)
+        g.arc_arrays
+        bound = 5 * (partitions.COUNT_BLOCK + g.n * width) * 8 + 2 * g.n * g.n * 8
+        assert traced_peak(lambda: distance_regular_scan(g, t, "out")) < bound
+        assert traced_peak(lambda: distance_regular_scan(g, t, "in")) < bound
+        assert traced_peak(lambda: damerell_numbers(g, t)) < bound
+
+    def test_frontier_holds_a_few_square_arrays(self):
+        # The frontier keeps A, the table, the frontier and its product
+        # (n^2 float64 or int64 each) and three n^2 bool arrays.
+        g = paley(131)
+        g.out_neighbors, g.in_neighbors, g.matrix
+        called = []
+        real = digraph._frontier_table
+        with mock.patch.object(digraph, "_frontier_table", lambda g: called.append(g) or real(g)):
+            assert traced_peak(lambda: distance_table(g)) < 6 * g.n * g.n * 8
+        assert called == [g]
