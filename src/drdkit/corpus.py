@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import digraph
-from .digraph import Digraph, _check_size, strongly_connected
+from .digraph import Digraph, _check_size
 from .errors import InvalidParameter, ParseError
 from .ratlin import _is_prime
 
@@ -59,13 +59,8 @@ def paley(q: int) -> Digraph:
         raise InvalidParameter(f"paley needs a prime, got {q}")
     if q % 4 != 3:
         raise InvalidParameter(f"paley needs q = 3 (mod 4), got {q}")
-    squares = {(x * x) % q for x in range(1, q)}
-    arcs = [
-        (x, y)
-        for x in range(q)
-        for y in range(q)
-        if x != y and (y - x) % q in squares
-    ]
+    squares = {(x * x) % q for x in range(1, q)}  # 0 is not one: no loops
+    arcs = [(x, y) for x in range(q) for y in range(q) if (y - x) % q in squares]
     return Digraph.from_arcs(q, arcs)
 
 
@@ -141,9 +136,8 @@ def random_sc(
             for v in range(n)
             if u != v and rng.random() < p
         ]
-        g = Digraph.from_arcs(n, arcs)
-        if strongly_connected(g):
-            return g
+        if _arcs_strongly_connected(n, arcs):
+            return Digraph.from_arcs(n, arcs)
     raise InvalidParameter(
         f"no strongly connected graph found in {max_attempts} samples (n={n}, p={p})"
     )
@@ -196,9 +190,18 @@ def all_strongly_connected_digraphs(n: int) -> Iterator[Digraph]:
     positions = [(u, v) for u in range(n) for v in range(n) if u != v]
     for mask in range(1 << len(positions)):
         arcs = [positions[b] for b in range(len(positions)) if mask >> b & 1]
-        g = Digraph.from_arcs(n, arcs)
-        if strongly_connected(g):
-            yield g
+        if _arcs_strongly_connected(n, arcs):
+            yield Digraph.from_arcs(n, arcs)
+
+
+def _arcs_strongly_connected(n: int, arcs: list[tuple[int, int]]) -> bool:
+    """`strongly_connected` on an arc list, decided before a Digraph is
+    built: most arc sets on few vertices are rejected."""
+    forward, backward = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in arcs:
+        forward[u].append(v)
+        backward[v].append(u)
+    return -1 not in digraph._bfs(forward, 0, n) and -1 not in digraph._bfs(backward, 0, n)
 
 
 def edge_list_text(g: Digraph) -> str:
@@ -208,19 +211,11 @@ def edge_list_text(g: Digraph) -> str:
     (the parser auto-detects label mode by non-numeric tokens), so digraphs
     whose labels are digit strings round-trip through dense indices.
     """
-    lines = [f"{g.n} {g.m}"]
-
-    def looks_numeric(lbl: str) -> bool:
-        try:
-            int(lbl)
-            return True
-        except ValueError:
-            return False
-
-    use_labels = not all(looks_numeric(lbl) for lbl in g.labels)
-    for u, v in g.arcs():
-        if use_labels:
-            lines.append(f"{g.labels[u]} {g.labels[v]}")
-        else:
-            lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    try:
+        for label in g.labels:
+            int(label)
+    except ValueError:
+        names = g.labels
+    else:
+        names = tuple(map(str, range(g.n)))
+    return "\n".join([f"{g.n} {g.m}"] + [f"{names[u]} {names[v]}" for u, v in g.arcs()]) + "\n"

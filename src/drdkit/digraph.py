@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import DuplicateArc, EmptyGraph, LoopRejected, ParseError
 # steps of n Python BFS, and only from FRONTIER_MIN_STEPS such steps, below
 # which a few numpy calls a level cost more than the whole Python table.
 # Both are set from a sweep of cycles, Paley digraphs, random digraphs,
-# Kautz and de Bruijn digraphs (ROADMAP item 4).
+# Kautz and de Bruijn digraphs (CHANGES.md, "A dense "yes" on BLAS").
 FRONTIER_FLOPS_PER_STEP = 250
 FRONTIER_MIN_STEPS = 1024
 
@@ -35,29 +36,38 @@ def _check_size(n: int) -> None:
         raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Digraph:
-    """Immutable simple digraph with a dense 01 adjacency relation."""
+    """Immutable simple digraph: its labels and its adjacency relation as one
+    read-only n x n bool array, compared and hashed by value. The constructor
+    validates an array of any 0/1 numbers and keeps a bool copy of it."""
 
-    n: int
     labels: tuple[str, ...]
-    adj: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n <= 0:
+        matrix = np.asarray(self.matrix)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ParseError(f"adjacency has shape {matrix.shape}, expected n x n")
+        n = len(matrix)
+        if n == 0:
             raise EmptyGraph("digraph needs at least one vertex")
-        if len(self.labels) != self.n:
-            raise ParseError(f"expected {self.n} labels, got {len(self.labels)}")
-        if len(self.adj) != self.n:
-            raise ParseError(f"adjacency has {len(self.adj)} rows, expected {self.n}")
-        for v, row in enumerate(self.adj):
-            if len(row) != self.n:
-                raise ParseError(f"adjacency row {v} has {len(row)} entries")
-            for e in row:
-                if e not in (0, 1):
-                    raise ParseError(f"adjacency entries must be 0 or 1, got {e!r}")
-            if row[v]:
-                raise LoopRejected(f"loop at vertex {self.labels[v]}")
+        if len(self.labels) != n:
+            raise ParseError(f"expected {n} labels, got {len(self.labels)}")
+        if matrix.dtype != bool:
+            # The first row with a bad entry or a loop decides, entries first.
+            bad = (matrix != 0) & (matrix != 1)
+            rows = np.flatnonzero(bad.any(axis=1) | (matrix.diagonal() != 0))
+            if rows.size and bad[rows[0]].any():
+                entry = matrix[rows[0]][bad[rows[0]]][0].item()
+                raise ParseError(f"adjacency entries must be 0 or 1, got {entry!r}")
+        if matrix.diagonal().any():
+            v = np.flatnonzero(matrix.diagonal())[0]
+            raise LoopRejected(f"loop at vertex {self.labels[v]}")
+        matrix = matrix.astype(bool, order="C")  # a copy: the caller's stays writeable
+        matrix.flags.writeable = False
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def from_arcs(
@@ -66,51 +76,56 @@ class Digraph:
         arcs: Iterable[tuple[int, int]],
         labels: Optional[Sequence[str]] = None,
     ) -> "Digraph":
-        """Build from an arc list, rejecting loops and duplicate arcs."""
+        """Build from an arc list, or an m x 2 array of arcs. The first arc
+        in input order that is out of range, a loop or a repeat raises."""
         if n <= 0:
             raise EmptyGraph("digraph needs at least one vertex")
         _check_size(n)
-        rows = [[0] * n for _ in range(n)]
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
+        # An index past int64 makes an object array, which compares exactly.
+        ends = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs)).reshape(-1, 2)
+        tails, heads = ends.T
+        keys = tails * n + heads
+        outside = ((ends < 0) | (ends >= n)).any(axis=1)
+        order = keys.argsort(kind="stable")  # each repeat sorts after an equal key
+        repeat = np.zeros(len(keys), dtype=bool)
+        repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        # An out-of-range arc's key may equal a later arc's; it is flagged first.
+        flagged = np.flatnonzero(outside | (tails == heads) | repeat)
+        if flagged.size:
+            u, v = int(tails[flagged[0]]), int(heads[flagged[0]])
+            if outside[flagged[0]]:
                 raise ParseError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise LoopRejected(f"loop at vertex {u}")
-            if rows[u][v]:
-                raise DuplicateArc(f"arc ({u}, {v}) repeated")
-            rows[u][v] = 1
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        return cls(n, tuple(labels), tuple(tuple(r) for r in rows))
+            raise DuplicateArc(f"arc ({u}, {v}) repeated")
+        matrix = np.zeros((n, n), dtype=bool)
+        matrix.reshape(-1)[keys.astype(np.intp)] = True
+        return cls(tuple(labels) if labels is not None else tuple(map(str, range(n))), matrix)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, np.packbits(self.matrix).tobytes()))
 
     @cached_property
-    def out_deg(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.adj)
+    def n(self) -> int:
+        return len(self.labels)
 
     @cached_property
-    def in_deg(self) -> tuple[int, ...]:
-        return tuple(sum(self.adj[u][v] for u in range(self.n)) for v in range(self.n))
+    def m(self) -> int:
+        """Number of arcs."""
+        return int(np.count_nonzero(self.matrix))
 
     @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(u for u, e in enumerate(row) if e) for row in self.adj
-        )
+        return _neighbor_lists(self.matrix)
 
     @cached_property
     def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(u for u in range(self.n) if self.adj[u][v])
-            for v in range(self.n)
-        )
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The adjacency relation as one read-only n x n bool array, built
-        once per digraph for every numpy reader."""
-        array = np.array(self.adj, dtype=bool)
-        array.flags.writeable = False
-        return array
+        return _neighbor_lists(self.matrix.T)
 
     @cached_property
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -120,16 +135,19 @@ class Digraph:
         tails.flags.writeable = heads.flags.writeable = False
         return tails, heads
 
-    @cached_property
-    def m(self) -> int:
-        """Number of arcs."""
-        return sum(self.out_deg)
-
     def arcs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.out_neighbors[u]]
+        """The arcs as pairs of Python ints, in row-major order."""
+        tails, heads = self.arc_arrays
+        return list(zip(tails.tolist(), heads.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Digraph(n={self.n}, m={self.m})"
+
+
+def _neighbor_lists(matrix: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """For each row of a bool matrix, the columns of its true entries."""
+    columns = range(len(matrix))
+    return tuple(tuple(compress(columns, row)) for row in matrix.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,11 +188,10 @@ def _bfs(neighbors: Sequence[Sequence[int]], source: int, n: int) -> list[int]:
 def strongly_connected(g: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path.
 
-    Two BFS sweeps from vertex 0, one along arcs and one against them.
+    Two BFS sweeps from vertex 0, one along arcs and, when that reaches
+    every vertex, one against them.
     """
-    if -1 in _bfs(g.out_neighbors, 0, g.n):
-        return False
-    return -1 not in _bfs(g.in_neighbors, 0, g.n)  # in-neighbours only when needed
+    return -1 not in _bfs(g.out_neighbors, 0, g.n) and -1 not in _bfs(g.in_neighbors, 0, g.n)
 
 
 def _frontier_pays(g: Digraph, row0: list[int]) -> bool:
@@ -257,16 +274,14 @@ def distance_table(g: Digraph) -> DistanceTable:
 
 def converse(g: Digraph) -> Digraph:
     """The digraph with every arc reversed."""
-    adj = tuple(tuple(g.adj[u][v] for u in range(g.n)) for v in range(g.n))
-    return Digraph(g.n, g.labels, adj)
+    return Digraph(g.labels, g.matrix.T)
 
 
 def regularity(g: Digraph) -> Optional[int]:
     """The common valency k when all in- and out-degrees equal k, else None."""
-    k = g.out_deg[0]
-    if all(d == k for d in g.out_deg) and all(d == k for d in g.in_deg):
-        return k
-    return None
+    out = g.matrix.sum(axis=1)
+    k = int(out[0])
+    return k if (out == k).all() and (g.matrix.sum(axis=0) == k).all() else None
 
 
 def _parse_edge_list(lines: list[str]) -> Digraph:
@@ -282,42 +297,28 @@ def _parse_edge_list(lines: list[str]) -> Digraph:
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"declared {m} arcs but found {len(body)} arc lines")
-    pairs = []
     for line in body:
-        toks = line.split()
-        if len(toks) != 2:
+        if len(line.split()) != 2:
             raise ParseError(f"malformed arc line {line!r}")
-        pairs.append((toks[0], toks[1]))
-
-    def _is_int(tok: str) -> bool:
-        try:
-            int(tok)
-            return True
-        except ValueError:
-            return False
-
-    numeric = all(_is_int(a) and _is_int(b) for a, b in pairs)
-    if numeric:
-        arcs = []
-        for a, b in pairs:
-            u, v = int(a), int(b)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"vertex index out of range in arc {a} {b}")
-            arcs.append((u, v))
-        return Digraph.from_arcs(n, arcs)
-    # Label mode: dense indices in first-appearance order.
-    index: dict[str, int] = {}
-    arcs = []
-    for a, b in pairs:
-        for tok in (a, b):
+    tokens = " ".join(body).split()
+    labels = None
+    try:
+        ends = list(map(int, tokens))
+    except ValueError:  # label mode: dense indices in first-appearance order
+        index: dict[str, int] = {}
+        for tok in tokens:
             if tok not in index:
                 if len(index) == n:
                     raise ParseError(f"more than {n} distinct labels (at {tok!r})")
                 index[tok] = len(index)
-        arcs.append((index[a], index[b]))
-    if len(index) != n:
-        raise ParseError(f"declared {n} vertices but only {len(index)} labels appear")
-    labels = tuple(sorted(index, key=index.__getitem__))
+        if len(index) != n:
+            raise ParseError(f"declared {n} vertices but only {len(index)} labels appear")
+        ends, labels = [index[tok] for tok in tokens], tuple(index)
+    arcs = np.array(ends).reshape(-1, 2)
+    outside = np.flatnonzero(((arcs < 0) | (arcs >= n)).any(axis=1))
+    if outside.size:
+        i = 2 * outside[0]
+        raise ParseError(f"vertex index out of range in arc {tokens[i]} {tokens[i + 1]}")
     return Digraph.from_arcs(n, arcs, labels)
 
 
@@ -332,10 +333,10 @@ def _parse_matrix(lines: list[str]) -> Digraph:
         if len(toks) != n:
             raise ParseError(f"matrix row {line!r} has {len(toks)} entries, expected {n}")
         try:
-            rows.append(tuple(int(t) for t in toks))
+            rows.append([int(t) for t in toks])
         except ValueError as exc:
             raise ParseError(f"non-numeric matrix entry in {line!r}") from exc
-    return Digraph(n, tuple(str(i) for i in range(n)), tuple(rows))
+    return Digraph(tuple(map(str, range(n))), np.array(rows))
 
 
 def parse_digraph(source: str, fmt: str = "edge-list") -> Digraph:

@@ -47,9 +47,10 @@ COUNT_BLOCK = 1 << 15
 # counts by GEMM when 2 * T * n * (D + 1) flops a row (T tails: n, or 2n for
 # both halves) stay below this many times its bincount's arcs + T * (D + 1)
 # keys and bins. Set from a sweep of the counts on cycles, Paley digraphs,
-# random digraphs, Kautz and de Bruijn digraphs (ROADMAP item 4): Paley
-# digraphs sit below 12 and GEMM is 1.2-6x faster there; cycles sit at 18
-# and up, where GEMM is 9-13 % slower up to 38 and 1.5-4x slower from 58.
+# random digraphs, Kautz and de Bruijn digraphs (CHANGES.md, "A dense "yes"
+# on BLAS"): Paley digraphs sit below 12 and GEMM is 1.2-6x faster there;
+# cycles sit at 18 and up, where GEMM is 9-13 % slower up to 38 and 1.5-4x
+# slower from 58.
 GEMM_FLOPS_PER_KEY = 16
 
 

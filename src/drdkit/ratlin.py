@@ -45,7 +45,8 @@ modulo one prime is at most its degree over the rationals, which is at most
 deg μ <= n. A first prime whose Krylov degree is n therefore proves
 deg μ = n, exactly and with no lift or certificate. Almost every random
 digraph ends there, and so does every cycle (μ = t^n - 1) with n <= 300,
-the range checked; only a lower degree runs `minimal_polynomial`.
+the range checked; only a lower degree runs `_integer_minimal_polynomial`,
+from that first prime's Krylov polynomial on.
 
 Every prime p is at most a cap that depends on n alone and proves
 n * (p - 1)**2 < 2**53. The Krylov and elimination steps then fit in int64,
@@ -174,7 +175,7 @@ class IntMatrix:
 
 
 def adjacency_matrix(g: Digraph) -> IntMatrix:
-    k = max(g.out_deg)
+    k = int(g.matrix.sum(axis=1).max())
     return IntMatrix.bounded(g.matrix.astype(np.int64), min(k, 1), k)
 
 
@@ -462,7 +463,8 @@ def _is_prime(m: int) -> bool:
 @lru_cache(maxsize=4096)
 def _prime_at_most(m: int) -> int:
     """The largest prime p <= m, for m >= 2; cached because every call of
-    `minimal_polynomial` on matrices of one size draws the same primes."""
+    `_integer_minimal_polynomial` on matrices of one size draws the same
+    primes."""
     while not _is_prime(m):
         m -= 1
     return m

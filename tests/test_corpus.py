@@ -38,7 +38,7 @@ class TestFamilies:
         for x in range(7):
             for y in range(7):
                 if x != y:
-                    assert g.adj[x][y] == (1 if (y - x) % 7 in squares else 0)
+                    assert g.matrix[x, y] == ((y - x) % 7 in squares)
 
     def test_paley_rejects_bad_modulus(self):
         with pytest.raises(InvalidParameter):
@@ -55,7 +55,7 @@ class TestFamilies:
     def test_debruijn_loopless_is_simple(self):
         g = debruijn(2, 3)
         assert g.n == 8
-        assert all(g.adj[v][v] == 0 for v in range(8))
+        assert not g.matrix.diagonal().any()
 
     def test_cycle_with_chord(self):
         g = cycle_with_chord(5)
@@ -132,7 +132,7 @@ class TestGenerate:
         for g in (debruijn(2, 3), kautz(2, 2)):
             parsed = parse_digraph(edge_list_text(g))
             assert parsed.n == g.n
-            assert parsed.adj == g.adj
+            assert (parsed.matrix == g.matrix).all()
 
 
 class TestFamilyVerdicts:

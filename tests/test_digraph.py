@@ -41,8 +41,7 @@ class TestParsing:
     def test_triangle_edge_list(self):
         g = parse_digraph("3 3\n0 1\n1 2\n2 0")
         assert g.n == 3
-        assert g.out_deg == (1, 1, 1)
-        assert g.adj[0][1] == 1 and g.adj[1][2] == 1 and g.adj[2][0] == 1
+        assert g.matrix.astype(int).tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
     def test_paper6_labels(self):
         text = "6 12\n" + "\n".join(
@@ -106,6 +105,86 @@ class TestParsing:
         assert g.m == 3
 
 
+def _edge_list(text: str):
+    return lambda: parse_digraph(text)
+
+
+def _matrix(text: str):
+    return lambda: parse_digraph(text, fmt="adjacency-matrix")
+
+
+def _arcs(n: int, arcs, labels=None):
+    return lambda: Digraph.from_arcs(n, arcs, labels)
+
+
+# Every input error, with its exact class and message: (build, class, str).
+INPUT_ERRORS = {
+    "arc-out-of-range": (_arcs(3, [(0, 1), (0, 3)]), ParseError, "arc (0, 3) out of range for n=3"),
+    "arc-negative": (_arcs(3, [(-1, 0)]), ParseError, "arc (-1, 0) out of range for n=3"),
+    "arc-loop": (_arcs(3, [(0, 1), (2, 2)]), LoopRejected, "loop at vertex 2"),
+    "arc-repeated": (_arcs(3, [(0, 1), (1, 2), (0, 1)]), DuplicateArc, "arc (0, 1) repeated"),
+    # Input order decides: the repeat comes before the out-of-range arc.
+    "arc-repeat-first": (_arcs(3, [(0, 1), (0, 1), (0, 5)]), DuplicateArc, "arc (0, 1) repeated"),
+    "arc-range-first": (_arcs(3, [(0, 5), (0, 1), (0, 1)]), ParseError, "arc (0, 5) out of range for n=3"),
+    "arc-loop-first": (_arcs(3, [(1, 1), (0, 1), (0, 1)]), LoopRejected, "loop at vertex 1"),
+    "arc-no-vertex": (_arcs(0, []), EmptyGraph, "digraph needs at least one vertex"),
+    "arc-too-many": (_arcs(MAX_VERTICES + 1, []), ParseError, "2049 vertices exceed the limit of 2048"),
+    "arc-label-count": (_arcs(2, [(0, 1)], ("a",)), ParseError, "expected 2 labels, got 1"),
+    "el-repeated": (_edge_list("2 2\n0 1\n0 1"), DuplicateArc, "arc (0, 1) repeated"),
+    "el-loop": (_edge_list("2 1\n1 1"), LoopRejected, "loop at vertex 1"),
+    "el-out-of-range": (_edge_list("2 1\n0 5"), ParseError, "vertex index out of range in arc 0 5"),
+    # The parser checks every index's range before any repeat.
+    "el-range-before-repeat": (
+        _edge_list("3 3\n0 1\n0 1\n0 3"), ParseError, "vertex index out of range in arc 0 3"
+    ),
+    # In label mode a loop is named by its index, not its label.
+    "el-label-loop": (_edge_list("2 2\na b\nb b"), LoopRejected, "loop at vertex 1"),
+    "el-label-repeated": (_edge_list("2 2\na b\na b"), DuplicateArc, "arc (0, 1) repeated"),
+    "el-empty": (_edge_list("# nothing\n"), EmptyGraph, "empty edge list"),
+    "el-header-one-token": (_edge_list("3"), ParseError, "expected header 'n m', got '3'"),
+    "el-header-three-tokens": (_edge_list("3 1 2"), ParseError, "expected header 'n m', got '3 1 2'"),
+    "el-header-non-numeric": (_edge_list("a 1\n0 1"), ParseError, "non-numeric header 'a 1'"),
+    "el-header-zero": (_edge_list("0 0"), EmptyGraph, "edge list declares zero vertices"),
+    "el-header-negative": (_edge_list("-2 0"), EmptyGraph, "edge list declares zero vertices"),
+    "el-header-too-many": (_edge_list("1000000 0"), ParseError, "1000000 vertices exceed the limit of 2048"),
+    "el-arc-count": (_edge_list("2 2\n0 1"), ParseError, "declared 2 arcs but found 1 arc lines"),
+    "el-malformed-arc": (_edge_list("2 1\n0 1 2"), ParseError, "malformed arc line '0 1 2'"),
+    "el-too-many-labels": (_edge_list("2 2\na b\nc a"), ParseError, "more than 2 distinct labels (at 'c')"),
+    "el-too-few-labels": (_edge_list("3 1\na b"), ParseError, "declared 3 vertices but only 2 labels appear"),
+    "el-unknown-format": (lambda: parse_digraph("1 0", fmt="csv"), ParseError, "unknown format 'csv'"),
+    "matrix-empty": (_matrix("# nothing"), EmptyGraph, "empty adjacency matrix"),
+    "matrix-entry-2": (_matrix("0 2\n0 0"), ParseError, "adjacency entries must be 0 or 1, got 2"),
+    "matrix-entry-negative": (_matrix("0 0\n-1 0"), ParseError, "adjacency entries must be 0 or 1, got -1"),
+    "matrix-non-numeric": (_matrix("0 x\n0 0"), ParseError, "non-numeric matrix entry in '0 x'"),
+    "matrix-ragged": (_matrix("0 1 0\n0 0\n1 0 0"), ParseError, "matrix row '0 0' has 2 entries, expected 3"),
+    # A ragged row fails before any entry of an earlier row is checked.
+    "matrix-ragged-first": (_matrix("0 2\n0"), ParseError, "matrix row '0' has 1 entries, expected 2"),
+    "matrix-loop": (_matrix("0 1 0\n0 1 0\n0 0 0"), LoopRejected, "loop at vertex 1"),
+    # Row-major order: the first offending row decides, and within a row its
+    # entries are checked before its loop.
+    "matrix-loop-before-later-entry": (
+        _matrix("0 0 0\n0 1 0\n0 0 3"), LoopRejected, "loop at vertex 1"
+    ),
+    "matrix-entry-before-loop-of-row": (
+        _matrix("0 0 0\n0 1 2\n0 0 0"), ParseError, "adjacency entries must be 0 or 1, got 2"
+    ),
+    "matrix-first-entry-in-row": (
+        _matrix("0 0 0\n0 0 5\n7 0 0"), ParseError, "adjacency entries must be 0 or 1, got 5"
+    ),
+    "matrix-too-many": (
+        _matrix("0\n" * (MAX_VERTICES + 1)), ParseError, "2049 vertices exceed the limit of 2048"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_error_messages(case):
+    build, cls, message = INPUT_ERRORS[case]
+    with pytest.raises(ParseError) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (cls, message)
+
+
 class TestConnectivity:
     def test_cycle_is_strongly_connected(self):
         assert strongly_connected(cycle(5))
@@ -148,7 +227,7 @@ class TestDistances:
         assert shells[2] == {"d", "e"}
         assert shells[3] == {"f"}
         assert t.girth == 3
-        assert t.girth == brute_girth(g.adj)
+        assert t.girth == brute_girth(g.matrix.tolist())
 
     def test_acyclic_has_no_girth(self):
         g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
@@ -162,7 +241,7 @@ class TestDistances:
 class TestConverse:
     def test_cycle_converse(self):
         g = converse(cycle(3))
-        assert g.adj[1][0] == 1 and g.adj[0][2] == 1
+        assert g.matrix[1, 0] and g.matrix[0, 2] and g.m == 3
 
     def test_symmetric_fixed_point(self):
         g = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
@@ -178,17 +257,54 @@ class TestConverse:
     def test_involution(self):
         g = random_sc(6, 0.4, seed=7)
         assert converse(converse(g)) == g
+        assert converse(converse(g)) in {g} and converse(g) not in {g}
+
+
+@st.composite
+def shuffled_arcs(draw, max_n: int = 6):
+    """(n, arcs): a simple digraph's arcs in a drawn order."""
+    n = draw(st.integers(1, max_n))
+    positions = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return n, draw(st.permutations(positions))[: draw(st.integers(0, len(positions)))]
 
 
 class TestNumpyViews:
     @settings(max_examples=50, deadline=None)
-    @given(small_digraphs())
-    def test_matrix_and_arc_arrays_are_adj(self, g):
+    @given(shuffled_arcs())
+    def test_matrix_and_arc_arrays_are_adj(self, case):
+        n, arcs = case
+        g = Digraph.from_arcs(n, arcs)
         assert g.matrix.dtype == bool and not g.matrix.flags.writeable
-        assert g.matrix.astype(int).tolist() == [list(row) for row in g.adj]
+        assert g.matrix.tolist() == [[(u, v) in arcs for v in range(n)] for u in range(n)]
         tails, heads = g.arc_arrays
         assert not tails.flags.writeable and not heads.flags.writeable
-        assert list(zip(tails.tolist(), heads.tolist())) == g.arcs()
+        assert list(zip(tails.tolist(), heads.tolist())) == g.arcs() == sorted(arcs)
+        assert all(type(u) is int and type(v) is int for u, v in g.arcs())
+        assert g.m == len(arcs)
+        assert g.out_neighbors == tuple(tuple(v for v in range(n) if (u, v) in arcs) for u in range(n))
+        assert g.in_neighbors == tuple(tuple(u for u in range(n) if (u, v) in arcs) for v in range(n))
+
+    @settings(max_examples=50, deadline=None)
+    @given(shuffled_arcs())
+    def test_equal_and_hashed_by_value(self, case):
+        n, arcs = case
+        g = Digraph.from_arcs(n, arcs)
+        same = Digraph.from_arcs(n, sorted(arcs))
+        assert g == same and hash(g) == hash(same)
+        relabeled = Digraph.from_arcs(n, arcs, [f"v{i}" for i in range(n)])
+        assert g != relabeled
+        if arcs:
+            fewer = Digraph.from_arcs(n, arcs[1:])
+            assert g != fewer and fewer not in {g}
+        assert g in {same} and relabeled not in {g, same}
+
+    def test_constructor_copies_a_caller_matrix(self):
+        rows = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        g = Digraph(("0", "1", "2"), rows)
+        assert g == cycle(3) and hash(g) == hash(cycle(3))
+        assert rows.flags.writeable and g.matrix is not rows
+        rows[0, 1] = 0
+        assert g.matrix[0, 1]
 
     def test_built_once_and_shared(self):
         from drdkit.ratlin import adjacency_matrix
@@ -211,12 +327,16 @@ class TestRegularity:
 
         assert regularity(cycle_with_chord(4)) is None
 
+    def test_equal_out_degrees_but_unequal_in_degrees(self):
+        assert regularity(Digraph.from_arcs(3, [(0, 1), (1, 0), (2, 0)])) is None
+        assert regularity(Digraph.from_arcs(1, [])) == 0
+
 
 def _assert_table_matches_floyd_warshall(g):
     """The int64 table, with -1 for unreachable, and the diameter, girth and
     strong connectivity read off it, against Floyd-Warshall."""
     t = distance_table(g)
-    dist, diameter, girth, sc = table_by_floyd_warshall(g.adj)
+    dist, diameter, girth, sc = table_by_floyd_warshall(g.matrix.tolist())
     assert t.array.dtype == np.int64 and not t.array.flags.writeable
     assert (t.array.tolist(), t.diameter, t.girth, t.strongly_connected, t.n) == (
         dist, diameter, girth, sc, g.n
@@ -245,7 +365,7 @@ def test_distance_invariants(g):
     for v in range(n):
         for u in range(n):
             assert (d[v][u] == 0) == (v == u)
-            assert (d[v][u] == 1) == bool(g.adj[v][u])
+            assert (d[v][u] == 1) == g.matrix[v, u]
             for w in range(n):
                 if d[v][u] >= 0 and d[u][w] >= 0:
                     assert 0 <= d[v][w] <= d[v][u] + d[u][w]
@@ -264,13 +384,13 @@ def test_converse_swaps_distances(g):
 @settings(max_examples=50, deadline=None)
 @given(small_digraphs(6))
 def test_girth_matches_brute_force(g):
-    assert distance_table(g).girth == brute_girth(g.adj)
+    assert distance_table(g).girth == brute_girth(g.matrix.tolist())
 
 
 def test_girth_matches_brute_force_on_seven_vertices():
     for seed in range(8):
         g = random_sc(7, 0.25 + 0.05 * seed, seed=seed)
-        assert distance_table(g).girth == brute_girth(g.adj)
+        assert distance_table(g).girth == brute_girth(g.matrix.tolist())
 
 
 # Settings that force each way of building the distance table.

@@ -120,14 +120,14 @@ class TestCheckEquitable:
         assert params.cell_sizes == (1, 2, 2, 1)
         # Cross-check against the independent direct count around a.
         cells = out_distance_cells(t, a)
-        oracle = equitable_params_direct(fig6.adj, [sorted(c) for c in cells])
+        oracle = equitable_params_direct(fig6.matrix.tolist(), [sorted(c) for c in cells])
         assert oracle == (params.d_out, params.d_in)
 
     def test_matches_direct_oracle_on_failure(self):
         g = cycle_with_chord(4)
         t = distance_table(g)
         cells = [[sorted(c) for c in out_distance_cells(t, x)] for x in range(g.n)]
-        first = next(x for x in range(g.n) if equitable_params_direct(g.adj, cells[x]) is None)
+        first = next(x for x in range(g.n) if equitable_params_direct(g.matrix.tolist(), cells[x]) is None)
         _, failure = distance_regular_scan(g, t, "out")
         assert failure == f"out-distance partition around {g.labels[first]} is not equitable"
 
@@ -271,11 +271,11 @@ def assert_matches_direct(g: Digraph) -> None:
     t = distance_table(g)
     for direction in ("out", "in"):
         params, failure = distance_regular_scan(g, t, direction)
-        expected = distance_regular_scan_direct(g.adj, g.labels, direction)
+        expected = distance_regular_scan_direct(g.matrix.tolist(), g.labels, direction)
         got = None if params is None else (params.d_out, params.d_in, params.cell_sizes)
         assert (got, failure) == expected, direction
     table = damerell_numbers(g, t)
-    assert (table.exists, table.b, table.witness) == damerell_table_direct(g.adj)
+    assert (table.exists, table.b, table.witness) == damerell_table_direct(g.matrix.tolist())
 
 
 # One graph per failure message of the out-scan (DEF), in its check order:

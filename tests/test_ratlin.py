@@ -268,7 +268,7 @@ class TestMinimalPolynomial:
     def test_against_divisor_oracle(self, arcs, n):
         g = Digraph.from_arcs(n, arcs)
         mu = minimal_polynomial(adjacency_matrix(g))
-        assert mu.coeffs == minimal_polynomial_coeffs(g.adj)
+        assert mu.coeffs == minimal_polynomial_coeffs(g.matrix.astype(int).tolist())
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -281,7 +281,7 @@ class TestMinimalPolynomial:
         positions = [(u, v) for u in range(n) for v in range(n) if u != v]
         g = Digraph.from_arcs(n, [p for i, p in enumerate(positions) if bits >> i & 1])
         mu = minimal_polynomial(adjacency_matrix(g))
-        assert mu.coeffs == minimal_polynomial_coeffs(g.adj)
+        assert mu.coeffs == minimal_polynomial_coeffs(g.matrix.astype(int).tolist())
 
     def test_annihilates(self):
         g = cycle_with_chord(5)

@@ -158,7 +158,7 @@ class TestPredistance:
             if not is_normal(a):
                 continue
             ps = predistance_polynomials(spectrum(a))
-            arr = np.array([[float(x) for x in row] for row in g.adj], dtype=complex)
+            arr = g.matrix.astype(complex)
             total = np.zeros_like(arr)
             for p in ps.polys:
                 acc = np.zeros_like(arr)
