@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Union
 
-from .digraph import Digraph, DistanceTable, distance_table, regularity, strongly_connected
+from .digraph import Digraph, DistanceTable, distance_table, regularity
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
 from .partitions import EquitableParams, distance_regular_scan
 from .ratlin import (
@@ -155,10 +155,11 @@ class Report:
 class GraphContext:
     """Lazily computed primitives shared by the checks for one digraph.
 
-    Everything cached here is a low-level quantity (strong connectivity,
-    distance table and basis, pair count scan, walk counts, span bases,
-    spectrum, the minimal polynomial's degree), never a verdict. `checks`
-    names the checks that will read it.
+    Everything cached here is a low-level quantity (distance table and
+    basis, pair count scan, walk counts, span bases, spectrum, the minimal
+    polynomial's degree), never a verdict. `checks` names the checks that
+    will read it. The table is None exactly when the digraph is not
+    strongly connected, and then no check runs, so no check reads None.
     """
 
     def __init__(self, g: Digraph, config: CheckConfig, checks: tuple[str, ...] = CHECK_IDS):
@@ -173,12 +174,12 @@ class GraphContext:
         return self._cache[key]
 
     @property
-    def strongly_connected(self) -> bool:
-        return self._get("strongly_connected", lambda: strongly_connected(self.g))
+    def table(self) -> Optional[DistanceTable]:
+        return self._get("table", lambda: distance_table(self.g))
 
     @property
-    def table(self) -> DistanceTable:
-        return self._get("table", lambda: distance_table(self.g))
+    def strongly_connected(self) -> bool:
+        return self.table is not None
 
     @property
     def valency(self) -> Optional[int]:
@@ -223,7 +224,8 @@ class GraphContext:
         """Check E's walk count test at bound max(D, `max_walk_len`), stepped
         once for E and `power_basis` alike; at bound D when E will not run,
         since `power_basis` reads no walk past D. Walks shorter than D would
-        not certify the theorem."""
+        not certify the theorem, and no bound steps past l = D + 1, after
+        which constancy holds for every l (`walk_count_constancy`)."""
 
         def make():
             longest = self.config.max_walk_len if "E" in self.checks else None

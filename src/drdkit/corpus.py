@@ -6,6 +6,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from . import digraph
 from .digraph import Digraph, _check_size
 from .errors import InvalidParameter, ParseError
@@ -59,9 +61,10 @@ def paley(q: int) -> Digraph:
         raise InvalidParameter(f"paley needs a prime, got {q}")
     if q % 4 != 3:
         raise InvalidParameter(f"paley needs q = 3 (mod 4), got {q}")
-    squares = {(x * x) % q for x in range(1, q)}  # 0 is not one: no loops
-    arcs = [(x, y) for x in range(q) for y in range(q) if (y - x) % q in squares]
-    return Digraph.from_arcs(q, arcs)
+    is_square = np.zeros(q, dtype=bool)
+    is_square[np.arange(1, q) ** 2 % q] = True  # 0 is not one: no loops
+    x = np.arange(q)
+    return Digraph(tuple(map(str, range(q))), is_square[(x - x[:, None]) % q])
 
 
 def _shift_digraph(words: list[str], alphabet: str) -> Digraph:
@@ -201,7 +204,7 @@ def _arcs_strongly_connected(n: int, arcs: list[tuple[int, int]]) -> bool:
     for u, v in arcs:
         forward[u].append(v)
         backward[v].append(u)
-    return -1 not in digraph._bfs(forward, 0, n) and -1 not in digraph._bfs(backward, 0, n)
+    return digraph._sweeps_from_0(forward, backward, n) is not None
 
 
 def edge_list_text(g: Digraph) -> str:

@@ -152,18 +152,17 @@ def _neighbor_lists(matrix: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True, eq=False)
 class DistanceTable:
-    """All-pairs directed distances as one read-only int64 array.
+    """All-pairs directed distances of a strongly connected digraph as one
+    read-only int64 array.
 
-    ``array[x][y]`` is d(x, y), or -1 when y is unreachable from x. Its
-    level sets 0..diameter are the distance classes, so the array is also
-    their class index. ``girth`` is None when the digraph has no directed
-    cycle; ``strongly_connected`` says whether no entry is -1.
+    ``array[x][y]`` is d(x, y). Its level sets 0..diameter are the distance
+    classes, so the array is also their class index. ``girth`` is None only
+    on a single vertex, which has no arc.
     """
 
     array: np.ndarray = field(repr=False)
     diameter: int
     girth: Optional[int]
-    strongly_connected: bool
 
     @property
     def n(self) -> int:
@@ -185,44 +184,41 @@ def _bfs(neighbors: Sequence[Sequence[int]], source: int, n: int) -> list[int]:
     return dist
 
 
+def _sweeps_from_0(
+    forward: Sequence[Sequence[int]], backward: Sequence[Sequence[int]], n: int
+) -> Optional[tuple[list[int], list[int]]]:
+    """The BFS rows from vertex 0 along forward and along backward, or None
+    as soon as one misses a vertex, that is, exactly when the digraph is not
+    strongly connected. A miss by the first sweep skips the second."""
+    row0 = _bfs(forward, 0, n)
+    if -1 in row0:
+        return None
+    col0 = _bfs(backward, 0, n)
+    return None if -1 in col0 else (row0, col0)
+
+
 def strongly_connected(g: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path.
-
-    Two BFS sweeps from vertex 0, one along arcs and, when that reaches
-    every vertex, one against them.
-    """
-    return -1 not in _bfs(g.out_neighbors, 0, g.n) and -1 not in _bfs(g.in_neighbors, 0, g.n)
+    """True iff every ordered vertex pair is joined by a directed path."""
+    return _sweeps_from_0(g.out_neighbors, g.in_neighbors, g.n) is not None
 
 
-def _frontier_pays(g: Digraph, row0: list[int]) -> bool:
-    """Whether the all-sources frontier beats n Python BFS, given row0, the
-    BFS from vertex 0: from FRONTIER_MIN_STEPS steps n * (n + m) on, when a
-    bound on its levels times n^3 is below FRONTIER_FLOPS_PER_STEP times
-    those steps. d(x,y) <= d(x,0) + d(0,y), so ecc_out(0) + ecc_in(0) bounds
-    the levels of a strongly connected digraph; n - 1 bounds any other's."""
+def _frontier_pays(g: Digraph, levels: int) -> bool:
+    """Whether the all-sources frontier, at most `levels` products of n^3
+    flops, beats n Python BFS: from FRONTIER_MIN_STEPS steps n * (n + m) on,
+    when levels * n^3 is below FRONTIER_FLOPS_PER_STEP times those steps."""
     n = g.n
     steps = n * (n + g.m)
-    if steps < FRONTIER_MIN_STEPS:
-        return False
-    budget = FRONTIER_FLOPS_PER_STEP * steps
-    if min(row0) < 0:
-        bound = n - 1
-    elif (max(row0) + 1) * n**3 >= budget:  # ecc_in(0) >= 1: no in-BFS needed
-        return False
-    else:
-        col0 = _bfs(g.in_neighbors, 0, n)
-        bound = max(row0) + max(col0) if min(col0) >= 0 else n - 1
-    return bound * n**3 < budget
+    return steps >= FRONTIER_MIN_STEPS and levels * n**3 < FRONTIER_FLOPS_PER_STEP * steps
 
 
 def _frontier_table(g: Digraph) -> np.ndarray:
     """Distances from every source at once: level l's frontier holds the
     pairs (x, z) first reached at distance l, the unreached nonzero entries
-    of the previous frontier times A."""
+    of the previous frontier times A. g must be strongly connected, so
+    every level reaches a new pair until all are reached."""
     n = g.n
     a = g.matrix.astype(np.float64)
-    array = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(array, 0)
+    array = np.zeros((n, n), dtype=np.int64)
     reached = np.eye(n, dtype=bool)
     frontier = np.eye(n)
     left, level = n * n - n, 0
@@ -230,45 +226,46 @@ def _frontier_table(g: Digraph) -> np.ndarray:
         level += 1
         fresh = frontier @ a > 0
         fresh &= ~reached
-        count = int(np.count_nonzero(fresh))
-        if not count:
-            break
         array[fresh] = level
         reached |= fresh
-        left -= count
+        left -= int(np.count_nonzero(fresh))
         frontier = fresh.astype(np.float64)
     return array
 
 
-def distance_table(g: Digraph) -> DistanceTable:
-    """All-pairs distances; also derives the diameter and the girth.
+def distance_table(g: Digraph) -> Optional[DistanceTable]:
+    """All-pairs distances, with the diameter and the girth; None when g is
+    not strongly connected, decided by two BFS from vertex 0 before any
+    table is allocated.
 
-    The table is one all-sources frontier, one float64 product of the
-    boolean frontier with A per level, where `_frontier_pays` says so: on
-    dense digraphs of small diameter. Otherwise, on cycles and on every
-    digraph of at most 10 vertices (n^3 < FRONTIER_MIN_STEPS), one Python
-    BFS runs from every vertex.
+    The BFS from vertex 0 is the table's row 0, and d(x,y) <= d(x,0) + d(0,y)
+    makes ecc_out(0) + ecc_in(0) a bound on the levels of the all-sources
+    frontier: one float64 product of the boolean frontier with A per level.
+    The frontier builds the table where `_frontier_pays` says so: on dense
+    digraphs of small diameter. Otherwise, on cycles and on every digraph
+    of at most 10 vertices (n^3 < FRONTIER_MIN_STEPS), one Python BFS runs
+    from every other vertex.
 
-    The diameter is the largest finite distance. The girth is the length of
-    a shortest directed cycle: the minimum over arcs (u, v), i.e. entries
-    d(u, v) = 1, of d(v, u) + 1 where u is reachable from v.
+    The girth is the length of a shortest directed cycle: the minimum over
+    arcs (u, v), i.e. entries d(u, v) = 1, of d(v, u) + 1.
     """
     n = g.n
-    row0 = _bfs(g.out_neighbors, 0, n)
+    sweeps = _sweeps_from_0(g.out_neighbors, g.in_neighbors, n)
+    if sweeps is None:
+        return None
+    row0, col0 = sweeps
     # n * (n + m) <= n^3: below the floor in n alone, m is not even read.
-    if n**3 >= FRONTIER_MIN_STEPS and _frontier_pays(g, row0):
+    if n**3 >= FRONTIER_MIN_STEPS and _frontier_pays(g, max(row0) + max(col0)):
         array = _frontier_table(g)
     else:
         rows = [row0] + [_bfs(g.out_neighbors, v, n) for v in range(1, n)]
         array = np.array(rows, dtype=np.int64)
     array.flags.writeable = False
     back = array.T[array == 1]
-    back = back[back >= 0]
     return DistanceTable(
         array=array,
         diameter=int(array.max()),
         girth=int(back.min()) + 1 if back.size else None,
-        strongly_connected=bool(array.min() >= 0),
     )
 
 
@@ -297,10 +294,14 @@ def _parse_edge_list(lines: list[str]) -> Digraph:
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"declared {m} arcs but found {len(body)} arc lines")
+    # One split per line, kept as tokens: holding every line's list would
+    # make the cyclic garbage collector rescan millions of live lists.
+    tokens: list[str] = []
     for line in body:
-        if len(line.split()) != 2:
+        pair = line.split()
+        if len(pair) != 2:
             raise ParseError(f"malformed arc line {line!r}")
-    tokens = " ".join(body).split()
+        tokens += pair
     labels = None
     try:
         ends = list(map(int, tokens))

@@ -25,10 +25,6 @@ class DimensionMismatch(DrdError):
     """Matrix shapes are not conformable."""
 
 
-class NotStronglyConnected(DrdError):
-    """Operation requires a strongly connected digraph."""
-
-
 class InvalidPartition(DrdError):
     """Cells do not form a partition of the vertex set."""
 

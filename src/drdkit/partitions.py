@@ -29,7 +29,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .digraph import Digraph, DistanceTable
-from .errors import NotStronglyConnected
 
 # Work of one source row, n * (D + 1) + m, from which the counts run on
 # numpy: below it one numpy call costs more than the Python loop it
@@ -260,8 +259,6 @@ def distance_regular_scan(
 
     Returns (params, None) on success or (None, failure description).
     """
-    if not t.strongly_connected:
-        raise NotStronglyConnected("distance-regularity is defined for strongly connected digraphs")
     dist = t.array if direction == "out" else t.array.T
     width = t.diameter + 1
     if numpy_route(g, width):

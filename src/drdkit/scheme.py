@@ -23,11 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .digraph import Digraph, DistanceTable
-from .errors import (
-    InternalInconsistency,
-    NotStronglyConnected,
-    PreconditionViolated,
-)
+from .errors import InternalInconsistency, PreconditionViolated
 from .partitions import count_blocks, numpy_route, shell_counts
 from .ratlin import (
     IntMatrix,
@@ -42,8 +38,6 @@ def distance_matrices(g: Digraph, t: DistanceTable) -> PartitionBasis:
     as their partition basis on the distance table, after three facts are
     verified on the table itself: A_0 = I, A_1 = A and sum A_i = J. No
     matrix is built; `PartitionBasis.member` builds one A_i when asked."""
-    if not t.strongly_connected:
-        raise NotStronglyConnected("distance matrices need a strongly connected digraph")
     dist = t.array
     D = t.diameter
     if not np.array_equal(dist == 0, np.eye(g.n, dtype=bool)):
@@ -167,8 +161,6 @@ def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
     A_i A_j = A_j A_i for all i, j iff every pair's counts are symmetric in
     (i, j), and a pair equal to its class's first pair is symmetric iff that
     one is, so only the references and the mismatching pairs are compared."""
-    if not t.strongly_connected:
-        raise NotStronglyConnected("pair counts need a strongly connected digraph")
     dist = t.array
     n = t.n
     width = t.diameter + 1
@@ -266,17 +258,20 @@ def walk_count_constancy(
 ) -> WalkConstancy:
     """Check that A^l is constant on every distance class for l = 0..max_len
     (default: the diameter). max_len below the diameter would weaken the
-    test and is refused. Only l < n is stepped: by Cayley-Hamilton A^n is a
-    combination of I, A, ..., A^(n-1), so constancy for every l < n gives it
-    for all l, and the first failing l is below n. Powers past the int64
-    bound take mat_mul's object-array route, so long walks stay exact."""
+    test and is refused. Only l <= min(D + 1, n - 1) is stepped. A^j is
+    positive on the pairs at distance j and zero beyond j, so A^0..A^D are
+    independent, and once constant on the classes they span the (D + 1)-
+    dimensional class-constant space. A constant A^(D+1) is then in their
+    span, and so is every later power; so the first failing l is at most
+    D + 1, and below n by Cayley-Hamilton. Powers past the int64 bound take
+    mat_mul's object-array route, so long walks stay exact."""
     D = basis.size - 1
     if max_len is None:
         max_len = D
     elif max_len < D:
         raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
     power = IntMatrix.identity(a.rows)
-    for ell in range(min(max_len, a.rows - 1) + 1):
+    for ell in range(min(max_len, D + 1, a.rows - 1) + 1):
         if ell > 0:
             power = mat_mul(power, a)
         off = basis.deviation(power)
@@ -345,8 +340,6 @@ def damerell_numbers(g: Digraph, t: DistanceTable) -> DamerellTable:
     bincount. Each pair is compared with the first pair of its class
     i = d(x,y) in row-major order; the witness is the first pair that
     differs, at the lowest j where it does."""
-    if not t.strongly_connected:
-        raise NotStronglyConnected("count table needs a strongly connected digraph")
     width = t.diameter + 1
     if numpy_route(g, width):
         return _damerell_blocks(g, t.array, width)
@@ -408,8 +401,6 @@ class TwoWayRelations:
 
 
 def two_way_relations(t: DistanceTable) -> TwoWayRelations:
-    if not t.strongly_connected:
-        raise NotStronglyConnected("two-way relations need a strongly connected digraph")
     base = t.diameter + 1
     dist = t.array
     # Codes d(x,y) * base + d(y,x) sort in lexicographic pair order.

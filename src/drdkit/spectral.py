@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digraph import DistanceTable
-from .errors import ClusteringAmbiguous, PiUnderflow, PreconditionViolated
+from .errors import ClusteringAmbiguous, PiUnderflow
 from .ratlin import IntMatrix, mat_mul, transpose
 
 DEFAULT_CLUSTER_TOL = 1e-7
@@ -148,8 +148,6 @@ def spectral_excess_rhs(s: Spectrum) -> float:
 def average_last_shell(t: DistanceTable) -> Fraction:
     """Exact mean, over vertices, of the number of vertices at distance
     exactly the diameter."""
-    if not t.strongly_connected:
-        raise PreconditionViolated("last-shell average needs a strongly connected digraph")
     return Fraction(int(np.count_nonzero(t.array == t.diameter)), t.n)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from drdkit.corpus import (
     cycle,
@@ -13,7 +14,7 @@ from drdkit.corpus import (
     paper6,
     random_sc,
 )
-from drdkit.digraph import Digraph
+from drdkit.digraph import Digraph, strongly_connected
 
 # Selected with --hypothesis-profile=ci: a failing property prints the blob
 # that replays it (@reproduce_failure), and no example has a deadline.
@@ -22,6 +23,24 @@ settings.register_profile("ci", print_blob=True, deadline=None)
 
 def circulant(n: int, jumps: tuple[int, ...]) -> Digraph:
     return Digraph.from_arcs(n, [(x, (x + s) % n) for x in range(n) for s in jumps])
+
+
+def strongly_connected_digraphs(max_n: int):
+    """Hypothesis strategy: strongly connected simple digraphs on 1..max_n
+    vertices. An arc set that is not strongly connected gets the arcs of the
+    cycle 0 -> 1 -> ... -> n-1 -> 0 added, so every strongly connected
+    digraph can be drawn as it is."""
+
+    def make(n: int, bits: int) -> Digraph:
+        positions = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = {p for i, p in enumerate(positions) if bits >> i & 1}
+        if not strongly_connected(Digraph.from_arcs(n, arcs)):
+            arcs |= {(v, (v + 1) % n) for v in range(n) if n > 1}
+        return Digraph.from_arcs(n, sorted(arcs))
+
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(make, st.just(n), st.integers(0, (1 << (n * (n - 1))) - 1))
+    )
 
 
 def traced_peak(call) -> int:

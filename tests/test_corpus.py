@@ -17,7 +17,7 @@ from drdkit.corpus import (
     paper6,
     random_sc,
 )
-from drdkit.digraph import distance_table, parse_digraph, regularity, strongly_connected
+from drdkit.digraph import Digraph, distance_table, parse_digraph, regularity, strongly_connected
 from drdkit.errors import InvalidParameter
 
 
@@ -39,6 +39,12 @@ class TestFamilies:
             for y in range(7):
                 if x != y:
                     assert g.matrix[x, y] == ((y - x) % 7 in squares)
+
+    @pytest.mark.parametrize("q", [3, 7, 11, 19, 43, 59])
+    def test_paley_equals_the_arc_comprehension(self, q):
+        squares = {x * x % q for x in range(1, q)}
+        arcs = [(x, y) for x in range(q) for y in range(q) if (y - x) % q in squares]
+        assert paley(q) == Digraph.from_arcs(q, arcs)
 
     def test_paley_rejects_bad_modulus(self):
         with pytest.raises(InvalidParameter):

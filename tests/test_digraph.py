@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drdkit.digraph as digraph
+from drdkit.characterize import check_all
 from drdkit.corpus import cycle, paley, paper6, random_sc
 from drdkit.digraph import (
     MAX_VERTICES,
@@ -19,6 +20,7 @@ from drdkit.digraph import (
 )
 from drdkit.errors import DuplicateArc, EmptyGraph, LoopRejected, ParseError
 
+from conftest import strongly_connected_digraphs
 from oracles import brute_girth, table_by_floyd_warshall
 
 
@@ -196,15 +198,31 @@ class TestConnectivity:
     def test_paper6_is_strongly_connected(self):
         assert strongly_connected(paper6())
 
-    def test_distance_table_field_matches_two_sweeps(self, corpus):
-        bridged = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
-        graphs = list(corpus) + [
-            ("bridged_triangles", Digraph.from_arcs(6, bridged)),
-            ("path3", Digraph.from_arcs(3, [(0, 1), (1, 2)])),
-        ]
-        for name, g in graphs:
-            assert distance_table(g).strongly_connected == strongly_connected(g), name
-        assert not distance_table(Digraph.from_arcs(6, bridged)).strongly_connected
+    def test_no_table_exactly_when_not_strongly_connected(self):
+        # Every digraph on at most 4 vertices, against reachability read
+        # off (I + A)^(n - 1).
+        for n in range(1, 5):
+            positions = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for mask in range(1 << len(positions)):
+                g = Digraph.from_arcs(n, [p for b, p in enumerate(positions) if mask >> b & 1])
+                reach = np.linalg.matrix_power(np.eye(n, dtype=np.int64) + g.matrix, n - 1)
+                sc = bool((reach > 0).all())
+                assert strongly_connected(g) == sc
+                assert (distance_table(g) is None) == (not sc)
+
+    def test_a_long_path_fails_fast(self, monkeypatch):
+        # A directed path on MAX_VERTICES vertices: the out-sweep from 0
+        # reaches every vertex and the in-sweep none, so two BFS decide it,
+        # no table is built and every check is not-applicable.
+        g = Digraph.from_arcs(MAX_VERTICES, [(v, v + 1) for v in range(MAX_VERTICES - 1)])
+        bfs, frontier = [], []
+        real = digraph._bfs
+        monkeypatch.setattr(digraph, "_bfs", lambda *a: bfs.append(a[1]) or real(*a))
+        monkeypatch.setattr(digraph, "_frontier_table", lambda g: frontier.append(g))
+        report = check_all(g)
+        assert report.overall is None and not report.strongly_connected
+        assert report.diameter is None and report.girth is None
+        assert len(bfs) <= 2 and frontier == []
 
 
 class TestDistances:
@@ -230,8 +248,11 @@ class TestDistances:
         assert t.girth == brute_girth(g.matrix.tolist())
 
     def test_acyclic_has_no_girth(self):
-        g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
-        assert distance_table(g).girth is None
+        # An acyclic digraph on two or more vertices is not strongly
+        # connected, so it has no table; one vertex has a table, no girth.
+        assert distance_table(Digraph.from_arcs(3, [(0, 1), (1, 2)])) is None
+        t = distance_table(Digraph.from_arcs(1, []))
+        assert (t.array.tolist(), t.diameter, t.girth) == ([[0]], 0, None)
 
     def test_digon_girth(self):
         g = Digraph.from_arcs(2, [(0, 1), (1, 0)])
@@ -333,14 +354,16 @@ class TestRegularity:
 
 
 def _assert_table_matches_floyd_warshall(g):
-    """The int64 table, with -1 for unreachable, and the diameter, girth and
-    strong connectivity read off it, against Floyd-Warshall."""
+    """The int64 table and the diameter and girth read off it against
+    Floyd-Warshall, and no table where Floyd-Warshall leaves a pair
+    unreachable."""
     t = distance_table(g)
     dist, diameter, girth, sc = table_by_floyd_warshall(g.matrix.tolist())
+    if not sc:
+        assert t is None
+        return
     assert t.array.dtype == np.int64 and not t.array.flags.writeable
-    assert (t.array.tolist(), t.diameter, t.girth, t.strongly_connected, t.n) == (
-        dist, diameter, girth, sc, g.n
-    )
+    assert (t.array.tolist(), t.diameter, t.girth, t.n) == (dist, diameter, girth, g.n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -357,7 +380,7 @@ def test_distance_table_matches_floyd_warshall_on_the_corpus(corpus):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_digraphs(5))
+@given(strongly_connected_digraphs(5))
 def test_distance_invariants(g):
     t = distance_table(g)
     n = g.n
@@ -367,8 +390,7 @@ def test_distance_invariants(g):
             assert (d[v][u] == 0) == (v == u)
             assert (d[v][u] == 1) == g.matrix[v, u]
             for w in range(n):
-                if d[v][u] >= 0 and d[u][w] >= 0:
-                    assert 0 <= d[v][w] <= d[v][u] + d[u][w]
+                assert 0 <= d[v][w] <= d[v][u] + d[u][w]
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,13 +398,13 @@ def test_distance_invariants(g):
 def test_converse_swaps_distances(g):
     t = distance_table(g)
     tc = distance_table(converse(g))
-    for v in range(g.n):
-        for u in range(g.n):
-            assert tc.array[v, u] == t.array[u, v]
+    assert (tc is None) == (t is None)
+    if t is not None:
+        assert np.array_equal(tc.array, t.array.T)
 
 
 @settings(max_examples=50, deadline=None)
-@given(small_digraphs(6))
+@given(strongly_connected_digraphs(6))
 def test_girth_matches_brute_force(g):
     assert distance_table(g).girth == brute_girth(g.matrix.tolist())
 
@@ -401,26 +423,16 @@ TABLE_ROUTES = {
 
 
 def table_by(route: str, g: Digraph):
-    """The distance table of g built the given way, and only that way."""
+    """The distance table of g built the given way, and only that way; None,
+    with neither way run, when g is not strongly connected."""
     called = []
     real = digraph._frontier_table
     with mock.patch.multiple(digraph, **TABLE_ROUTES[route]), mock.patch.object(
         digraph, "_frontier_table", lambda g: called.append(g) or real(g)
     ):
         t = distance_table(g)
-    assert called == ([g] if route == "frontier" else [])
+    assert called == ([g] if route == "frontier" and t is not None else [])
     return t
-
-
-@st.composite
-def acyclic_digraphs(draw, max_n: int = 12):
-    """Digraphs with every arc from a lower to a higher position of a drawn
-    vertex order: no directed cycle, so no girth."""
-    n = draw(st.integers(1, max_n))
-    order = draw(st.permutations(range(n)))
-    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
-    arcs = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Digraph.from_arcs(n, sorted(arcs))
 
 
 class TestFrontier:
@@ -428,30 +440,31 @@ class TestFrontier:
     @given(
         st.one_of(
             small_digraphs(9),
-            acyclic_digraphs(),
             st.builds(random_sc, st.integers(2, 24), st.floats(0.3, 0.9), seed=st.integers(0, 99)),
             st.builds(cycle, st.integers(2, 30)),
         )
     )
     def test_frontier_table_is_the_python_table(self, g):
         frontier, python = table_by("frontier", g), table_by("python", g)
-        assert np.array_equal(frontier.array, python.array)  # the -1 entries too
+        assert (frontier is None) == (python is None) == (not strongly_connected(g))
+        if python is None:
+            return
+        assert np.array_equal(frontier.array, python.array)
         assert frontier.array.dtype == np.int64 and not frontier.array.flags.writeable
-        assert (frontier.diameter, frontier.girth, frontier.strongly_connected) == (
-            python.diameter, python.girth, python.strongly_connected
-        )
+        assert (frontier.diameter, frontier.girth) == (python.diameter, python.girth)
 
     def test_acyclic_has_no_girth_either_way(self):
-        g = Digraph.from_arcs(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
+        acyclic = Digraph.from_arcs(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
         for route in TABLE_ROUTES:
-            t = table_by(route, g)
-            assert t.girth is None and not t.strongly_connected and t.diameter == 2
+            assert table_by(route, acyclic) is None
+            t = table_by(route, Digraph.from_arcs(1, []))
+            assert (t.array.tolist(), t.diameter, t.girth) == ([[0]], 0, None)
 
     def test_the_rule_splits_by_levels_times_cube_against_bfs_steps(self):
         # bound * n^3 against 250 * n * (n + m): paley(43) 4 * 43^3 = 318,028
         # below 250 * 40,678; random_sc(40, 0.2) 6 * 40^3 below 250 * 13,360.
-        # C_30 reads (ecc_out(0) + 1) * 30^3 = 810,000 >= 250 * 1,800 before
-        # its in-BFS, and C_10's 10^3 steps stay below FRONTIER_MIN_STEPS.
+        # C_30's bound 29 + 29 times 30^3 is 1,566,000 >= 250 * 1,800, and
+        # C_10's 10^3 steps stay below FRONTIER_MIN_STEPS.
         for g, frontier in (
             (paley(43), True), (random_sc(40, 0.2, seed=1), True), (cycle(30), False), (cycle(10), False)
         ):

@@ -12,7 +12,16 @@ import drdkit.ratlin as ratlin
 import drdkit.scheme as scheme
 from drdkit.characterize import CheckConfig, check_all, check_single
 from drdkit.cli import main
-from drdkit.corpus import cycle, cycle_with_chord, edge_list_text, kautz, paley, paper6
+from drdkit.corpus import (
+    all_strongly_connected_digraphs,
+    cycle,
+    cycle_with_chord,
+    edge_list_text,
+    kautz,
+    paley,
+    paper6,
+    random_sc,
+)
 from drdkit.digraph import Digraph, distance_table, strongly_connected
 from drdkit.errors import InternalInconsistency
 from drdkit.partitions import distance_regular_scan
@@ -38,7 +47,7 @@ from drdkit.scheme import (
 )
 from drdkit.spectral import is_normal
 
-from conftest import circulant, traced_peak
+from conftest import circulant, strongly_connected_digraphs, traced_peak
 from oracles import (
     adjacency_transpose_by_matrices,
     class_matrices,
@@ -172,7 +181,7 @@ class TestDistanceMatrices:
     def test_sum_to_all_ones(self, corpus):
         for name, g in corpus:
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             basis = distance_matrices(g, t)
             total = IntMatrix.zeros(g.n, g.n)
@@ -203,7 +212,7 @@ class TestTransposeClosure:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             tm = transpose_closure(distance_matrices(g, t))
             if tm.exists:
@@ -250,7 +259,7 @@ class TestIntersectionNumbers:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             tensor = intersection_numbers(t)
             if tensor.exists and transpose_closure(distance_matrices(g, t)).exists:
@@ -290,7 +299,7 @@ class TestDistancePolynomials:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             polys = polynomials(g, t)
             if polys is not None:
@@ -384,18 +393,23 @@ class TestWalkCounts:
             walk_count_constancy(basis, adjacency_matrix(g), max_len=2)
 
     def test_walks_past_the_int64_bound_stay_exact(self, monkeypatch):
-        # Walks stop at l = n - 1. On paley(23) the entries of A^l are near
-        # 11^l / 23, so A^20 is the first power past 2^63: the last three
-        # take the object-array route, and the verdict must match the
-        # default walk length.
-        g = paley(23)
-        _, basis = build(g)
+        # Walks stop at l = D + 1. On the blow-up C_32[K_4-bar], arcs
+        # (i, a) -> (i + 1 mod 32, b), n = 128 and D = 32, and A^l is
+        # 4^(l - 1) on the pairs at distance l mod 32, so A^33 is the first
+        # power past 2^63: the last of the 33 products takes the
+        # object-array route, and the verdict must match the default walk
+        # length.
+        g = Digraph.from_arcs(
+            128, [(4 * i + a, 4 * ((i + 1) % 32) + b) for i in range(32) for a in range(4) for b in range(4)]
+        )
+        t, basis = build(g)
         a = adjacency_matrix(g)
         powers = []
         real = scheme.mat_mul
         monkeypatch.setattr(scheme, "mat_mul", lambda a, b: powers.append(real(a, b)) or powers[-1])
         long = walk_count_constancy(basis, a, max_len=70)
-        assert [p.num.dtype == object for p in powers] == [False] * 19 + [True] * 3
+        assert t.diameter == 32
+        assert [p.num.dtype == object for p in powers] == [False] * 32 + [True]
         assert bool(long) == bool(walk_count_constancy(basis, a)) is True
         a = adjacency_matrix(paper6())
         power = IntMatrix.identity(6)
@@ -405,21 +419,40 @@ class TestWalkCounts:
         assert sum(power.entries[0]) == 2**70
 
     def test_a_bound_past_n_steps_to_n_minus_1(self, monkeypatch):
-        # By Cayley-Hamilton constancy below n gives it for every l, so a
-        # bound of 10^9 steps at most 18 products on paley(19) and echoes
-        # the bound. A 19th product fails at once instead of walking on.
+        # Constancy up to l = D + 1 gives it for every l, and by
+        # Cayley-Hamilton so does constancy below n, so a bound of 10^9
+        # steps at most min(D + 1, n - 1) = 3 products on paley(19) and
+        # echoes the bound. A 4th product fails at once instead of walking on.
         g = paley(19)
         calls = []
         real = scheme.mat_mul
 
         def counted(a, b):
             calls.append(1)
-            assert len(calls) <= g.n - 1, "walked past l = n - 1"
+            assert len(calls) <= 3, "walked past l = D + 1"
             return real(a, b)
 
         monkeypatch.setattr(scheme, "mat_mul", counted)
         v = check_single(g, "E", CheckConfig(max_walk_len=10**9))
         assert v.verdict == "yes" and v.params == {"max_len": 10**9}
+
+    def test_no_walk_length_fails_first_past_d_plus_1(self):
+        # Against the first l < n where A^l, stepped in numpy, is not
+        # constant on a distance class: never past D + 1, and the test
+        # stepped at any bound finds the same l, or none.
+        graphs = [g for n in range(1, 5) for g in all_strongly_connected_digraphs(n)]
+        graphs += [random_sc(n, 0.2 + 0.1 * (s % 5), seed=s) for s in range(40) for n in (5, 7, 9)]
+        for g in graphs:
+            t, basis = build(g)
+            power, first = np.eye(g.n, dtype=np.int64), None
+            for ell in range(g.n):
+                power = power @ g.matrix if ell else power
+                if any(len(set(power[t.array == h].tolist())) > 1 for h in range(t.diameter + 1)):
+                    first = ell
+                    break
+            walks = walk_count_constancy(basis, adjacency_matrix(g), max_len=10**6)
+            assert first is None or first <= t.diameter + 1
+            assert (None if walks else walks.witness[0]) == first
 
     def test_witness_does_not_depend_on_a_bound_past_n(self):
         g = cycle_with_chord(5)
@@ -470,7 +503,7 @@ class TestSchemeAxioms:
         assert axiom_fields(axioms(t, basis)) == reference_axioms(distance_stack(t))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.deferred(lambda: _strongly_connected_digraphs(8)))
+    @given(strongly_connected_digraphs(8))
     def test_table_reads_match_the_matrix_reference(self, g):
         self._assert_matches_matrices(g)
 
@@ -484,7 +517,7 @@ class TestSchemeAxioms:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             axioms_pass = axioms(t, distance_matrices(g, t)).all
             drd = distance_regular_scan(g, t, "out")[0] is not None
@@ -520,7 +553,7 @@ class TestDamerell:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             table = damerell_numbers(g, t)
             if table.exists:
@@ -612,7 +645,7 @@ class TestWeakDistanceRegularity:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             walks = walk_count_constancy(distance_matrices(g, t), adjacency_matrix(g))
             assert weak_dr_comellas(g, t) == bool(walks), name
@@ -622,27 +655,9 @@ class TestWeakDistanceRegularity:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             assert comellas_damerell_link(g, t), name
-
-
-def _strongly_connected_digraphs(max_n: int):
-    """Hypothesis strategy: strongly connected simple digraphs on 1..max_n
-    vertices. An arc set that is not strongly connected gets the arcs of the
-    cycle 0 -> 1 -> ... -> n-1 -> 0 added, so every strongly connected
-    digraph can be drawn as it is."""
-
-    def make(n: int, bits: int) -> Digraph:
-        positions = [(u, v) for u in range(n) for v in range(n) if u != v]
-        arcs = {p for i, p in enumerate(positions) if bits >> i & 1}
-        if not strongly_connected(Digraph.from_arcs(n, arcs)):
-            arcs |= {(v, (v + 1) % n) for v in range(n) if n > 1}
-        return Digraph.from_arcs(n, sorted(arcs))
-
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.builds(make, st.just(n), st.integers(0, (1 << (n * (n - 1))) - 1))
-    )
 
 
 def _assert_scan_matches_oracle(t):
@@ -670,7 +685,7 @@ def _assert_scan_matches_products(g, t):
 
 class TestPairCountScan:
     @settings(max_examples=150, deadline=None)
-    @given(_strongly_connected_digraphs(9), st.sampled_from([1, 50, scheme.SCAN_BLOCK]))
+    @given(strongly_connected_digraphs(9), st.sampled_from([1, 50, scheme.SCAN_BLOCK]))
     def test_matches_the_dictionary_oracle(self, g, cap):
         t = distance_table(g)
         with mock.patch.object(scheme, "SCAN_BLOCK", cap):
@@ -815,7 +830,7 @@ class TestIndexReads:
     the matrix-level references."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_strongly_connected_digraphs(9))
+    @given(strongly_connected_digraphs(9))
     def test_matches_the_matrix_references(self, g):
         _assert_index_reads_match_matrices(g)
 
@@ -849,7 +864,7 @@ class TestOneStepExpansions:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             mats = distance_stack(t)
             a = adjacency_matrix(g)
@@ -888,7 +903,7 @@ class TestOneStepExpansions:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             if not damerell_numbers(g, t).exists:
                 continue
@@ -905,7 +920,7 @@ class TestOneStepExpansions:
             if g.n == 1:
                 continue
             t = distance_table(g)
-            if not t.strongly_connected:
+            if t is None:
                 continue
             if distance_regular_scan(g, t, "out")[0] is None:
                 continue
