@@ -10,16 +10,17 @@ and is checked independently.
 
 Both scans, and Damerell's one-step table in `scheme`, count the neighbors
 of every vertex y by their distance class around a source vertex x, with
-one of three kernels and by two rules. The work of one source row is
-n * (D + 1) + m; below NUMPY_ROUTE_WORK, the pure-Python `shell_counts`
-counts one source row at a time. From it on, `block_shell_counts` counts a
-block of source rows at once, the blocks doubling from one row up to
-COUNT_BLOCK elements per array, so a "no" found at vertex 0 pays for one
-row. It counts by one float64 GEMM of the 0/1 operator with the block's
-one-hot class matrix where the GEMM's flops are below GEMM_FLOPS_PER_KEY
-times the keys of one numpy `bincount`, and by that `bincount` otherwise.
-Every kernel visits the sources in the same order and reports the same
-witness.
+one of three kernels and by two rules. Vertex 0 always runs on the
+pure-Python `shell_counts`: it sets the reference, and a "no" found there
+costs one Python row. The work of one source row is n * (D + 1) + m; below
+NUMPY_ROUTE_WORK the later rows follow on Python one at a time. From it
+on, `block_shell_counts` counts them in blocks of up to COUNT_BLOCK
+elements per array, and each block passes or fails in one comparison with
+vertex 0's reference; only the first failing row is examined further. It
+counts by one float64 GEMM of the 0/1 operator with the block's one-hot
+class matrix where the GEMM's flops are below GEMM_FLOPS_PER_KEY times the
+keys of one numpy `bincount`, and by that `bincount` otherwise. Every
+kernel visits the sources in the same order and reports the same witness.
 """
 from __future__ import annotations
 
@@ -29,17 +30,22 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .digraph import Digraph, DistanceTable
+from .errors import InternalInconsistency
 
-# Work of one source row, n * (D + 1) + m, from which the counts run on
-# numpy: below it one numpy call costs more than the Python loop it
-# replaces. Set from a size sweep of cycles, Paley digraphs and random
-# digraphs: on a "yes" numpy is faster from a work of about 250, and a "no"
-# decided at vertex 0 pays a fixed 0.2-0.3 ms more on it, so the cut sits
-# at twice that crossover.
-NUMPY_ROUTE_WORK = 512
+# Work of one source row, n * (D + 1) + m, from which the rows after vertex
+# 0 run on numpy. Set from a size sweep of cycles, Paley digraphs, blow-ups
+# of cycles, circulants and random digraphs (CHANGES.md, "The pair scan on
+# GEMM or sorted keys"): on a "yes" numpy is faster from a work of about 40,
+# and a "no" decided at vertex 0 costs the same on both routes. The cut sits
+# above 8 * 15, the bound n * (n + D) on any digraph of at most 8 vertices,
+# which route in constant time and on Python; all of them on numpy cost
+# the fuzz workload 7 % more.
+NUMPY_ROUTE_WORK = 128
 
 # Cap on the elements of each array one block of source rows allocates on
-# the numpy route; a block holds at least one row, whatever the cap.
+# the numpy route; a block holds at least one row, whatever the cap. Of
+# 2^12..2^17, 2^15 was fastest or within 5 % on cycles and Paley digraphs
+# of 20 to 251 vertices.
 COUNT_BLOCK = 1 << 15
 
 # Flops of one BLAS GEMM worth one bincount key or bin: `block_shell_counts`
@@ -138,28 +144,25 @@ def count_blocks(
     dist: np.ndarray, tails: np.ndarray, heads: np.ndarray, width: int, tail_count: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(first row, block of rows, its `block_shell_counts`) over the rows of
-    dist in order, in `row_blocks` sized for the kernel: per row, the counts
-    and, on bincount, the keys. The GEMM's operator is built once."""
+    dist after row 0, which the callers count on the Python route, in
+    `row_blocks` sized for the kernel: per row, the counts and, on bincount,
+    the keys. The GEMM's operator is built once."""
     n = dist.shape[1]
     per_row, operator = tail_count * width, None
     if gemm_kernel(n, width, tail_count, len(tails)):
         operator = _operator(tails, heads, tail_count, n)
     else:
         per_row = max(per_row, len(tails))
-    for lo, rows in row_blocks(dist, per_row):
+    for lo, rows in row_blocks(dist, per_row, 1):
         yield lo, rows, block_shell_counts(rows, tails, heads, width, tail_count, operator)
 
 
-def row_blocks(dist: np.ndarray, per_row: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, block of rows) of dist in order: 1, 2, 4, ... rows, up to
-    COUNT_BLOCK elements per array at per_row elements a row."""
-    n = dist.shape[0]
-    cap = max(1, COUNT_BLOCK // per_row)
-    lo, step = 0, 1
-    while lo < n:
+def row_blocks(dist: np.ndarray, per_row: int, start: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, block of rows) of dist from row `start` on, each block up
+    to COUNT_BLOCK elements per array at per_row elements a row."""
+    step = max(1, COUNT_BLOCK // per_row)
+    for lo in range(start, dist.shape[0], step):
         yield lo, dist[lo : lo + step]
-        lo += step
-        step = min(2 * step, cap)
 
 
 def _equitable_params(g: Digraph, row: list[int], width: int) -> Optional[EquitableParams]:
@@ -180,71 +183,76 @@ def _equitable_params(g: Digraph, row: list[int], width: int) -> Optional[Equita
     return EquitableParams(d_out=params[0], d_in=params[1], cell_sizes=tuple(sizes))
 
 
+def _failure(g: Digraph, row: list[int], reference: EquitableParams) -> str:
+    """How the partition by the classes in row fails vertex 0's: "cells",
+    "equitable" or "params", in that order, or "" where it does not."""
+    cells = max(row) + 1
+    if cells != len(reference.cell_sizes):
+        return "cells"
+    params = _equitable_params(g, row, cells)
+    if params is None:
+        return "equitable"
+    return "" if params == reference else "params"
+
+
+def _first_failing_row(
+    g: Digraph, dist: np.ndarray, width: int, reference: EquitableParams
+) -> Optional[int]:
+    """The first row after row 0 whose partition fails vertex 0's, counted
+    in `count_blocks`: one count holds both halves, the in-half as the tails
+    n..2n - 1 of the swapped arcs. A block passes in one comparison of every
+    count with vertex 0's parameters at its vertex's class, zero past
+    vertex 0's cells. That decides the class count and the cell sizes too:
+    a vertex in a cell past vertex 0's has a neighbor one cell nearer,
+    where zero is expected; a row with fewer cells misses the neighbors one
+    cell farther that vertex 0's parameters hold; and with equal parameters
+    the sizes follow cell by cell from the one source, since the arcs
+    between cells i and i + 1 number s_i d_out[i][i+1] = s_{i+1} d_in[i+1][i]
+    (out and in swapped for the in-partition)."""
+    n = g.n
+    tails, heads = g.arc_arrays
+    both = (np.concatenate([tails, heads + n]), np.concatenate([heads, tails]))
+    cells = len(reference.cell_sizes)
+    # params[h][i][j]: vertex 0's out- (h = 0) and in-parameters (h = 1);
+    # int32 holds any count, and keeps a block's expected counts small
+    params = np.zeros((2, width, width), dtype=np.int32)
+    params[:, :cells, :cells] = (reference.d_out, reference.d_in)
+    halves = np.array([[0], [width]])  # class offsets of the two halves
+    for lo, rows, counts in count_blocks(dist, *both, width, 2 * n):
+        expected = params.reshape(2 * width, width)[rows[:, None] + halves]
+        counts = counts.reshape(expected.shape)
+        if not np.array_equal(counts, expected):
+            return lo + int((counts != expected).any(axis=(1, 2, 3)).argmax())
+    return None
+
+
 # A scan's outcome: (the common parameters, None, "") on success, else
 # (None, the first failing source vertex, the failure's kind).
 _Scan = tuple[Optional[EquitableParams], Optional[int], str]
 
 
-def _python_scan(g: Digraph, dist: np.ndarray) -> _Scan:
-    """The scan over the rows of dist, one source row at a time through
-    `shell_counts`."""
-    reference: Optional[EquitableParams] = None
-    ref_cells = 0
-    for x in range(g.n):
-        row = dist[x].tolist()
-        cells = max(row) + 1
-        if x == 0:
-            ref_cells = cells
-        elif cells != ref_cells:
-            return None, x, "cells"
-        params = _equitable_params(g, row, cells)
-        if params is None:
-            return None, x, "equitable"
-        if reference is None:
-            reference = params
-        elif params != reference:
-            return None, x, "params"
+def _scan(g: Digraph, dist: np.ndarray, width: int) -> _Scan:
+    """The scan over the rows of dist. Vertex 0 runs on the Python route and
+    sets the reference. On the Python route every later row follows one at a
+    time; on the numpy route `_first_failing_row` finds the first that
+    fails, and only that row is examined for the failure's kind."""
+    row = dist[0].tolist()
+    reference = _equitable_params(g, row, max(row) + 1)
+    if reference is None:
+        return None, 0, "equitable"
+    if numpy_route(g, width):
+        x = _first_failing_row(g, dist, width, reference)
+        if x is None:
+            return reference, None, ""
+        kind = _failure(g, dist[x].tolist(), reference)
+        if not kind:
+            raise InternalInconsistency(f"source row {x} fails its block test alone")
+        return None, x, kind
+    for x in range(1, g.n):
+        kind = _failure(g, dist[x].tolist(), reference)
+        if kind:
+            return None, x, kind
     return reference, None, ""
-
-
-def _numpy_scan(g: Digraph, dist: np.ndarray, width: int) -> _Scan:
-    """What `_python_scan` returns, from blocks of source rows through
-    `count_blocks`: one count holds both halves, the in-half as the tails
-    n..2n - 1 of the swapped arcs. A block's rows are tested
-    together, and the first row that fails names the failure, in the order
-    class count, equitability, vertex 0's parameters."""
-    n = g.n
-    tails, heads = g.arc_arrays
-    both = (np.concatenate([tails, heads + n]), np.concatenate([heads, tails]))
-    classes = np.arange(width)
-    ref = None  # vertex 0's class count, (d_out, d_in) and cell sizes
-    for lo, rows, counts in count_blocks(dist, *both, width, 2 * n):
-        b = len(rows)
-        block = np.arange(b)[:, None]
-        cells = rows.max(axis=1) + 1
-        member = rows[:, :, None] == classes
-        first = member.argmax(axis=1)  # lowest vertex of each class
-        sizes = member.sum(axis=1)
-        # halves[h][b][y][j]: out- (h = 0) and in-neighbors (h = 1) of y in class j
-        halves = counts.reshape(b, 2, n, width)
-        halves = halves.transpose(1, 0, 2, 3)
-        equitable = (halves == halves[:, block, first[block, rows]]).all(axis=(0, 2, 3))
-        params = halves[:, block, first]
-        if ref is None:  # the first block is vertex 0 alone
-            ref = (int(cells[0]), params[:, 0, : cells[0]], sizes[0])
-        c0, ref_params, ref_sizes = ref
-        same = (params[:, :, :c0] == ref_params[:, None]).all(axis=(0, 2, 3)) & (
-            sizes == ref_sizes
-        ).all(axis=1)
-        failed = (cells != c0) | ~equitable | ~same
-        if failed.any():
-            k = int(failed.argmax())
-            kind = "cells" if cells[k] != c0 else "equitable" if not equitable[k] else "params"
-            return None, lo + k, kind
-    d_out, d_in = ref_params[:, :, :c0].tolist()
-    return EquitableParams(
-        tuple(map(tuple, d_out)), tuple(map(tuple, d_in)), tuple(ref_sizes[:c0].tolist())
-    ), None, ""
 
 
 def distance_regular_scan(
@@ -261,10 +269,7 @@ def distance_regular_scan(
     """
     dist = t.array if direction == "out" else t.array.T
     width = t.diameter + 1
-    if numpy_route(g, width):
-        params, x, kind = _numpy_scan(g, dist, width)
-    else:
-        params, x, kind = _python_scan(g, dist)
+    params, x, kind = _scan(g, dist, width)
     if x is None:
         return params, None
     if kind == "cells":

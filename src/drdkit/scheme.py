@@ -9,7 +9,10 @@ reader works on that table and its pair count scan; a class matrix is built
 only where it is multiplied, one at a time. Each fact has one route: the
 scan decides product closure and commutativity in one pass over the pairs,
 and the walk count test is the only power chain, which the caller shares
-between check E and the adjacency algebra's basis.
+between check E and the adjacency algebra's basis. The scan decides a "yes"
+in whole-table passes: one GEMM per block of source rows for short
+diameters, or one sort of keys per block for long ones, with a bincount for
+the small sizes between and for the pairs past a mismatch (`scan_kernel`).
 
 Every check in this module is exact; all quantities are integer counts or
 integer matrix identities, so there are no tolerances anywhere.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -103,7 +106,8 @@ class PairCountScan:
     values[h, i, j] holds the count seen at the first pair of class h;
     ok[i, j] says whether that count was constant over every pair. Both are
     read-only arrays. commutative says whether A_i A_j = A_j A_i for every
-    i and j.
+    i and j. Whichever kernel `scan_kernel` picks, the fields are the same:
+    the kernels differ only in how they find the pairs that mismatch.
     """
 
     values: np.ndarray
@@ -128,8 +132,41 @@ class PairCountScan:
 
 
 # Cap on the elements of each array one block of the pair count scan
-# allocates; a block holds at least one pair, whatever the cap.
+# allocates (of the one-hot X on GEMM, whose product holds D + 1 times as
+# many); a block holds at least one pair (bincount) or one source row (GEMM,
+# sorted keys), whatever the cap. Blocks of 2^14 or 2^15 elements made the
+# bincount's "no"s up to 30 % slower inside `check_all`.
 SCAN_BLOCK = 1 << 13
+
+# The pair scan's kernel rule, `scan_kernel`, weighs a bincount of n keys
+# into (D + 1)^2 bins per pair against a GEMM of 2 (D + 1)^2 n flops and a
+# sort of n keys, by the bincount's work n^2 (n + (D + 1)^2) in all and
+# by ratios per pair. GEMM runs from SCAN_GEMM_MIN_WORK on, where its flops
+# are below SCAN_GEMM_FLOPS_PER_KEY times the keys and bins: every digraph
+# of diameter 2, since 18 n < 18 (n + 9), and few others, because GEMM
+# counts every pair of a "no" too. Sorted keys run from SCAN_SORT_MIN_WORK
+# on, where the bins per pair are at least SCAN_SORT_BINS_PER_KEY times the
+# keys; they fall back to the bincount at the first mismatch, so a "no" pays
+# one row of sorting more, and the floor keeps their fixed cost off small
+# digraphs. Set from a sweep of the three kernels on cycles, Paley
+# digraphs, random digraphs, circulants, blow-ups of cycles, Kautz and
+# de Bruijn digraphs (CHANGES.md, "The pair scan on GEMM or sorted keys").
+SCAN_GEMM_MIN_WORK = 6000
+SCAN_GEMM_FLOPS_PER_KEY = 18
+SCAN_SORT_MIN_WORK = 40000
+SCAN_SORT_BINS_PER_KEY = 2
+
+
+def scan_kernel(n: int, width: int) -> str:
+    """The pair scan's kernel for n vertices in classes [0, width):
+    "gemm", "sorted" or "bincount"."""
+    bins = width * width
+    work = n * n * (n + bins)
+    if work >= SCAN_GEMM_MIN_WORK and 2 * bins * n < SCAN_GEMM_FLOPS_PER_KEY * (n + bins):
+        return "gemm"
+    if work >= SCAN_SORT_MIN_WORK and bins >= SCAN_SORT_BINS_PER_KEY * n:
+        return "sorted"
+    return "bincount"
 
 
 def _pair_counts(dist: np.ndarray, pairs: np.ndarray, width: int) -> np.ndarray:
@@ -144,20 +181,76 @@ def _pair_counts(dist: np.ndarray, pairs: np.ndarray, width: int) -> np.ndarray:
     )
 
 
-def _blocks(n: int, width: int):
-    """Row-major blocks of pair indices, under SCAN_BLOCK per array."""
+_Blocks = Iterator[tuple[np.ndarray, np.ndarray]]  # (pairs, their counts)
+
+
+def _bincount_blocks(dist: np.ndarray, width: int, start: int = 0) -> _Blocks:
+    """(pairs, counts) over row-major blocks of pair indices from `start`
+    on, under SCAN_BLOCK elements per array, by `_pair_counts`."""
+    n = dist.shape[0]
     step = max(1, SCAN_BLOCK // max(n, width * width))
-    for lo in range(0, n * n, step):
-        yield np.arange(lo, min(lo + step, n * n))
+    for lo in range(start, n * n, step):
+        pairs = np.arange(lo, min(lo + step, n * n))
+        yield pairs, _pair_counts(dist, pairs, width)
+
+
+def _gemm_blocks(dist: np.ndarray, values: np.ndarray) -> _Blocks:
+    """(pairs, counts) of the blocks of source rows whose counts differ from
+    their class's reference somewhere. Every count of a block is one entry
+    of the float64 product of its one-hot X[(x, i)][z] = [d(x,z) = i], of up
+    to SCAN_BLOCK elements, with Y[z][(j, y)] = [d(z,y) = j], built once; no
+    count exceeds n < 2^53, so the product is exact. A block is tested in
+    one comparison with values[d(x,y), i, j]."""
+    n, width = dist.shape[0], values.shape[0]
+    classes = np.arange(width)[:, None]
+    after = (dist[:, None, :] == classes).reshape(n, width * n).astype(np.float64)
+    expected = values.transpose(1, 2, 0).astype(np.float64)  # [i, j, h]
+    step = max(1, SCAN_BLOCK // (width * n))
+    for lo in range(0, n, step):
+        rows = dist[lo : lo + step]
+        b = len(rows)
+        before = (rows[:, None, :] == classes).reshape(b * width, n).astype(np.float64)
+        counts = (before @ after).reshape(b, width, width, n)  # [x, i, j, y]
+        if np.array_equal(counts.transpose(1, 2, 0, 3), expected[:, :, rows]):
+            continue
+        counts = counts.transpose(0, 3, 1, 2).reshape(b * n, width * width)
+        yield np.arange(lo * n, (lo + b) * n), counts.astype(np.int64)
+
+
+def _sorted_key_blocks(dist: np.ndarray, first: np.ndarray, width: int) -> _Blocks:
+    """(pairs, counts) of every pair from the first block of source rows
+    that holds a pair whose counts differ from its class's reference, by
+    `_bincount_blocks`. A pair's counts are the multiset of its n keys
+    d(x,z) * width + d(z,y), so they equal the reference's exactly when the
+    sorted keys do; blocks double from one source row, so a "no" at vertex 0
+    sorts one row."""
+    n = dist.shape[0]
+    table = dist.astype(np.int32)  # keys stay below MAX_VERTICES^2 < 2^31
+    after = table.T[None]  # after[0][y][z] = d(z,y)
+    x, y = np.divmod(first, n)
+    ref = np.sort(table[x] * width + after[0, y], axis=1)  # one row per class
+    cap = max(1, SCAN_BLOCK // (n * n))
+    lo, step = 0, 1
+    while lo < n:
+        rows = table[lo : lo + step]
+        keys = np.sort(rows[:, None, :] * width + after, axis=2)
+        if not np.array_equal(keys, ref[rows]):
+            yield from _bincount_blocks(dist, width, lo * n)
+            return
+        lo += step
+        step = min(2 * step, cap)
 
 
 def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
     """Count, for every ordered pair (x, y), the z at each distance pair
     (d(x,z), d(z,y)) and compare with the first pair of class h = d(x,y) in
-    row-major order. Pairs are taken in row-major blocks of at most
-    SCAN_BLOCK elements per array. The witness is the first pair in
-    row-major order whose counts differ from its class's first pair, at the
-    lowest (i, j) where they differ. The same pass decides commutativity:
+    row-major order. The class references are counted by one bincount;
+    `scan_kernel` picks how the other pairs are decided: by bincount in
+    row-major blocks of pairs, by GEMM in blocks of source rows, or by
+    sorted keys in blocks of source rows until a block holds a mismatch, and
+    by bincount from there on. The witness is the first pair in row-major
+    order whose counts differ from its class's first pair, at the lowest
+    (i, j) where they differ. The same pass decides commutativity:
     A_i A_j = A_j A_i for all i, j iff every pair's counts are symmetric in
     (i, j), and a pair equal to its class's first pair is symmetric iff that
     one is, so only the references and the mismatching pairs are compared."""
@@ -171,10 +264,16 @@ def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
     ref = _pair_counts(dist, first, width)
     values = ref.reshape(width, width, width)
     commutative = bool((values == values.transpose(0, 2, 1)).all())
+    kernel = scan_kernel(n, width)
+    if kernel == "gemm":
+        blocks = _gemm_blocks(dist, values)
+    elif kernel == "sorted":
+        blocks = _sorted_key_blocks(dist, first, width)
+    else:
+        blocks = _bincount_blocks(dist, width)
     bad_slots = np.zeros(width * width, dtype=bool)
     witness: Optional[tuple] = None
-    for pairs in _blocks(n, width):
-        counts = _pair_counts(dist, pairs, width)
+    for pairs, counts in blocks:
         expected = ref[flat[pairs]]
         bad = counts != expected
         if not bad.any():
@@ -231,7 +330,7 @@ def distance_polynomials(
         for h in range(i + 1):
             if coeffs[h]:
                 nxt = nxt.sub(polys[h].scale(coeffs[h]))
-        polys.append(nxt.scale(Fraction(1) / lead))
+        polys.append(nxt if lead == 1 else nxt.scale(Fraction(1) / lead))
     if any(p.degree != i for i, p in enumerate(polys)):
         return None
     for i in range(1, D):
@@ -334,18 +433,17 @@ class DamerellTable:
 def damerell_numbers(g: Digraph, t: DistanceTable) -> DamerellTable:
     """Damerell's one-step table (Damerell, JCTB 31, 1981): for every pair
     (x, y), the out-neighbors z of y counted by d(x, z), from row x of the
-    distance table. Below `partitions.NUMPY_ROUTE_WORK` the rows go one at
-    a time through `partitions.shell_counts`; from it on, in doubling
-    blocks through `partitions.count_blocks`, by GEMM with A or by
-    bincount. Each pair is compared with the first pair of its class
-    i = d(x,y) in row-major order; the witness is the first pair that
+    distance table. Row 0, and below `partitions.NUMPY_ROUTE_WORK` every
+    row, goes one at a time through `partitions.shell_counts`; from it on,
+    the later rows go in blocks through `partitions.count_blocks`, by GEMM
+    with A or by bincount. Each pair is compared with the first pair of its
+    class i = d(x,y) in row-major order; the witness is the first pair that
     differs, at the lowest j where it does."""
     width = t.diameter + 1
-    if numpy_route(g, width):
-        return _damerell_blocks(g, t.array, width)
+    blocks = numpy_route(g, width)
     ref: list[Optional[list[int]]] = [None] * width
     ref_pair: list[tuple[int, int]] = [(-1, -1)] * width
-    for x in range(g.n):
+    for x in range(1 if blocks else g.n):
         row = t.array[x].tolist()
         for y, counts in enumerate(shell_counts(row, g.out_neighbors, width)):
             i = row[y]
@@ -358,18 +456,23 @@ def damerell_numbers(g: Digraph, t: DistanceTable) -> DamerellTable:
                 return DamerellTable(
                     False, None, (i, j, ref_pair[i], (x, y), base[j], counts[j])
                 )
+    if blocks:
+        return _damerell_blocks(g, t.array, width, ref)
     return DamerellTable(True, tuple(tuple(r) for r in ref if r is not None), None)
 
 
-def _damerell_blocks(g: Digraph, dist: np.ndarray, width: int) -> DamerellTable:
-    """`damerell_numbers` on blocks of source rows: a class's reference is
-    set from the first block that holds one of its pairs, before that block
-    is compared, and the witness's first pair of a class is looked up in the
-    table."""
+def _damerell_blocks(
+    g: Digraph, dist: np.ndarray, width: int, row0: list[Optional[list[int]]]
+) -> DamerellTable:
+    """`damerell_numbers` on blocks of the rows after row 0, which set the
+    references in row0. A class that row 0 lacks takes its reference from
+    the first block that holds one of its pairs, before that block is
+    compared. A block passes in one comparison, and the witness's first
+    pair of a class is looked up in the table."""
     n = g.n
     tails, heads = g.arc_arrays
-    ref = np.zeros((width, width), dtype=np.int64)
-    unseen = np.ones(width, dtype=bool)
+    unseen = np.array([r is None for r in row0])
+    ref = np.array([[0] * width if r is None else r for r in row0], dtype=np.int64)
     for lo, rows, counts in count_blocks(dist, tails, heads, width, n):
         counts = counts.reshape(-1, width)
         cls = rows.ravel()
@@ -378,15 +481,17 @@ def _damerell_blocks(g: Digraph, dist: np.ndarray, width: int) -> DamerellTable:
             new = unseen[labels]
             ref[labels[new]] = counts[at[new]]
             unseen[labels] = False
-        bad = counts != ref[cls]
-        if bad.any():
-            k = int(bad.any(axis=1).argmax())
-            i, j = int(cls[k]), int(bad[k].argmax())
-            first = divmod(int((dist == i).argmax()), n)
-            pair = divmod(lo * n + k, n)
-            return DamerellTable(
-                False, None, (i, j, first, pair, int(ref[i, j]), int(counts[k, j]))
-            )
+        expected = ref[cls]
+        if np.array_equal(counts, expected):
+            continue
+        bad = counts != expected
+        k = int(bad.any(axis=1).argmax())
+        i, j = int(cls[k]), int(bad[k].argmax())
+        first = divmod(int((dist == i).argmax()), n)
+        pair = divmod(lo * n + k, n)
+        return DamerellTable(
+            False, None, (i, j, first, pair, int(ref[i, j]), int(counts[k, j]))
+        )
     return DamerellTable(True, tuple(map(tuple, ref.tolist())), None)
 
 

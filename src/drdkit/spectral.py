@@ -58,25 +58,23 @@ def spectrum(a: IntMatrix, tol_cluster: float = DEFAULT_CLUSTER_TOL) -> Spectrum
     arr = a.num.astype(float)
     n = arr.shape[0]
     raw = np.linalg.eigvals(arr)
-    rho = max(abs(raw))
+    rho = np.abs(raw).max()
     tau = tol_cluster * max(rho, 1.0)
 
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(raw[i] - raw[j]) <= tau:
-                parent[find(i)] = find(j)
+    # Single linkage: each eigenvalue takes the lowest index among those
+    # within tau of it until no label changes, which labels every component
+    # of the closeness graph by its lowest member.
+    close = np.abs(raw[:, None] - raw[None, :]) <= tau
+    label = np.arange(n)
+    while True:
+        lowest = np.where(close, label, n).min(axis=1)
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
 
     groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(complex(raw[i]))
+    for root, value in zip(label.tolist(), raw.astype(complex).tolist()):
+        groups.setdefault(root, []).append(value)
     centroids = [sum(vals) / len(vals) for vals in groups.values()]
     mults = [len(vals) for vals in groups.values()]
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import drdkit.digraph as digraph
 import drdkit.partitions as partitions
+import drdkit.scheme as scheme
 from drdkit.characterize import check_all
 from drdkit.corpus import cycle, cycle_with_chord, paley, random_sc
 from drdkit.digraph import Digraph, DistanceTable, distance_table
@@ -394,23 +395,28 @@ class TestBothRoutes:
                     assert out[x].tolist() == shell_counts(row, g.out_neighbors, width)
                     assert into[x].tolist() == shell_counts(row, g.in_neighbors, width)
 
-    def test_blocks_double_up_to_the_cap(self):
+    def test_blocks_after_vertex_zero_fill_the_cap(self):
         dist = np.zeros((40, 40), dtype=np.int64)
-        sizes = lambda: [len(rows) for _, rows in row_blocks(dist, 100)]
+        sizes = lambda: [len(rows) for _, rows in row_blocks(dist, 100, 1)]
         with mock.patch.object(partitions, "COUNT_BLOCK", 1000):
-            assert sizes() == [1, 2, 4, 8, 10, 10, 5]
+            assert sizes() == [10, 10, 10, 9]
         with mock.patch.object(partitions, "COUNT_BLOCK", 1):
-            assert sizes() == [1] * 40
-        starts = [lo for lo, _ in row_blocks(dist, 100)]
-        assert starts == [0, 1, 3, 7, 15, 31]
+            assert sizes() == [1] * 39
+        starts = [lo for lo, _ in row_blocks(dist, 100, 1)]
+        assert starts == [1]
 
     def test_no_digraph_of_at_most_eight_vertices_reaches_a_new_rule(self, monkeypatch):
-        # n^3 <= 512 is below FRONTIER_MIN_STEPS, and n * (D + 1) + m <= 120
-        # below NUMPY_ROUTE_WORK, so neither rule is evaluated.
+        # n^3 <= 512 is below FRONTIER_MIN_STEPS, n * (D + 1) + m <= 120
+        # below NUMPY_ROUTE_WORK, and n^2 (n + (D + 1)^2) <= 4,608 below
+        # both floors of the pair scan's kernels, so no rule past those
+        # floors is evaluated, and the pair scan stays on the bincount.
         assert digraph.FRONTIER_MIN_STEPS > 8**3 and partitions.NUMPY_ROUTE_WORK > 8 * 15
+        assert min(scheme.SCAN_GEMM_MIN_WORK, scheme.SCAN_SORT_MIN_WORK) > 8**2 * (8 + 8**2)
         reached = []
         monkeypatch.setattr(digraph, "_frontier_pays", lambda *a: reached.append(a))
         monkeypatch.setattr(partitions, "gemm_kernel", lambda *a: reached.append(a))
+        monkeypatch.setattr(scheme, "_gemm_blocks", lambda *a: reached.append(a) or [])
+        monkeypatch.setattr(scheme, "_sorted_key_blocks", lambda *a: reached.append(a) or [])
         graphs = [Digraph.from_arcs(1, [])]
         for n in range(2, 9):
             complete = Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n) if u != v])
@@ -420,17 +426,22 @@ class TestBothRoutes:
         assert reached == []
 
     def test_a_no_at_vertex_zero_counts_one_row(self, monkeypatch):
+        # Vertex 0 runs on the Python route on both routes: its out-half is
+        # counted, fails, and no block is counted.
         g = random_sc(60, 0.1, seed=1)
         t = distance_table(g)
         assert numpy_route(g, t.diameter + 1)
-        rows = []
-        real = partitions.block_shell_counts
+        rows, blocks = [], []
+        real_rows, real_blocks = partitions.shell_counts, partitions.block_shell_counts
         monkeypatch.setattr(
-            partitions, "block_shell_counts", lambda r, *a: rows.append(len(r)) or real(r, *a)
+            partitions, "shell_counts", lambda r, *a: rows.append(r) or real_rows(r, *a)
+        )
+        monkeypatch.setattr(
+            partitions, "block_shell_counts", lambda r, *a: blocks.append(r) or real_blocks(r, *a)
         )
         params, failure = distance_regular_scan(g, t, "out")
         assert params is None and f"around {g.labels[0]} " in failure
-        assert rows == [1]
+        assert rows == [t.array[0].tolist()] and blocks == []
 
 
 def _complete_bipartite(a: int, b: int) -> Digraph:
@@ -478,6 +489,24 @@ class TestLateWitnesses:
         assert not table.exists and table.witness == damerell
         assert damerell[3][0] >= 1  # a later source row
         assert_both_routes_match_direct(g)
+
+    @pytest.mark.parametrize("cap", [1, 50, partitions.COUNT_BLOCK])
+    @pytest.mark.parametrize("case", sorted(LATE_FAILURES))
+    def test_each_late_failure_matches_the_python_route(self, case, cap, monkeypatch):
+        # DEF, F and G on blocks of 1 row, of 50 elements (a few rows) and
+        # of the default cap, against the row-at-a-time Python route.
+        g, _, _ = LATE_FAILURES[case]
+        t = distance_table(g)
+        run = lambda: (
+            distance_regular_scan(g, t, "out"),
+            distance_regular_scan(g, t, "in"),
+            damerell_numbers(g, t),
+        )
+        monkeypatch.setattr(partitions, "NUMPY_ROUTE_WORK", 1 << 40)
+        expected = run()
+        monkeypatch.setattr(partitions, "NUMPY_ROUTE_WORK", 0)
+        monkeypatch.setattr(partitions, "COUNT_BLOCK", cap)
+        assert run() == expected
 
     def test_the_in_half_alone_fails(self):
         g, _, _ = LATE_FAILURES["in-half"]

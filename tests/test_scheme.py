@@ -683,6 +683,20 @@ def _assert_scan_matches_products(g, t):
     assert scan.commutative == ref.commutative
 
 
+def _sorted_block_start(row: int, n: int, cap: int) -> int:
+    """The first row of the sorted-key block that holds `row`: blocks double
+    from one row up to cap // n^2 rows."""
+    lo, step, most = 0, 1, max(1, cap // (n * n))
+    while lo + step <= row:
+        lo += step
+        step = min(2 * step, most)
+    return lo
+
+
+# The star K_{1,5} with arcs both ways: the centre is vertex 5.
+STAR = Digraph.from_arcs(6, [(v, 5) for v in range(5)] + [(5, v) for v in range(5)])
+
+
 class TestPairCountScan:
     @settings(max_examples=150, deadline=None)
     @given(strongly_connected_digraphs(9), st.sampled_from([1, 50, scheme.SCAN_BLOCK]))
@@ -714,19 +728,75 @@ class TestPairCountScan:
     )
     def test_one_pass_decides_commutativity(self, g, commutes, cap, monkeypatch):
         # Both families are open, so closure does not imply commutativity;
-        # it is still read off the counts of the one pass: one bincount for
-        # the class references and one per block.
+        # it is still read off the counts of the one pass. On every kernel
+        # one bincount counts the class references; then bincount counts
+        # every block of pairs, GEMM no pair, and sorted keys every pair from
+        # the sorted block that holds the first mismatch on.
         t = distance_table(g)
-        calls = []
-        real = scheme._pair_counts
+        n, width = g.n, t.diameter + 1
         monkeypatch.setattr(scheme, "SCAN_BLOCK", cap)
-        monkeypatch.setattr(scheme, "_pair_counts", lambda *a: calls.append(1) or real(*a))
+        step = max(1, cap // max(n, width * width))
+        mismatch_row = pair_intersection_counts(t).witness[4][0]
+        sorted_from = _sorted_block_start(mismatch_row, n, cap) * n
+        real = scheme._pair_counts
+        for kernel, pairs_from in (("bincount", 0), ("gemm", n * n), ("sorted", sorted_from)):
+            calls = []
+            monkeypatch.setattr(scheme, "scan_kernel", lambda *a: kernel)
+            monkeypatch.setattr(scheme, "_pair_counts", lambda *a: calls.append(1) or real(*a))
+            scan = pair_intersection_counts(t)
+            assert not scan.all_constant
+            assert scan.commutative == commutes
+            assert len(calls) == 1 + len(range(pairs_from, n * n, step)), kernel
+            if cap == 1 and kernel == "bincount":
+                assert len(calls) == 1 + n * n
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            strongly_connected_digraphs(9),
+            st.sampled_from([cycle(n) for n in (3, 10, 16)] + [paley(7), paley(19), STAR]),
+        ),
+        st.sampled_from(["bincount", "gemm", "sorted"]),
+        st.sampled_from([1, 50, scheme.SCAN_BLOCK]),
+    )
+    def test_each_kernel_matches_the_dictionary_oracle(self, g, kernel, cap):
+        t = distance_table(g)
+        with mock.patch.multiple(scheme, scan_kernel=lambda *a: kernel, SCAN_BLOCK=cap):
+            _assert_scan_matches_oracle(t)
+            _assert_scan_matches_products(g, t)
+
+    def test_sorted_keys_fall_back_from_the_block_of_a_late_mismatch(self, monkeypatch):
+        # The star's first mismatch is at row 5, in the third sorted block
+        # (rows 3..5): rows 0..2 are only sorted, and the bincount counts
+        # the class references and the pairs of rows 3..5.
+        t = distance_table(STAR)
         scan = pair_intersection_counts(t)
-        assert not scan.all_constant
-        assert scan.commutative == commutes
-        assert len(calls) == 1 + len(list(scheme._blocks(g.n, t.diameter + 1)))
-        if cap == 1:
-            assert len(calls) == 1 + g.n * g.n
+        assert scan.witness[4][0] == 5 == STAR.n - 1
+        assert _sorted_block_start(5, STAR.n, scheme.SCAN_BLOCK) == 3
+        counted = []
+        real = scheme._pair_counts
+        monkeypatch.setattr(scheme, "scan_kernel", lambda *a: "sorted")
+        monkeypatch.setattr(
+            scheme, "_pair_counts", lambda d, pairs, w: counted.extend(pairs) or real(d, pairs, w)
+        )
+        assert pair_intersection_counts(t).witness == scan.witness
+        first = np.unique(t.array.ravel(), return_index=True)[1].tolist()
+        assert counted == first + list(range(3 * STAR.n, STAR.n**2))
+
+    def test_the_kernel_rule(self):
+        # Flops per key 2 (D + 1)^2 n / (n + (D + 1)^2): below 18 at D = 2
+        # for every n; 18.2 on C_10, whose work 11,000 is below the sorted
+        # keys' floor; 22.2 and 33.9 on kautz(3, 3) and de Bruijn(2, 5).
+        # Paley(11) and kautz(2, 3) work 2,420 and 4,032, below GEMM's floor.
+        assert [scheme.scan_kernel(n, n) for n in (8, 10, 14, 300)] == (
+            ["bincount"] * 2 + ["sorted"] * 2
+        )
+        assert [scheme.scan_kernel(q, 3) for q in (11, 19, 59, 503, 2039)] == (
+            ["bincount"] + ["gemm"] * 4
+        )
+        assert scheme.scan_kernel(12, 4) == "bincount"
+        assert scheme.scan_kernel(36, 4) == scheme.scan_kernel(32, 6) == "bincount"
+        assert scheme.scan_kernel(512, 10) == scheme.scan_kernel(324, 6) == "bincount"
 
     @pytest.mark.parametrize(
         "g, step",
@@ -737,14 +807,20 @@ class TestPairCountScan:
         t = distance_table(g)
         assert g.n % step and (g.n * g.n) % step
         cap = step * max(g.n, (t.diameter + 1) ** 2)
-        with mock.patch.object(scheme, "SCAN_BLOCK", cap):
+        with mock.patch.multiple(scheme, SCAN_BLOCK=cap, scan_kernel=lambda *a: "bincount"):
             _assert_scan_matches_oracle(t)
 
     def test_a_row_larger_than_the_block_cap(self):
+        # A row of pairs on the bincount, and C_40's n^2 keys a source row
+        # on the sorted keys, which the rule picks.
         g = cycle(40)
         t = distance_table(g)
         assert g.n * (t.diameter + 1) ** 2 > scheme.SCAN_BLOCK
-        _assert_scan_matches_oracle(t)
+        with mock.patch.object(scheme, "scan_kernel", lambda *a: "bincount"):
+            _assert_scan_matches_oracle(t)
+        with mock.patch.object(scheme, "SCAN_BLOCK", g.n * g.n - 1):
+            assert scheme.scan_kernel(g.n, t.diameter + 1) == "sorted"
+            _assert_scan_matches_oracle(t)
         assert pair_intersection_counts(t).all_constant
 
     def test_witness_is_first_pair_at_lowest_slot(self):
@@ -823,6 +899,18 @@ class TestMemory:
         t = distance_table(cycle(n))
         width = t.diameter + 1
         assert traced_peak(lambda: pair_intersection_counts(t)) < 1.5 * width**3 * 8
+
+    def test_gemm_scan_holds_blocks_beside_one_operand(self):
+        # paley(131) scans by GEMM: beside the table, its operand
+        # Y[z][(j, y)] of (D + 1) n^2 float64 is built once, and a block's
+        # one-hot holds at most SCAN_BLOCK elements, its product D + 1
+        # times as many.
+        g = paley(131)
+        t = distance_table(g)
+        width = t.diameter + 1
+        assert scheme.scan_kernel(g.n, width) == "gemm"
+        bound = (width + 1) * g.n * g.n * 8 + 3 * width * scheme.SCAN_BLOCK * 8
+        assert traced_peak(lambda: pair_intersection_counts(t)) < bound
 
 
 class TestIndexReads:
