@@ -159,7 +159,12 @@ class GraphContext:
     basis, pair count scan, walk counts, span bases, spectrum, the minimal
     polynomial's degree), never a verdict. `checks` names the checks that
     will read it. The table is None exactly when the digraph is not
-    strongly connected, and then no check runs, so no check reads None.
+    strongly connected, and then no check runs, so no check reads None;
+    the runner decides that, and the single vertex, once per digraph.
+
+    A primitive that another one already proves is read off it rather than
+    recomputed: deg μ is n, with no Krylov sequence, when D + 1 = n, and the
+    pair count scan takes its class references from the distance basis.
     """
 
     def __init__(self, g: Digraph, config: CheckConfig, checks: tuple[str, ...] = CHECK_IDS):
@@ -197,7 +202,10 @@ class GraphContext:
     @property
     def pair_scan(self) -> PairCountScan:
         """Span coordinates of every A_i * A_j, shared by A, B, C, C2, D and H."""
-        return self._get("pair_scan", lambda: pair_intersection_counts(self.table))
+        return self._get(
+            "pair_scan",
+            lambda: pair_intersection_counts(self.table, self.distance_basis.reps),
+        )
 
     @property
     def damerell(self) -> DamerellTable:
@@ -216,8 +224,23 @@ class GraphContext:
     @property
     def min_poly_degree(self) -> int:
         """deg μ: B, C1, I, `power_basis` and the spectrum's cross-check read
-        nothing else of the minimal polynomial μ."""
-        return self._get("min_poly_degree", lambda: minimal_polynomial_degree(self.adjacency))
+        nothing else of the minimal polynomial μ.
+
+        The distance table bounds it from below: A^j is positive at every
+        pair at distance j and zero at every pair farther away, so a
+        combination of I, A, ..., A^D whose top nonzero coefficient is that
+        of A^j is nonzero at the pairs at distance j. Those D + 1 powers are
+        independent, and D + 1 <= deg μ <= n (the paper's D <= d). When
+        D + 1 = n, deg μ is n with no Krylov sequence run; otherwise it is
+        `minimal_polynomial_degree`'s, computed modulo primes."""
+
+        def make():
+            n = self.g.n
+            if self.table.diameter + 1 == n:
+                return n
+            return minimal_polynomial_degree(self.adjacency)
+
+        return self._get("min_poly_degree", make)
 
     @property
     def walks(self) -> WalkConstancy:
@@ -285,16 +308,21 @@ class GraphContext:
         return self._get("spectrum", make)
 
 
-def _yes(check_id: str, params: Optional[dict] = None) -> CharacterizationVerdict:
-    return CharacterizationVerdict(check_id, YES, params=params)
+# A check returns its verdict's fields (verdict, reason, witness, params);
+# the runner adds the id and the time and builds the verdict once.
+_Outcome = tuple[str, Optional[str], Optional[str], Optional[dict]]
 
 
-def _no(check_id: str, witness: str, params: Optional[dict] = None) -> CharacterizationVerdict:
-    return CharacterizationVerdict(check_id, NO, witness=witness, params=params)
+def _yes(params: Optional[dict] = None) -> _Outcome:
+    return YES, None, None, params
 
 
-def _na(check_id: str, reason: str) -> CharacterizationVerdict:
-    return CharacterizationVerdict(check_id, NOT_APPLICABLE, reason=reason)
+def _no(witness: str, params: Optional[dict] = None) -> _Outcome:
+    return NO, None, witness, params
+
+
+def _na(reason: str) -> _Outcome:
+    return NOT_APPLICABLE, reason, None, None
 
 
 def _params_from_equitable(p: EquitableParams) -> dict:
@@ -305,24 +333,24 @@ def _params_from_equitable(p: EquitableParams) -> dict:
     }
 
 
-def _check_def(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_def(ctx: GraphContext) -> _Outcome:
     params, failure = distance_regular_scan(ctx.g, ctx.table, "out")
     if params is None:
-        return _no("DEF", failure or "out-distance partitions not equitable")
-    return _yes("DEF", _params_from_equitable(params))
+        return _no(failure or "out-distance partitions not equitable")
+    return _yes(_params_from_equitable(params))
 
 
-def _check_f(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_f(ctx: GraphContext) -> _Outcome:
     params, failure = distance_regular_scan(ctx.g, ctx.table, "in")
     if params is None:
-        return _no("F", failure or "in-distance partitions not equitable")
-    return _yes("F", _params_from_equitable(params))
+        return _no(failure or "in-distance partitions not equitable")
+    return _yes(_params_from_equitable(params))
 
 
-def _check_a(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_a(ctx: GraphContext) -> _Outcome:
     rep = ctx.axioms_on_distance_matrices
     if not rep.all:
-        return _no("A", rep.witness or "scheme axiom failed", params={
+        return _no(rep.witness or "scheme axiom failed", params={
             "axioms": {
                 # A_0 = I and sum A_i = J: distance_matrices proves both.
                 "identity": True,
@@ -332,47 +360,47 @@ def _check_a(ctx: GraphContext) -> CharacterizationVerdict:
                 "commutative": rep.commutative,
             }
         })
-    return _yes("A")
+    return _yes()
 
 
-def _check_b(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_b(ctx: GraphContext) -> _Outcome:
     D = ctx.table.diameter
     deg = ctx.min_poly_degree
     params = {"min_poly_degree": deg, "diameter": D}
     if deg != D + 1:
-        return _no("B", f"adjacency algebra has dimension {deg}, expected {D + 1}", params)
+        return _no(f"adjacency algebra has dimension {deg}, expected {D + 1}", params)
     for i in range(D + 1):
         if not ctx.distance_matrix_in_powers(i):
-            return _no("B", f"distance matrix {i} is not a polynomial in A", params)
+            return _no(f"distance matrix {i} is not a polynomial in A", params)
     rep = ctx.axioms_on_distance_matrices
     if not rep.all:
-        return _no("B", rep.witness or "scheme axiom failed", params)
-    return _yes("B", params)
+        return _no(rep.witness or "scheme axiom failed", params)
+    return _yes(params)
 
 
-def _check_c(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_c(ctx: GraphContext) -> _Outcome:
     if ctx.adjacency_transpose is None:
-        return _no("C", "transpose of A is not a distance matrix")
+        return _no("transpose of A is not a distance matrix")
     for i in range(ctx.table.diameter + 1):
         if not ctx.pair_scan.ok[i, 1]:
-            return _no("C", f"A_{i} * A leaves the span of the distance matrices")
-    return _yes("C")
+            return _no(f"A_{i} * A leaves the span of the distance matrices")
+    return _yes()
 
 
-def _check_c1(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_c1(ctx: GraphContext) -> _Outcome:
     if ctx.adjacency_transpose is None:
-        return _no("C1", "transpose of A is not a distance matrix")
+        return _no("transpose of A is not a distance matrix")
     D = ctx.table.diameter
     deg = ctx.min_poly_degree
     if deg != D + 1:
-        return _no("C1", f"adjacency algebra has dimension {deg}, expected {D + 1}")
+        return _no(f"adjacency algebra has dimension {deg}, expected {D + 1}")
     for i in range(D + 1):
         if not ctx.distance_matrix_in_powers(i):
-            return _no("C1", f"distance matrix {i} is outside the adjacency algebra")
-    return _yes("C1")
+            return _no(f"distance matrix {i} is outside the adjacency algebra")
+    return _yes()
 
 
-def _check_c2(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_c2(ctx: GraphContext) -> _Outcome:
     products_closed = ctx.pair_scan.all_constant
     v1 = ctx.adjacency_transpose is not None and products_closed
     v2 = ctx.transpose_map.exists and products_closed
@@ -382,58 +410,55 @@ def _check_c2(ctx: GraphContext) -> CharacterizationVerdict:
     params = {"variants": [v1, v2, v1]}
     if not v1:
         if ctx.adjacency_transpose is None:
-            return _no("C2", "transpose of A is not a distance matrix", params)
-        return _no("C2", "some product A_i * A_j leaves the span", params)
-    return _yes("C2", params)
+            return _no("transpose of A is not a distance matrix", params)
+        return _no("some product A_i * A_j leaves the span", params)
+    return _yes(params)
 
 
-def _check_d(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_d(ctx: GraphContext) -> _Outcome:
     if ctx.adjacency_transpose is None:
-        return _no("D", "transpose of A is not a distance matrix")
+        return _no("transpose of A is not a distance matrix")
     polys = distance_polynomials(ctx.distance_basis, ctx.adjacency, ctx.pair_scan)
     if polys is None:
-        return _no("D", "no degree-i polynomials with p_i(A) = A_i exist")
-    return _yes("D", {"polynomials": [str(p) for p in polys]})
+        return _no("no degree-i polynomials with p_i(A) = A_i exist")
+    return _yes({"polynomials": [str(p) for p in polys]})
 
 
-def _check_e(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_e(ctx: GraphContext) -> _Outcome:
     if ctx.adjacency_transpose is None:
-        return _no("E", "transpose of A is not a distance matrix")
+        return _no("transpose of A is not a distance matrix")
     walks = ctx.walks
     if not walks:
         ell, h, p0, p1, v0, v1 = walks.witness
         return _no(
-            "E",
             f"walk counts of length {ell} differ on distance class {h}: "
             f"{v0} at {p0} vs {v1} at {p1}",
         )
-    return _yes("E", {"max_len": walks.max_len})
+    return _yes({"max_len": walks.max_len})
 
 
-def _check_g(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_g(ctx: GraphContext) -> _Outcome:
     table = ctx.damerell
     if not table.exists:
         h, i, pair0, pair1, v0, v1 = table.witness
         return _no(
-            "G",
             f"|shell_{i}(x) & out(y)| at pair distance {h}: {v0} at {pair0} vs {v1} at {pair1}",
         )
     s_table = {f"s^{h}_{{{i},1}}": table.b[h][i] for h in range(len(table.b)) for i in range(len(table.b))}
-    return _yes("G", {"counts": s_table})
+    return _yes({"counts": s_table})
 
 
-def _check_g1(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_g1(ctx: GraphContext) -> _Outcome:
     table = ctx.damerell
     if not table.exists:
         i, j, pair0, pair1, v0, v1 = table.witness
         return _no(
-            "G1",
             f"b_{{{i}{j}}} not constant: {v0} at {pair0} vs {v1} at {pair1}",
         )
-    return _yes("G1", {"b": [list(row) for row in table.b]})
+    return _yes({"b": [list(row) for row in table.b]})
 
 
-def _check_h(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_h(ctx: GraphContext) -> _Outcome:
     rel = two_way_relations(ctx.table)
     result = wang_suzuki_drd_check(rel, ctx.table, lambda: ctx.axioms_on_distance_matrices)
     params = {"delta": [list(p) for p in rel.delta]}
@@ -441,81 +466,79 @@ def _check_h(ctx: GraphContext) -> CharacterizationVerdict:
         classes = ctx.table.diameter + 1
         if result.delta_size != classes:
             return _no(
-                "H", f"{result.delta_size} two-way distance classes, expected {classes}", params
+                f"{result.delta_size} two-way distance classes, expected {classes}", params
             )
-        return _no("H", result.axioms.witness or "scheme axiom failed", params)
-    return _yes("H", params)
+        return _no(result.axioms.witness or "scheme axiom failed", params)
+    return _yes(params)
 
 
-def _check_i(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_i(ctx: GraphContext) -> _Outcome:
     params = {
         "regular": ctx.valency is not None,
         "normal": ctx.normal,
         "min_poly_degree": ctx.min_poly_degree,
     }
     if ctx.valency is None:
-        return _no("I", "digraph is not regular", params)
+        return _no("digraph is not regular", params)
     if not ctx.normal:
-        return _no("I", "transpose of A is not a polynomial in A (A not normal)", params)
+        return _no("transpose of A is not a polynomial in A (A not normal)", params)
     D = ctx.table.diameter
     deg = ctx.min_poly_degree
     if deg != D + 1:
-        return _no("I", f"diameter {D} is not spectrally maximum ({deg - 1})", params)
+        return _no(f"diameter {D} is not spectrally maximum ({deg - 1})", params)
     if not ctx.distance_matrix_in_powers(D):
-        return _no("I", "distance-D matrix is not a polynomial in A", params)
-    return _yes("I", params)
+        return _no("distance-D matrix is not a polynomial in A", params)
+    return _yes(params)
 
 
-def _check_j(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_j(ctx: GraphContext) -> _Outcome:
     if ctx.valency is None:
-        return _no("J", "digraph is not regular")
+        return _no("digraph is not regular")
     if not ctx.normal:
-        return _no("J", "transpose of A is not a polynomial in A (A not normal)")
+        return _no("transpose of A is not a polynomial in A (A not normal)")
     s = ctx.spectrum_or_error
     if isinstance(s, Exception):
-        return _na("J", f"spectral failure: {s}")
+        return _na(f"spectral failure: {s}")
     D = ctx.table.diameter
     if s.d != D:
         return _no(
-            "J",
             f"diameter {D} is not spectrally maximum ({s.d})",
             {"distinct_eigenvalues": s.d + 1},
         )
     try:
         lhs, rhs, gap = spectral_excess(s, ctx.table)
     except SpectralError as exc:
-        return _na("J", f"spectral failure: {exc}")
+        return _na(f"spectral failure: {exc}")
     params = {"excess_lhs": lhs, "excess_rhs": rhs, "gap": gap}
     if gap > ctx.config.tol:
         return _no(
-            "J",
             f"mean last-shell size {lhs} differs from spectral value {rhs}",
             params,
         )
-    return _yes("J", params)
+    return _yes(params)
 
 
-def _check_nx(ctx: GraphContext) -> CharacterizationVerdict:
+def _check_nx(ctx: GraphContext) -> _Outcome:
     """Experimental weaker variant of check I: requires the transpose of A to
     be a distance matrix rather than a polynomial in A. Recorded for study,
     excluded from the agreement contract."""
     params: dict = {"experimental": True}
     if ctx.valency is None:
-        return _no("NX", "digraph is not regular", params)
+        return _no("digraph is not regular", params)
     s = ctx.spectrum_or_error
     if isinstance(s, Exception):
-        return _na("NX", f"spectral failure: {s}")
+        return _na(f"spectral failure: {s}")
     D = ctx.table.diameter
     if s.d != D:
-        return _no("NX", f"diameter {D} is not spectrally maximum ({s.d})", params)
+        return _no(f"diameter {D} is not spectrally maximum ({s.d})", params)
     if ctx.adjacency_transpose is None:
-        return _no("NX", "transpose of A is not a distance matrix", params)
+        return _no("transpose of A is not a distance matrix", params)
     if not ctx.distance_matrix_in_powers(D):
-        return _no("NX", "distance-D matrix is not a polynomial in A", params)
-    return _yes("NX", params)
+        return _no("distance-D matrix is not a polynomial in A", params)
+    return _yes(params)
 
 
-_CHECKS: dict[str, Callable[[GraphContext], CharacterizationVerdict]] = {
+_CHECKS: dict[str, Callable[[GraphContext], _Outcome]] = {
     "DEF": _check_def,
     "F": _check_f,
     "A": _check_a,
@@ -534,17 +557,27 @@ _CHECKS: dict[str, Callable[[GraphContext], CharacterizationVerdict]] = {
 }
 
 
-def _run_check(ctx: GraphContext, check_id: str) -> CharacterizationVerdict:
-    """One check's verdict on ctx, timed; trivially not-applicable when the
-    digraph is not strongly connected, and yes on a single vertex."""
+def _verdicts(ctx: GraphContext, ids: tuple[str, ...]) -> tuple[CharacterizationVerdict, ...]:
+    """The verdicts of the checks `ids` on ctx, each timed: every one is
+    trivially not-applicable when the digraph is not strongly connected,
+    and yes on a single vertex, which is decided once for all of them."""
     if not ctx.strongly_connected:
-        return _na(check_id, "digraph is not strongly connected")
+        return tuple(
+            CharacterizationVerdict(i, NOT_APPLICABLE, reason="digraph is not strongly connected")
+            for i in ids
+        )
     if ctx.g.n == 1:
-        return _yes(check_id, {"trivial": "single vertex"})
-    start = time.perf_counter()
-    v = _CHECKS[check_id](ctx)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return CharacterizationVerdict(v.id, v.verdict, v.reason, v.witness, v.params, elapsed_ms)
+        return tuple(
+            CharacterizationVerdict(i, YES, params={"trivial": "single vertex"}) for i in ids
+        )
+    clock = time.perf_counter
+    verdicts = []
+    for i in ids:
+        start = clock()
+        verdict, reason, witness, params = _CHECKS[i](ctx)
+        elapsed_ms = (clock() - start) * 1000.0
+        verdicts.append(CharacterizationVerdict(i, verdict, reason, witness, params, elapsed_ms))
+    return tuple(verdicts)
 
 
 def _selected_ids(config: CheckConfig) -> tuple[str, ...]:
@@ -562,7 +595,7 @@ def check_single(
     """Evaluate one characterization, or the experimental NX, in isolation."""
     if check_id not in _CHECKS:
         raise InvalidParameter(f"unknown characterization id {check_id!r}")
-    return _run_check(GraphContext(g, config or CheckConfig(), (check_id,)), check_id)
+    return _verdicts(GraphContext(g, config or CheckConfig(), (check_id,)), (check_id,))[0]
 
 
 def check_all(g: Digraph, config: Optional[CheckConfig] = None) -> Report:
@@ -575,5 +608,5 @@ def check_all(g: Digraph, config: Optional[CheckConfig] = None) -> Report:
     if ctx.strongly_connected and config.experimental_nx:
         ids += ("NX",)
     start = time.perf_counter()
-    verdicts = tuple(_run_check(ctx, i) for i in ids)
+    verdicts = _verdicts(ctx, ids)
     return Report(verdicts, (time.perf_counter() - start) * 1000.0, ctx)

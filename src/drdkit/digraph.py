@@ -85,6 +85,20 @@ class Digraph:
         ends = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs)).reshape(-1, 2)
         tails, heads = ends.T
         keys = tails * n + heads
+        labels = tuple(labels) if labels is not None else tuple(map(str, range(n)))
+        # m arcs in range set m entries off the diagonal exactly when none is
+        # a loop or a repeat: three reductions decide a valid arc list, whose
+        # matrix then needs no check of its own. Any other input is checked
+        # arc by arc, in input order, and then by the constructor.
+        if len(labels) == n and (not ends.size or (ends.min() >= 0 and ends.max() < n)):
+            matrix = np.zeros((n, n), dtype=bool)
+            matrix.reshape(-1)[keys.astype(np.intp)] = True
+            if np.count_nonzero(matrix) == len(keys) and not matrix.diagonal().any():
+                matrix.flags.writeable = False
+                g = object.__new__(cls)
+                object.__setattr__(g, "labels", labels)
+                object.__setattr__(g, "matrix", matrix)
+                return g
         outside = ((ends < 0) | (ends >= n)).any(axis=1)
         order = keys.argsort(kind="stable")  # each repeat sorts after an equal key
         repeat = np.zeros(len(keys), dtype=bool)
@@ -100,7 +114,7 @@ class Digraph:
             raise DuplicateArc(f"arc ({u}, {v}) repeated")
         matrix = np.zeros((n, n), dtype=bool)
         matrix.reshape(-1)[keys.astype(np.intp)] = True
-        return cls(tuple(labels) if labels is not None else tuple(map(str, range(n))), matrix)
+        return cls(labels, matrix)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):

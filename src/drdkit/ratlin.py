@@ -239,33 +239,14 @@ class PartitionBasis:
         so (1, number of columns) bounds it unscanned."""
         return IntMatrix.bounded((self.index == i).astype(np.int64), 1, self.shape[1])
 
-    def _off_class(self, target: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """The target's value at each class representative, and where the
-        target differs from its class's value."""
+    def solve(self, target: IntMatrix) -> Optional[tuple[int, ...]]:
+        """Exact coefficients c with sum(c_i * M_i) = target, or None: the
+        target's values at the class representatives, if it equals them on
+        every class."""
         if target.shape != self.shape:
             raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
         values = target.num.ravel()[self.reps]
-        return values, target.num != values[self.index]
-
-    def solve(self, target: IntMatrix) -> Optional[tuple[int, ...]]:
-        """Exact coefficients c with sum(c_i * M_i) = target, or None."""
-        values, bad = self._off_class(target)
-        return None if bad.any() else tuple(values.tolist())
-
-    def deviation(
-        self, target: IntMatrix
-    ) -> Optional[tuple[int, tuple[int, int], tuple[int, int]]]:
-        """None when the target lies in the span; else the lowest class i on
-        which it is not constant, the representative position of class i and
-        the first position of class i, in row-major order, where the target
-        differs from it."""
-        _, bad = self._off_class(target)
-        if not bad.any():
-            return None
-        i = int(self.index[bad].min())
-        pos = int(np.flatnonzero(bad & (self.index == i))[0])
-        cols = self.shape[1]
-        return i, divmod(int(self.reps[i]), cols), divmod(pos, cols)
+        return None if (target.num != values[self.index]).any() else tuple(values.tolist())
 
 
 class SpanBasis:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .digraph import Digraph, DistanceTable
 from .errors import InternalInconsistency, PreconditionViolated
 from .partitions import count_blocks, numpy_route, shell_counts
 from .ratlin import (
+    FLOAT64_EXACT,
     IntMatrix,
     PartitionBasis,
     RatPolynomial,
@@ -184,11 +185,16 @@ def _pair_counts(dist: np.ndarray, pairs: np.ndarray, width: int) -> np.ndarray:
 _Blocks = Iterator[tuple[np.ndarray, np.ndarray]]  # (pairs, their counts)
 
 
+def _bincount_step(n: int, width: int) -> int:
+    """Pairs per bincount block: under SCAN_BLOCK elements per array."""
+    return max(1, SCAN_BLOCK // max(n, width * width))
+
+
 def _bincount_blocks(dist: np.ndarray, width: int, start: int = 0) -> _Blocks:
     """(pairs, counts) over row-major blocks of pair indices from `start`
-    on, under SCAN_BLOCK elements per array, by `_pair_counts`."""
+    on, of `_bincount_step` pairs each, by `_pair_counts`."""
     n = dist.shape[0]
-    step = max(1, SCAN_BLOCK // max(n, width * width))
+    step = _bincount_step(n, width)
     for lo in range(start, n * n, step):
         pairs = np.arange(lo, min(lo + step, n * n))
         yield pairs, _pair_counts(dist, pairs, width)
@@ -241,31 +247,50 @@ def _sorted_key_blocks(dist: np.ndarray, first: np.ndarray, width: int) -> _Bloc
         step = min(2 * step, cap)
 
 
-def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
+def pair_intersection_counts(t: DistanceTable, reps: Optional[np.ndarray] = None) -> PairCountScan:
     """Count, for every ordered pair (x, y), the z at each distance pair
     (d(x,z), d(z,y)) and compare with the first pair of class h = d(x,y) in
-    row-major order. The class references are counted by one bincount;
-    `scan_kernel` picks how the other pairs are decided: by bincount in
-    row-major blocks of pairs, by GEMM in blocks of source rows, or by
-    sorted keys in blocks of source rows until a block holds a mismatch, and
-    by bincount from there on. The witness is the first pair in row-major
-    order whose counts differ from its class's first pair, at the lowest
-    (i, j) where they differ. The same pass decides commutativity:
-    A_i A_j = A_j A_i for all i, j iff every pair's counts are symmetric in
-    (i, j), and a pair equal to its class's first pair is symmetric iff that
-    one is, so only the references and the mismatching pairs are compared."""
+    row-major order. `reps`, when given, holds those first pairs as flat
+    indices, as `PartitionBasis.reps` of the distance basis does, which
+    has checked that the table realizes the classes 0..D; otherwise the
+    scan finds them and checks that itself.
+
+    `scan_kernel` picks how the pairs are decided. On the bincount, when one
+    block holds all n^2 pairs (every digraph with at most 9 vertices, at
+    the default SCAN_BLOCK), they are counted once and the class references
+    are read off that count; otherwise the references are counted by one
+    bincount and the other pairs by bincount in row-major blocks of pairs,
+    by GEMM in blocks of source rows, or by sorted keys in blocks of source
+    rows until a block holds a mismatch, and by bincount from there on.
+    The witness is the first pair in row-major order whose counts differ
+    from its class's first pair, at the lowest (i, j) where they differ.
+    The same pass decides commutativity: A_i A_j = A_j A_i for all i, j iff
+    every pair's counts are symmetric in (i, j), and a pair equal to its
+    class's first pair is symmetric iff that one is, so only the references
+    and the mismatching pairs are compared."""
     dist = t.array
     n = t.n
     width = t.diameter + 1
     flat = dist.ravel()
-    labels, first = np.unique(flat, return_index=True)  # first pair of each class
-    if not np.array_equal(labels, np.arange(width)):
-        raise InternalInconsistency(f"distance table does not realize classes 0..{width - 1}")
-    ref = _pair_counts(dist, first, width)
+    first = reps
+    if first is None:
+        labels, first = np.unique(flat, return_index=True)
+        if not np.array_equal(labels, np.arange(width)):
+            raise InternalInconsistency(f"distance table does not realize classes 0..{width - 1}")
+    kernel = scan_kernel(n, width)
+    one_block = kernel == "bincount" and _bincount_step(n, width) >= n * n
+    if one_block:
+        pairs = np.arange(n * n)
+        counts = _pair_counts(dist, pairs, width)
+        ref = counts[first]
+    else:
+        ref = _pair_counts(dist, first, width)
     values = ref.reshape(width, width, width)
     commutative = bool((values == values.transpose(0, 2, 1)).all())
-    kernel = scan_kernel(n, width)
-    if kernel == "gemm":
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]]
+    if one_block:
+        blocks = [(pairs, counts)]
+    elif kernel == "gemm":
         blocks = _gemm_blocks(dist, values)
     elif kernel == "sorted":
         blocks = _sorted_key_blocks(dist, first, width)
@@ -311,7 +336,11 @@ def distance_polynomials(
     p_0(A) = I = A_0 and p_1(A) = A = A_1 (both proved by
     `distance_matrices`), and once p_h(A) = A_h for every h <= i,
     p_{i+1}(A) = A_{i+1} holds exactly when A_i A = sum_h c_h A_h, that is
-    when the distance basis solves the product A_i A to the coordinates c.
+    when the product A_i A equals c on every class. A_i is 01 with row sums
+    at most n, so every partial sum of an entry of A_i A is at most n times
+    the max |entry| of A; below 2^53 (always, on a 01 adjacency matrix) the
+    product runs on float64 and is exact (ratlin's FLOAT64_EXACT argument),
+    and otherwise it is `mat_mul`'s.
     """
     D = basis.size - 1
     polys = [RatPolynomial.one()]
@@ -333,9 +362,16 @@ def distance_polynomials(
         polys.append(nxt if lead == 1 else nxt.scale(Fraction(1) / lead))
     if any(p.degree != i for i, p in enumerate(polys)):
         return None
-    for i in range(1, D):
-        if basis.solve(mat_mul(basis.member(i), a)) != scan.coords(i, 1):
-            return None
+    if basis.shape[0] * a.abs_bounds()[0] < FLOAT64_EXACT:
+        stepper = a.num.astype(np.float64)
+        for i in range(1, D):
+            product = (basis.index == i).astype(np.float64) @ stepper
+            if not np.array_equal(product, np.array(scan.coords(i, 1))[basis.index]):
+                return None
+    else:
+        for i in range(1, D):
+            if basis.solve(mat_mul(basis.member(i), a)) != scan.coords(i, 1):
+                return None
     return tuple(polys)
 
 
@@ -362,21 +398,43 @@ def walk_count_constancy(
     independent, and once constant on the classes they span the (D + 1)-
     dimensional class-constant space. A constant A^(D+1) is then in their
     span, and so is every later power; so the first failing l is at most
-    D + 1, and below n by Cayley-Hamilton. Powers past the int64 bound take
-    mat_mul's object-array route, so long walks stay exact."""
+    D + 1, and below n by Cayley-Hamilton.
+
+    The chain steps on float64 while it is exact. With rho the max row sum
+    of |A| and t its max |entry|, every row sum of |A^l| is at most rho^l,
+    so every partial sum of an entry of A^l A is at most rho^l * t; below
+    2^53 float64 holds them all (ratlin's FLOAT64_EXACT argument) and the
+    step is exact in any summation order. That bound is carried from step
+    to step, never rescanned. Past it, the chain goes on in `mat_mul`'s
+    exact tiers, whose object arrays keep long walks exact."""
     D = basis.size - 1
     if max_len is None:
         max_len = D
     elif max_len < D:
         raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
-    power = IntMatrix.identity(a.rows)
-    for ell in range(min(max_len, D + 1, a.rows - 1) + 1):
+    n = a.rows
+    top, rho = a.abs_bounds()
+    index, reps = basis.index, basis.reps
+    power = np.eye(n)
+    stepper = a.num.astype(np.float64)
+    exact: Optional[IntMatrix] = None
+    row_sum = 1  # bounds every row sum of |A^ell|
+    for ell in range(min(max_len, D + 1, n - 1) + 1):
         if ell > 0:
-            power = mat_mul(power, a)
-        off = basis.deviation(power)
-        if off is not None:
-            h, (x0, y0), (x, y) = off
-            v0, v1 = int(power.num[x0, y0]), int(power.num[x, y])
+            if exact is None and row_sum * top < FLOAT64_EXACT:
+                power = power @ stepper
+                row_sum *= rho
+            else:
+                if exact is None:
+                    exact = IntMatrix(power.astype(np.int64))
+                exact = mat_mul(exact, a)
+                power = exact.num
+        bad = power != power.ravel()[reps][index]
+        if bad.any():
+            h = int(index[bad].min())
+            x, y = divmod(int(np.flatnonzero(bad & (index == h))[0]), n)
+            x0, y0 = divmod(int(reps[h]), n)
+            v0, v1 = int(power[x0, y0]), int(power[x, y])
             return WalkConstancy(False, max_len, (ell, h, (x0, y0), (x, y), v0, v1))
     return WalkConstancy(True, max_len, None)
 
@@ -506,12 +564,18 @@ class TwoWayRelations:
 
 
 def two_way_relations(t: DistanceTable) -> TwoWayRelations:
+    """The two-way classes of the table, by one bincount: the codes
+    d(x,y) * (D + 1) + d(y,x) sort in lexicographic pair order and all lie
+    below (D + 1)^2, so the codes present are the nonzero bins, in order,
+    and a pair's position among them is the running count of present codes
+    below its own."""
     base = t.diameter + 1
     dist = t.array
-    # Codes d(x,y) * base + d(y,x) sort in lexicographic pair order.
-    codes, index = np.unique(dist * base + dist.T, return_inverse=True)
-    pairs = tuple(divmod(int(c), base) for c in codes)
-    return TwoWayRelations(pairs, index.reshape(dist.shape))
+    codes = dist * base + dist.T
+    present = np.bincount(codes.ravel(), minlength=base * base) > 0
+    rank = np.cumsum(present) - 1
+    pairs = tuple(divmod(c, base) for c in np.flatnonzero(present).tolist())
+    return TwoWayRelations(pairs, rank[codes])
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,25 @@ import numpy as np
 
 from .digraph import DistanceTable
 from .errors import ClusteringAmbiguous, PiUnderflow
-from .ratlin import IntMatrix, mat_mul, transpose
+from .ratlin import FLOAT64_EXACT, FLOAT64_MIN_INNER, IntMatrix, mat_mul, transpose
 
 DEFAULT_CLUSTER_TOL = 1e-7
 
 
 def is_normal(a: IntMatrix) -> bool:
-    """Exact integer test A A^T = A^T A (real entries, so adjoint = transpose)."""
+    """Exact integer test A A^T = A^T A of a square A (real entries, so
+    adjoint = transpose).
+
+    Every partial sum of an entry of either product is at most n t^2, where
+    t is the max |entry| of A; on a 01 adjacency matrix, n < 2^53 always.
+    Below 2^53 one product each and one comparison are exact: on float64,
+    which holds every such integer (ratlin's FLOAT64_EXACT argument), or on
+    the int64 array itself below FLOAT64_MIN_INNER, as in `mat_mul`.
+    Otherwise the products are `mat_mul`'s."""
+    top = a.abs_bounds()[0]
+    if a.rows * top * top < FLOAT64_EXACT:
+        x = a.num if a.rows < FLOAT64_MIN_INNER else a.num.astype(np.float64)
+        return bool((x @ x.T == x.T @ x).all())
     at = transpose(a)
     return mat_mul(a, at) == mat_mul(at, a)
 

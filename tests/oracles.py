@@ -9,7 +9,8 @@ search over the factored characteristic polynomial and, modulo a prime,
 from the first dependence among the vectorized powers of the matrix, the
 pair intersection counts from one dictionary per ordered pair, matrix
 products from the textbook triple loop, the product table of the distance
-matrices from their products and span solves, distance polynomials by
+matrices from their products and span solves, the two-way classes from
+`numpy.unique` over the pairs' codes, distance polynomials by
 evaluating each of them at A from scratch, the distance-partition scans from
 the textbook equitability count on every vertex's cells, Damerell's
 one-step table from a plain loop over pairs and arcs, the scheme axioms
@@ -48,6 +49,7 @@ from drdkit.ratlin import (
     minimal_polynomial,
 )
 from drdkit.scheme import (
+    TwoWayRelations,
     damerell_numbers,
     distance_matrices,
     distance_polynomials,
@@ -557,6 +559,17 @@ def pair_counts_by_dict(dist, D: int):
         for h in range(D + 1)
     )
     return values, tuple(map(tuple, ok)), witness
+
+
+def two_way_relations_by_unique(t) -> TwoWayRelations:
+    """The two-way classes of a distance table by sorting: `numpy.unique`
+    over the codes d(x,y) * (D + 1) + d(y,x), which sort in lexicographic
+    pair order, with each pair's position among them."""
+    base = t.diameter + 1
+    dist = t.array
+    codes, index = np.unique(dist * base + dist.T, return_inverse=True)
+    pairs = tuple(divmod(int(c), base) for c in codes)
+    return TwoWayRelations(pairs, index.reshape(dist.shape))
 
 
 # Identities from the paper's sources that no verdict reads, composed from

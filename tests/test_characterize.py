@@ -159,9 +159,12 @@ class TestCheckAll:
 
     def test_a_long_walk_bound_steps_the_walks_once(self, monkeypatch):
         # B's power basis and E read one walk test, stepped to max(D, bound):
-        # on cycle(30) no power past A^29 is stepped, whatever the bound.
+        # on cycle(30) no power past A^29 is stepped, whatever the bound. A
+        # float bound of 0 sends every product through mat_mul to be counted.
         import drdkit.characterize as characterize
         import drdkit.scheme as scheme
+
+        monkeypatch.setattr(scheme, "FLOAT64_EXACT", 0)
 
         bounds, products = [], []
         real_walks, real_mul = characterize.walk_count_constancy, scheme.mat_mul
@@ -249,6 +252,49 @@ class TestCheckAll:
         with pytest.raises(InvalidParameter):
             CheckConfig(max_walk_len=-1)
         assert CheckConfig(max_walk_len=0).max_walk_len == 0
+
+
+def _floor_graphs():
+    graphs = [g for n in range(1, 5) for g in all_strongly_connected_digraphs(n)]
+    graphs += [random_sc(5 + s % 4, 0.2 + 0.1 * (s % 6), seed=s) for s in range(300)]
+    return graphs + [cycle(n) for n in range(3, 31)] + [paley(7), paley(19), paper6()]
+
+
+class TestMinPolyDegreeFloor:
+    """I, A, ..., A^D are independent, so D + 1 <= deg μ <= n, and D + 1 = n
+    decides deg μ = n before any Krylov sequence is formed."""
+
+    def test_the_floor_agrees_with_the_krylov_degree(self, monkeypatch):
+        runs = []
+        real = ratlin._krylov_polynomial
+        monkeypatch.setattr(ratlin, "_krylov_polynomial", lambda *a: runs.append(1) or real(*a))
+        floors = 0
+        for g in _floor_graphs():
+            ctx = GraphContext(g, CheckConfig())
+            runs.clear()
+            degree = ctx.min_poly_degree
+            floor = ctx.table.diameter + 1 == g.n
+            assert bool(runs) != floor, g.arcs()
+            floors += floor
+            assert degree == ratlin.minimal_polynomial_degree(ctx.adjacency), g.arcs()
+            assert ctx.table.diameter + 1 <= degree <= g.n
+        assert floors >= 300
+
+    def test_krylov_runs_once_below_the_floor(self, monkeypatch):
+        # paper6 has D + 1 = 4 < 6 = n, so deg μ takes one Krylov sequence
+        # there, and check_all reads it for B, C1, I and the spectrum alike;
+        # every cycle has D + 1 = n and takes none.
+        runs = []
+        real = ratlin._krylov_polynomial
+        monkeypatch.setattr(ratlin, "_krylov_polynomial", lambda *a: runs.append(1) or real(*a))
+        rep = check_all(paper6())
+        assert rep.overall == "yes" and rep.d == 3
+        assert len(runs) == 1
+        runs.clear()
+        for n in (3, 10, 20, 30):
+            rep = check_all(cycle(n))
+            assert rep.overall == "yes" and rep.d == n - 1
+        assert not runs
 
 
 class TestCheckSingle:

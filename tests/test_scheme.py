@@ -16,6 +16,7 @@ from drdkit.corpus import (
     all_strongly_connected_digraphs,
     cycle,
     cycle_with_chord,
+    debruijn,
     edge_list_text,
     kautz,
     paley,
@@ -27,6 +28,7 @@ from drdkit.errors import InternalInconsistency
 from drdkit.partitions import distance_regular_scan
 from drdkit.ratlin import (
     IntMatrix,
+    PartitionBasis,
     SpanBasis,
     adjacency_matrix,
     mat_mul,
@@ -62,6 +64,7 @@ from oracles import (
     product_table_by_matrices,
     scheme_axioms_by_matrices,
     transpose_closure_by_matrices,
+    two_way_relations_by_unique,
     weak_dr_comellas,
 )
 
@@ -352,12 +355,18 @@ class TestDistancePolynomials:
         assert distance_polynomials(basis, a, self._perturbed(scan, 2, 1, 1)) is None
 
     def test_one_product_per_step(self, monkeypatch):
+        # The re-verification takes one product A_i A per step: on float64
+        # while n * max|A| < 2^53, which a 01 matrix always meets, so through
+        # no mat_mul; past that bound (forced to 0 here), one mat_mul a step.
         g = cycle(12)
         t, basis = build(g)
         scan = pair_intersection_counts(t)
         calls = []
         real = scheme.mat_mul
         monkeypatch.setattr(scheme, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+        assert distance_polynomials(basis, adjacency_matrix(g), scan) is not None
+        assert not calls
+        monkeypatch.setattr(scheme, "FLOAT64_EXACT", 0)
         assert distance_polynomials(basis, adjacency_matrix(g), scan) is not None
         assert len(calls) == t.diameter - 1
 
@@ -394,11 +403,12 @@ class TestWalkCounts:
 
     def test_walks_past_the_int64_bound_stay_exact(self, monkeypatch):
         # Walks stop at l = D + 1. On the blow-up C_32[K_4-bar], arcs
-        # (i, a) -> (i + 1 mod 32, b), n = 128 and D = 32, and A^l is
-        # 4^(l - 1) on the pairs at distance l mod 32, so A^33 is the first
-        # power past 2^63: the last of the 33 products takes the
-        # object-array route, and the verdict must match the default walk
-        # length.
+        # (i, a) -> (i + 1 mod 32, b), n = 128 and D = 32, every row sum of
+        # A^l is 4^l, and A^l is 4^(l - 1) on the pairs at distance l mod 32.
+        # The products A^l = A^(l-1) A run on float64 while 4^(l - 1) < 2^53,
+        # up to A^27; A^28..A^33 go through mat_mul, and A^33, the first
+        # power past 2^63, takes the object-array route. The verdict must
+        # match the default walk length.
         g = Digraph.from_arcs(
             128, [(4 * i + a, 4 * ((i + 1) % 32) + b) for i in range(32) for a in range(4) for b in range(4)]
         )
@@ -409,7 +419,7 @@ class TestWalkCounts:
         monkeypatch.setattr(scheme, "mat_mul", lambda a, b: powers.append(real(a, b)) or powers[-1])
         long = walk_count_constancy(basis, a, max_len=70)
         assert t.diameter == 32
-        assert [p.num.dtype == object for p in powers] == [False] * 32 + [True]
+        assert [p.num.dtype == object for p in powers] == [False] * 5 + [True]
         assert bool(long) == bool(walk_count_constancy(basis, a)) is True
         a = adjacency_matrix(paper6())
         power = IntMatrix.identity(6)
@@ -418,14 +428,42 @@ class TestWalkCounts:
         assert power.num.dtype == object
         assert sum(power.entries[0]) == 2**70
 
+    def test_witness_is_the_first_differing_pair_of_the_lowest_class(self):
+        # Against powers taken by numpy and classes listed pair by pair: the
+        # lowest class on which A^l is not constant, its first pair in
+        # row-major order, and the first pair of the class where A^l differs
+        # from that one, with both walk counts.
+        graphs = [cycle_with_chord(n) for n in (4, 5, 6)]
+        graphs += [random_sc(n, 0.3, seed=s) for s in range(30) for n in (5, 7)]
+        failing = 0
+        for g in graphs:
+            t, basis = build(g)
+            walks = walk_count_constancy(basis, adjacency_matrix(g))
+            if walks:
+                continue
+            failing += 1
+            ell, h, pair0, pair1, v0, v1 = walks.witness
+            power = np.linalg.matrix_power(g.matrix.astype(np.int64), ell)
+            cells = [
+                [(x, y) for x in range(g.n) for y in range(g.n) if t.array[x, y] == c]
+                for c in range(t.diameter + 1)
+            ]
+            uneven = [c for c, cell in enumerate(cells) if len({power[p] for p in cell}) > 1]
+            assert h == uneven[0] and pair0 == cells[h][0]
+            assert pair1 == next(p for p in cells[h] if power[p] != power[pair0])
+            assert (v0, v1) == (power[pair0], power[pair1])
+        assert failing >= 20
+
     def test_a_bound_past_n_steps_to_n_minus_1(self, monkeypatch):
         # Constancy up to l = D + 1 gives it for every l, and by
         # Cayley-Hamilton so does constancy below n, so a bound of 10^9
         # steps at most min(D + 1, n - 1) = 3 products on paley(19) and
-        # echoes the bound. A 4th product fails at once instead of walking on.
+        # echoes the bound. A 4th product fails at once instead of walking on;
+        # a float bound of 0 sends every product through mat_mul to be counted.
         g = paley(19)
         calls = []
         real = scheme.mat_mul
+        monkeypatch.setattr(scheme, "FLOAT64_EXACT", 0)
 
         def counted(a, b):
             calls.append(1)
@@ -613,6 +651,20 @@ class TestTwoWayRelations:
         with pytest.raises(InternalInconsistency):
             wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, lambda: axioms(t, basis))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            strongly_connected_digraphs(9),
+            st.sampled_from([cycle(16), kautz(2, 3), debruijn(2, 4)]),
+        )
+    )
+    def test_matches_the_unique_oracle(self, g):
+        t = distance_table(g)
+        rel, ref = two_way_relations(t), two_way_relations_by_unique(t)
+        assert rel.delta == ref.delta
+        assert rel.index.shape == ref.index.shape
+        assert np.array_equal(rel.index, ref.index)
+
     def test_classes_partition(self, fig6):
         t, _ = build(fig6)
         rel = two_way_relations(t)
@@ -662,6 +714,9 @@ class TestWeakDistanceRegularity:
 
 def _assert_scan_matches_oracle(t):
     scan = pair_intersection_counts(t)
+    shared = pair_intersection_counts(t, PartitionBasis(t.array, t.diameter + 1).reps)
+    assert np.array_equal(shared.values, scan.values) and np.array_equal(shared.ok, scan.ok)
+    assert (shared.witness, shared.commutative) == (scan.witness, scan.commutative)
     values, ok, witness = pair_counts_by_dict(t.array.tolist(), t.diameter)
     assert not scan.values.flags.writeable and not scan.ok.flags.writeable
     assert scan.values.tolist() == [[list(row) for row in v] for v in values]
@@ -695,6 +750,7 @@ def _sorted_block_start(row: int, n: int, cap: int) -> int:
 
 # The star K_{1,5} with arcs both ways: the centre is vertex 5.
 STAR = Digraph.from_arcs(6, [(v, 5) for v in range(5)] + [(5, v) for v in range(5)])
+SCAN_SAMPLES = [cycle(n) for n in (3, 10, 16)] + [paley(7), paley(19), STAR]
 
 
 class TestPairCountScan:
@@ -731,7 +787,9 @@ class TestPairCountScan:
         # it is still read off the counts of the one pass. On every kernel
         # one bincount counts the class references; then bincount counts
         # every block of pairs, GEMM no pair, and sorted keys every pair from
-        # the sorted block that holds the first mismatch on.
+        # the sorted block that holds the first mismatch on. When one
+        # bincount block holds all n^2 pairs, as both digraphs' do at the
+        # default cap, that one count is all the bincount kernel makes.
         t = distance_table(g)
         n, width = g.n, t.diameter + 1
         monkeypatch.setattr(scheme, "SCAN_BLOCK", cap)
@@ -746,16 +804,16 @@ class TestPairCountScan:
             scan = pair_intersection_counts(t)
             assert not scan.all_constant
             assert scan.commutative == commutes
-            assert len(calls) == 1 + len(range(pairs_from, n * n, step)), kernel
+            if kernel == "bincount" and step >= n * n:
+                assert len(calls) == 1 and cap == scheme.SCAN_BLOCK
+            else:
+                assert len(calls) == 1 + len(range(pairs_from, n * n, step)), kernel
             if cap == 1 and kernel == "bincount":
                 assert len(calls) == 1 + n * n
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.one_of(
-            strongly_connected_digraphs(9),
-            st.sampled_from([cycle(n) for n in (3, 10, 16)] + [paley(7), paley(19), STAR]),
-        ),
+        st.one_of(strongly_connected_digraphs(9), st.sampled_from(SCAN_SAMPLES)),
         st.sampled_from(["bincount", "gemm", "sorted"]),
         st.sampled_from([1, 50, scheme.SCAN_BLOCK]),
     )
@@ -764,6 +822,43 @@ class TestPairCountScan:
         with mock.patch.multiple(scheme, scan_kernel=lambda *a: kernel, SCAN_BLOCK=cap):
             _assert_scan_matches_oracle(t)
             _assert_scan_matches_products(g, t)
+
+    def test_the_kernel_oracle_meets_one_block_and_several(self):
+        # The bincount counts every pair in one block when a block of
+        # SCAN_BLOCK // max(n, (D + 1)^2) pairs holds all n^2: at the default
+        # cap on every digraph with at most 9 vertices, so on every drawn
+        # one, and on half the samples above, while at caps 1 and 50 every
+        # sample takes several blocks.
+        def one_block(g, cap):
+            with mock.patch.object(scheme, "SCAN_BLOCK", cap):
+                return scheme._bincount_step(g.n, distance_table(g).diameter + 1) >= g.n**2
+
+        assert all(
+            scheme._bincount_step(n, width) >= n * n for n in range(1, 10) for width in range(1, n + 1)
+        )
+        assert [one_block(g, scheme.SCAN_BLOCK) for g in SCAN_SAMPLES] == [
+            True, False, False, True, True, True,
+        ]
+        assert not any(one_block(g, cap) for g in SCAN_SAMPLES for cap in (1, 50))
+
+    def test_one_block_counts_every_pair_once(self, monkeypatch):
+        # In one block the class references are read off the count of all
+        # n^2 pairs; with several, they are counted first, on their own.
+        g = cycle_with_chord(6)
+        t = distance_table(g)
+        real = scheme._pair_counts
+        monkeypatch.setattr(scheme, "scan_kernel", lambda *a: "bincount")
+        for cap, sizes in ((scheme.SCAN_BLOCK, [36]), (50, [t.diameter + 1] + [1] * 36)):
+            counted = []
+            monkeypatch.setattr(scheme, "SCAN_BLOCK", cap)
+            monkeypatch.setattr(
+                scheme, "_pair_counts", lambda d, pairs, w: counted.append(len(pairs)) or real(d, pairs, w)
+            )
+            scan = pair_intersection_counts(t)
+            assert counted == sizes, cap
+            assert not scan.all_constant
+        monkeypatch.setattr(scheme, "_pair_counts", real)
+        _assert_scan_matches_oracle(t)
 
     def test_sorted_keys_fall_back_from_the_block_of_a_late_mismatch(self, monkeypatch):
         # The star's first mismatch is at row 5, in the third sorted block
