@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Union
+from functools import cached_property
+from typing import Callable, Hashable, Optional
 
 from .digraph import Digraph, DistanceTable, distance_table, regularity
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
@@ -83,7 +84,7 @@ class CheckConfig:
             raise InvalidParameter(f"max_walk_len must be >= 0, got {self.max_walk_len}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CharacterizationVerdict:
     id: str
     verdict: str  # "yes" | "no" | "not-applicable"
@@ -134,10 +135,11 @@ class Report:
         s = self.context.spectrum_or_error if self.strongly_connected else None
         return s.d if isinstance(s, Spectrum) else None
 
-    @property
+    @cached_property
     def overall(self) -> Optional[str]:
         """The common applicable verdict, or None when every check was
-        not-applicable. The experimental variant never participates."""
+        not-applicable. The experimental variant never participates.
+        Computed once: `agreement` reads it too."""
         applicable = [
             v.verdict
             for v in self.verdicts
@@ -163,8 +165,11 @@ class GraphContext:
     the runner decides that, and the single vertex, once per digraph.
 
     A primitive that another one already proves is read off it rather than
-    recomputed: deg μ is n, with no Krylov sequence, when D + 1 = n, and the
-    pair count scan takes its class references from the distance basis.
+    recomputed: deg μ is n, with no Krylov sequence, when D + 1 = n; the
+    pair count scan takes its class references from the distance basis;
+    and a distance matrix's membership in the adjacency algebra is read off
+    the walk chain's first failing length, so the powers are eliminated
+    only for the questions that length does not settle.
     """
 
     def __init__(self, g: Digraph, config: CheckConfig, checks: tuple[str, ...] = CHECK_IDS):
@@ -223,7 +228,7 @@ class GraphContext:
 
     @property
     def min_poly_degree(self) -> int:
-        """deg μ: B, C1, I, `power_basis` and the spectrum's cross-check read
+        """deg μ: B, C1, I, membership and the spectrum's cross-check read
         nothing else of the minimal polynomial μ.
 
         The distance table bounds it from below: A^j is positive at every
@@ -245,10 +250,11 @@ class GraphContext:
     @property
     def walks(self) -> WalkConstancy:
         """Check E's walk count test at bound max(D, `max_walk_len`), stepped
-        once for E and `power_basis` alike; at bound D when E will not run,
-        since `power_basis` reads no walk past D. Walks shorter than D would
-        not certify the theorem, and no bound steps past l = D + 1, after
-        which constancy holds for every l (`walk_count_constancy`)."""
+        once for E and `distance_matrix_in_powers` alike; at bound D when E
+        will not run, since membership reads no walk past D. Walks shorter
+        than D would not certify the theorem, and no bound steps past
+        l = D + 1, after which constancy holds for every l
+        (`walk_count_constancy`)."""
 
         def make():
             longest = self.config.max_walk_len if "E" in self.checks else None
@@ -258,18 +264,12 @@ class GraphContext:
         return self._get("walks", make)
 
     @property
-    def power_basis(self) -> Union[PartitionBasis, SpanBasis]:
-        """Membership in the adjacency algebra, span(A^0 .. A^(deg μ - 1)):
-        the distance basis when deg μ = D + 1 and every A^j, j <= D, is
-        constant on its classes (both spans then have dimension D + 1), as on
-        every DRD, and elimination otherwise. With deg μ = D + 1 every power
-        is a combination of A^0 .. A^D, so check E's walk test decides this
-        at whatever bound >= D it was stepped to."""
+    def power_basis(self) -> SpanBasis:
+        """The adjacency algebra, span(A^0 .. A^(deg μ - 1)), eliminated: the
+        route of the membership questions that the walk chain does not
+        settle (`distance_matrix_in_powers`)."""
 
         def make():
-            basis = self.distance_basis
-            if self.min_poly_degree == basis.size and self.walks:
-                return basis
             powers = [IntMatrix.identity(self.g.n)]
             while len(powers) < self.min_poly_degree:
                 powers.append(mat_mul(powers[-1], self.adjacency))
@@ -278,10 +278,53 @@ class GraphContext:
         return self._get("power_basis", make)
 
     def distance_matrix_in_powers(self, i: int) -> bool:
-        return self._get(
-            ("dm_in_powers", i),
-            lambda: self.power_basis.solve(self.distance_basis.member(i)) is not None,
-        )
+        """Whether A_i lies in the adjacency algebra, span(A^0 .. A^(deg μ
+        - 1)), read off the walk chain's first failing length ℓ (ℓ = ∞ when
+        the chain passes) wherever that settles it.
+
+        A^j is positive at every pair at distance j and zero at every pair
+        farther apart. Two consequences follow.
+
+        - For i < ℓ, each A^j with j <= i is constant on the classes, so it
+          lies in span(A_0 .. A_j) with a positive coefficient on A_j. That
+          triangular system inverts, so A_i is in span(A^0 .. A^i): yes,
+          whatever deg μ is.
+        - For i = ℓ with deg μ = D + 1, the algebra is span(A^0 .. A^D).
+          Write A_ℓ = sum c_j A^j and let t be the top index with c_j != 0.
+          If t > ℓ, at a pair at distance t the only nonzero term is
+          c_t A^t, but A_ℓ is 0 there; if t < ℓ, every term is 0 at a pair
+          at distance ℓ, but A_ℓ is 1 there. So t = ℓ, and
+          A^ℓ = (A_ℓ - sum_{j<ℓ} c_j A^j) / c_ℓ would be constant on the
+          classes, against the choice of ℓ: no.
+
+        Any other question (i > ℓ, or deg μ != D + 1) runs the elimination
+        `power_basis`. B and C1 stop at the first failing i, which is ℓ, so
+        they never eliminate; I and NX ask only i = D.
+
+        With deg μ = D + 1 the chain cannot first fail at ℓ = D + 1, since
+        A^(D+1) lies in span(A^0 .. A^D), which is then the space of
+        class-constant matrices; a chain that does (only a bound past D
+        steps that far) contradicts deg μ and raises InternalInconsistency."""
+
+        def make():
+            walks = self.walks
+            if walks:
+                return True
+            ell = walks.witness[0]
+            D = self.table.diameter
+            if self.min_poly_degree == D + 1:
+                if ell == D + 1:
+                    raise InternalInconsistency(
+                        f"walk counts of length {ell} leave the distance classes, "
+                        f"but the minimal polynomial has degree {D + 1}"
+                    )
+                if i == ell:
+                    return False
+            if i < ell:
+                return True
+            return self.power_basis.solve(self.distance_basis.member(i)) is not None
+
+        return self._get(("dm_in_powers", i), make)
 
     @property
     def axioms_on_distance_matrices(self) -> AxiomReport:

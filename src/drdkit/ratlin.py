@@ -21,10 +21,11 @@ them.
 The distance classes' basis, built on the distance table, is the only
 partition basis. It holds the class index alone and builds a class matrix
 only when asked for one, so no stack of D + 1 dense matrices is ever kept;
-it spans the powers I, A, ..., A^D when those are constant on its classes
-and deg μ = D + 1. Every other span solve runs `SpanBasis._reduce`,
-fraction-free: each step cross-multiplies and divides by the content gcd,
-and Fractions appear only in the coordinates a solve returns.
+membership in the adjacency algebra is read off the walk chain over its
+classes wherever that settles it (`characterize.GraphContext`). Every
+other span solve runs `SpanBasis._reduce`, fraction-free: each step
+cross-multiplies and divides by the content gcd, and Fractions appear only
+in the coordinates a solve returns.
 
 The minimal polynomial is computed modulo word-size primes and lifted by the
 Chinese remainder theorem (the lift-then-verify pattern of Dixon, Numer.
@@ -491,11 +492,11 @@ def _krylov_polynomial(a: np.ndarray, v: np.ndarray, p: int) -> list[int]:
         k[j + 1] = a @ k[j] % p
     # Row n has no entries from column n on, so the loop breaks by j = n.
     for j in range(n + 1):
-        nonzero = np.flatnonzero(k[j, j:])
-        if not nonzero.size:
-            break
-        q = j + int(nonzero[0])
-        if q != j:
+        if j == n or not k[j, j]:  # the pivot is almost always in place
+            nonzero = np.flatnonzero(k[j, j:])
+            if not nonzero.size:
+                break
+            q = j + int(nonzero[0])
             k[:, [j, q]] = k[:, [q, j]]
         factors = k[j + 1 :, j] * pow(int(k[j, j]), -1, p) % p
         rest = k[j + 1 :]

@@ -9,8 +9,8 @@ reader works on that table and its pair count scan; a class matrix is built
 only where it is multiplied, one at a time. Each fact has one route: the
 scan decides product closure and commutativity in one pass over the pairs,
 and the walk count test is the only power chain, which the caller shares
-between check E and the adjacency algebra's basis. The scan decides a "yes"
-in whole-table passes: one GEMM per block of source rows for short
+between check E and membership in the adjacency algebra. The scan decides
+a "yes" in whole-table passes: one GEMM per block of source rows for short
 diameters, or one sort of keys per block for long ones, with a bincount for
 the small sizes between and for the pairs past a mismatch (`scan_kernel`).
 
@@ -73,7 +73,7 @@ def _transpose_class(basis: PartitionBasis, i: int) -> Optional[int]:
     index = basis.index
     y, x = divmod(int(basis.reps[i]), basis.shape[1])
     j = int(index[x, y])
-    return j if np.array_equal(index == j, index.T == i) else None
+    return None if ((index == j) != (index.T == i)).any() else j
 
 
 def transpose_closure(basis: PartitionBasis) -> TransposeMap:
@@ -393,12 +393,14 @@ def walk_count_constancy(
 ) -> WalkConstancy:
     """Check that A^l is constant on every distance class for l = 0..max_len
     (default: the diameter). max_len below the diameter would weaken the
-    test and is refused. Only l <= min(D + 1, n - 1) is stepped. A^j is
-    positive on the pairs at distance j and zero beyond j, so A^0..A^D are
-    independent, and once constant on the classes they span the (D + 1)-
-    dimensional class-constant space. A constant A^(D+1) is then in their
-    span, and so is every later power; so the first failing l is at most
-    D + 1, and below n by Cayley-Hamilton.
+    test and is refused. basis must be the distance basis of a, as
+    `distance_matrices` returns it: that proves A^0 = A_0 and A^1 = A_1, so
+    the chain starts at l = 2, and only l <= min(D + 1, n - 1) is stepped.
+    A^j is positive on the pairs at distance j and zero beyond j, so
+    A^0..A^D are independent, and once constant on the classes they span
+    the (D + 1)-dimensional class-constant space. A constant A^(D+1) is
+    then in their span, and so is every later power; so the first failing
+    l is at most D + 1, and below n by Cayley-Hamilton.
 
     The chain steps on float64 while it is exact. With rho the max row sum
     of |A| and t its max |entry|, every row sum of |A^l| is at most rho^l,
@@ -415,20 +417,19 @@ def walk_count_constancy(
     n = a.rows
     top, rho = a.abs_bounds()
     index, reps = basis.index, basis.reps
-    power = np.eye(n)
     stepper = a.num.astype(np.float64)
+    power = stepper
     exact: Optional[IntMatrix] = None
-    row_sum = 1  # bounds every row sum of |A^ell|
-    for ell in range(min(max_len, D + 1, n - 1) + 1):
-        if ell > 0:
-            if exact is None and row_sum * top < FLOAT64_EXACT:
-                power = power @ stepper
-                row_sum *= rho
-            else:
-                if exact is None:
-                    exact = IntMatrix(power.astype(np.int64))
-                exact = mat_mul(exact, a)
-                power = exact.num
+    row_sum = rho  # bounds every row sum of |power|
+    for ell in range(2, min(max_len, D + 1, n - 1) + 1):
+        if exact is None and row_sum * top < FLOAT64_EXACT:
+            power = power @ stepper
+            row_sum *= rho
+        else:
+            if exact is None:
+                exact = IntMatrix(power.astype(np.int64))
+            exact = mat_mul(exact, a)
+            power = exact.num
         bad = power != power.ravel()[reps][index]
         if bad.any():
             h = int(index[bad].min())

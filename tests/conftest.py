@@ -6,6 +6,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from drdkit.corpus import (
+    all_strongly_connected_digraphs,
     cycle,
     cycle_with_chord,
     debruijn,
@@ -51,6 +52,13 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def small_digraphs() -> list[Digraph]:
+    """Every strongly connected digraph on 1-4 vertices, then 300 seeded
+    random ones on 5-8 vertices at arc densities 0.2-0.7."""
+    graphs = [g for n in range(1, 5) for g in all_strongly_connected_digraphs(n)]
+    return graphs + [random_sc(5 + s % 4, 0.2 + 0.1 * (s % 6), seed=s) for s in range(300)]
 
 
 def named_corpus() -> list[tuple[str, Digraph]]:

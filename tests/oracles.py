@@ -10,7 +10,8 @@ from the first dependence among the vectorized powers of the matrix, the
 pair intersection counts from one dictionary per ordered pair, matrix
 products from the textbook triple loop, the product table of the distance
 matrices from their products and span solves, the two-way classes from
-`numpy.unique` over the pairs' codes, distance polynomials by
+`numpy.unique` over the pairs' codes, the walk count test from a chain that
+compares every power from A^0 on, distance polynomials by
 evaluating each of them at A from scratch, the distance-partition scans from
 the textbook equitability count on every vertex's cells, Damerell's
 one-step table from a plain loop over pairs and arcs, the scheme axioms
@@ -40,6 +41,7 @@ import sympy
 from drdkit.digraph import regularity, strongly_connected
 from drdkit.errors import InternalInconsistency, PreconditionViolated, SpectralError
 from drdkit.ratlin import (
+    FLOAT64_EXACT,
     IntMatrix,
     PartitionBasis,
     RatPolynomial,
@@ -50,6 +52,7 @@ from drdkit.ratlin import (
 )
 from drdkit.scheme import (
     TwoWayRelations,
+    WalkConstancy,
     damerell_numbers,
     distance_matrices,
     distance_polynomials,
@@ -570,6 +573,45 @@ def two_way_relations_by_unique(t) -> TwoWayRelations:
     codes, index = np.unique(dist * base + dist.T, return_inverse=True)
     pairs = tuple(divmod(int(c), base) for c in codes)
     return TwoWayRelations(pairs, index.reshape(dist.shape))
+
+
+def walk_count_constancy_from_zero(
+    basis: PartitionBasis, a: IntMatrix, max_len: Optional[int] = None
+) -> WalkConstancy:
+    """The walk count test with every power compared from A^0 on: the
+    reference for `scheme.walk_count_constancy`, which starts at A^2. The
+    chain steps on float64 while the carried bound rho^(l-1) * max|A| is
+    below 2^53, and through `mat_mul` past it."""
+    D = basis.size - 1
+    if max_len is None:
+        max_len = D
+    elif max_len < D:
+        raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
+    n = a.rows
+    top, rho = a.abs_bounds()
+    index, reps = basis.index, basis.reps
+    power = np.eye(n)
+    stepper = a.num.astype(np.float64)
+    exact: Optional[IntMatrix] = None
+    row_sum = 1
+    for ell in range(min(max_len, D + 1, n - 1) + 1):
+        if ell > 0:
+            if exact is None and row_sum * top < FLOAT64_EXACT:
+                power = power @ stepper
+                row_sum *= rho
+            else:
+                if exact is None:
+                    exact = IntMatrix(power.astype(np.int64))
+                exact = mat_mul(exact, a)
+                power = exact.num
+        bad = power != power.ravel()[reps][index]
+        if bad.any():
+            h = int(index[bad].min())
+            x, y = divmod(int(np.flatnonzero(bad & (index == h))[0]), n)
+            x0, y0 = divmod(int(reps[h]), n)
+            v0, v1 = int(power[x0, y0]), int(power[x, y])
+            return WalkConstancy(False, max_len, (ell, h, (x0, y0), (x, y), v0, v1))
+    return WalkConstancy(True, max_len, None)
 
 
 # Identities from the paper's sources that no verdict reads, composed from

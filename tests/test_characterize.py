@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import replace
 
@@ -22,11 +23,11 @@ from drdkit.corpus import (
 )
 from drdkit.digraph import Digraph, distance_table, strongly_connected
 from drdkit.errors import InvalidParameter
-from drdkit.ratlin import IntMatrix, PartitionBasis, SpanBasis, adjacency_matrix, mat_mul
+from drdkit.ratlin import IntMatrix, SpanBasis, adjacency_matrix, mat_mul
 from drdkit.scheme import distance_matrices, transpose_closure
 from drdkit.spectral import is_normal, spectrum
 
-from conftest import circulant, traced_peak
+from conftest import circulant, small_digraphs, traced_peak
 from oracles import distance_stack, weak_dr_comellas
 
 
@@ -102,24 +103,56 @@ class TestCheckAll:
             assert rep.agreement
         assert len(calls) == 2
 
-    def test_power_basis_is_the_distance_basis_exactly_when_powers_are_classes(self):
-        """When deg minpoly = D + 1 and A^0 .. A^D are constant on the
-        distance classes, the powers span the distance basis's space, so the
-        powers are that basis; on the others they are eliminated."""
+    def test_membership_builds_no_span_basis_where_the_walks_decide(self, monkeypatch):
+        """On a DRD every A^j is constant on the distance classes, so B, C1
+        and I read every membership as yes off the walk chain; on a
+        deg μ = D + 1 "no", B and C1 stop at the chain's first failing
+        length ℓ, which is no. Neither eliminates the powers."""
+        import drdkit.characterize as characterize
 
         def complete(n):
             return Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n) if u != v])
 
+        spans = []
+        monkeypatch.setattr(characterize, "SpanBasis", lambda *a: spans.append(1) or SpanBasis(*a))
         for g in (
             complete(1), cycle(2), cycle(6), cycle(10), complete(3), complete(5),
             paper6(), paley(7), paley(19),
         ):
-            ctx = GraphContext(g, CheckConfig())
-            assert ctx.power_basis is ctx.distance_basis
+            assert check_all(g).overall == "yes"
         for g in (cycle_with_chord(5), kautz(2, 3)):
             ctx = GraphContext(g, CheckConfig())
             assert ctx.min_poly_degree == ctx.table.diameter + 1
-            assert isinstance(ctx.power_basis, SpanBasis)
+            ell = ctx.walks.witness[0]
+            rep = check_all(g)
+            b = next(v for v in rep.verdicts if v.id == "B")
+            assert rep.overall == "no"
+            assert b.witness == f"distance matrix {ell} is not a polynomial in A"
+        assert not spans
+
+    def test_a_walk_failure_past_d_contradicts_deg_mu(self, tmp_path, monkeypatch):
+        # With deg μ = D + 1, A^(D+1) is in span(A^0 .. A^D), the
+        # class-constant space, so no chain first fails at l = D + 1. One
+        # that does (patched here, on paper6 with D = 3) is an internal
+        # inconsistency: check_all raises and `drdkit check` exits 3.
+        import drdkit.characterize as characterize
+        from drdkit.cli import main
+        from drdkit.corpus import edge_list_text
+        from drdkit.errors import InternalInconsistency
+        from drdkit.scheme import WalkConstancy
+
+        g = paper6()
+        D = 3
+
+        def fail_past_d(basis, a, max_len):
+            return WalkConstancy(False, max_len, (D + 1, 1, (0, 1), (1, 2), 1, 2))
+
+        monkeypatch.setattr(characterize, "walk_count_constancy", fail_past_d)
+        with pytest.raises(InternalInconsistency, match="length 4"):
+            check_all(g, CheckConfig(max_walk_len=D + 1))
+        path = tmp_path / "paper6.el"
+        path.write_text(edge_list_text(g))
+        assert main(["check", str(path), "--max-walk-len", str(D + 1)]) == 3
 
     @pytest.mark.parametrize(
         "g, overall",
@@ -212,31 +245,61 @@ class TestCheckAll:
         assert [(v.id, v.verdict) for v in rep.verdicts] == [("B", "yes"), ("E", "yes")]
 
     @pytest.mark.parametrize("n", [60, 100])
-    def test_power_basis_holds_one_power_at_a_time(self, n):
-        # With the minimal polynomial and the distance basis cached, the
-        # comparison of A^j with A_j keeps a few n x n arrays alive, not
-        # the n powers.
+    def test_power_basis_holds_one_power_at_a_time(self, n, monkeypatch):
+        # With the minimal polynomial and the distance basis cached, every
+        # membership question reads the walk chain, which keeps a few
+        # n x n arrays alive, one power at a time, and never the n powers
+        # of an elimination.
+        import drdkit.characterize as characterize
+
+        spans = []
+        monkeypatch.setattr(characterize, "SpanBasis", lambda *a: spans.append(1) or SpanBasis(*a))
         ctx = GraphContext(cycle(n), CheckConfig())
         assert ctx.min_poly_degree == ctx.distance_basis.size == n
-        assert traced_peak(lambda: ctx.power_basis) < 8 * n * n * 8
-        assert ctx.power_basis is ctx.distance_basis
+        answers = []
+        peak = traced_peak(lambda: answers.extend(map(ctx.distance_matrix_in_powers, range(n))))
+        assert peak < 8 * n * n * 8
+        assert answers == [True] * n and not spans
 
-    def test_power_memberships_match_elimination(self, corpus):
-        """Wherever deg minpoly = D + 1, each A_i lies in the adjacency
-        algebra exactly when elimination over the powers solves for it."""
-        kinds = set()
-        for name, g in corpus:
+    def test_power_memberships_match_elimination(self, corpus, monkeypatch):
+        """Each A_i lies in the adjacency algebra exactly when elimination
+        over I, A, ..., A^(deg μ - 1) solves for it, for every i and every
+        deg μ. Each answer takes the route the walk chain's first failing
+        length ℓ gives it: yes below ℓ, no at ℓ when deg μ = D + 1, and the
+        elimination otherwise; the inputs reach all three."""
+        import drdkit.characterize as characterize
+
+        solves = []
+
+        class CountedSpanBasis(SpanBasis):
+            def solve(self, target):
+                solves.append(1)
+                return super().solve(target)
+
+        monkeypatch.setattr(characterize, "SpanBasis", CountedSpanBasis)
+        routes = set()
+        for name, g in corpus + [(g.arcs(), g) for g in small_digraphs()]:
             ctx = GraphContext(g, CheckConfig())
-            if ctx.min_poly_degree != ctx.table.diameter + 1:
-                continue
+            D, deg = ctx.table.diameter, ctx.min_poly_degree
+            ell = ctx.walks.witness[0] if not ctx.walks else math.inf
             powers = [IntMatrix.identity(g.n)]
-            while len(powers) < ctx.min_poly_degree:
+            while len(powers) < deg:
                 powers.append(mat_mul(powers[-1], ctx.adjacency))
             slow = SpanBasis(powers)
             for i, m in enumerate(distance_stack(ctx.table)):
-                assert ctx.distance_matrix_in_powers(i) == (slow.solve(m) is not None), (name, i)
-            kinds.add(type(ctx.power_basis))
-        assert kinds == {PartitionBasis, SpanBasis}
+                solves.clear()
+                fast = ctx.distance_matrix_in_powers(i)
+                assert fast == (slow.solve(m) is not None), (name, i)
+                if solves:
+                    assert i > ell or (i == ell and deg != D + 1), (name, i)
+                    routes.add("elimination")
+                elif fast:
+                    assert i < ell, (name, i)
+                    routes.add("below")
+                else:
+                    assert i == ell and deg == D + 1, (name, i)
+                    routes.add("at")
+        assert routes == {"below", "at", "elimination"}
 
     def test_subset_selection(self):
         config = CheckConfig(chars=("DEF", "J"))
@@ -255,9 +318,8 @@ class TestCheckAll:
 
 
 def _floor_graphs():
-    graphs = [g for n in range(1, 5) for g in all_strongly_connected_digraphs(n)]
-    graphs += [random_sc(5 + s % 4, 0.2 + 0.1 * (s % 6), seed=s) for s in range(300)]
-    return graphs + [cycle(n) for n in range(3, 31)] + [paley(7), paley(19), paper6()]
+    graphs = small_digraphs() + [cycle(n) for n in range(3, 31)]
+    return graphs + [paley(7), paley(19), paper6()]
 
 
 class TestMinPolyDegreeFloor:

@@ -49,7 +49,7 @@ from drdkit.scheme import (
 )
 from drdkit.spectral import is_normal
 
-from conftest import circulant, strongly_connected_digraphs, traced_peak
+from conftest import circulant, small_digraphs, strongly_connected_digraphs, traced_peak
 from oracles import (
     adjacency_transpose_by_matrices,
     class_matrices,
@@ -65,6 +65,7 @@ from oracles import (
     scheme_axioms_by_matrices,
     transpose_closure_by_matrices,
     two_way_relations_by_unique,
+    walk_count_constancy_from_zero,
     weak_dr_comellas,
 )
 
@@ -371,6 +372,13 @@ class TestDistancePolynomials:
         assert len(calls) == t.diameter - 1
 
 
+def _c32_blown_up() -> Digraph:
+    """C_32[K_4-bar]: arcs (i, a) -> (i + 1 mod 32, b), n = 128, D = 32."""
+    return Digraph.from_arcs(
+        128, [(4 * i + a, 4 * ((i + 1) % 32) + b) for i in range(32) for a in range(4) for b in range(4)]
+    )
+
+
 class TestWalkCounts:
     def test_c4_power_four_is_identity(self):
         g = cycle(4)
@@ -409,9 +417,7 @@ class TestWalkCounts:
         # up to A^27; A^28..A^33 go through mat_mul, and A^33, the first
         # power past 2^63, takes the object-array route. The verdict must
         # match the default walk length.
-        g = Digraph.from_arcs(
-            128, [(4 * i + a, 4 * ((i + 1) % 32) + b) for i in range(32) for a in range(4) for b in range(4)]
-        )
+        g = _c32_blown_up()
         t, basis = build(g)
         a = adjacency_matrix(g)
         powers = []
@@ -427,6 +433,20 @@ class TestWalkCounts:
             power = mat_mul(power, a)
         assert power.num.dtype == object
         assert sum(power.entries[0]) == 2**70
+
+    def test_the_chain_from_two_matches_the_chain_from_zero(self, corpus):
+        # The distance basis proves A^0 = A_0 and A^1 = A_1, so the chain
+        # starts at A^2; against the chain that compares A^0 and A^1 too, the
+        # result (ok, max_len and witness) is the same at the default bound
+        # and past D + 1, on cycle(40) and past 2^63 on C_32[K_4-bar].
+        graphs = small_digraphs() + [g for _, g in corpus] + [cycle(40), _c32_blown_up()]
+        for g in graphs:
+            _, basis = build(g)
+            a = adjacency_matrix(g)
+            for bound in (None, 70):
+                new = walk_count_constancy(basis, a, bound)
+                old = walk_count_constancy_from_zero(basis, a, bound)
+                assert (new.ok, new.max_len, new.witness) == (old.ok, old.max_len, old.witness)
 
     def test_witness_is_the_first_differing_pair_of_the_lowest_class(self):
         # Against powers taken by numpy and classes listed pair by pair: the
