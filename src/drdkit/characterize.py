@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Optional
+from typing import Callable, Optional
 
 from .digraph import Digraph, DistanceTable, distance_table, regularity
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
@@ -159,7 +159,9 @@ class GraphContext:
 
     Everything cached here is a low-level quantity (distance table and
     basis, pair count scan, walk counts, span bases, spectrum, the minimal
-    polynomial's degree), never a verdict. `checks` names the checks that
+    polynomial's degree), never a verdict, and each is a `cached_property`:
+    the one cache, computed on first read and kept for the context's life.
+    A primitive that raises is not cached. `checks` names the checks that
     will read it. The table is None exactly when the digraph is not
     strongly connected, and then no check runs, so no check reads None;
     the runner decides that, and the single vertex, once per digraph.
@@ -176,57 +178,46 @@ class GraphContext:
         self.g = g
         self.config = config
         self.checks = checks
-        self._cache: dict = {}
 
-    def _get(self, key: Hashable, make: Callable):
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def table(self) -> Optional[DistanceTable]:
-        return self._get("table", lambda: distance_table(self.g))
+        return distance_table(self.g)
 
     @property
     def strongly_connected(self) -> bool:
         return self.table is not None
 
-    @property
+    @cached_property
     def valency(self) -> Optional[int]:
-        return self._get("valency", lambda: regularity(self.g))
+        return regularity(self.g)
 
-    @property
+    @cached_property
     def adjacency(self) -> IntMatrix:
-        return self._get("adjacency", lambda: adjacency_matrix(self.g))
+        return adjacency_matrix(self.g)
 
-    @property
+    @cached_property
     def distance_basis(self) -> PartitionBasis:
         """The distance matrices, as their partition basis on the table."""
-        return self._get("distance_basis", lambda: distance_matrices(self.g, self.table))
+        return distance_matrices(self.g, self.table)
 
-    @property
+    @cached_property
     def pair_scan(self) -> PairCountScan:
         """Span coordinates of every A_i * A_j, shared by A, B, C, C2, D and H."""
-        return self._get(
-            "pair_scan",
-            lambda: pair_intersection_counts(self.table, self.distance_basis.reps),
-        )
+        return pair_intersection_counts(self.table, self.distance_basis.reps)
 
-    @property
+    @cached_property
     def damerell(self) -> DamerellTable:
-        return self._get("damerell", lambda: damerell_numbers(self.g, self.table))
+        return damerell_numbers(self.g, self.table)
 
-    @property
+    @cached_property
     def transpose_map(self) -> TransposeMap:
-        return self._get("transpose_map", lambda: transpose_closure(self.distance_basis))
+        return transpose_closure(self.distance_basis)
 
-    @property
+    @cached_property
     def adjacency_transpose(self) -> Optional[int]:
-        return self._get(
-            "adjacency_transpose", lambda: adjacency_transpose_index(self.distance_basis)
-        )
+        return adjacency_transpose_index(self.distance_basis)
 
-    @property
+    @cached_property
     def min_poly_degree(self) -> int:
         """deg μ: B, C1, I, membership and the spectrum's cross-check read
         nothing else of the minimal polynomial μ.
@@ -238,16 +229,12 @@ class GraphContext:
         independent, and D + 1 <= deg μ <= n (the paper's D <= d). When
         D + 1 = n, deg μ is n with no Krylov sequence run; otherwise it is
         `minimal_polynomial_degree`'s, computed modulo primes."""
+        n = self.g.n
+        if self.table.diameter + 1 == n:
+            return n
+        return minimal_polynomial_degree(self.adjacency)
 
-        def make():
-            n = self.g.n
-            if self.table.diameter + 1 == n:
-                return n
-            return minimal_polynomial_degree(self.adjacency)
-
-        return self._get("min_poly_degree", make)
-
-    @property
+    @cached_property
     def walks(self) -> WalkConstancy:
         """Check E's walk count test at bound max(D, `max_walk_len`), stepped
         once for E and `distance_matrix_in_powers` alike; at bound D when E
@@ -255,27 +242,19 @@ class GraphContext:
         than D would not certify the theorem, and no bound steps past
         l = D + 1, after which constancy holds for every l
         (`walk_count_constancy`)."""
+        longest = self.config.max_walk_len if "E" in self.checks else None
+        bound = max(self.table.diameter, longest or 0)
+        return walk_count_constancy(self.distance_basis, self.adjacency, bound)
 
-        def make():
-            longest = self.config.max_walk_len if "E" in self.checks else None
-            bound = max(self.table.diameter, longest or 0)
-            return walk_count_constancy(self.distance_basis, self.adjacency, bound)
-
-        return self._get("walks", make)
-
-    @property
+    @cached_property
     def power_basis(self) -> SpanBasis:
         """The adjacency algebra, span(A^0 .. A^(deg μ - 1)), eliminated: the
         route of the membership questions that the walk chain does not
         settle (`distance_matrix_in_powers`)."""
-
-        def make():
-            powers = [IntMatrix.identity(self.g.n)]
-            while len(powers) < self.min_poly_degree:
-                powers.append(mat_mul(powers[-1], self.adjacency))
-            return SpanBasis(powers)
-
-        return self._get("power_basis", make)
+        powers = [IntMatrix.identity(self.g.n)]
+        while len(powers) < self.min_poly_degree:
+            powers.append(mat_mul(powers[-1], self.adjacency))
+        return SpanBasis(powers)
 
     def distance_matrix_in_powers(self, i: int) -> bool:
         """Whether A_i lies in the adjacency algebra, span(A^0 .. A^(deg μ
@@ -299,56 +278,51 @@ class GraphContext:
 
         Any other question (i > ℓ, or deg μ != D + 1) runs the elimination
         `power_basis`. B and C1 stop at the first failing i, which is ℓ, so
-        they never eliminate; I and NX ask only i = D.
+        they never eliminate; I and NX ask only i = D. Only the primitives
+        read here are cached, not the answer, so I and NX both asking on
+        the elimination route solve twice, over one `power_basis`.
 
         With deg μ = D + 1 the chain cannot first fail at ℓ = D + 1, since
         A^(D+1) lies in span(A^0 .. A^D), which is then the space of
         class-constant matrices; a chain that does (only a bound past D
         steps that far) contradicts deg μ and raises InternalInconsistency."""
+        walks = self.walks
+        if walks:
+            return True
+        ell = walks.witness[0]
+        D = self.table.diameter
+        if self.min_poly_degree == D + 1:
+            if ell == D + 1:
+                raise InternalInconsistency(
+                    f"walk counts of length {ell} leave the distance classes, "
+                    f"but the minimal polynomial has degree {D + 1}"
+                )
+            if i == ell:
+                return False
+        if i < ell:
+            return True
+        return self.power_basis.solve(self.distance_basis.member(i)) is not None
 
-        def make():
-            walks = self.walks
-            if walks:
-                return True
-            ell = walks.witness[0]
-            D = self.table.diameter
-            if self.min_poly_degree == D + 1:
-                if ell == D + 1:
-                    raise InternalInconsistency(
-                        f"walk counts of length {ell} leave the distance classes, "
-                        f"but the minimal polynomial has degree {D + 1}"
-                    )
-                if i == ell:
-                    return False
-            if i < ell:
-                return True
-            return self.power_basis.solve(self.distance_basis.member(i)) is not None
-
-        return self._get(("dm_in_powers", i), make)
-
-    @property
+    @cached_property
     def axioms_on_distance_matrices(self) -> AxiomReport:
-        return self._get("axioms", lambda: scheme_axioms(self.pair_scan, self.transpose_map))
+        return scheme_axioms(self.pair_scan, self.transpose_map)
 
-    @property
+    @cached_property
     def normal(self) -> bool:
-        return self._get("normal", lambda: is_normal(self.adjacency))
+        return is_normal(self.adjacency)
 
-    @property
+    @cached_property
     def spectrum_or_error(self):
-        def make():
-            try:
-                s = spectrum(self.adjacency, self.config.cluster_tol)
-                if self.normal and len(s.eigs) != self.min_poly_degree:
-                    raise InternalInconsistency(
-                        f"{len(s.eigs)} eigenvalue clusters vs minimal polynomial "
-                        f"degree {self.min_poly_degree}"
-                    )
-                return s
-            except (SpectralError, InternalInconsistency) as exc:
-                return exc
-
-        return self._get("spectrum", make)
+        try:
+            s = spectrum(self.adjacency, self.config.cluster_tol)
+            if self.normal and len(s.eigs) != self.min_poly_degree:
+                raise InternalInconsistency(
+                    f"{len(s.eigs)} eigenvalue clusters vs minimal polynomial "
+                    f"degree {self.min_poly_degree}"
+                )
+            return s
+        except (SpectralError, InternalInconsistency) as exc:
+            return exc
 
 
 # A check returns its verdict's fields (verdict, reason, witness, params);

@@ -180,10 +180,6 @@ def adjacency_matrix(g: Digraph) -> IntMatrix:
     return IntMatrix.bounded(g.matrix.astype(np.int64), min(k, 1), k)
 
 
-def transpose(a: IntMatrix) -> IntMatrix:
-    return IntMatrix(np.ascontiguousarray(a.num.T))
-
-
 def _product_tier(a: IntMatrix, b: IntMatrix) -> type:
     """The dtype `mat_mul` multiplies a and b in: float64 when both are
     int64, the inner dimension is at least FLOAT64_MIN_INNER and the bound

@@ -336,11 +336,10 @@ def distance_polynomials(
     p_0(A) = I = A_0 and p_1(A) = A = A_1 (both proved by
     `distance_matrices`), and once p_h(A) = A_h for every h <= i,
     p_{i+1}(A) = A_{i+1} holds exactly when A_i A = sum_h c_h A_h, that is
-    when the product A_i A equals c on every class. A_i is 01 with row sums
-    at most n, so every partial sum of an entry of A_i A is at most n times
-    the max |entry| of A; below 2^53 (always, on a 01 adjacency matrix) the
-    product runs on float64 and is exact (ratlin's FLOAT64_EXACT argument),
-    and otherwise it is `mat_mul`'s.
+    when the product A_i A equals c on every class. A must be 01, as every
+    adjacency matrix is: A_i is 01 too, so every partial sum of an entry of
+    A_i A is at most n < 2^53, and the product runs on float64 exactly
+    (ratlin's FLOAT64_EXACT argument).
     """
     D = basis.size - 1
     polys = [RatPolynomial.one()]
@@ -362,16 +361,11 @@ def distance_polynomials(
         polys.append(nxt if lead == 1 else nxt.scale(Fraction(1) / lead))
     if any(p.degree != i for i, p in enumerate(polys)):
         return None
-    if basis.shape[0] * a.abs_bounds()[0] < FLOAT64_EXACT:
-        stepper = a.num.astype(np.float64)
-        for i in range(1, D):
-            product = (basis.index == i).astype(np.float64) @ stepper
-            if not np.array_equal(product, np.array(scan.coords(i, 1))[basis.index]):
-                return None
-    else:
-        for i in range(1, D):
-            if basis.solve(mat_mul(basis.member(i), a)) != scan.coords(i, 1):
-                return None
+    stepper = a.num.astype(np.float64)
+    for i in range(1, D):
+        product = (basis.index == i).astype(np.float64) @ stepper
+        if not np.array_equal(product, np.array(scan.coords(i, 1))[basis.index]):
+            return None
     return tuple(polys)
 
 

@@ -16,6 +16,7 @@ from drdkit.corpus import (
     all_strongly_connected_digraphs,
     cycle,
     cycle_with_chord,
+    debruijn,
     kautz,
     paley,
     paper6,
@@ -129,6 +130,50 @@ class TestCheckAll:
             assert rep.overall == "no"
             assert b.witness == f"distance matrix {ell} is not a polynomial in A"
         assert not spans
+
+    def test_each_primitive_is_computed_at_most_once_per_context(self, monkeypatch):
+        """A context computes each primitive at most once, however many
+        checks and readers ask for it: every check, NX, the report document
+        and the human summary over one check_all, on a "yes", two "no"s, a
+        digraph that is not strongly connected and the single vertex. On the
+        elimination route, membership asked twice builds one power basis."""
+        import drdkit.characterize as characterize
+        from drdkit.report import human_summary, report_document
+
+        names = (
+            "distance_table", "regularity", "adjacency_matrix", "distance_matrices",
+            "pair_intersection_counts", "damerell_numbers", "transpose_closure",
+            "adjacency_transpose_index", "minimal_polynomial_degree",
+            "walk_count_constancy", "scheme_axioms", "is_normal", "spectrum", "SpanBasis",
+        )
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name):
+            real = getattr(characterize, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(characterize, name, counted(name))
+        path = Digraph.from_arcs(3, [(0, 1), (1, 2)])
+        for g in (paper6(), cycle_with_chord(5), kautz(2, 3), path, Digraph.from_arcs(1, [])):
+            calls.update(dict.fromkeys(names, 0))
+            rep = check_all(g, CheckConfig(experimental_nx=True))
+            report_document(rep)
+            human_summary(rep)
+            assert max(calls.values()) <= 1, (g.arcs(), calls)
+            assert calls["distance_table"] == 1
+        calls.update(dict.fromkeys(names, 0))
+        ctx = GraphContext(debruijn(2, 2), CheckConfig())
+        D = ctx.table.diameter
+        assert ctx.min_poly_degree != D + 1 and ctx.walks.witness[0] <= D
+        answers = [ctx.distance_matrix_in_powers(D) for _ in range(2)]
+        assert answers[0] == answers[1]
+        assert calls["SpanBasis"] == 1 and max(calls.values()) == 1, calls
 
     def test_a_walk_failure_past_d_contradicts_deg_mu(self, tmp_path, monkeypatch):
         # With deg μ = D + 1, A^(D+1) is in span(A^0 .. A^D), the
@@ -393,17 +438,19 @@ class TestCheckSingle:
 
     def test_a_neither_transposes_nor_adds_matrices(self, corpus, monkeypatch):
         """Check A reads its axioms off the pair count scan and the transpose
-        map: with every binding of ratlin.transpose and IntMatrix.add made
-        to raise, it gives the same verdicts, witnesses and params."""
+        map, so it builds no matrix: with every binding of ratlin.mat_mul,
+        IntMatrix.add and IntMatrix.__init__ made to raise, it gives the
+        same verdicts, witnesses and params."""
         expected = [check_single(g, "A") for _, g in corpus]
 
         def refuse(*args):
-            raise AssertionError("a matrix was transposed or added")
+            raise AssertionError("a matrix was built, multiplied or added")
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("drdkit") and getattr(module, "transpose", None) is ratlin.transpose:
-                monkeypatch.setattr(module, "transpose", refuse)
+            if name.startswith("drdkit") and getattr(module, "mat_mul", None) is ratlin.mat_mul:
+                monkeypatch.setattr(module, "mat_mul", refuse)
         monkeypatch.setattr(IntMatrix, "add", refuse)
+        monkeypatch.setattr(IntMatrix, "__init__", refuse)
         for (name, g), want in zip(corpus, expected):
             got = check_single(g, "A")
             assert (got.verdict, got.witness, got.params) == (
