@@ -95,10 +95,7 @@ class Digraph:
             matrix.reshape(-1)[keys.astype(np.intp)] = True
             if np.count_nonzero(matrix) == len(keys) and not matrix.diagonal().any():
                 matrix.flags.writeable = False
-                g = object.__new__(cls)
-                object.__setattr__(g, "labels", labels)
-                object.__setattr__(g, "matrix", matrix)
-                return g
+                return cls._unchecked(labels, matrix)
         outside = ((ends < 0) | (ends >= n)).any(axis=1)
         order = keys.argsort(kind="stable")  # each repeat sorts after an equal key
         repeat = np.zeros(len(keys), dtype=bool)
@@ -115,6 +112,16 @@ class Digraph:
         matrix = np.zeros((n, n), dtype=bool)
         matrix.reshape(-1)[keys.astype(np.intp)] = True
         return cls(labels, matrix)
+
+    @classmethod
+    def _unchecked(cls, labels: tuple[str, ...], matrix: np.ndarray) -> "Digraph":
+        """A digraph whose caller has proved what the constructor checks: the
+        matrix is a read-only, square bool array with an empty diagonal, and
+        labels is a tuple of as many strings."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "labels", labels)
+        object.__setattr__(g, "matrix", matrix)
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):

@@ -2,7 +2,9 @@
 
 Nothing here reuses the library's algorithms: distances come from
 Floyd-Warshall instead of BFS, girth from explicit cycle enumeration or
-from Floyd-Warshall's shortest closed walks, transposes of distance
+from Floyd-Warshall's shortest closed walks, the strongly connected
+digraphs on n vertices from a loop over every arc mask with Floyd-Warshall's
+reachability instead of a batched closure, transposes of distance
 matrices from comparing whole transposed arrays, walk
 counts from recursive enumeration, minimal polynomials from a divisor
 search over the factored characteristic polynomial and, modulo a prime,
@@ -98,6 +100,23 @@ def table_by_floyd_warshall(adj):
         girth,
         len(finite) == len(adj) ** 2,
     )
+
+
+def strongly_connected_digraphs_by_mask(n: int) -> list[list[tuple[int, int]]]:
+    """The arc lists of every strongly connected digraph on vertices
+    0..n-1, in mask order: bit b of a mask is the b-th off-diagonal pair in
+    row-major order, and a mask is kept when Floyd-Warshall finds every
+    distance finite."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    found = []
+    for mask in range(1 << len(pairs)):
+        arcs = [pair for b, pair in enumerate(pairs) if mask >> b & 1]
+        adj = [[False] * n for _ in range(n)]
+        for u, v in arcs:
+            adj[u][v] = True
+        if INF not in (d for row in floyd_warshall(adj) for d in row):
+            found.append(arcs)
+    return found
 
 
 def class_matrices(index: np.ndarray, size: int) -> tuple[IntMatrix, ...]:

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -19,6 +20,9 @@ from drdkit.corpus import (
 )
 from drdkit.digraph import Digraph, distance_table, parse_digraph, regularity, strongly_connected
 from drdkit.errors import InvalidParameter
+
+from conftest import traced_peak
+from oracles import strongly_connected_digraphs_by_mask
 
 
 class TestFamilies:
@@ -183,9 +187,31 @@ class TestDamerellGirth:
 
 class TestEnumeration:
     def test_counts_small(self):
-        assert sum(1 for _ in all_strongly_connected_digraphs(1)) == 1
-        assert sum(1 for _ in all_strongly_connected_digraphs(2)) == 1
-        assert sum(1 for _ in all_strongly_connected_digraphs(3)) == 18
+        # OEIS A035512: strongly connected digraphs on n labeled vertices.
+        for n, count in enumerate((1, 1, 18, 1606, 565080), start=1):
+            assert sum(1 for _ in all_strongly_connected_digraphs(n)) == count
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sequence_matches_the_mask_oracle(self, n):
+        graphs = list(all_strongly_connected_digraphs(n))
+        assert [g.arcs() for g in graphs] == strongly_connected_digraphs_by_mask(n)
+        assert all(g.labels == tuple(map(str, range(n))) for g in graphs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrices_are_valid_and_equal_the_checked_build(self, n):
+        for g in all_strongly_connected_digraphs(n):
+            matrix = g.matrix
+            assert matrix.dtype == bool and matrix.shape == (n, n)
+            assert not matrix.flags.writeable and not matrix.diagonal().any()
+            checked = Digraph.from_arcs(n, g.arcs())
+            assert g == checked and hash(g) == hash(checked)
+
+    def test_first_digraphs_need_one_batch_of_memory(self):
+        # An unbatched pass over n = 5 holds about 170 MB of bit columns
+        # before it yields anything; one batch holds a few MB.
+        first = []
+        peak = traced_peak(lambda: first.extend(itertools.islice(all_strongly_connected_digraphs(5), 1000)))
+        assert len(first) == 1000 and peak < 8 * 2**20
 
     def test_all_have_property(self):
         for g in all_strongly_connected_digraphs(3):
