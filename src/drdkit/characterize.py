@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
+import numpy as np
+
 from .digraph import Digraph, DistanceTable, distance_table, regularity
 from .errors import InternalInconsistency, InvalidParameter, SpectralError
 from .partitions import EquitableParams, distance_regular_scan
 from .ratlin import (
     IntMatrix,
-    PartitionBasis,
     SpanBasis,
     adjacency_matrix,
     mat_mul,
@@ -157,8 +158,8 @@ class Report:
 class GraphContext:
     """Lazily computed primitives shared by the checks for one digraph.
 
-    Everything cached here is a low-level quantity (distance table and
-    basis, pair count scan, walk counts, span bases, spectrum, the minimal
+    Everything cached here is a low-level quantity (distance table, pair
+    count scan, walk counts, span bases, spectrum, the minimal
     polynomial's degree), never a verdict, and each is a `cached_property`:
     the one cache, computed on first read and kept for the context's life.
     A primitive that raises is not cached. `checks` names the checks that
@@ -168,10 +169,11 @@ class GraphContext:
 
     A primitive that another one already proves is read off it rather than
     recomputed: deg μ is n, with no Krylov sequence, when D + 1 = n; the
-    pair count scan takes its class references from the distance basis;
-    and a distance matrix's membership in the adjacency algebra is read off
-    the walk chain's first failing length, so the powers are eliminated
-    only for the questions that length does not settle.
+    pair count scan, the walk chain and the transposes take each class's
+    first pair from the table (`DistanceTable.reps`); and a distance
+    matrix's membership in the adjacency algebra is read off the walk
+    chain's first failing length, so the powers are eliminated only for
+    the questions that length does not settle.
     """
 
     def __init__(self, g: Digraph, config: CheckConfig, checks: tuple[str, ...] = CHECK_IDS):
@@ -181,7 +183,10 @@ class GraphContext:
 
     @cached_property
     def table(self) -> Optional[DistanceTable]:
-        return distance_table(self.g)
+        """The distance table, its classes verified as the distance
+        matrices (`distance_matrices`), or None."""
+        t = distance_table(self.g)
+        return None if t is None else distance_matrices(self.g, t)
 
     @property
     def strongly_connected(self) -> bool:
@@ -196,14 +201,9 @@ class GraphContext:
         return adjacency_matrix(self.g)
 
     @cached_property
-    def distance_basis(self) -> PartitionBasis:
-        """The distance matrices, as their partition basis on the table."""
-        return distance_matrices(self.g, self.table)
-
-    @cached_property
     def pair_scan(self) -> PairCountScan:
         """Span coordinates of every A_i * A_j, shared by A, B, C, C2, D and H."""
-        return pair_intersection_counts(self.table, self.distance_basis.reps)
+        return pair_intersection_counts(self.table)
 
     @cached_property
     def damerell(self) -> DamerellTable:
@@ -211,11 +211,11 @@ class GraphContext:
 
     @cached_property
     def transpose_map(self) -> TransposeMap:
-        return transpose_closure(self.distance_basis)
+        return transpose_closure(self.table)
 
     @cached_property
     def adjacency_transpose(self) -> Optional[int]:
-        return adjacency_transpose_index(self.distance_basis)
+        return adjacency_transpose_index(self.table)
 
     @cached_property
     def min_poly_degree(self) -> int:
@@ -244,7 +244,7 @@ class GraphContext:
         (`walk_count_constancy`)."""
         longest = self.config.max_walk_len if "E" in self.checks else None
         bound = max(self.table.diameter, longest or 0)
-        return walk_count_constancy(self.distance_basis, self.adjacency, bound)
+        return walk_count_constancy(self.table, self.adjacency, bound)
 
     @cached_property
     def power_basis(self) -> SpanBasis:
@@ -301,7 +301,8 @@ class GraphContext:
                 return False
         if i < ell:
             return True
-        return self.power_basis.solve(self.distance_basis.member(i)) is not None
+        a_i = IntMatrix.bounded((self.table.array == i).astype(np.int64), 1, self.g.n)
+        return self.power_basis.solve(a_i) is not None
 
     @cached_property
     def axioms_on_distance_matrices(self) -> AxiomReport:
@@ -435,7 +436,7 @@ def _check_c2(ctx: GraphContext) -> _Outcome:
 def _check_d(ctx: GraphContext) -> _Outcome:
     if ctx.adjacency_transpose is None:
         return _no("transpose of A is not a distance matrix")
-    polys = distance_polynomials(ctx.distance_basis, ctx.adjacency, ctx.pair_scan)
+    polys = distance_polynomials(ctx.table, ctx.adjacency, ctx.pair_scan)
     if polys is None:
         return _no("no degree-i polynomials with p_i(A) = A_i exist")
     return _yes({"polynomials": [str(p) for p in polys]})

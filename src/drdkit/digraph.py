@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DuplicateArc, EmptyGraph, LoopRejected, ParseError
+from .errors import DuplicateArc, EmptyGraph, InternalInconsistency, LoopRejected, ParseError
 
 # The all-sources frontier builds the distance table when its level bound
 # times n^3 flops is below FRONTIER_FLOPS_PER_STEP times the n * (n + m)
@@ -177,8 +177,9 @@ class DistanceTable:
     read-only int64 array.
 
     ``array[x][y]`` is d(x, y). Its level sets 0..diameter are the distance
-    classes, so the array is also their class index. ``girth`` is None only
-    on a single vertex, which has no arc.
+    classes, so the array is also their class index, the only one: a class
+    matrix A_i is built where it is needed as ``array == i``. ``girth`` is
+    None only on a single vertex, which has no arc.
     """
 
     array: np.ndarray = field(repr=False)
@@ -188,6 +189,31 @@ class DistanceTable:
     @property
     def n(self) -> int:
         return self.array.shape[0]
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """The flat index x * n + y of each class's first pair (x, y) in
+        row-major order. A row of BFS levels holds every class up to its
+        maximum, so class i first occurs in the first row whose maximum
+        reaches i; only those rows are read, one pass each, and the n^2
+        entries are never sorted. Raises InternalInconsistency when such a
+        row lacks the class, as it does when no pair realizes one."""
+        a, n = self.array, self.n
+        message = f"distance table does not realize classes 0..{self.diameter}"
+        top = a.max(axis=1).tolist()
+        reps, x, first = [], 0, None
+        for i in range(self.diameter + 1):
+            while x < n and top[x] < i:
+                x, first = x + 1, None
+            if first is None and x < n:
+                row = a[x].tolist()
+                first = dict(zip(reversed(row), range(n - 1, -1, -1)))  # lowest y wins
+            if x == n or i not in first:
+                raise InternalInconsistency(message)
+            reps.append(x * n + first[i])
+        array = np.array(reps, dtype=np.int64)
+        array.flags.writeable = False  # cached and shared, like the table
+        return array
 
 
 def _bfs(neighbors: Sequence[Sequence[int]], source: int, n: int) -> list[int]:
@@ -312,6 +338,7 @@ def _parse_edge_list(lines: list[str]) -> Digraph:
         raise ParseError(f"non-numeric header {lines[0]!r}") from exc
     if n <= 0:
         raise EmptyGraph("edge list declares zero vertices")
+    _check_size(n)  # before any arc line is read
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"declared {m} arcs but found {len(body)} arc lines")

@@ -25,10 +25,6 @@ class DimensionMismatch(DrdError):
     """Matrix shapes are not conformable."""
 
 
-class InvalidPartition(DrdError):
-    """Cells do not form a partition of the vertex set."""
-
-
 class PreconditionViolated(DrdError):
     """Caller broke an operation's stated precondition."""
 

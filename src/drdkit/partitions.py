@@ -8,19 +8,21 @@ partition around every vertex is equitable with parameters that do not
 depend on the vertex; the in-distance mirror is an equivalent formulation
 and is checked independently.
 
-Both scans, and Damerell's one-step table in `scheme`, count the neighbors
-of every vertex y by their distance class around a source vertex x, with
-one of three kernels and by two rules. Vertex 0 always runs on the
-pure-Python `shell_counts`: it sets the reference, and a "no" found there
-costs one Python row. The work of one source row is n * (D + 1) + m; below
-NUMPY_ROUTE_WORK the later rows follow on Python one at a time. From it
-on, `block_shell_counts` counts them in blocks of up to COUNT_BLOCK
-elements per array, and each block passes or fails in one comparison with
-vertex 0's reference; only the first failing row is examined further. It
-counts by one float64 GEMM of the 0/1 operator with the block's one-hot
-class matrix where the GEMM's flops are below GEMM_FLOPS_PER_KEY times the
-keys of one numpy `bincount`, and by that `bincount` otherwise. Every
-kernel visits the sources in the same order and reports the same witness.
+Both scans, and Damerell's one-step table in `scheme`, are one count,
+`one_step_scan`: for every pair (x, y), the neighbors of y by their
+distance class around the source vertex x, compared with the counts of the
+first pair of the class of (x, y). It runs on one of three kernels. Vertex
+0 always runs on the pure-Python `shell_counts`: it sets the references,
+and a "no" found there costs one Python row. The work of one source row is
+n * (D + 1) + m; below NUMPY_ROUTE_WORK the later rows follow on Python one
+at a time. From it on, `block_shell_counts` counts them in blocks of up to
+COUNT_BLOCK elements per array, and each block passes or fails in one
+comparison with the references; only the first failing row is examined
+further. It counts by one float64 GEMM of the 0/1 operator with the
+block's one-hot class matrix where the GEMM's flops are below
+GEMM_FLOPS_PER_KEY times the keys of one numpy `bincount`, and by that
+`bincount` otherwise. Every kernel visits the pairs in the same order and
+reports the same mismatch.
 """
 from __future__ import annotations
 
@@ -144,7 +146,7 @@ def count_blocks(
     dist: np.ndarray, tails: np.ndarray, heads: np.ndarray, width: int, tail_count: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(first row, block of rows, its `block_shell_counts`) over the rows of
-    dist after row 0, which the callers count on the Python route, in
+    dist after row 0, which `one_step_scan` counts on the Python route, in
     `row_blocks` sized for the kernel: per row, the counts and, on bincount,
     the keys. The GEMM's operator is built once."""
     n = dist.shape[1]
@@ -165,94 +167,85 @@ def row_blocks(dist: np.ndarray, per_row: int, start: int) -> Iterator[tuple[int
         yield lo, dist[lo : lo + step]
 
 
-def _equitable_params(g: Digraph, row: list[int], width: int) -> Optional[EquitableParams]:
-    """Parameters of the partition of the vertices by their class in row,
-    when it is equitable, else None. Every class in [0, width) must occur."""
-    first = [-1] * width  # lowest vertex of each cell
-    sizes = [0] * width
-    for y, i in enumerate(row):
-        sizes[i] += 1
-        if first[i] < 0:
-            first[i] = y
-    params = []
-    for neighbors in (g.out_neighbors, g.in_neighbors):
-        counts = shell_counts(row, neighbors, width)
-        if any(counts[y] != counts[first[i]] for y, i in enumerate(row)):
-            return None
-        params.append(tuple(tuple(counts[f]) for f in first))
-    return EquitableParams(d_out=params[0], d_in=params[1], cell_sizes=tuple(sizes))
+# The one scan's outcome: refs[h][i], the half-h counts of class i's first
+# pair (None for a class the scan did not reach), and the first mismatch as
+# (x, y, its class, its counts in the half that differs), or None.
+_Scan = tuple[list, Optional[tuple[int, int, int, list[int]]]]
 
 
-def _failure(g: Digraph, row: list[int], reference: EquitableParams) -> str:
-    """How the partition by the classes in row fails vertex 0's: "cells",
-    "equitable" or "params", in that order, or "" where it does not."""
-    cells = max(row) + 1
-    if cells != len(reference.cell_sizes):
-        return "cells"
-    params = _equitable_params(g, row, cells)
-    if params is None:
-        return "equitable"
-    return "" if params == reference else "params"
+def one_step_scan(g: Digraph, dist: np.ndarray, width: int, both: bool) -> _Scan:
+    """For every pair (x, y) of the rows of dist, in row-major order, the
+    neighbors z of y counted by their class dist[x][z] in [0, width): the
+    out-neighbors, then, when `both`, the in-neighbors. Each half is compared
+    with that of the first pair of the class dist[x][y]. Row 0, and below
+    `NUMPY_ROUTE_WORK` every row, runs on `shell_counts` one half at a time,
+    so a row that fails in its out-half counts no in-half; the later rows
+    run in `count_blocks`. The first mismatch is taken in the order (row,
+    half, y) on both routes."""
+    halves = (g.out_neighbors, g.in_neighbors) if both else (g.out_neighbors,)
+    refs: list[list] = [[None] * width for _ in halves]
+    blocks = numpy_route(g, width)
+    for x in range(1 if blocks else g.n):
+        row = dist[x].tolist()
+        for h, neighbors in enumerate(halves):
+            ref = refs[h]
+            for y, counts in enumerate(shell_counts(row, neighbors, width)):
+                base = ref[row[y]]
+                if base is None:
+                    ref[row[y]] = counts
+                elif counts != base:
+                    return refs, (x, y, row[y], counts)
+    return _block_scan(g, dist, width, refs) if blocks else (refs, None)
 
 
-def _first_failing_row(
-    g: Digraph, dist: np.ndarray, width: int, reference: EquitableParams
-) -> Optional[int]:
-    """The first row after row 0 whose partition fails vertex 0's, counted
-    in `count_blocks`: one count holds both halves, the in-half as the tails
-    n..2n - 1 of the swapped arcs. A block passes in one comparison of every
-    count with vertex 0's parameters at its vertex's class, zero past
-    vertex 0's cells. That decides the class count and the cell sizes too:
-    a vertex in a cell past vertex 0's has a neighbor one cell nearer,
-    where zero is expected; a row with fewer cells misses the neighbors one
-    cell farther that vertex 0's parameters hold; and with equal parameters
-    the sizes follow cell by cell from the one source, since the arcs
-    between cells i and i + 1 number s_i d_out[i][i+1] = s_{i+1} d_in[i+1][i]
-    (out and in swapped for the in-partition)."""
-    n = g.n
+def _block_scan(g: Digraph, dist: np.ndarray, width: int, row0: list) -> _Scan:
+    """`one_step_scan` on blocks of the rows after row 0, which set the
+    references in row0. One count holds every half, the in-half as the
+    tails n..2n - 1 of the swapped arcs. A class that row 0 lacks takes its
+    references from the first block that holds one of its pairs, before
+    that block is compared, and a block passes in one comparison."""
+    n, halves = g.n, len(row0)
     tails, heads = g.arc_arrays
-    both = (np.concatenate([tails, heads + n]), np.concatenate([heads, tails]))
-    cells = len(reference.cell_sizes)
-    # params[h][i][j]: vertex 0's out- (h = 0) and in-parameters (h = 1);
-    # int32 holds any count, and keeps a block's expected counts small
-    params = np.zeros((2, width, width), dtype=np.int32)
-    params[:, :cells, :cells] = (reference.d_out, reference.d_in)
-    halves = np.array([[0], [width]])  # class offsets of the two halves
-    for lo, rows, counts in count_blocks(dist, *both, width, 2 * n):
-        expected = params.reshape(2 * width, width)[rows[:, None] + halves]
-        counts = counts.reshape(expected.shape)
-        if not np.array_equal(counts, expected):
-            return lo + int((counts != expected).any(axis=(1, 2, 3)).argmax())
-    return None
+    if halves == 2:
+        tails, heads = np.concatenate([tails, heads + n]), np.concatenate([heads, tails])
+    unseen = np.array([r is None for r in row0[0]])
+    # ref[h * width + i]: the half-h counts of class i; int32 holds any count
+    # and keeps a block's expected counts small
+    ref = np.array(
+        [[0] * width if r is None else r for half in row0 for r in half], dtype=np.int32
+    )
+    offsets = (np.arange(halves) * width)[:, None]
+    for lo, rows, counts in count_blocks(dist, tails, heads, width, halves * n):
+        counts = counts.reshape(len(rows), halves, n, width)
+        keys = rows[:, None] + offsets  # [b, h, y]
+        if unseen.any():
+            labels, at = np.unique(rows, return_index=True)
+            first_b, first_y = np.divmod(at[unseen[labels]], n)
+            ref[keys[first_b, :, first_y]] = counts[first_b, :, first_y]
+            unseen[labels] = False
+        bad = counts != ref[keys]
+        if bad.any():
+            b, h, y = map(int, np.unravel_index(int(bad.any(axis=3).argmax()), bad.shape[:3]))
+            refs = ref.reshape(halves, width, width).tolist()
+            return refs, (lo + b, y, int(rows[b, y]), counts[b, h, y].tolist())
+    return ref.reshape(halves, width, width).tolist(), None
 
 
-# A scan's outcome: (the common parameters, None, "") on success, else
-# (None, the first failing source vertex, the failure's kind).
-_Scan = tuple[Optional[EquitableParams], Optional[int], str]
-
-
-def _scan(g: Digraph, dist: np.ndarray, width: int) -> _Scan:
-    """The scan over the rows of dist. Vertex 0 runs on the Python route and
-    sets the reference. On the Python route every later row follows one at a
-    time; on the numpy route `_first_failing_row` finds the first that
-    fails, and only that row is examined for the failure's kind."""
-    row = dist[0].tolist()
-    reference = _equitable_params(g, row, max(row) + 1)
-    if reference is None:
-        return None, 0, "equitable"
-    if numpy_route(g, width):
-        x = _first_failing_row(g, dist, width, reference)
-        if x is None:
-            return reference, None, ""
-        kind = _failure(g, dist[x].tolist(), reference)
-        if not kind:
-            raise InternalInconsistency(f"source row {x} fails its block test alone")
-        return None, x, kind
-    for x in range(1, g.n):
-        kind = _failure(g, dist[x].tolist(), reference)
-        if kind:
-            return None, x, kind
-    return reference, None, ""
+def _failure(g: Digraph, row: list[int], top: int, refs: list) -> str:
+    """How the partition by the classes in row fails vertex 0's, whose
+    classes reach `top` and whose class i has the half-h counts refs[h][i]:
+    "cells", "equitable" or "params", in that order, or "" where it does
+    not."""
+    if max(row) != top:
+        return "cells"
+    first = [row.index(i) for i in range(top + 1)]  # lowest vertex of each cell
+    width = len(refs[0])
+    halves = [shell_counts(row, nbrs, width) for nbrs in (g.out_neighbors, g.in_neighbors)]
+    if any(c[y] != c[first[i]] for c in halves for y, i in enumerate(row)):
+        return "equitable"
+    if any(c[y] != ref[i] for c, ref in zip(halves, refs) for y, i in enumerate(row)):
+        return "params"
+    return ""
 
 
 def distance_regular_scan(
@@ -260,22 +253,36 @@ def distance_regular_scan(
 ) -> tuple[Optional[EquitableParams], Optional[str]]:
     """Shared body of the out- and in-partition distance-regularity checks.
 
-    Walks the source vertices x in order: the rows of the distance table for
-    "out", its columns for "in". Each vertex's class count, then
-    equitability (out before in), then equality with vertex 0's parameters
-    is checked, on the route `numpy_route` picks.
+    Runs `one_step_scan` on both halves over the source vertices x in
+    order: the rows of the distance table for "out", its columns for "in".
+    Every pair's counts equal those of its class's first pair exactly when
+    every partition is equitable with vertex 0's parameters and cells. A
+    row with a cell past vertex 0's has a vertex in vertex 0's last cell
+    with a neighbor in it, where vertex 0's last cell has none; a row with
+    fewer cells misses the neighbors one cell farther that vertex 0's cells
+    hold; and with equal parameters the sizes follow cell by cell from the
+    one source, since the arcs between cells i and i + 1 number
+    s_i d_out[i][i+1] = s_{i+1} d_in[i+1][i] (out and in swapped for the
+    in-partition). The first failing row is recounted for the failure's
+    kind: its class count, then equitability, then equality with vertex
+    0's parameters.
 
     Returns (params, None) on success or (None, failure description).
     """
     dist = t.array if direction == "out" else t.array.T
-    width = t.diameter + 1
-    params, x, kind = _scan(g, dist, width)
-    if x is None:
-        return params, None
+    refs, mismatch = one_step_scan(g, dist, t.diameter + 1, both=True)
+    if mismatch is None:
+        d_out, d_in = (tuple(map(tuple, half)) for half in refs)
+        return EquitableParams(d_out, d_in, tuple(np.bincount(dist[0]).tolist())), None
+    x = mismatch[0]
+    top = int(dist[0].max())
+    kind = "equitable" if x == 0 else _failure(g, dist[x].tolist(), top, refs)
+    if not kind:
+        raise InternalInconsistency(f"source row {x} fails its block test alone")
     if kind == "cells":
         return None, (
             f"vertex {g.labels[x]} has {int(dist[x].max())} {direction}-distance classes, "
-            f"vertex {g.labels[0]} has {int(dist[0].max())}"
+            f"vertex {g.labels[0]} has {top}"
         )
     if kind == "equitable":
         return None, f"{direction}-distance partition around {g.labels[x]} is not equitable"

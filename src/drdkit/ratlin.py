@@ -18,14 +18,14 @@ that the checks build (identity, zero, adjacency and class matrices) carry
 their bounds from construction, so only derived matrices are scanned for
 them.
 
-The distance classes' basis, built on the distance table, is the only
-partition basis. It holds the class index alone and builds a class matrix
-only when asked for one, so no stack of D + 1 dense matrices is ever kept;
-membership in the adjacency algebra is read off the walk chain over its
-classes wherever that settles it (`characterize.GraphContext`). Every
-other span solve runs `SpanBasis._reduce`, fraction-free: each step
-cross-multiplies and divides by the content gcd, and Fractions appear only
-in the coordinates a solve returns.
+The distance classes have no basis object: the distance table is their
+class index, a class matrix is built only where one is multiplied or
+solved for, and no stack of D + 1 dense matrices is ever kept. Membership
+in the adjacency algebra is read off the walk chain over the classes
+wherever that settles it (`characterize.GraphContext`). Every other span
+solve runs `SpanBasis._reduce`, fraction-free: each step cross-multiplies
+and divides by the content gcd, and Fractions appear only in the
+coordinates a solve returns.
 
 The minimal polynomial is computed modulo word-size primes and lifted by the
 Chinese remainder theorem (the lift-then-verify pattern of Dixon, Numer.
@@ -66,12 +66,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .digraph import Digraph
-from .errors import (
-    DimensionMismatch,
-    InternalInconsistency,
-    InvalidPartition,
-    PreconditionViolated,
-)
+from .errors import DimensionMismatch, InternalInconsistency, PreconditionViolated
 
 Rational = Union[int, Fraction]
 
@@ -210,40 +205,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     else:
         prod = x @ y
     return IntMatrix(prod)
-
-
-class PartitionBasis:
-    """Exact span membership for a partition basis: nonzero 01 matrices
-    M_0..M_{s-1} with disjoint supports that sum to the all-ones matrix.
-
-    The family is given by its class-index matrix, index[x][y] = the i with
-    (M_i)[x][y] = 1. A target lies in the span iff it is constant on every
-    class; its coordinates are then its values at one representative
-    position per class, so no elimination is needed.
-    """
-
-    def __init__(self, index: np.ndarray, size: int):
-        labels, first = np.unique(index.ravel(), return_index=True)
-        if labels.tolist() != list(range(size)):
-            raise InvalidPartition(f"class index does not realize exactly {size} classes")
-        self.index = index
-        self.size = size
-        self.shape = index.shape
-        self.reps = first  # row-major first position of each class
-
-    def member(self, i: int) -> IntMatrix:
-        """The class matrix M_i, built on demand. Its entries are 0 and 1,
-        so (1, number of columns) bounds it unscanned."""
-        return IntMatrix.bounded((self.index == i).astype(np.int64), 1, self.shape[1])
-
-    def solve(self, target: IntMatrix) -> Optional[tuple[int, ...]]:
-        """Exact coefficients c with sum(c_i * M_i) = target, or None: the
-        target's values at the class representatives, if it equals them on
-        every class."""
-        if target.shape != self.shape:
-            raise DimensionMismatch(f"target {target.shape} vs basis {self.shape}")
-        values = target.num.ravel()[self.reps]
-        return None if (target.num != values[self.index]).any() else tuple(values.tolist())
 
 
 class SpanBasis:

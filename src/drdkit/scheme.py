@@ -4,15 +4,18 @@ transpose closure, distance polynomials, walk counts, and the one-step and
 two-way-distance count tables.
 
 The distance table is the distance matrices: its level sets are the classes
-A_0..A_D, and `distance_matrices` returns their partition basis on it. Every
-reader works on that table and its pair count scan; a class matrix is built
-only where it is multiplied, one at a time. Each fact has one route: the
-scan decides product closure and commutativity in one pass over the pairs,
+A_0..A_D, and `distance_matrices` verifies them on it and returns it. Every
+reader works on that table, its first pair of each class
+(`DistanceTable.reps`) and its pair count scan; a class matrix is built
+only where it is multiplied, one at a time, as ``t.array == i``. Each fact
+has one route: the scan decides product closure and commutativity in one pass over the pairs,
 and the walk count test is the only power chain, which the caller shares
 between check E and membership in the adjacency algebra. The scan decides
 a "yes" in whole-table passes: one GEMM per block of source rows for short
 diameters, or one sort of keys per block for long ones, with a bincount for
 the small sizes between and for the pairs past a mismatch (`scan_kernel`).
+Damerell's one-step table is `partitions.one_step_scan` on the out-arcs,
+the count that checks DEF and F run on both halves.
 
 Every check in this module is exact; all quantities are integer counts or
 integer matrix identities, so there are no tolerances anywhere.
@@ -27,21 +30,15 @@ import numpy as np
 
 from .digraph import Digraph, DistanceTable
 from .errors import InternalInconsistency, PreconditionViolated
-from .partitions import count_blocks, numpy_route, shell_counts
-from .ratlin import (
-    FLOAT64_EXACT,
-    IntMatrix,
-    PartitionBasis,
-    RatPolynomial,
-    mat_mul,
-)
+from .partitions import one_step_scan
+from .ratlin import FLOAT64_EXACT, IntMatrix, RatPolynomial, mat_mul
 
 
-def distance_matrices(g: Digraph, t: DistanceTable) -> PartitionBasis:
+def distance_matrices(g: Digraph, t: DistanceTable) -> DistanceTable:
     """The distance matrices A_0..A_D with (A_i)[x][y] = 1 iff d(x,y) = i,
-    as their partition basis on the distance table, after three facts are
+    as the distance table, their class index, after three facts are
     verified on the table itself: A_0 = I, A_1 = A and sum A_i = J. No
-    matrix is built; `PartitionBasis.member` builds one A_i when asked."""
+    matrix is built."""
     dist = t.array
     D = t.diameter
     if not np.array_equal(dist == 0, np.eye(g.n, dtype=bool)):
@@ -50,7 +47,7 @@ def distance_matrices(g: Digraph, t: DistanceTable) -> PartitionBasis:
         raise InternalInconsistency("distance classes do not partition X x X")
     if D >= 1 and not np.array_equal(dist == 1, g.matrix):
         raise InternalInconsistency("A_1 != adjacency matrix")
-    return PartitionBasis(dist, D + 1)
+    return t
 
 
 @dataclass(frozen=True)
@@ -66,34 +63,34 @@ class TransposeMap:
         return self.sigma is not None
 
 
-def _transpose_class(basis: PartitionBasis, i: int) -> Optional[int]:
-    """The j with M_i^T = M_j in a partition basis, or None: the class at the
-    transposed position of class i's representative, if index == j exactly
-    where index^T == i. No matrix is built."""
-    index = basis.index
-    y, x = divmod(int(basis.reps[i]), basis.shape[1])
+def _transpose_class(t: DistanceTable, i: int) -> Optional[int]:
+    """The j with A_i^T = A_j, or None: the class at the transposed position
+    of class i's first pair, if d(x,y) = j exactly where d(y,x) = i. No
+    matrix is built."""
+    index = t.array
+    y, x = divmod(int(t.reps[i]), t.n)
     j = int(index[x, y])
     return None if ((index == j) != (index.T == i)).any() else j
 
 
-def transpose_closure(basis: PartitionBasis) -> TransposeMap:
+def transpose_closure(t: DistanceTable) -> TransposeMap:
     """For i = 0..D in order, the j with A_i^T = A_j, read off the distance
     table: A_i^T = A_j iff d(x,y) = j exactly where d(y,x) = i. The failing
     index is the lowest i with no such j."""
     sigma = []
-    for i in range(basis.size):
-        j = _transpose_class(basis, i)
+    for i in range(t.diameter + 1):
+        j = _transpose_class(t, i)
         if j is None:
             return TransposeMap(None, i)
         sigma.append(j)
     return TransposeMap(tuple(sigma), None)
 
 
-def adjacency_transpose_index(basis: PartitionBasis) -> Optional[int]:
+def adjacency_transpose_index(t: DistanceTable) -> Optional[int]:
     """The j with A^T = A_j, if any, read off the distance table."""
-    if basis.size == 1:
+    if t.diameter == 0:
         return 0  # one-vertex digraph: conventionally closed
-    return _transpose_class(basis, 1)
+    return _transpose_class(t, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,13 +244,11 @@ def _sorted_key_blocks(dist: np.ndarray, first: np.ndarray, width: int) -> _Bloc
         step = min(2 * step, cap)
 
 
-def pair_intersection_counts(t: DistanceTable, reps: Optional[np.ndarray] = None) -> PairCountScan:
+def pair_intersection_counts(t: DistanceTable) -> PairCountScan:
     """Count, for every ordered pair (x, y), the z at each distance pair
     (d(x,z), d(z,y)) and compare with the first pair of class h = d(x,y) in
-    row-major order. `reps`, when given, holds those first pairs as flat
-    indices, as `PartitionBasis.reps` of the distance basis does, which
-    has checked that the table realizes the classes 0..D; otherwise the
-    scan finds them and checks that itself.
+    row-major order, `t.reps`, which raises unless the table realizes the
+    classes 0..D.
 
     `scan_kernel` picks how the pairs are decided. On the bincount, when one
     block holds all n^2 pairs (every digraph with at most 9 vertices, at
@@ -272,11 +267,7 @@ def pair_intersection_counts(t: DistanceTable, reps: Optional[np.ndarray] = None
     n = t.n
     width = t.diameter + 1
     flat = dist.ravel()
-    first = reps
-    if first is None:
-        labels, first = np.unique(flat, return_index=True)
-        if not np.array_equal(labels, np.arange(width)):
-            raise InternalInconsistency(f"distance table does not realize classes 0..{width - 1}")
+    first = t.reps
     kernel = scan_kernel(n, width)
     one_block = kernel == "bincount" and _bincount_step(n, width) >= n * n
     if one_block:
@@ -325,7 +316,7 @@ def pair_intersection_counts(t: DistanceTable, reps: Optional[np.ndarray] = None
 
 
 def distance_polynomials(
-    basis: PartitionBasis, a: IntMatrix, scan: PairCountScan
+    t: DistanceTable, a: IntMatrix, scan: PairCountScan
 ) -> Optional[tuple[RatPolynomial, ...]]:
     """Polynomials p_i with p_i(A) = A_i and deg p_i = i, or None.
 
@@ -341,7 +332,7 @@ def distance_polynomials(
     A_i A is at most n < 2^53, and the product runs on float64 exactly
     (ratlin's FLOAT64_EXACT argument).
     """
-    D = basis.size - 1
+    D = t.diameter
     polys = [RatPolynomial.one()]
     if D >= 1:
         polys.append(RatPolynomial.t())
@@ -363,8 +354,8 @@ def distance_polynomials(
         return None
     stepper = a.num.astype(np.float64)
     for i in range(1, D):
-        product = (basis.index == i).astype(np.float64) @ stepper
-        if not np.array_equal(product, np.array(scan.coords(i, 1))[basis.index]):
+        product = (t.array == i).astype(np.float64) @ stepper
+        if not np.array_equal(product, np.array(scan.coords(i, 1))[t.array]):
             return None
     return tuple(polys)
 
@@ -383,12 +374,12 @@ class WalkConstancy:
 
 
 def walk_count_constancy(
-    basis: PartitionBasis, a: IntMatrix, max_len: Optional[int] = None
+    t: DistanceTable, a: IntMatrix, max_len: Optional[int] = None
 ) -> WalkConstancy:
     """Check that A^l is constant on every distance class for l = 0..max_len
     (default: the diameter). max_len below the diameter would weaken the
-    test and is refused. basis must be the distance basis of a, as
-    `distance_matrices` returns it: that proves A^0 = A_0 and A^1 = A_1, so
+    test and is refused. t must be the distance table of a, as
+    `distance_matrices` verifies it: that proves A^0 = A_0 and A^1 = A_1, so
     the chain starts at l = 2, and only l <= min(D + 1, n - 1) is stepped.
     A^j is positive on the pairs at distance j and zero beyond j, so
     A^0..A^D are independent, and once constant on the classes they span
@@ -403,14 +394,14 @@ def walk_count_constancy(
     step is exact in any summation order. That bound is carried from step
     to step, never rescanned. Past it, the chain goes on in `mat_mul`'s
     exact tiers, whose object arrays keep long walks exact."""
-    D = basis.size - 1
+    D = t.diameter
     if max_len is None:
         max_len = D
     elif max_len < D:
         raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
     n = a.rows
     top, rho = a.abs_bounds()
-    index, reps = basis.index, basis.reps
+    index, reps = t.array, t.reps
     stepper = a.num.astype(np.float64)
     power = stepper
     exact: Optional[IntMatrix] = None
@@ -485,67 +476,19 @@ class DamerellTable:
 
 def damerell_numbers(g: Digraph, t: DistanceTable) -> DamerellTable:
     """Damerell's one-step table (Damerell, JCTB 31, 1981): for every pair
-    (x, y), the out-neighbors z of y counted by d(x, z), from row x of the
-    distance table. Row 0, and below `partitions.NUMPY_ROUTE_WORK` every
-    row, goes one at a time through `partitions.shell_counts`; from it on,
-    the later rows go in blocks through `partitions.count_blocks`, by GEMM
-    with A or by bincount. Each pair is compared with the first pair of its
-    class i = d(x,y) in row-major order; the witness is the first pair that
-    differs, at the lowest j where it does."""
-    width = t.diameter + 1
-    blocks = numpy_route(g, width)
-    ref: list[Optional[list[int]]] = [None] * width
-    ref_pair: list[tuple[int, int]] = [(-1, -1)] * width
-    for x in range(1 if blocks else g.n):
-        row = t.array[x].tolist()
-        for y, counts in enumerate(shell_counts(row, g.out_neighbors, width)):
-            i = row[y]
-            base = ref[i]
-            if base is None:
-                ref[i] = counts
-                ref_pair[i] = (x, y)
-            elif counts != base:
-                j = next(jj for jj in range(width) if base[jj] != counts[jj])
-                return DamerellTable(
-                    False, None, (i, j, ref_pair[i], (x, y), base[j], counts[j])
-                )
-    if blocks:
-        return _damerell_blocks(g, t.array, width, ref)
-    return DamerellTable(True, tuple(tuple(r) for r in ref if r is not None), None)
-
-
-def _damerell_blocks(
-    g: Digraph, dist: np.ndarray, width: int, row0: list[Optional[list[int]]]
-) -> DamerellTable:
-    """`damerell_numbers` on blocks of the rows after row 0, which set the
-    references in row0. A class that row 0 lacks takes its reference from
-    the first block that holds one of its pairs, before that block is
-    compared. A block passes in one comparison, and the witness's first
-    pair of a class is looked up in the table."""
-    n = g.n
-    tails, heads = g.arc_arrays
-    unseen = np.array([r is None for r in row0])
-    ref = np.array([[0] * width if r is None else r for r in row0], dtype=np.int64)
-    for lo, rows, counts in count_blocks(dist, tails, heads, width, n):
-        counts = counts.reshape(-1, width)
-        cls = rows.ravel()
-        if unseen.any():
-            labels, at = np.unique(cls, return_index=True)
-            new = unseen[labels]
-            ref[labels[new]] = counts[at[new]]
-            unseen[labels] = False
-        expected = ref[cls]
-        if np.array_equal(counts, expected):
-            continue
-        bad = counts != expected
-        k = int(bad.any(axis=1).argmax())
-        i, j = int(cls[k]), int(bad[k].argmax())
-        first = divmod(int((dist == i).argmax()), n)
-        pair = divmod(lo * n + k, n)
-        return DamerellTable(
-            False, None, (i, j, first, pair, int(ref[i, j]), int(counts[k, j]))
-        )
-    return DamerellTable(True, tuple(map(tuple, ref.tolist())), None)
+    (x, y), the out-neighbors z of y counted by d(x, z), compared with the
+    first pair of its class i = d(x,y) in row-major order; that is
+    `partitions.one_step_scan` on the out-arcs, the count DEF runs on both
+    halves. The witness is the first pair that differs, at the lowest j
+    where it does, beside its class's first pair, `t.reps[i]`."""
+    refs, mismatch = one_step_scan(g, t.array, t.diameter + 1, both=False)
+    if mismatch is None:
+        return DamerellTable(True, tuple(map(tuple, refs[0])), None)
+    x, y, i, counts = mismatch
+    base = refs[0][i]
+    j = next(j for j, (b, c) in enumerate(zip(base, counts)) if b != c)
+    first = divmod(int(t.reps[i]), g.n)
+    return DamerellTable(False, None, (i, j, first, (x, y), base[j], counts[j]))
 
 
 @dataclass(frozen=True)

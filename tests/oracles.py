@@ -16,7 +16,9 @@ matrices from their products and span solves, the two-way classes from
 compares every power from A^0 on, distance polynomials by
 evaluating each of them at A from scratch, the distance-partition scans from
 the textbook equitability count on every vertex's cells, Damerell's
-one-step table from a plain loop over pairs and arcs, the scheme axioms
+one-step table from a plain loop over pairs and arcs, and the one-step
+count that DEF, F, G and G1 share from a row loop on plain lists over
+the library's distance table, the scheme axioms
 of a matrix family from its sum, transposes and `numpy` products, and the
 canonical report text from the standard library's `json.dumps`.
 
@@ -45,7 +47,6 @@ from drdkit.errors import InternalInconsistency, PreconditionViolated, SpectralE
 from drdkit.ratlin import (
     FLOAT64_EXACT,
     IntMatrix,
-    PartitionBasis,
     RatPolynomial,
     adjacency_matrix,
     eval_poly_at_matrix,
@@ -153,10 +154,12 @@ def adjacency_transpose_by_matrices(mats):
     return next((j for j, c in enumerate(mats) if np.array_equal(mats[1].num.T, c.num)), None)
 
 
-def partition_basis_by_matrices(mats) -> Optional[PartitionBasis]:
-    """The partition basis of a family of IntMatrix objects, found by
-    stacking whole arrays: None unless they are nonzero 01 matrices of one
-    shape that sum to all-ones; else the basis on the stack's argmax."""
+def partition_basis_by_matrices(mats) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The class index and the first position of each class of a family of
+    IntMatrix objects, found by stacking whole arrays: None unless they are
+    nonzero 01 matrices of one shape that sum to all-ones; else the stack's
+    argmax and, by `numpy.unique`, the row-major first flat index of each
+    class in it."""
     arrs = [m.num for m in mats]
     if not arrs or len({a.shape for a in arrs}) != 1:
         return None
@@ -167,7 +170,16 @@ def partition_basis_by_matrices(mats) -> Optional[PartitionBasis]:
         or (stack.sum(axis=0) != 1).any()
     ):
         return None
-    return PartitionBasis(stack.argmax(axis=0), len(mats))
+    index = stack.argmax(axis=0)
+    return index, np.unique(index.ravel(), return_index=True)[1]
+
+
+def _solve_on_classes(index, reps, target: IntMatrix) -> Optional[tuple[int, ...]]:
+    """Coordinates of target in a partition basis given by its class index
+    and first positions: its values there, if it equals them on every
+    class, else None."""
+    values = target.num.ravel()[reps]
+    return None if (target.num != values[index]).any() else tuple(values.tolist())
 
 
 def _in_disjoint_span(prod, supports):
@@ -450,6 +462,36 @@ def distance_regular_scan_direct(adj, labels, direction: str):
     return reference, None
 
 
+def one_step_by_rows(dist, halves, width: int):
+    """The one-step count of `partitions.one_step_scan` by a loop over the
+    rows of dist on plain lists: for every pair (x, y) in row-major order,
+    the neighbors z of y in each list of halves counted by dist[x][z],
+    concatenated, against the counts of the first pair of the class
+    i = dist[x][y]. Returns (refs, None) when no pair differs, else
+    (refs, (x, y, i, j, first pair, count there, count here)) at the first
+    pair that differs and the lowest slot j where it does."""
+    n = len(dist)
+    refs: dict = {}
+    for x in range(n):
+        row = [int(d) for d in dist[x]]
+        for y in range(n):
+            counts = []
+            for nbrs in halves:
+                c = [0] * width
+                for z in nbrs[y]:
+                    c[row[z]] += 1
+                counts += c
+            i = row[y]
+            if i not in refs:
+                refs[i] = (counts, (x, y))
+                continue
+            base, first = refs[i]
+            if counts != base:
+                j = min(k for k in range(len(base)) if base[k] != counts[k])
+                return refs, (x, y, i, j, first, base[j], counts[j])
+    return refs, None
+
+
 def damerell_table_direct(adj):
     """(exists, b, witness) of Damerell's one-step table of a strongly
     connected digraph: for every pair (x, y) in row-major order, the counts
@@ -529,18 +571,18 @@ def product_table_by_matrices(mats) -> ProductTable:
     solve each product in their partition basis (found by stacking them),
     and compare the two orders of each pair exactly, whether or not the
     products lie in the span."""
-    basis = partition_basis_by_matrices(mats)
+    index, reps = partition_basis_by_matrices(mats)
     size = len(mats)
     table: list[list] = [[None] * size for _ in range(size)]
     noncommuting = None
     for i in range(size):
         for j in range(i, size):
             prod = mat_mul(mats[i], mats[j])
-            table[i][j] = basis.solve(prod)
+            table[i][j] = _solve_on_classes(index, reps, prod)
             if j == i:
                 continue
             reverse = mat_mul(mats[j], mats[i])
-            table[j][i] = basis.solve(reverse)
+            table[j][i] = _solve_on_classes(index, reps, reverse)
             if reverse != prod and noncommuting is None:
                 noncommuting = (i, j)
     return ProductTable(tuple(map(tuple, table)), noncommuting)
@@ -595,20 +637,20 @@ def two_way_relations_by_unique(t) -> TwoWayRelations:
 
 
 def walk_count_constancy_from_zero(
-    basis: PartitionBasis, a: IntMatrix, max_len: Optional[int] = None
+    t, a: IntMatrix, max_len: Optional[int] = None
 ) -> WalkConstancy:
     """The walk count test with every power compared from A^0 on: the
     reference for `scheme.walk_count_constancy`, which starts at A^2. The
     chain steps on float64 while the carried bound rho^(l-1) * max|A| is
     below 2^53, and through `mat_mul` past it."""
-    D = basis.size - 1
+    D = t.diameter
     if max_len is None:
         max_len = D
     elif max_len < D:
         raise PreconditionViolated(f"max_len {max_len} below diameter {D}")
     n = a.rows
     top, rho = a.abs_bounds()
-    index, reps = basis.index, basis.reps
+    index, reps = t.array, t.reps
     power = np.eye(n)
     stepper = a.num.astype(np.float64)
     exact: Optional[IntMatrix] = None

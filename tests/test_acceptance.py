@@ -105,8 +105,8 @@ def test_criterion_3_directed_cycles():
         rep = check_all(g)
         assert rep.overall == "yes" and rep.agreement, n
         t = distance_table(g)
-        basis = distance_matrices(g, t)
-        polys = distance_polynomials(basis, adjacency_matrix(g), pair_intersection_counts(t))
+        t = distance_matrices(g, t)
+        polys = distance_polynomials(t, adjacency_matrix(g), pair_intersection_counts(t))
         for i, p in enumerate(polys):
             assert p.coeffs == (0,) * i + (1,), (n, i)
         tensor = intersection_numbers(t)

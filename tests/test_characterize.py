@@ -189,7 +189,7 @@ class TestCheckAll:
         g = paper6()
         D = 3
 
-        def fail_past_d(basis, a, max_len):
+        def fail_past_d(t, a, max_len):
             return WalkConstancy(False, max_len, (D + 1, 1, (0, 1), (1, 2), 1, 2))
 
         monkeypatch.setattr(characterize, "walk_count_constancy", fail_past_d)
@@ -291,7 +291,7 @@ class TestCheckAll:
 
     @pytest.mark.parametrize("n", [60, 100])
     def test_power_basis_holds_one_power_at_a_time(self, n, monkeypatch):
-        # With the minimal polynomial and the distance basis cached, every
+        # With the minimal polynomial and the distance table cached, every
         # membership question reads the walk chain, which keeps a few
         # n x n arrays alive, one power at a time, and never the n powers
         # of an elimination.
@@ -300,7 +300,7 @@ class TestCheckAll:
         spans = []
         monkeypatch.setattr(characterize, "SpanBasis", lambda *a: spans.append(1) or SpanBasis(*a))
         ctx = GraphContext(cycle(n), CheckConfig())
-        assert ctx.min_poly_degree == ctx.distance_basis.size == n
+        assert ctx.min_poly_degree == ctx.table.diameter + 1 == n
         answers = []
         peak = traced_peak(lambda: answers.extend(map(ctx.distance_matrix_in_powers, range(n))))
         assert peak < 8 * n * n * 8

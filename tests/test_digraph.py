@@ -149,6 +149,8 @@ INPUT_ERRORS = {
     "el-header-zero": (_edge_list("0 0"), EmptyGraph, "edge list declares zero vertices"),
     "el-header-negative": (_edge_list("-2 0"), EmptyGraph, "edge list declares zero vertices"),
     "el-header-too-many": (_edge_list("1000000 0"), ParseError, "1000000 vertices exceed the limit of 2048"),
+    # The header alone decides the vertex limit, before the arc count.
+    "el-too-many-before-arc-count": (_edge_list("5000 2\n0 1"), ParseError, "5000 vertices exceed the limit of 2048"),
     "el-arc-count": (_edge_list("2 2\n0 1"), ParseError, "declared 2 arcs but found 1 arc lines"),
     "el-malformed-arc": (_edge_list("2 1\n0 1 2"), ParseError, "malformed arc line '0 1 2'"),
     "el-too-many-labels": (_edge_list("2 2\na b\nc a"), ParseError, "more than 2 distinct labels (at 'c')"),

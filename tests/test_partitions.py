@@ -1,3 +1,4 @@
+import random
 from dataclasses import dataclass
 from typing import Optional
 from unittest import mock
@@ -11,21 +12,27 @@ import drdkit.digraph as digraph
 import drdkit.partitions as partitions
 import drdkit.scheme as scheme
 from drdkit.characterize import check_all
-from drdkit.corpus import cycle, cycle_with_chord, paley, random_sc
-from drdkit.digraph import Digraph, DistanceTable, distance_table
+from drdkit.corpus import all_strongly_connected_digraphs, cycle, cycle_with_chord, paley, random_sc
+from drdkit.digraph import Digraph, DistanceTable, distance_table, strongly_connected
 from drdkit.errors import PreconditionViolated
 from drdkit.partitions import (
     block_shell_counts,
     distance_regular_scan,
     gemm_kernel,
     numpy_route,
+    one_step_scan,
     row_blocks,
     shell_counts,
 )
 from drdkit.scheme import damerell_numbers
 
 from conftest import circulant, traced_peak
-from oracles import damerell_table_direct, distance_regular_scan_direct, equitable_params_direct
+from oracles import (
+    damerell_table_direct,
+    distance_regular_scan_direct,
+    equitable_params_direct,
+    one_step_by_rows,
+)
 
 
 def cells_as_labels(g, cells):
@@ -516,6 +523,68 @@ class TestLateWitnesses:
         into = shell_counts(row, g.in_neighbors, len(first))
         assert all(out[y] == out[first[i]] for y, i in enumerate(row))
         assert any(into[y] != into[first[i]] for y, i in enumerate(row))
+
+
+def _sample_of_five(count: int = 300) -> list[Digraph]:
+    """A fixed sample of the strongly connected digraphs on 5 vertices: arc
+    masks drawn from a seeded generator, kept when strongly connected."""
+    positions = [(u, v) for u in range(5) for v in range(5) if u != v]
+    rng = random.Random(5)
+    graphs: list[Digraph] = []
+    while len(graphs) < count:
+        mask = rng.getrandbits(len(positions))
+        g = Digraph.from_arcs(5, [p for b, p in enumerate(positions) if mask >> b & 1])
+        if strongly_connected(g):
+            graphs.append(g)
+    return graphs
+
+
+# Row 0 of its distance table reaches class 2 only; row 1 reaches class 3 at
+# the pair (1, 2), before G's first mismatch at (1, 3), so on the numpy
+# route class 3 takes its reference from a block. Four in 80,726 digraphs
+# on 5 vertices (every 7th) are like it, none on fewer vertices.
+NEW_CLASS_BEFORE_MISMATCH = Digraph.from_arcs(
+    5, [(0, 1), (0, 4), (1, 0), (1, 3), (2, 0), (3, 0), (4, 0), (4, 2)]
+)
+
+
+class TestOneStepScan:
+    """DEF, F, G and G1 read one count, `one_step_scan`: G's table is DEF's
+    out-parameters, and on every route G's witness and the first failing
+    row of DEF and F are those of a row loop on plain lists."""
+
+    def test_g_reads_def_out_parameters_on_every_yes(self, corpus):
+        yes = 0
+        for name, g in corpus:
+            t = distance_table(g)
+            params = None if t is None else distance_regular_scan(g, t, "out")[0]
+            if params is None:
+                continue
+            yes += 1
+            table = damerell_numbers(g, t)
+            assert table.exists and table.b == params.d_out, name
+        assert yes >= 15
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_witness_and_failing_rows_match_the_row_loop(self, route):
+        graphs = [g for n in range(1, 5) for g in all_strongly_connected_digraphs(n)]
+        with mock.patch.multiple(partitions, **ROUTES[route]):
+            for g in graphs + _sample_of_five() + [NEW_CLASS_BEFORE_MISMATCH]:
+                t = distance_table(g)
+                width = t.diameter + 1
+                refs, first = one_step_by_rows(t.array, (g.out_neighbors,), width)
+                table = damerell_numbers(g, t)
+                if first is None:
+                    assert table.b == tuple(tuple(refs[i][0]) for i in range(width))
+                else:
+                    x, y, i, j, pair0, v0, v1 = first
+                    assert table.witness == (i, j, pair0, (x, y), v0, v1)
+                for dist in (t.array, t.array.T):
+                    _, first = one_step_by_rows(dist, (g.out_neighbors, g.in_neighbors), width)
+                    mismatch = one_step_scan(g, dist, width, both=True)[1]
+                    assert (first and first[0]) == (mismatch and mismatch[0])
+                    direction = "out" if dist is t.array else "in"
+                    assert (first is None) == (distance_regular_scan(g, t, direction)[0] is not None)
 
 
 class TestNumpyRouteMemory:

@@ -11,18 +11,12 @@ from hypothesis import strategies as st
 from drdkit.corpus import cycle, cycle_with_chord, kautz, paley, paper6
 import drdkit.ratlin as ratlin
 from drdkit.digraph import MAX_VERTICES, Digraph, distance_table, strongly_connected
-from drdkit.errors import (
-    DimensionMismatch,
-    InternalInconsistency,
-    InvalidPartition,
-    PreconditionViolated,
-)
+from drdkit.errors import DimensionMismatch, InternalInconsistency, PreconditionViolated
 from drdkit.ratlin import (
     FLOAT64_EXACT,
     FLOAT64_MIN_INNER,
     INT64_LIMIT,
     IntMatrix,
-    PartitionBasis,
     RatPolynomial,
     SpanBasis,
     adjacency_matrix,
@@ -52,6 +46,23 @@ class TestMatrixArithmetic:
         a = adjacency_matrix(cycle(3))
         sq = mat_mul(a, a)
         assert sq == IntMatrix(np.ascontiguousarray(a.num.T))
+
+    def test_products_of_distance_matrices_build_no_fraction(self, monkeypatch):
+        g = paper6()
+        t = distance_matrices(g, distance_table(g))
+        mats = [IntMatrix((t.array == i).astype(np.int64)) for i in range(t.diameter + 1)]
+
+        def refuse(*args):
+            raise AssertionError("Fraction built by an integer matrix routine")
+
+        monkeypatch.setattr(ratlin, "Fraction", refuse)
+        for left in mats:
+            for right in mats:
+                right_t = IntMatrix(np.ascontiguousarray(right.num.T))
+                product = mat_mul(left, right_t).add(left.scale(-3))
+                assert all(type(c) is int for row in product.entries for c in row)
+        wide = mat_mul(from_rows([[2**40, 1], [0, 1]]), from_rows([[2**40, 0], [1, 1]]))
+        assert wide.num.dtype == object and wide.entries == ((2**80 + 1, 1), (1, 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -726,61 +737,6 @@ class TestCanonicalForm:
             assert m.num.dtype == (np.int64 if fits else object)
         for (m, ref), (m2, ref2) in product(pool, repeat=2):
             assert (m == m2) == (ref == ref2)
-
-
-@st.composite
-def _partitions_with_targets(draw):
-    """A random partition of the n x n positions into s nonempty classes, an
-    in-span target with small or wide integer coordinates, and the same
-    target with one entry changed."""
-    n = draw(st.integers(1, 5))
-    s = draw(st.integers(1, min(4, n * n)))
-    labels = draw(st.lists(st.integers(0, s - 1), min_size=n * n, max_size=n * n))
-    labels[:s] = draw(st.permutations(range(s)))  # every class is realized
-    index = np.array(labels, dtype=np.int64).reshape(n, n)
-    coeff = st.integers(-50, 50) | st.integers(2**63 - 3, 2**63 + 3)
-    coords = draw(st.lists(coeff, min_size=s, max_size=s))
-    bump = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(1, 3)))
-    return index, coords, bump
-
-
-class TestPartitionBasis:
-    @settings(max_examples=150, deadline=None)
-    @given(_partitions_with_targets())
-    def test_constancy_matches_elimination(self, case):
-        index, coords, (bx, by, delta) = case
-        n, s = index.shape[0], len(coords)
-        fast = PartitionBasis(index, s)
-        slow = SpanBasis([IntMatrix((index == i).astype(np.int64)) for i in range(s)])
-        rows = [[coords[index[x, y]] for y in range(n)] for x in range(n)]
-        target = from_rows(rows)
-        rows[bx][by] += delta
-        bumped = from_rows(rows)
-        for t in (target, bumped):
-            expected = slow.solve(t)
-            assert fast.solve(t) == expected
-        assert fast.solve(target) == tuple(coords)
-
-    def test_rejects_non_partitions(self):
-        with pytest.raises(InvalidPartition):
-            PartitionBasis(np.array([[0, 2]], dtype=np.int64), 3)  # class 1 is empty
-
-    def test_products_and_partition_solves_build_no_fraction(self, monkeypatch):
-        g = paper6()
-        basis = distance_matrices(g, distance_table(g))
-        mats = [basis.member(i) for i in range(basis.size)]
-
-        def refuse(*args):
-            raise AssertionError("Fraction built by an integer matrix routine")
-
-        monkeypatch.setattr(ratlin, "Fraction", refuse)
-        for left in mats:
-            for right in mats:
-                right_t = IntMatrix(np.ascontiguousarray(right.num.T))
-                coords = basis.solve(mat_mul(left, right_t).add(left.scale(-3)))
-                assert coords is not None and all(type(c) is int for c in coords)
-        wide = mat_mul(from_rows([[2**40, 1], [0, 1]]), from_rows([[2**40, 0], [1, 1]]))
-        assert wide.num.dtype == object and wide.entries == ((2**80 + 1, 1), (1, 1))
 
 
 class TestExactHorner:

@@ -27,7 +27,6 @@ from drdkit.errors import InternalInconsistency
 from drdkit.partitions import distance_regular_scan
 from drdkit.ratlin import (
     IntMatrix,
-    PartitionBasis,
     SpanBasis,
     adjacency_matrix,
     mat_mul,
@@ -70,12 +69,11 @@ from oracles import (
 
 
 def build(g):
-    t = distance_table(g)
-    return t, distance_matrices(g, t)
+    return distance_matrices(g, distance_table(g))
 
 
-def axioms(t, basis):
-    return scheme_axioms(pair_intersection_counts(t), transpose_closure(basis))
+def axioms(t):
+    return scheme_axioms(pair_intersection_counts(t), transpose_closure(t))
 
 
 def polynomials(g, t):
@@ -131,9 +129,9 @@ class TestDistanceMatrices:
     def test_doctored_tables_are_internal_inconsistencies(
         self, edit, message, monkeypatch, tmp_path
     ):
-        # The table's three invariants are checked before the partition
-        # basis checks its labels, so a table with no class 1 is an
-        # internal inconsistency (exit 3), never an invalid partition (exit 4).
+        # The table's three invariants are checked before any reader asks
+        # for its classes' first pairs, so a table with no class 1 fails
+        # on A_1 != A, an internal inconsistency (exit 3).
         g = cycle(5)
         t = distance_table(g)
         dist = t.array.copy()
@@ -166,19 +164,19 @@ class TestDistanceMatrices:
 
     def test_cycle_powers(self):
         g = cycle(5)
-        t, basis = build(g)
+        t = build(g)
         a = adjacency_matrix(g)
         power = IntMatrix.identity(5)
         for i in range(t.diameter + 1):
-            assert basis.member(i) == power
+            assert distance_stack(t)[i] == power
             power = mat_mul(power, a)
 
     def test_paper6_last_shell_row(self, fig6):
-        t, basis = build(fig6)
-        assert t.diameter == 3 and basis.size == 4
+        t = build(fig6)
+        assert t.diameter == 3
         a = fig6.labels.index("a")
         f = fig6.labels.index("f")
-        row = basis.member(3).entries[a]
+        row = distance_stack(t)[3].entries[a]
         assert sum(row) == 1 and row[f] == 1
 
     def test_sum_to_all_ones(self, corpus):
@@ -186,27 +184,26 @@ class TestDistanceMatrices:
             t = distance_table(g)
             if t is None:
                 continue
-            basis = distance_matrices(g, t)
             total = IntMatrix.zeros(g.n, g.n)
-            for i in range(basis.size):
-                total = total.add(basis.member(i))
+            for member in distance_stack(distance_matrices(g, t)):
+                total = total.add(member)
             assert total == ones(g.n), name
 
 
 class TestTransposeClosure:
     def test_cycle_reversal(self):
         n = 6
-        _, basis = build(cycle(n))
-        tm = transpose_closure(basis)
+        t = build(cycle(n))
+        tm = transpose_closure(t)
         assert tm.sigma == (0,) + tuple(n - i for i in range(1, n))
 
     def test_paper6(self, fig6):
-        _, basis = build(fig6)
-        assert transpose_closure(basis).sigma == (0, 2, 1, 3)
+        t = build(fig6)
+        assert transpose_closure(t).sigma == (0, 2, 1, 3)
 
     def test_chorded_cycle_fails(self):
-        _, basis = build(cycle_with_chord(4))
-        tm = transpose_closure(basis)
+        t = build(cycle_with_chord(4))
+        tm = transpose_closure(t)
         assert not tm.exists
         assert tm.failing_index is not None
 
@@ -348,22 +345,22 @@ class TestDistancePolynomials:
 
     def test_perturbed_product_table_gives_none(self):
         g = cycle(6)
-        t, basis = build(g)
+        t = build(g)
         a = adjacency_matrix(g)
         scan = pair_intersection_counts(t)
-        assert distance_polynomials(basis, a, scan) is not None
-        assert distance_polynomials(basis, a, self._perturbed(scan, 2, 1, 1)) is None
+        assert distance_polynomials(t, a, scan) is not None
+        assert distance_polynomials(t, a, self._perturbed(scan, 2, 1, 1)) is None
 
     def test_one_product_per_step(self, monkeypatch):
         # The re-verification takes one product A_i A per step, on float64,
         # which is exact on a 01 matrix (n < 2^53): no mat_mul at all.
         g = cycle(12)
-        t, basis = build(g)
+        t = build(g)
         scan = pair_intersection_counts(t)
         calls = []
         real = scheme.mat_mul
         monkeypatch.setattr(scheme, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
-        assert distance_polynomials(basis, adjacency_matrix(g), scan) is not None
+        assert distance_polynomials(t, adjacency_matrix(g), scan) is not None
         assert not calls
 
 
@@ -377,17 +374,17 @@ def _c32_blown_up() -> Digraph:
 class TestWalkCounts:
     def test_c4_power_four_is_identity(self):
         g = cycle(4)
-        _, basis = build(g)
-        assert walk_count_constancy(basis, adjacency_matrix(g), max_len=4)
+        t = build(g)
+        assert walk_count_constancy(t, adjacency_matrix(g), max_len=4)
 
     def test_paper6_constant(self, fig6):
-        _, basis = build(fig6)
-        assert walk_count_constancy(basis, adjacency_matrix(fig6))
+        t = build(fig6)
+        assert walk_count_constancy(t, adjacency_matrix(fig6))
 
     def test_chorded_cycle_fails(self):
         g = cycle_with_chord(4)
-        _, basis = build(g)
-        res = walk_count_constancy(basis, adjacency_matrix(g))
+        t = build(g)
+        res = walk_count_constancy(t, adjacency_matrix(g))
         assert not res
         ell, h, pair0, pair1, v0, v1 = res.witness
         # The witness is a genuine walk-count discrepancy: re-count both
@@ -400,9 +397,9 @@ class TestWalkCounts:
         from drdkit.errors import PreconditionViolated
 
         g = cycle(5)
-        _, basis = build(g)
+        t = build(g)
         with pytest.raises(PreconditionViolated):
-            walk_count_constancy(basis, adjacency_matrix(g), max_len=2)
+            walk_count_constancy(t, adjacency_matrix(g), max_len=2)
 
     def test_walks_past_the_int64_bound_stay_exact(self, monkeypatch):
         # Walks stop at l = D + 1. On the blow-up C_32[K_4-bar], arcs
@@ -413,15 +410,15 @@ class TestWalkCounts:
         # power past 2^63, takes the object-array route. The verdict must
         # match the default walk length.
         g = _c32_blown_up()
-        t, basis = build(g)
+        t = build(g)
         a = adjacency_matrix(g)
         powers = []
         real = scheme.mat_mul
         monkeypatch.setattr(scheme, "mat_mul", lambda a, b: powers.append(real(a, b)) or powers[-1])
-        long = walk_count_constancy(basis, a, max_len=70)
+        long = walk_count_constancy(t, a, max_len=70)
         assert t.diameter == 32
         assert [p.num.dtype == object for p in powers] == [False] * 5 + [True]
-        assert bool(long) == bool(walk_count_constancy(basis, a)) is True
+        assert bool(long) == bool(walk_count_constancy(t, a)) is True
         a = adjacency_matrix(paper6())
         power = IntMatrix.identity(6)
         for _ in range(70):
@@ -430,17 +427,17 @@ class TestWalkCounts:
         assert sum(power.entries[0]) == 2**70
 
     def test_the_chain_from_two_matches_the_chain_from_zero(self, corpus):
-        # The distance basis proves A^0 = A_0 and A^1 = A_1, so the chain
+        # `distance_matrices` proves A^0 = A_0 and A^1 = A_1, so the chain
         # starts at A^2; against the chain that compares A^0 and A^1 too, the
         # result (ok, max_len and witness) is the same at the default bound
         # and past D + 1, on cycle(40) and past 2^63 on C_32[K_4-bar].
         graphs = small_digraphs() + [g for _, g in corpus] + [cycle(40), _c32_blown_up()]
         for g in graphs:
-            _, basis = build(g)
+            t = build(g)
             a = adjacency_matrix(g)
             for bound in (None, 70):
-                new = walk_count_constancy(basis, a, bound)
-                old = walk_count_constancy_from_zero(basis, a, bound)
+                new = walk_count_constancy(t, a, bound)
+                old = walk_count_constancy_from_zero(t, a, bound)
                 assert (new.ok, new.max_len, new.witness) == (old.ok, old.max_len, old.witness)
 
     def test_witness_is_the_first_differing_pair_of_the_lowest_class(self):
@@ -452,8 +449,8 @@ class TestWalkCounts:
         graphs += [random_sc(n, 0.3, seed=s) for s in range(30) for n in (5, 7)]
         failing = 0
         for g in graphs:
-            t, basis = build(g)
-            walks = walk_count_constancy(basis, adjacency_matrix(g))
+            t = build(g)
+            walks = walk_count_constancy(t, adjacency_matrix(g))
             if walks:
                 continue
             failing += 1
@@ -496,23 +493,23 @@ class TestWalkCounts:
         graphs = [g for n in range(1, 5) for g in all_strongly_connected_digraphs(n)]
         graphs += [random_sc(n, 0.2 + 0.1 * (s % 5), seed=s) for s in range(40) for n in (5, 7, 9)]
         for g in graphs:
-            t, basis = build(g)
+            t = build(g)
             power, first = np.eye(g.n, dtype=np.int64), None
             for ell in range(g.n):
                 power = power @ g.matrix if ell else power
                 if any(len(set(power[t.array == h].tolist())) > 1 for h in range(t.diameter + 1)):
                     first = ell
                     break
-            walks = walk_count_constancy(basis, adjacency_matrix(g), max_len=10**6)
+            walks = walk_count_constancy(t, adjacency_matrix(g), max_len=10**6)
             assert first is None or first <= t.diameter + 1
             assert (None if walks else walks.witness[0]) == first
 
     def test_witness_does_not_depend_on_a_bound_past_n(self):
         g = cycle_with_chord(5)
-        t, basis = build(g)
+        t = build(g)
         a = adjacency_matrix(g)
-        at_d = walk_count_constancy(basis, a, max_len=t.diameter)
-        at_50 = walk_count_constancy(basis, a, max_len=50)
+        at_d = walk_count_constancy(t, a, max_len=t.diameter)
+        at_50 = walk_count_constancy(t, a, max_len=50)
         assert not at_d and at_d.witness == at_50.witness
         assert at_50.max_len == 50
 
@@ -530,13 +527,13 @@ class TestWalkCounts:
 
 class TestSchemeAxioms:
     def test_cycle_passes(self):
-        t, basis = build(cycle(5))
-        rep = axioms(t, basis)
+        t = build(cycle(5))
+        rep = axioms(t)
         assert rep.all
 
     def test_paper6_passes(self, fig6):
-        t, basis = build(fig6)
-        assert axioms(t, basis).all
+        t = build(fig6)
+        assert axioms(t).all
 
     def test_ad_hoc_family_fails_product_closure(self):
         # A family that is not the distance matrices has no library axioms;
@@ -552,8 +549,8 @@ class TestSchemeAxioms:
 
     @staticmethod
     def _assert_matches_matrices(g):
-        t, basis = build(g)
-        assert axiom_fields(axioms(t, basis)) == reference_axioms(distance_stack(t))
+        t = build(g)
+        assert axiom_fields(axioms(t)) == reference_axioms(distance_stack(t))
 
     @settings(max_examples=100, deadline=None)
     @given(strongly_connected_digraphs(8))
@@ -572,7 +569,7 @@ class TestSchemeAxioms:
             t = distance_table(g)
             if t is None:
                 continue
-            axioms_pass = axioms(t, distance_matrices(g, t)).all
+            axioms_pass = axioms(distance_matrices(g, t)).all
             drd = distance_regular_scan(g, t, "out")[0] is not None
             assert axioms_pass == drd, name
 
@@ -581,7 +578,7 @@ class TestDamerell:
     def test_cycle_table(self):
         n = 5
         g = cycle(n)
-        t, _ = build(g)
+        t = build(g)
         table = damerell_numbers(g, t)
         assert table.exists
         D = n - 1
@@ -591,12 +588,12 @@ class TestDamerell:
                 assert table.b[i][j] == expected
 
     def test_paper6(self, fig6):
-        t, _ = build(fig6)
+        t = build(fig6)
         assert damerell_numbers(fig6, t).exists
 
     def test_chorded_cycle(self):
         g = cycle_with_chord(4)
-        t, _ = build(g)
+        t = build(g)
         table = damerell_numbers(g, t)
         assert not table.exists
         assert table.witness is not None
@@ -620,22 +617,22 @@ class TestTwoWayRelations:
     def test_cycle(self):
         n = 5
         g = cycle(n)
-        t, basis = build(g)
+        t = build(g)
         rel = two_way_relations(t)
         assert set(rel.delta) == {(0, 0)} | {(i, n - i) for i in range(1, n)}
-        assert wang_suzuki_drd_check(rel, t, lambda: axioms(t, basis))
+        assert wang_suzuki_drd_check(rel, t, lambda: axioms(t))
 
     def test_paper6(self, fig6):
-        t, basis = build(fig6)
+        t = build(fig6)
         rel = two_way_relations(t)
         assert len(rel.delta) == 4 == t.diameter + 1
-        assert wang_suzuki_drd_check(rel, t, lambda: axioms(t, basis))
+        assert wang_suzuki_drd_check(rel, t, lambda: axioms(t))
 
     def test_chorded_cycle(self):
         g = cycle_with_chord(4)
-        t, basis = build(g)
+        t = build(g)
         rel = two_way_relations(t)
-        assert not wang_suzuki_drd_check(rel, t, lambda: axioms(t, basis))
+        assert not wang_suzuki_drd_check(rel, t, lambda: axioms(t))
 
     def test_h_reads_the_distance_matrices_axioms(self, corpus):
         # H's verdict and witness equal the scheme axioms of the two-way
@@ -643,14 +640,14 @@ class TestTwoWayRelations:
         for name, g in corpus:
             if g.n == 1 or not strongly_connected(g):
                 continue
-            t, basis = build(g)
+            t = build(g)
             rel = two_way_relations(t)
             h = next(v for v in check_all(g).verdicts if v.id == "H")
             if len(rel.delta) != t.diameter + 1:
                 assert h.verdict == "no" and "two-way distance classes" in h.witness, name
                 continue
             alone = reference_axioms(class_matrices(rel.index, len(rel.delta)))
-            shared = axioms(t, basis)
+            shared = axioms(t)
             assert wang_suzuki_drd_check(rel, t, lambda: shared).axioms is shared, name
             assert axiom_fields(shared) == alone, name
             assert h.verdict == ("yes" if alone["witness"] is None else "no"), name
@@ -658,13 +655,13 @@ class TestTwoWayRelations:
                 assert h.witness == alone["witness"], name
 
     def test_classes_that_are_not_the_distance_matrices_raise(self, fig6):
-        t, basis = build(fig6)
+        t = build(fig6)
         rel = two_way_relations(t)
         swapped = rel.index.copy()
         swapped[rel.index == 1] = 2
         swapped[rel.index == 2] = 1
         with pytest.raises(InternalInconsistency):
-            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, lambda: axioms(t, basis))
+            wang_suzuki_drd_check(TwoWayRelations(rel.delta, swapped), t, lambda: axioms(t))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -681,7 +678,7 @@ class TestTwoWayRelations:
         assert np.array_equal(rel.index, ref.index)
 
     def test_classes_partition(self, fig6):
-        t, _ = build(fig6)
+        t = build(fig6)
         rel = two_way_relations(t)
         classes = class_matrices(rel.index, len(rel.delta))
         total = IntMatrix.zeros(6, 6)
@@ -729,9 +726,6 @@ class TestWeakDistanceRegularity:
 
 def _assert_scan_matches_oracle(t):
     scan = pair_intersection_counts(t)
-    shared = pair_intersection_counts(t, PartitionBasis(t.array, t.diameter + 1).reps)
-    assert np.array_equal(shared.values, scan.values) and np.array_equal(shared.ok, scan.ok)
-    assert (shared.witness, shared.commutative) == (scan.witness, scan.commutative)
     values, ok, witness = pair_counts_by_dict(t.array.tolist(), t.diameter)
     assert not scan.values.flags.writeable and not scan.ok.flags.writeable
     assert scan.values.tolist() == [[list(row) for row in v] for v in values]
@@ -982,19 +976,19 @@ class TestCirculantSweep:
 
 
 def _assert_index_reads_match_matrices(g):
-    t, basis = build(g)
+    t = build(g)
     mats = distance_stack(t)
-    tm = transpose_closure(basis)
+    tm = transpose_closure(t)
     assert (tm.sigma, tm.failing_index) == transpose_closure_by_matrices(mats)
-    assert adjacency_transpose_index(basis) == adjacency_transpose_by_matrices(mats)
-    stacked = partition_basis_by_matrices(mats)
-    assert np.array_equal(basis.index, stacked.index)
-    assert basis.reps.tolist() == stacked.reps.tolist()
-    assert basis.size == stacked.size == t.diameter + 1
+    assert adjacency_transpose_index(t) == adjacency_transpose_by_matrices(mats)
+    index, reps = partition_basis_by_matrices(mats)
+    assert np.array_equal(t.array, index)
+    assert t.reps.tolist() == reps.tolist()
+    assert len(mats) == len(reps) == t.diameter + 1
 
 
 class TestMemory:
-    """Neither the distance basis nor the pair count scan keeps a second
+    """Neither `distance_matrices` nor the pair count scan keeps a second
     copy of what the distance table or the scan's count array holds: no
     stack of D + 1 dense matrices, no nested tuples of counts."""
 
@@ -1024,8 +1018,8 @@ class TestMemory:
 
 
 class TestIndexReads:
-    """Transposes and the class basis read off the distance table agree with
-    the matrix-level references."""
+    """Transposes and each class's first pair read off the distance table
+    agree with the matrix-level references."""
 
     @settings(max_examples=200, deadline=None)
     @given(strongly_connected_digraphs(9))
@@ -1046,12 +1040,12 @@ class TestIndexReads:
             raise AssertionError("a class matrix was built or compared")
 
         # A transposed class matrix would be a new IntMatrix.
-        built = [build(g)[1] for _, g in corpus if strongly_connected(g)]
+        built = [build(g) for _, g in corpus if strongly_connected(g)]
         monkeypatch.setattr(IntMatrix, "__init__", refuse)
         monkeypatch.setattr(IntMatrix, "__eq__", refuse)
-        for basis in built:
-            transpose_closure(basis)
-            adjacency_transpose_index(basis)
+        for t in built:
+            transpose_closure(t)
+            adjacency_transpose_index(t)
 
 
 class TestOneStepExpansions:
@@ -1088,7 +1082,7 @@ class TestOneStepExpansions:
         assert checked >= 10
 
     def test_paper6_left_and_right_scalars_stored(self, fig6):
-        t, _ = build(fig6)
+        t = build(fig6)
         scan = pair_intersection_counts(t)
         assert scan.ok[:, 1].all()  # every (i, 1) slice is constant
         assert scan.ok[1].all()  # every (1, j) slice is constant
