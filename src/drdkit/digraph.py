@@ -328,7 +328,20 @@ def regularity(g: Digraph) -> Optional[int]:
     return k if (out == k).all() and (g.matrix.sum(axis=0) == k).all() else None
 
 
-def _parse_edge_list(lines: list[str]) -> Digraph:
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines of text that are neither blank nor '#' comments."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
+def _parse_edge_list(source: str) -> Digraph:
+    # Header first, from a doubling prefix: its last line may be cut short,
+    # so the first line counts only once another one follows it.
+    size = 1
+    while len(lines := _content_lines(source[:size])) < 2 and size < len(source):
+        size *= 2
+    if not lines:
+        raise EmptyGraph("empty edge list")
     header = lines[0].split()
     if len(header) != 2:
         raise ParseError(f"expected header 'n m', got {lines[0]!r}")
@@ -339,7 +352,7 @@ def _parse_edge_list(lines: list[str]) -> Digraph:
     if n <= 0:
         raise EmptyGraph("edge list declares zero vertices")
     _check_size(n)  # before any arc line is read
-    body = lines[1:]
+    body = _content_lines(source)[1:]
     if len(body) != m:
         raise ParseError(f"declared {m} arcs but found {len(body)} arc lines")
     # One split per line, kept as tokens: holding every line's list would
@@ -393,12 +406,8 @@ def parse_digraph(source: str, fmt: str = "edge-list") -> Digraph:
 
     Lines starting with '#' and blank lines are ignored.
     """
-    lines = [ln.strip() for ln in source.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if fmt in ("edge-list", "el"):
-        if not lines:
-            raise EmptyGraph("empty edge list")
-        return _parse_edge_list(lines)
+        return _parse_edge_list(source)
     if fmt in ("adjacency-matrix", "matrix"):
-        return _parse_matrix(lines)
+        return _parse_matrix(_content_lines(source))
     raise ParseError(f"unknown format {fmt!r}")

@@ -4,19 +4,18 @@ combinatorial characterizations run with zero tolerance: every quantity they
 compare is an integer identity.
 
 A matrix is one integer array, int64 when every entry has absolute value
-below 2**63 and a ``dtype=object`` array of Python ints otherwise. `mat_mul`
-multiplies in the narrowest of three tiers that the bound
-B = (max row sum of |a|) * max |b| proves exact. B caps every partial sum of
-every entry, in any summation order. Below 2**53 every partial sum is an
-integer that float64 holds, so ``@`` runs on float64 BLAS and the cast back
-to int64 is exact (the argument of FFLAS-FFPACK, Dumas, Giorgi and Pernet,
-ACM TOMS 35(3), 2008); only an inner dimension below 16, where the casts
-cost more than they save, skips this tier. Below 2**63 ``@`` runs on int64,
-which numpy does not hand to BLAS but which cannot overflow. Otherwise it
-runs on object arrays, whose Python ints never overflow. The 01 matrices
-that the checks build (identity, zero, adjacency and class matrices) carry
-their bounds from construction, so only derived matrices are scanned for
-them.
+below 2**63 and a ``dtype=object`` array of Python ints otherwise.
+`mat_mul` is the exact fallback product: ``@`` runs on int64 when
+B = (max row sum of |a|) * max |b|, which caps every partial sum in any
+summation order, is below 2**63, else on object arrays, whose Python ints
+never overflow. The 01 matrices that the checks build (identity, zero,
+adjacency and class matrices) carry their bounds from construction, so only
+derived matrices are scanned for them. Each product on the check path (the
+walk chain, `scheme.distance_polynomials`, the normality test, the pair
+count scans, the proof of μ(A) = 0 below) proves at its call site that
+every partial sum is below 2**53, where float64 holds every integer, and
+runs on float64 BLAS (the argument of FFLAS-FFPACK, Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008).
 
 The distance classes have no basis object: the distance table is their
 class index, a class matrix is built only where one is multiplied or
@@ -51,8 +50,8 @@ from that first prime's Krylov polynomial on.
 
 Every prime p is at most a cap that depends on n alone and proves
 n * (p - 1)**2 < 2**53. The Krylov and elimination steps then fit in int64,
-and the proof's products run on float64 BLAS by the same argument as
-`mat_mul`'s first tier, with both factors reduced mod p.
+and the proof's products run on float64 BLAS by the same argument, with both
+factors reduced mod p.
 """
 from __future__ import annotations
 
@@ -72,10 +71,6 @@ Rational = Union[int, Fraction]
 
 INT64_LIMIT = 1 << 63  # every int64 has absolute value below this, except -2**63
 FLOAT64_EXACT = 1 << 53  # float64 holds every integer of absolute value up to this
-# Below this inner dimension int64 ``@`` costs less than the casts to float64
-# and back (measured crossover between 13 and 16, numpy with OpenBLAS on
-# x86-64, one thread).
-FLOAT64_MIN_INNER = 16
 
 
 def _norm(x: Rational) -> Rational:
@@ -175,36 +170,15 @@ def adjacency_matrix(g: Digraph) -> IntMatrix:
     return IntMatrix.bounded(g.matrix.astype(np.int64), min(k, 1), k)
 
 
-def _product_tier(a: IntMatrix, b: IntMatrix) -> type:
-    """The dtype `mat_mul` multiplies a and b in: float64 when both are
-    int64, the inner dimension is at least FLOAT64_MIN_INNER and the bound
-    (max row sum of |a|) * max |b| on every partial sum is below 2**53;
-    int64 when the bound is below 2**63; else object."""
-    bound = a.abs_bounds()[1] * b.abs_bounds()[0]
-    if (
-        bound < FLOAT64_EXACT
-        and a.cols >= FLOAT64_MIN_INNER
-        and a.num.dtype == b.num.dtype == np.int64
-    ):
-        return np.float64
-    return np.int64 if bound < INT64_LIMIT else object
-
-
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact product, in the tier `_product_tier` picks: float64 BLAS cast
-    back to int64, ``@`` as they are (int64, or an object operand beside a
-    zero matrix), or object arrays."""
+    """Exact product: ``@`` on int64 when (max row sum of |a|) * max |b| is
+    below 2**63, else on object arrays."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"mat_mul {a.shape} vs {b.shape}")
     x, y = a.num, b.num
-    tier = _product_tier(a, b)
-    if tier is np.float64:
-        prod = (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
-    elif tier is object:
-        prod = x.astype(object) @ y.astype(object)
-    else:
-        prod = x @ y
-    return IntMatrix(prod)
+    if a.abs_bounds()[1] * b.abs_bounds()[0] >= INT64_LIMIT:
+        x, y = x.astype(object), y.astype(object)
+    return IntMatrix(x @ y)
 
 
 class SpanBasis:

@@ -17,20 +17,17 @@ import numpy as np
 
 from .digraph import DistanceTable
 from .errors import ClusteringAmbiguous, PiUnderflow
-from .ratlin import FLOAT64_MIN_INNER, IntMatrix
+from .ratlin import IntMatrix
 
 DEFAULT_CLUSTER_TOL = 1e-7
 
 
 def is_normal(a: IntMatrix) -> bool:
     """Exact integer test A A^T = A^T A of a square 01 A, as every adjacency
-    matrix is (real entries, so adjoint = transpose).
-
-    Every partial sum of an entry of either product is at most n < 2^53, so
-    one product each and one comparison are exact: on float64, which holds
-    every such integer (ratlin's FLOAT64_EXACT argument), or on the int64
-    array itself below FLOAT64_MIN_INNER, as in `mat_mul`."""
-    x = a.num if a.rows < FLOAT64_MIN_INNER else a.num.astype(np.float64)
+    matrix is (real entries, so adjoint = transpose). Every partial sum of
+    an entry of either product is at most n < 2^53, so both products and the
+    comparison are exact on float64 (ratlin's FLOAT64_EXACT argument)."""
+    x = a.num.astype(np.float64)
     return bool((x @ x.T == x.T @ x).all())
 
 

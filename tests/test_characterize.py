@@ -473,8 +473,8 @@ class TestMasterEquivalence:
 
     @pytest.mark.parametrize("make, n", [(cycle, 60), (paley, 131)])
     def test_large_distance_regular_digraphs_agree(self, make, n):
-        # Sizes where the float64 product tier, D's one-product induction
-        # and H's shared product table carry every exact check.
+        # Sizes where the float64 walk chain, D's one-product induction
+        # and the pair count scan that H's axioms read carry every exact check.
         rep = check_all(make(n))
         assert rep.agreement and rep.overall == "yes"
         assert {v.verdict for v in rep.verdicts} == {"yes"}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import drdkit.digraph as digraph
 from drdkit.characterize import check_all
-from drdkit.corpus import cycle, paley, paper6, random_sc
+from drdkit.corpus import cycle, edge_list_text, paley, paper6, random_sc
 from drdkit.digraph import (
     MAX_VERTICES,
     Digraph,
@@ -20,7 +20,7 @@ from drdkit.digraph import (
 )
 from drdkit.errors import DuplicateArc, EmptyGraph, LoopRejected, ParseError
 
-from conftest import strongly_connected_digraphs
+from conftest import strongly_connected_digraphs, traced_peak
 from oracles import brute_girth, table_by_floyd_warshall
 
 
@@ -105,6 +105,33 @@ class TestParsing:
     def test_comments_ignored(self):
         g = parse_digraph("# a triangle\n3 3\n0 1\n# middle\n1 2\n2 0")
         assert g.m == 3
+
+    def test_oversized_header_fails_before_the_body_is_split(self):
+        # A header past the limit over a long body: the header alone is
+        # read, so the memory traced stays far below one list of the lines.
+        text = "# comment\n" * 1000 + "100000 200000\n" + "0 1\n" * 200_000
+        message = []
+
+        def parse():
+            with pytest.raises(ParseError) as info:
+                parse_digraph(text)
+            message.append(str(info.value))
+
+        assert traced_peak(parse) < 1 << 20
+        assert message == ["100000 vertices exceed the limit of 2048"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_line_ends_split_as_splitlines_does(self, data):
+        # Every line end that str.splitlines() splits at, "\r\n" included,
+        # between lines of paper6 and drawn blank and comment lines.
+        ends = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"])
+        filler = st.lists(st.sampled_from(["", "  ", "# 7 7"]), max_size=2)
+        text = ""
+        for line in edge_list_text(paper6()).splitlines():
+            for extra in data.draw(filler) + [line]:
+                text += extra + data.draw(ends)
+        assert parse_digraph(text) == paper6()
 
 
 def _edge_list(text: str):

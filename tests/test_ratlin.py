@@ -14,7 +14,6 @@ from drdkit.digraph import MAX_VERTICES, Digraph, distance_table, strongly_conne
 from drdkit.errors import DimensionMismatch, InternalInconsistency, PreconditionViolated
 from drdkit.ratlin import (
     FLOAT64_EXACT,
-    FLOAT64_MIN_INNER,
     INT64_LIMIT,
     IntMatrix,
     RatPolynomial,
@@ -592,10 +591,10 @@ def _int_matrix_pairs(draw):
 
 @st.composite
 def _pairs_near_float64_bound(draw):
-    """Two n x n int64 matrices, n <= 4 or n next to FLOAT64_MIN_INNER, whose
-    bound (max row sum of |a|) * max |b| lies within about 100 of 2**53, on
-    either side: small-entry matrices with one of them scaled up."""
-    n = draw(st.integers(1, 4) | st.integers(FLOAT64_MIN_INNER - 1, FLOAT64_MIN_INNER + 1))
+    """Two n x n int64 matrices, n <= 17, whose bound (max row sum of |a|) *
+    max |b| lies within about 100 of 2**53, on either side: small-entry
+    matrices with one of them scaled up."""
+    n = draw(st.integers(1, 17))
     entry = st.integers(-3, 3)
     square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
     a, b = draw(square), draw(square)
@@ -612,27 +611,13 @@ def _pairs_near_float64_bound(draw):
 class TestInt64Kernel:
     @settings(max_examples=100, deadline=None)
     @given(_pairs_near_float64_bound())
-    def test_float64_tier_equals_python_product(self, pair):
+    def test_product_near_float64_bound_is_exact_int64(self, pair):
+        # Products whose partial sums straddle 2**53, where a float64
+        # product would round: int64 ``@`` is exact and keeps the form.
         a, b = pair
-        ma = IntMatrix(np.array(a, dtype=np.int64))
-        mb = IntMatrix(np.array(b, dtype=np.int64))
-        tiers = []
-        real = ratlin._product_tier
-
-        def recorded(x, y):
-            tiers.append(real(x, y))
-            return tiers[-1]
-
-        with mock.patch.object(ratlin, "_product_tier", recorded):
-            got = mat_mul(ma, mb)
+        got = mat_mul(IntMatrix(np.array(a, dtype=np.int64)), IntMatrix(np.array(b, dtype=np.int64)))
         assert got.entries == mat_mul_reference(a, b)
-        row_bound = max(sum(abs(x) for x in r) for r in a)
-        top = max(abs(x) for r in b for x in r)
-        # float64 exactly below 2**53 at inner dimensions from
-        # FLOAT64_MIN_INNER on; int64 otherwise, up to 2**63.
-        wide = len(a) >= FLOAT64_MIN_INNER
-        expected = np.float64 if wide and row_bound * top < FLOAT64_EXACT else np.int64
-        assert tiers == [expected]
+        assert got.num.dtype == np.int64
 
     @settings(max_examples=150, deadline=None)
     @given(_int_matrix_pairs())
@@ -677,17 +662,13 @@ class TestInt64Kernel:
         assert mat_mul(half, ones(2)).entries == ((2**63, 2**63), (2**63, 2**63))
         assert half.add(half).entries == ((2**63, 2**63), (2**63, 2**63))
         assert IntMatrix.zeros(2, 2).scale(2**70) == IntMatrix.zeros(2, 2)
-        # I * M with one nonzero entry of M: 2**53 - 1 is below the float64
-        # bound; 2**53 + 1 has no float64 form, so its product must not take
-        # the float64 tier. Below FLOAT64_MIN_INNER neither does.
-        for n in (1, FLOAT64_MIN_INNER - 1, FLOAT64_MIN_INNER):
-            for value, tier in ((FLOAT64_EXACT - 1, np.float64), (FLOAT64_EXACT + 1, np.int64)):
+        # I * M with one nonzero entry of M next to 2**53, which float64
+        # cannot hold past 2**53: the product is M itself, on int64.
+        for n in (1, 16):
+            for value in (FLOAT64_EXACT - 1, FLOAT64_EXACT + 1):
                 num = np.zeros((n, n), dtype=np.int64)
                 num[-1, 0] = value
                 m = IntMatrix(num)
-                assert ratlin._product_tier(IntMatrix.identity(n), m) is (
-                    tier if n >= FLOAT64_MIN_INNER else np.int64
-                )
                 product = mat_mul(IntMatrix.identity(n), m)
                 assert product.num.dtype == np.int64 and product == m
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drdkit.corpus import cycle, cycle_with_chord, paley
 from drdkit.digraph import Digraph, distance_table
-from drdkit.ratlin import adjacency_matrix, minimal_polynomial
+from drdkit.ratlin import IntMatrix, adjacency_matrix, minimal_polynomial
 from drdkit.spectral import average_last_shell, is_normal, spectral_excess_rhs, spectrum
 
 from oracles import (
@@ -16,6 +18,17 @@ from oracles import (
     poly_inner_product_trace,
     predistance_polynomials,
 )
+
+
+@st.composite
+def _zero_one_matrices(draw):
+    """An n x n 01 matrix, n = 1..17, symmetrized half the time so that
+    normal matrices are drawn at every size."""
+    n = draw(st.integers(1, 17))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[rows[i][j] | rows[j][i] for j in range(n)] for i in range(n)]
+    return rows
 
 
 class TestIsNormal:
@@ -29,6 +42,16 @@ class TestIsNormal:
     def test_triangle_with_extra_arc_is_not(self):
         g = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
         assert not is_normal(adjacency_matrix(g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_zero_one_matrices())
+    def test_equals_python_int_products(self, rows):
+        # The float64 products against A A^T = A^T A over Python ints.
+        n = len(rows)
+        cols = list(zip(*rows))
+        aat = [[sum(x * y for x, y in zip(rows[i], rows[j])) for j in range(n)] for i in range(n)]
+        ata = [[sum(x * y for x, y in zip(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+        assert is_normal(IntMatrix(np.array(rows, dtype=np.int64))) == (aat == ata)
 
 
 class TestSpectrum:
